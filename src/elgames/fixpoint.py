@@ -11,8 +11,12 @@ region.
 
 The solver is plain nested Kleene iteration and is generic in a set
 backend, so the same code runs on explicit node masks and on symbolic
-decision-diagram assertions.  For least-fixpoint variables it records
-the iteration rings and per-stage child solutions of the final
+decision-diagram assertions.  Inner iterations keep asking for the
+controllable predecessor of the same few sets, so each solve memoizes
+``backend.cpre`` by target value (explicit masks and diagram handles
+are both canonical); the memo lives only as long as the call and leaves
+the Kleene stages unchanged.  For least-fixpoint variables the solver
+records the iteration rings and per-stage child solutions of the final
 (outermost-consistent) run; tests assert their monotone growth, and the
 strategy module recomputes full entry-rank signatures through the same
 recursion when extracting moves.
@@ -146,19 +150,32 @@ class SolveResult:
         return self.values[0]
 
 
-def solve(system, backend, record=True, max_stages=None):
-    """Solve by nested Kleene iteration; returns all stabilized sets."""
-    equations = {eq.vertex: eq for eq in system.equations}
+def guard_table(system, backend):
+    """Backend guard set of every distinct ``(subset, escape)`` pair the
+    attraction terms of ``system`` use."""
     guards = {}
     for eq in system.equations:
         for anc, sub, esc in eq.terms:
-            key = (sub, esc)
-            if key not in guards:
-                guards[key] = backend.guard(sub, esc)
+            if (sub, esc) not in guards:
+                guards[(sub, esc)] = backend.guard(sub, esc)
+    return guards
+
+
+def solve(system, backend, record=True, max_stages=None):
+    """Solve by nested Kleene iteration; returns all stabilized sets."""
+    equations = {eq.vertex: eq for eq in system.equations}
+    guards = guard_table(system, backend)
     values = {}
     rings = {}
     stage_children = {}
     total_iterations = 0
+    pre = {}   # cpre by target; backend values are canonical and hashable
+
+    def cpre(target):
+        out = pre.get(target)
+        if out is None:
+            out = pre[target] = backend.cpre(target)
+        return out
 
     def run(s, ls):
         nonlocal total_iterations
@@ -176,7 +193,7 @@ def solve(system, backend, record=True, max_stages=None):
                 for anc, sub, esc in eq.terms:
                     val = w if anc == s else ls[anc]
                     y = backend.union(
-                        y, backend.intersect(guards[(sub, esc)], backend.cpre(val)))
+                        y, backend.intersect(guards[(sub, esc)], cpre(val)))
                 x = y
             else:
                 ls_here = dict(ls)

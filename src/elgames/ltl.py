@@ -174,6 +174,26 @@ def eval_propositional(phi, letter):
     raise LTLError("not propositional: %r" % (phi,))
 
 
+def prop_assert(manager, phi):
+    """Assertion of ``manager`` for a temporal-free formula; the atoms
+    must be declared variables of the manager."""
+    if isinstance(phi, Tru):
+        return manager.true
+    if isinstance(phi, Fls):
+        return manager.false
+    if isinstance(phi, Ap):
+        return manager.var(phi.name)
+    if isinstance(phi, NotOp):
+        return ~prop_assert(manager, phi.arg)
+    if isinstance(phi, AndOp):
+        return prop_assert(manager, phi.left) & prop_assert(manager, phi.right)
+    if isinstance(phi, OrOp):
+        return prop_assert(manager, phi.left) | prop_assert(manager, phi.right)
+    if isinstance(phi, Implies):
+        return prop_assert(manager, phi.left).implies(prop_assert(manager, phi.right))
+    raise LTLError("not propositional: %r" % (phi,))
+
+
 # ---------------------------------------------------------------------------
 # Concrete syntax.
 
@@ -571,23 +591,6 @@ def determinize_symbolic(nfa, manager=None, state_prefix="v", declare_letters=No
         declare_letters(manager, nfa.ap)
     state_vars = tuple("%s%d" % (state_prefix, i) for i in range(len(nfa)))
 
-    def prop_assert(phi):
-        if isinstance(phi, Tru):
-            return manager.true
-        if isinstance(phi, Fls):
-            return manager.false
-        if isinstance(phi, Ap):
-            return manager.var(phi.name)
-        if isinstance(phi, NotOp):
-            return ~prop_assert(phi.arg)
-        if isinstance(phi, AndOp):
-            return prop_assert(phi.left) & prop_assert(phi.right)
-        if isinstance(phi, OrOp):
-            return prop_assert(phi.left) | prop_assert(phi.right)
-        if isinstance(phi, Implies):
-            return prop_assert(phi.left).implies(prop_assert(phi.right))
-        raise LTLError("not propositional: %r" % (phi,))
-
     theta0 = manager.cube({name: (i == nfa.initial)
                            for i, name in enumerate(state_vars)})
     rhs = []
@@ -597,7 +600,7 @@ def determinize_symbolic(nfa, manager=None, state_prefix="v", declare_letters=No
             for constraint, t in nfa.transitions[p]:
                 if t == q:
                     incoming = incoming | (manager.var(state_vars[p])
-                                           & prop_assert(constraint))
+                                           & prop_assert(manager, constraint))
         rhs.append(incoming)
     nonempty = manager.disj(manager.var(v) for v in state_vars)
     trans = nonempty

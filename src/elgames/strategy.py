@@ -24,7 +24,7 @@ connected component realizes exactly D.
 from dataclasses import dataclass
 
 from . import el
-from .fixpoint import build_equations
+from .fixpoint import ExplicitBackend, build_equations, guard_table
 from .games import EXISTENTIAL, iter_nodes
 from .oracles import _sccs
 
@@ -124,24 +124,12 @@ def ranked_solve(game, tree, max_rounds=10**7):
     property the extractor needs.
     """
     arena = game.arena
-    equations = {eq.vertex: eq for eq in build_equations(tree).equations}
+    system = build_equations(tree)
+    equations = {eq.vertex: eq for eq in system.equations}
     lfp_path = []
     for s in range(len(tree)):
         lfp_path.append(tuple(u for u in tree.ancestors(s) if not tree.winning[u]))
-    guard_masks = {}
-    for eq in equations.values():
-        for anc, sub, esc in eq.terms:
-            key = (sub, esc)
-            if key not in guard_masks:
-                out = 0
-                for v in range(arena.n):
-                    colors = arena.colors[v]
-                    if colors & ~sub:
-                        continue
-                    if esc is not None and not colors & ~esc:
-                        continue
-                    out |= 1 << v
-                guard_masks[key] = out
+    guard_masks = guard_table(system, ExplicitBackend(game))
     final = {}
     rounds = [0]
 
@@ -150,41 +138,38 @@ def ranked_solve(game, tree, max_rounds=10**7):
         if rounds[0] > max_rounds:
             raise RuntimeError("ranked solve failed to stabilize")
 
-    def derive_leaf(eq, ctx, cur):
-        s = eq.vertex
-        plen = len(lfp_path[s])
-        out = {}
-        for anc, sub, esc in eq.terms:
-            src = cur if anc == s else ctx[anc]
-            if not src:
-                continue
-            domain = 0
-            for w in src:
-                domain |= 1 << w
-            pad = plen - len(lfp_path[anc])
-            bump = not tree.winning[anc]
-            pos = len(lfp_path[anc]) - 1
+    def derive_term(s, term, src, out):
+        """Min-merge into ``out`` the signatures one attraction term of
+        leaf ``s`` gives, reading the anchor's solution map ``src``."""
+        anc, sub, esc = term
+        if not src:
+            return
+        domain = 0
+        for w in src:
+            domain |= 1 << w
+        pad = len(lfp_path[s]) - len(lfp_path[anc])
+        bump = not tree.winning[anc]
+        pos = len(lfp_path[anc]) - 1
 
-            def lift(w):
-                sig = src[w]
-                if bump:
-                    sig = sig[:pos] + (sig[pos] + 1,)
-                return sig + (0,) * pad
+        def lift(w):
+            sig = src[w]
+            if bump:
+                sig = sig[:pos] + (sig[pos] + 1,)
+            return sig + (0,) * pad
 
-            for v in iter_nodes(guard_masks[(sub, esc)]):
-                succ_in = arena.succ_mask[v] & domain
-                if arena.owner[v] == EXISTENTIAL:
-                    if not succ_in:
-                        continue
-                    sig = min(lift(w) for w in iter_nodes(succ_in))
-                else:
-                    if arena.succ_mask[v] & ~domain:
-                        continue
-                    sig = max(lift(w) for w in iter_nodes(succ_in))
-                old = out.get(v)
-                if old is None or sig < old:
-                    out[v] = sig
-        return out
+        for v in iter_nodes(guard_masks[(sub, esc)]):
+            succ_in = arena.succ_mask[v] & domain
+            if arena.owner[v] == EXISTENTIAL:
+                if not succ_in:
+                    continue
+                sig = min(lift(w) for w in iter_nodes(succ_in))
+            else:
+                if arena.succ_mask[v] & ~domain:
+                    continue
+                sig = max(lift(w) for w in iter_nodes(succ_in))
+            old = out.get(v)
+            if old is None or sig < old:
+                out[v] = sig
 
     def run(s, ctx):
         eq = equations[s]
@@ -193,10 +178,20 @@ def ranked_solve(game, tree, max_rounds=10**7):
             cur = {}
         else:
             cur = {v: (0,) * plen for v in range(arena.n)}
+        if eq.op == "attract":
+            # Ancestor maps are fixed while this leaf iterates: derive
+            # their terms once and only the self term per stage.
+            fixed = {}
+            for term in eq.terms:
+                if term[0] == s:
+                    own = term
+                else:
+                    derive_term(s, term, ctx[term[0]], fixed)
         while True:
             tick()
             if eq.op == "attract":
-                new = derive_leaf(eq, ctx, cur)
+                new = dict(fixed)
+                derive_term(s, own, cur, new)
             else:
                 ctx_here = dict(ctx)
                 ctx_here[s] = cur

@@ -194,29 +194,12 @@ def build_game(problem):
     dsa = determinize_symbolic(nfa, Manager(), declare_letters=declare_letters)
     m = dsa.manager
 
-    def prop_assert(phi):
-        if isinstance(phi, ltl.Tru):
-            return m.true
-        if isinstance(phi, ltl.Fls):
-            return m.false
-        if isinstance(phi, Ap):
-            return m.var(phi.name)
-        if isinstance(phi, NotOp):
-            return ~prop_assert(phi.arg)
-        if isinstance(phi, AndOp):
-            return prop_assert(phi.left) & prop_assert(phi.right)
-        if isinstance(phi, OrOp):
-            return prop_assert(phi.left) | prop_assert(phi.right)
-        if isinstance(phi, Implies):
-            return prop_assert(phi.left).implies(prop_assert(phi.right))
-        raise ltl.LTLError("not propositional: %r" % (phi,))
-
     return SymbolicGameStructure(
         manager=m, dsa=dsa, inputs=problem.inputs, outputs=problem.outputs,
         state_vars=dsa.state_vars, theta=dsa.theta0,
         rho=dsa.trans, el_formula=formula, color_table=table,
         color_props=props,
-        color_assertions=tuple(prop_assert(p) for p in props))
+        color_assertions=tuple(ltl.prop_assert(m, p) for p in props))
 
 
 def symbolic_cpre(game, target):

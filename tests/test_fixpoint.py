@@ -1,10 +1,14 @@
 import random
 
+import pytest
+
 from elgames import el
+from elgames import synthesis as syn
 from elgames.fixpoint import (ExplicitBackend, build_equations, format_equations,
                               solve, solve_game)
 from elgames.games import Arena, ELGame, UNIVERSAL, dual_game, random_game
 from elgames.oracles import solve_el_via_reduction
+from elgames.strategy import extract, verify
 from elgames.zielonka import ZielonkaTree
 
 from test_el import example_objective, ABCD
@@ -181,3 +185,68 @@ def test_larger_instances_complete_quickly():
         win, tree, _ = solve_game(game)
         assert win == solve_el_via_reduction(game, tree)
     assert time.time() - start < 30
+
+
+def streett3(rng, table):
+    return el.streett(table, [("a", "b"), ("c", "d"), ("e", "f")])
+
+
+def counting(backend_cls, key):
+    """Subclass of ``backend_cls`` recording the key of every ``cpre`` target."""
+
+    class Counting(backend_cls):
+        def __init__(self, game):
+            super().__init__(game)
+            self.targets = []
+
+        def cpre(self, target):
+            self.targets.append(key(target))
+            return super().cpre(target)
+
+    return Counting
+
+
+def test_explicit_cpre_memo_asks_each_target_once():
+    game = random_game(5, 60, 6, density=0.15, objective_factory=streett3)
+    tree = ZielonkaTree(game.objective, game.table)
+    backend = counting(ExplicitBackend, lambda mask: mask)(game)
+    result = solve(build_equations(tree), backend, max_stages=game.arena.n + 1)
+    assert len(backend.targets) == len(set(backend.targets)) > 1
+    assert result.winning() == solve_el_via_reduction(game, tree)
+
+
+def test_symbolic_cpre_memo_asks_each_handle_once():
+    mutex = "G(!(g0 & g1))"
+    live = "(G F r0 -> G F g0) & (G F r1 -> G F g1)"
+    game = syn.build_game(syn.problem_from_strings(
+        mutex, live, ["r0", "r1"], ["g0", "g1"]))
+    tree = ZielonkaTree(game.el_formula, game.color_table)
+    backend = counting(syn.SymbolicBackend, lambda a: a.handle)(game)
+    result = solve(build_equations(tree), backend)
+    assert len(backend.targets) == len(set(backend.targets)) > 1
+    assert syn.is_won(game, result.winning())
+
+
+FAMILIES = [
+    ("parity-c6", 6, lambda rng, t: el.parity(t, list("abcdef"))),
+    ("streett-k3", 6, streett3),
+    ("rabin-k2", 4, lambda rng, t: el.rabin(t, [("a", "b"), ("c", "d")])),
+    ("muller-even-c4", 4, lambda rng, t: el.even_cardinality_muller(t)),
+]
+
+
+@pytest.mark.parametrize("name,ncolors,factory", FAMILIES,
+                         ids=[f[0] for f in FAMILIES])
+def test_objective_families_agree_with_oracle_dual_and_verify(name, ncolors,
+                                                              factory):
+    # Larger trees and arenas than the random-formula corpus: this is
+    # where the nested recursion does most of its work.
+    for i in range(3):
+        game = random_game(700 + i, 40, ncolors, density=0.15,
+                           objective_factory=factory)
+        win, tree, result = solve_game(game)
+        assert win == solve_el_via_reduction(game, tree), (name, i)
+        dual_win, _, _ = solve_game(dual_game(game))
+        assert dual_win == ~win & game.arena.full_mask, (name, i)
+        assert win and dual_win, (name, i)   # both players win somewhere
+        assert verify(game, extract(game, tree, result), win), (name, i)

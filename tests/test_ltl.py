@@ -228,3 +228,18 @@ def test_determinization_budget():
     nfa = nfa_from_safety(check_safety(parse_ltl(EX_SAFETY)))
     with pytest.raises(ltl.LTLError):
         determinize_symbolic(nfa, max_states=2)
+
+
+def test_prop_assert_matches_letter_semantics_and_rejects_temporal():
+    from elgames.dd import Manager
+    m = Manager()
+    for name in "abc":
+        m.declare(name, "letter")
+    phi = parse_ltl("(a -> b) & !(c | false) | true & !a")
+    got = ltl.prop_assert(m, phi)
+    for bits in range(8):
+        letter = frozenset(n for i, n in enumerate("abc") if bits >> i & 1)
+        values = {n: n in letter for n in "abc"}
+        assert m.eval(got, values) == ltl.eval_propositional(phi, letter)
+    with pytest.raises(ltl.LTLError):
+        ltl.prop_assert(m, parse_ltl("a & X b"))
