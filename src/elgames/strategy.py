@@ -8,6 +8,10 @@ to a successor in that variable's solution.  Successors are ordered by
 entry-rank signatures: one Kleene-stage component per least-fixpoint
 vertex enclosing the variable, outermost first, computed by re-running
 the solver with per-node signature propagation (:func:`ranked_solve`).
+That re-run remembers, per leaf and per ancestor term, the last input
+and its result, and skips a run whose input equals the last one; the
+memos hold one entry per leaf and per term, O(tree x nodes) in all, and
+live only for the call.
 Signature descent is what guarantees progress; an arbitrary member of a
 least-fixpoint union, or of a greatest fixpoint nested inside one,
 would allow stalling or resetting the enclosing fixpoint's progress.
@@ -106,6 +110,15 @@ def strategy_from_text(text, game, tree, win_mask):
     return ELStrategy(game, tree, win_mask, initial, move, update)
 
 
+def _merge_min(out, items):
+    """Keep in ``out`` the least signature per node over ``items``."""
+    for v, sig in items:
+        old = out.get(v)
+        if old is None or sig < old:
+            out[v] = sig
+    return out
+
+
 def ranked_solve(game, tree, max_rounds=10**7):
     """Re-run the fixpoint solve propagating entry-rank signatures.
 
@@ -122,34 +135,44 @@ def ranked_solve(game, tree, max_rounds=10**7):
     moving along signature-minimal successors never lets a play reset an
     enclosing least fixpoint's progress, which is the certified-strategy
     property the extractor needs.
+
+    Outer iterations re-run inner vertices on inputs they have often
+    seen just before.  A leaf run depends only on the leaf and the
+    min-merge of its ancestor terms (its ``fixed`` map), and an ancestor
+    term only on ``(pad, term)`` and the ancestor's map.  Each keeps its
+    last input and result, and a run whose input is that same map, or an
+    equal one, returns the stored result without a Kleene stage.  The
+    memos hold one entry per leaf and per distinct term, so they stay
+    within O(tree x nodes), the order of the returned maps, and they die
+    with the call.  ``max_rounds`` bounds the stages actually run.
     """
     arena = game.arena
     system = build_equations(tree)
     equations = {eq.vertex: eq for eq in system.equations}
-    lfp_path = []
-    for s in range(len(tree)):
-        lfp_path.append(tuple(u for u in tree.ancestors(s) if not tree.winning[u]))
+    lfp_depth = tree.lfp_depth
     guard_masks = guard_table(system, ExplicitBackend(game))
     final = {}
     rounds = [0]
+    last_leaf = {}   # leaf -> (fixed map, result map) of its last run
+    last_term = {}   # (pad, term) -> (source map, derived map)
 
     def tick():
         rounds[0] += 1
         if rounds[0] > max_rounds:
             raise RuntimeError("ranked solve failed to stabilize")
 
-    def derive_term(s, term, src, out):
-        """Min-merge into ``out`` the signatures one attraction term of
-        leaf ``s`` gives, reading the anchor's solution map ``src``."""
+    def derive_term(pad, term, src, out):
+        """Min-merge into ``out`` the signatures one attraction term
+        gives, reading the anchor's solution map ``src``; ``pad`` zeros
+        extend them to the leaf's signature length."""
         anc, sub, esc = term
         if not src:
             return
         domain = 0
         for w in src:
             domain |= 1 << w
-        pad = len(lfp_path[s]) - len(lfp_path[anc])
         bump = not tree.winning[anc]
-        pos = len(lfp_path[anc]) - 1
+        pos = lfp_depth[anc] - 1
 
         def lift(w):
             sig = src[w]
@@ -171,27 +194,50 @@ def ranked_solve(game, tree, max_rounds=10**7):
             if old is None or sig < old:
                 out[v] = sig
 
+    def ancestor_term(pad, term, src):
+        """Signatures of one ancestor term, reused while ``src`` repeats."""
+        key = (pad, term)
+        last = last_term.get(key)
+        if last is not None and (last[0] is src or last[0] == src):
+            return last[1]
+        out = {}
+        derive_term(pad, term, src, out)
+        last_term[key] = (src, out)
+        return out
+
+    def fixed_map(s, eq, ctx):
+        """Min-merge of leaf ``s``'s ancestor terms (all but the last,
+        its self term); a lone term's map is shared as is, so an
+        unchanged term also repeats by identity."""
+        parts = [ancestor_term(lfp_depth[s] - lfp_depth[term[0]], term,
+                               ctx[term[0]])
+                 for term in eq.terms[:-1]]
+        if len(parts) == 1:
+            return parts[0]
+        fixed = {}
+        for part in parts:
+            _merge_min(fixed, part.items())
+        return fixed
+
     def run(s, ctx):
         eq = equations[s]
-        plen = len(lfp_path[s])
+        plen = lfp_depth[s]
+        if eq.op == "attract":
+            own = eq.terms[-1]
+            fixed = fixed_map(s, eq, ctx)
+            last = last_leaf.get(s)
+            if last is not None and (last[0] is fixed or last[0] == fixed):
+                final[s] = last[1]
+                return last[1]
         if eq.lfp:
             cur = {}
         else:
             cur = {v: (0,) * plen for v in range(arena.n)}
-        if eq.op == "attract":
-            # Ancestor maps are fixed while this leaf iterates: derive
-            # their terms once and only the self term per stage.
-            fixed = {}
-            for term in eq.terms:
-                if term[0] == s:
-                    own = term
-                else:
-                    derive_term(s, term, ctx[term[0]], fixed)
         while True:
             tick()
             if eq.op == "attract":
                 new = dict(fixed)
-                derive_term(s, own, cur, new)
+                derive_term(0, own, cur, new)
             else:
                 ctx_here = dict(ctx)
                 ctx_here[s] = cur
@@ -199,11 +245,7 @@ def ranked_solve(game, tree, max_rounds=10**7):
                 new = {}
                 if eq.op == "union":
                     for cmap in child_maps:
-                        for v, sig in cmap.items():
-                            sig = sig[:plen]
-                            old = new.get(v)
-                            if old is None or sig < old:
-                                new[v] = sig
+                        _merge_min(new, ((v, sig[:plen]) for v, sig in cmap.items()))
                 else:
                     common = set(child_maps[0])
                     for cmap in child_maps[1:]:
@@ -211,11 +253,7 @@ def ranked_solve(game, tree, max_rounds=10**7):
                     for v in common:
                         new[v] = max(cmap[v][:plen] for cmap in child_maps)
             if eq.lfp:
-                merged = dict(cur)
-                for v, sig in new.items():
-                    old = merged.get(v)
-                    if old is None or sig < old:
-                        merged[v] = sig
+                merged = _merge_min(dict(cur), new.items())
                 if merged == cur:
                     break
                 cur = merged
@@ -223,6 +261,8 @@ def ranked_solve(game, tree, max_rounds=10**7):
                 if new == cur:
                     break
                 cur = new
+        if eq.op == "attract":
+            last_leaf[s] = (fixed, cur)
         final[s] = cur
         return cur
 
@@ -249,7 +289,7 @@ class _Extractor:
     def choice(self, v, s):
         """Child of losing internal ``s`` whose solution admits ``v``
         with the best signature."""
-        plen = len([u for u in self.tree.ancestors(s) if not self.tree.winning[u]])
+        plen = self.tree.lfp_depth[s]
         best = None
         for t in self.tree.children[s]:
             sig = self.ranked[t].get(v)
@@ -267,7 +307,7 @@ class _Extractor:
         s = tree.anchor(m, self.arena.colors[v])
         src = self.ranked[s]
         bump = not tree.winning[s]
-        pos = len([u for u in tree.ancestors(s) if not tree.winning[u]]) - 1
+        pos = tree.lfp_depth[s] - 1
 
         def lifted(w):
             sig = src[w]

@@ -36,6 +36,7 @@ class ZielonkaTree:
         self.parent = []
         self.children = []
         self.depth = []
+        self.lfp_depth = []
         self._build(table.full_mask, None)
         ncolors = len(table)
         self.level = [ncolors - d for d in self.depth]
@@ -49,6 +50,10 @@ class ZielonkaTree:
         self.parent.append(parent)
         self.children.append([])
         self.depth.append(0 if parent is None else self.depth[parent] + 1)
+        # Losing (least-fixpoint) vertices on the path root..vid: the
+        # length of an entry-rank signature at vid.
+        self.lfp_depth.append((0 if parent is None else self.lfp_depth[parent])
+                              + (0 if win else 1))
         if parent is not None:
             self.children[parent].append(vid)
         for sub in _maximal_flipped(self.formula, mask, win):

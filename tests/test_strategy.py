@@ -1,12 +1,18 @@
 import random
 
+import pytest
+
 from elgames import el
+from elgames import synthesis as syn
 from elgames.fixpoint import solve_game
 from elgames.games import Arena, ELGame, EXISTENTIAL, random_game
-from elgames.strategy import (ELStrategy, extract, replay_lasso,
+from elgames.strategy import (ELStrategy, extract, ranked_solve, replay_lasso,
                               strategy_from_text, verify, with_redirected_move)
 from elgames.zielonka import ZielonkaTree, max_tree_size
 from elgames.games import iter_nodes
+
+from ranked_reference import equation_errors, ranked_solve_reference
+from test_fixpoint import FAMILIES, streett3
 
 
 def solved(game):
@@ -164,3 +170,54 @@ def test_memory_members_stay_inside_variable_solutions():
         for (v, m, w), m2 in strat.update.items():
             if win >> w & 1:
                 assert result.values[m2] >> w & 1, (seed, v, m, w)
+
+
+def streett_n60():
+    return random_game(5, 60, 6, density=0.15, objective_factory=streett3)
+
+
+def family_games():
+    """The parity, Streett, Rabin and Muller games of the fixpoint
+    family test (n=40, 6-65 tree vertices)."""
+    return [random_game(700 + i, 40, ncolors, density=0.15,
+                        objective_factory=factory)
+            for _, ncolors, factory in FAMILIES for i in range(3)]
+
+
+def arb2_expansion():
+    mutex = "G(!(g0 & g1))"
+    live = "(G F r0 -> G F g0) & (G F r1 -> G F g1)"
+    game = syn.build_game(syn.problem_from_strings(
+        mutex, live, ["r0", "r1"], ["g0", "g1"]))
+    return syn.expand_explicit(game).elgame
+
+
+def tree_of(game):
+    return ZielonkaTree(game.objective, game.table)
+
+
+def test_ranked_solve_matches_plain_reference():
+    games = family_games() + [streett_n60(), arb2_expansion()]
+    games += [random_game(900 + i, 20, 4, formula_depth=4) for i in range(100)]
+    for k, game in enumerate(games):
+        tree = tree_of(game)
+        assert ranked_solve(game, tree) == ranked_solve_reference(game, tree), k
+
+
+# Kleene stages ranked_solve runs on streett_n60(); the plain recursion
+# of the reference runs 10,390.
+STREETT_N60_STAGES = 7214
+
+
+def test_ranked_solve_stage_budget_on_repeated_inputs():
+    game = streett_n60()
+    tree = tree_of(game)
+    with pytest.raises(RuntimeError):
+        ranked_solve_reference(game, tree, max_rounds=STREETT_N60_STAGES)
+    ranked_solve(game, tree, max_rounds=STREETT_N60_STAGES)
+
+
+def test_ranked_maps_satisfy_their_equations():
+    for k, game in enumerate(family_games() + [streett_n60()]):
+        tree = tree_of(game)
+        assert equation_errors(game, tree, ranked_solve(game, tree)) == [], k
