@@ -1,9 +1,11 @@
-"""Benchmark of the decision-diagram cores: compiled extension vs the
-pure-Python fallback.
+"""Benchmark of the decision-diagram core.
 
 Workloads exercise the hot paths of the symbolic pipeline: if-then-else
 chains, relational image under quantification and partner renaming, and
-model counting.  Run as a script; pass --repeat to stabilize numbers.
+model counting.  Each run's result is checked against a pinned value:
+the node count after the counter's reachability, the XOR of the
+battery's model counts and the composition's final model count.  Run
+as a script; pass --repeat to stabilize numbers.
 
     python benchmarks/bench_bddcore.py
 """
@@ -15,9 +17,9 @@ import time
 from elgames.dd import Manager
 
 
-def counter_reachability(pure, bits):
+def counter_reachability(bits):
     """Breadth-first reachability of an n-bit counter with wraparound."""
-    m = Manager(pure=pure)
+    m = Manager()
     for i in range(bits):
         m.declare_pair("b%d" % i, "b%d'" % i, "state")
     cur = [m.var("b%d" % i) for i in range(bits)]
@@ -45,10 +47,10 @@ def counter_reachability(pure, bits):
     return m.core.node_count()
 
 
-def random_op_battery(pure, rounds, nvars, seed):
+def random_op_battery(rounds, nvars, seed):
     """Long mixed sequences of connectives and quantifications."""
     rng = random.Random(seed)
-    m = Manager(pure=pure)
+    m = Manager()
     names = ["x%d" % i for i in range(nvars)]
     for name in names:
         m.declare(name, "main")
@@ -75,9 +77,9 @@ def random_op_battery(pure, rounds, nvars, seed):
     return acc
 
 
-def relation_composition(pure, bits, rounds):
+def relation_composition(bits, rounds):
     """Iterated image of a shifted-xor relation, quantifier heavy."""
-    m = Manager(pure=pure)
+    m = Manager()
     for i in range(bits):
         m.declare_pair("r%d" % i, "r%d'" % i, "state")
     cur = [m.var("r%d" % i) for i in range(bits)]
@@ -94,30 +96,26 @@ def relation_composition(pure, bits, rounds):
 
 
 WORKLOADS = [
-    ("counter reachability (10 bits)", lambda pure: counter_reachability(pure, 10)),
+    ("counter reachability (10 bits)", lambda: counter_reachability(10), 12247),
     ("random op battery (300 x 12 vars)",
-     lambda pure: random_op_battery(pure, 300, 12, 99)),
+     lambda: random_op_battery(300, 12, 99), 1424),
     ("relation composition (16 bits x 40)",
-     lambda pure: relation_composition(pure, 16, 40)),
+     lambda: relation_composition(16, 40), 1),
 ]
 
 
 def run(repeat):
-    print("%-36s %12s %12s %9s" % ("workload", "compiled", "pure", "speedup"))
-    for name, fn in WORKLOADS:
-        times = {}
-        results = {}
-        for pure in (False, True):
-            best = None
-            for _ in range(repeat):
-                start = time.perf_counter()
-                results[pure] = fn(pure)
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None else min(best, elapsed)
-            times[pure] = best
-        assert results[False] == results[True], "cores disagree on %s" % name
-        print("%-36s %10.3fs %10.3fs %8.1fx"
-              % (name, times[False], times[True], times[True] / times[False]))
+    print("%-36s %12s" % ("workload", "best"))
+    for name, fn, expected in WORKLOADS:
+        best = None
+        for _ in range(repeat):
+            start = time.perf_counter()
+            result = fn()
+            elapsed = time.perf_counter() - start
+            best = elapsed if best is None else min(best, elapsed)
+            assert result == expected, "%s gave %r, expected %r" % (
+                name, result, expected)
+        print("%-36s %10.3fs" % (name, best))
 
 
 def main():

@@ -2,8 +2,8 @@
 
 Nodes are integers: 0 and 1 are the terminals, larger handles index a
 shared (level, low, high) store with hash-consing, so handle equality
-is semantic equality.  The compiled twin in ``_bddcore`` implements the
-same interface; ``elgames.dd`` picks one at import time.
+is semantic equality.  ``elgames.dd`` wraps it in named variables and
+assertions.
 """
 
 TERMINAL_LEVEL = 1 << 30

@@ -5,23 +5,11 @@ with a block and optionally paired with a primed partner) and wraps
 diagram handles in :class:`Assertion` values.  Handles are canonical,
 so ``==`` on assertions of one manager is semantic equality.
 
-The diagram engine itself lives in a core module with two builds: the
-Cython extension ``elgames._bddcore`` and the pure-Python fallback
-``elgames._bddcore_py``.  The compiled core is preferred when it is
-importable; set ``ELGAMES_PURE_PYTHON=1`` to force the fallback.
+The diagram engine itself lives in the pure-Python core module
+``elgames._bddcore_py``.
 """
 
-import os
-
-if os.environ.get("ELGAMES_PURE_PYTHON"):
-    from . import _bddcore_py as _core_mod
-else:
-    try:
-        from . import _bddcore as _core_mod
-    except ImportError:
-        from . import _bddcore_py as _core_mod
-
-from . import _bddcore_py as _pure_core_mod
+from . import _bddcore_py as _core_mod
 
 CORE_IMPL = _core_mod.IMPL_NAME
 
@@ -96,8 +84,8 @@ class Manager:
     partner at adjacent levels, which keeps transition relations small.
     """
 
-    def __init__(self, pure=False):
-        self.core = (_pure_core_mod if pure else _core_mod).Core()
+    def __init__(self):
+        self.core = _core_mod.Core()
         self.names = []
         self._levels = {}
         self._blocks = {}

@@ -9,17 +9,16 @@ intersected with the controllable predecessor of the ancestor's
 variable.  The solution of the root variable is the existential winning
 region.
 
-The solver is plain nested Kleene iteration and is generic in a set
-backend, so the same code runs on explicit node masks and on symbolic
-decision-diagram assertions.  Inner iterations keep asking for the
-controllable predecessor of the same few sets, so each solve memoizes
-``backend.cpre`` by target value (explicit masks and diagram handles
-are both canonical); the memo lives only as long as the call and leaves
-the Kleene stages unchanged.  For least-fixpoint variables the solver
-records the iteration rings and per-stage child solutions of the final
-(outermost-consistent) run; tests assert their monotone growth, and the
-strategy module recomputes full entry-rank signatures through the same
-recursion when extracting moves.
+The solver is plain nested Kleene iteration and is generic in a
+backend that supplies the values, so the same recursion runs on
+explicit node masks, on symbolic decision-diagram assertions and on the
+entry-rank signature maps the strategy module extracts moves from.
+The set backends memoize the controllable predecessor by target
+(explicit masks and diagram handles are both canonical).  Outer
+iterations keep re-running inner leaves under unchanged outer values,
+so the solver keeps, per leaf, the union of its ancestor terms and the
+result of its last run, and returns that result again when the union
+repeats.
 """
 
 from dataclasses import dataclass, field
@@ -93,27 +92,58 @@ def format_equations(system):
     return "\n".join(lines) + "\n"
 
 
-class ExplicitBackend:
-    """Set backend over integer node masks of an explicit game."""
+class SetBackend:
+    """Values that are node sets: ``|``, ``&`` and ``==`` on explicit
+    masks or diagram assertions, both canonical and hashable.
 
-    def __init__(self, game):
-        self.game = game
-        self.arena = game.arena
+    An attraction term's value is its guard intersected with the
+    controllable predecessor of the anchor's value.  Inner iterations
+    keep asking for the predecessor of the same few sets, so guards and
+    ``cpre`` results are memoized, by guard masks and by target, for
+    the life of the backend; each solve makes its own backend.
+    Subclasses give ``guard`` and ``cpre`` and pass the empty and the
+    full set.
+    """
 
-    def bottom(self):
-        return 0
+    def __init__(self, empty, full):
+        self.empty = empty
+        self.full = full
+        self._guards = {}
+        self._pre = {}
 
-    def top(self):
-        return self.arena.full_mask
+    def bottom(self, s):
+        return self.empty
 
-    def union(self, a, b):
+    def top(self, s):
+        return self.full
+
+    def union(self, a, b, s):
         return a | b
 
-    def intersect(self, a, b):
+    def intersect(self, a, b, s):
         return a & b
 
     def equal(self, a, b):
         return a == b
+
+    def term(self, s, term, value):
+        key = term[1:]
+        guard = self._guards.get(key)
+        if guard is None:
+            guard = self._guards[key] = self.guard(*key)
+        pre = self._pre.get(value)
+        if pre is None:
+            pre = self._pre[value] = self.cpre(value)
+        return guard & pre
+
+
+class ExplicitBackend(SetBackend):
+    """Set backend over integer node masks of an explicit game."""
+
+    def __init__(self, game):
+        super().__init__(0, game.arena.full_mask)
+        self.game = game
+        self.arena = game.arena
 
     def cpre(self, target):
         from .games import cpre
@@ -133,17 +163,8 @@ class ExplicitBackend:
 
 @dataclass
 class SolveResult:
-    """Final variable values plus the LFP iteration records.
-
-    ``rings[s]`` lists the value of variable ``s`` after each stage of
-    its last completed iteration (index 0 is the empty start).
-    ``stage_children[s]``, for internal LFP vertices, lists per stage
-    the child solutions that stage combined; index ``j`` aligns with
-    ``rings[s][j + 1]``.
-    """
+    """Final variable values and the number of Kleene stages run."""
     values: dict
-    rings: dict
-    stage_children: dict
     iterations: int = 0
 
     def winning(self):
@@ -161,59 +182,52 @@ def guard_table(system, backend):
     return guards
 
 
-def solve(system, backend, record=True, max_stages=None):
-    """Solve by nested Kleene iteration; returns all stabilized sets."""
-    equations = {eq.vertex: eq for eq in system.equations}
-    guards = guard_table(system, backend)
-    values = {}
-    rings = {}
-    stage_children = {}
-    total_iterations = 0
-    pre = {}   # cpre by target; backend values are canonical and hashable
+def solve(system, backend, max_stages=None):
+    """Solve by nested Kleene iteration; returns all stabilized values.
 
-    def cpre(target):
-        out = pre.get(target)
-        if out is None:
-            out = pre[target] = backend.cpre(target)
-        return out
+    The backend supplies the values: ``bottom(s)``, ``top(s)``,
+    ``union(a, b, s)``, ``intersect(a, b, s)``, ``equal(a, b)`` and
+    ``term(s, term, value)``, the value of one attraction term of leaf
+    ``s`` given its anchor's value.  A leaf's ancestor terms are fixed
+    while it iterates; a leaf whose union of them equals that of its
+    previous run returns the previous result without a stage.
+    ``max_stages`` bounds the stages of each variable's iteration.
+    """
+    equations = {eq.vertex: eq for eq in system.equations}
+    values = {}
+    last = {}   # leaf -> (union of its ancestor terms, result) of its last run
+    total_iterations = 0
 
     def run(s, ls):
         nonlocal total_iterations
         eq = equations[s]
-        x = backend.bottom() if eq.lfp else backend.top()
-        if record and eq.lfp:
-            rings[s] = [x]
-            if eq.op != "attract":
-                stage_children[s] = []
+        if eq.op == "attract":
+            *ancestors, own = eq.terms
+            fixed = backend.bottom(s)
+            for term in ancestors:
+                fixed = backend.union(
+                    fixed, backend.term(s, term, ls[term[0]]), s)
+            prev = last.get(s)
+            if prev is not None and backend.equal(prev[0], fixed):
+                values[s] = prev[1]
+                return prev[1]
+        x = backend.bottom(s) if eq.lfp else backend.top(s)
         stages = 0
         while True:
             w = x
             if eq.op == "attract":
-                y = backend.bottom()
-                for anc, sub, esc in eq.terms:
-                    val = w if anc == s else ls[anc]
-                    y = backend.union(
-                        y, backend.intersect(guards[(sub, esc)], cpre(val)))
-                x = y
+                x = backend.union(fixed, backend.term(s, own, w), s)
             else:
                 ls_here = dict(ls)
                 ls_here[s] = w
-                stage = {}
-                acc = None
-                for t in eq.children:
-                    u = run(t, ls_here)
-                    stage[t] = u
-                    if acc is None:
-                        acc = u
-                    elif eq.op == "union":
-                        acc = backend.union(acc, u)
-                    else:
-                        acc = backend.intersect(acc, u)
-                x = acc
-                if record and eq.lfp:
-                    stage_children[s].append(stage)
-            if record and eq.lfp:
-                rings[s].append(x)
+                if eq.op == "union":
+                    x = backend.bottom(s)
+                    for t in eq.children:
+                        x = backend.union(x, run(t, ls_here), s)
+                else:
+                    x = backend.top(s)
+                    for t in eq.children:
+                        x = backend.intersect(x, run(t, ls_here), s)
             stages += 1
             total_iterations += 1
             if backend.equal(x, w):
@@ -221,11 +235,13 @@ def solve(system, backend, record=True, max_stages=None):
             if max_stages is not None and stages > max_stages:
                 raise RuntimeError(
                     "variable X%d did not stabilize within %d stages" % (s, max_stages))
+        if eq.op == "attract":
+            last[s] = (fixed, x)
         values[s] = x
         return x
 
     run(system.tree.root, {})
-    return SolveResult(values, rings, stage_children, total_iterations)
+    return SolveResult(values, total_iterations)
 
 
 def solve_game(game, tree=None):

@@ -6,12 +6,9 @@ memory ``m``, the anchor of ``v``'s colors above ``m`` names the
 variable whose controllable predecessor admitted ``v``; the move goes
 to a successor in that variable's solution.  Successors are ordered by
 entry-rank signatures: one Kleene-stage component per least-fixpoint
-vertex enclosing the variable, outermost first, computed by re-running
-the solver with per-node signature propagation (:func:`ranked_solve`).
-That re-run remembers, per leaf and per ancestor term, the last input
-and its result, and skips a run whose input equals the last one; the
-memos hold one entry per leaf and per term, O(tree x nodes) in all, and
-live only for the call.
+vertex enclosing the variable, outermost first, computed by the
+fixpoint solver itself with signature maps as its values
+(:class:`RankBackend`, :func:`ranked_solve`).
 Signature descent is what guarantees progress; an arbitrary member of a
 least-fixpoint union, or of a greatest fixpoint nested inside one,
 would allow stalling or resetting the enclosing fixpoint's progress.
@@ -28,7 +25,7 @@ connected component realizes exactly D.
 from dataclasses import dataclass
 
 from . import el
-from .fixpoint import ExplicitBackend, build_equations, guard_table
+from .fixpoint import ExplicitBackend, build_equations, guard_table, solve
 from .games import EXISTENTIAL, iter_nodes
 from .oracles import _sccs
 
@@ -110,69 +107,85 @@ def strategy_from_text(text, game, tree, win_mask):
     return ELStrategy(game, tree, win_mask, initial, move, update)
 
 
-def _merge_min(out, items):
-    """Keep in ``out`` the least signature per node over ``items``."""
-    for v, sig in items:
-        old = out.get(v)
-        if old is None or sig < old:
-            out[v] = sig
-    return out
+class RankBackend:
+    """Entry-rank signature maps as values of the fixpoint engine.
 
+    A value maps the nodes of a variable's solution to their signature:
+    a tuple with one component per losing (least-fixpoint) vertex on the
+    path from the root, outermost first.  A node's signature is
+    inherited from the witness successor of its one-step-attraction
+    certificate, with the component of the anchor bumped by one when the
+    anchor is a least fixpoint and all components below the anchor reset
+    (the play leaves their scopes).  Universal nodes take the worst
+    successor, existential nodes the best; union keeps each node's best
+    signature, intersection its worst over the common nodes, cut to the
+    vertex's length.  Bottom is the empty map, top maps every node to
+    zeros.
 
-def ranked_solve(game, tree, max_rounds=10**7):
-    """Re-run the fixpoint solve propagating entry-rank signatures.
-
-    Returns one map per tree vertex from nodes in that variable's
-    solution to a signature: a tuple with one component per losing
-    (least-fixpoint) vertex on the path from the root, outermost first.
-    A node's signature is inherited from the witness successor of its
-    one-step-attraction certificate, with the component of the anchor
-    bumped by one when the anchor is a least fixpoint and all components
-    below the anchor reset (the play leaves their scopes).  Universal
-    nodes take the worst successor, existential nodes the best; winning
-    internal vertices combine children by worst case, losing ones by
-    best case.  The maps are the least mutually consistent family, so
-    moving along signature-minimal successors never lets a play reset an
-    enclosing least fixpoint's progress, which is the certified-strategy
-    property the extractor needs.
-
-    Outer iterations re-run inner vertices on inputs they have often
-    seen just before.  A leaf run depends only on the leaf and the
-    min-merge of its ancestor terms (its ``fixed`` map), and an ancestor
-    term only on ``(pad, term)`` and the ancestor's map.  Each keeps its
-    last input and result, and a run whose input is that same map, or an
-    equal one, returns the stored result without a Kleene stage.  The
-    memos hold one entry per leaf and per distinct term, so they stay
-    within O(tree x nodes), the order of the returned maps, and they die
-    with the call.  ``max_rounds`` bounds the stages actually run.
+    A term's map depends only on ``(pad, term)`` and the anchor's map;
+    each keeps its last input and result, and an input that is the same
+    map, or an equal one, returns the stored result.  That memo holds
+    one entry per distinct term, O(tree x nodes), the order of the maps
+    the solve returns.
     """
-    arena = game.arena
-    system = build_equations(tree)
-    equations = {eq.vertex: eq for eq in system.equations}
-    lfp_depth = tree.lfp_depth
-    guard_masks = guard_table(system, ExplicitBackend(game))
-    final = {}
-    rounds = [0]
-    last_leaf = {}   # leaf -> (fixed map, result map) of its last run
-    last_term = {}   # (pad, term) -> (source map, derived map)
 
-    def tick():
-        rounds[0] += 1
-        if rounds[0] > max_rounds:
-            raise RuntimeError("ranked solve failed to stabilize")
+    def __init__(self, game, tree, guards):
+        self.arena = game.arena
+        self.tree = tree
+        self.guards = guards
+        self.last = {}   # (pad, term) -> (source map, derived map)
 
-    def derive_term(pad, term, src, out):
-        """Min-merge into ``out`` the signatures one attraction term
-        gives, reading the anchor's solution map ``src``; ``pad`` zeros
-        extend them to the leaf's signature length."""
+    def bottom(self, s):
+        return {}
+
+    def top(self, s):
+        return dict.fromkeys(range(self.arena.n), (0,) * self.tree.lfp_depth[s])
+
+    def union(self, a, b, s):
+        # No cut: unions are taken at leaves and at losing vertices, whose
+        # children are winning and so share their signature length.
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return a
+        out = dict(a)
+        for v, sig in b.items():
+            old = out.get(v)
+            if old is None or sig < old:
+                out[v] = sig
+        return out
+
+    def intersect(self, a, b, s):
+        plen = self.tree.lfp_depth[s]
+        return {v: max(a[v][:plen], b[v][:plen]) for v in a.keys() & b.keys()}
+
+    def equal(self, a, b):
+        return a is b or a == b
+
+    def term(self, s, term, src):
+        lfp_depth = self.tree.lfp_depth
+        pad = lfp_depth[s] - lfp_depth[term[0]]
+        key = (pad, term)
+        last = self.last.get(key)
+        if last is not None and self.equal(last[0], src):
+            return last[1]
+        out = self.derive(pad, term, src)
+        self.last[key] = (src, out)
+        return out
+
+    def derive(self, pad, term, src):
+        """Signatures one attraction term gives, reading the anchor's map
+        ``src``; ``pad`` zeros extend them to the leaf's length."""
         anc, sub, esc = term
+        out = {}
         if not src:
-            return
+            return out
+        arena = self.arena
         domain = 0
         for w in src:
             domain |= 1 << w
-        bump = not tree.winning[anc]
-        pos = lfp_depth[anc] - 1
+        bump = not self.tree.winning[anc]
+        pos = self.tree.lfp_depth[anc] - 1
 
         def lift(w):
             sig = src[w]
@@ -180,94 +193,29 @@ def ranked_solve(game, tree, max_rounds=10**7):
                 sig = sig[:pos] + (sig[pos] + 1,)
             return sig + (0,) * pad
 
-        for v in iter_nodes(guard_masks[(sub, esc)]):
+        for v in iter_nodes(self.guards[(sub, esc)]):
             succ_in = arena.succ_mask[v] & domain
             if arena.owner[v] == EXISTENTIAL:
                 if not succ_in:
                     continue
-                sig = min(lift(w) for w in iter_nodes(succ_in))
-            else:
-                if arena.succ_mask[v] & ~domain:
-                    continue
-                sig = max(lift(w) for w in iter_nodes(succ_in))
-            old = out.get(v)
-            if old is None or sig < old:
-                out[v] = sig
-
-    def ancestor_term(pad, term, src):
-        """Signatures of one ancestor term, reused while ``src`` repeats."""
-        key = (pad, term)
-        last = last_term.get(key)
-        if last is not None and (last[0] is src or last[0] == src):
-            return last[1]
-        out = {}
-        derive_term(pad, term, src, out)
-        last_term[key] = (src, out)
+                out[v] = min(lift(w) for w in iter_nodes(succ_in))
+            elif not arena.succ_mask[v] & ~domain:
+                out[v] = max(lift(w) for w in iter_nodes(succ_in))
         return out
 
-    def fixed_map(s, eq, ctx):
-        """Min-merge of leaf ``s``'s ancestor terms (all but the last,
-        its self term); a lone term's map is shared as is, so an
-        unchanged term also repeats by identity."""
-        parts = [ancestor_term(lfp_depth[s] - lfp_depth[term[0]], term,
-                               ctx[term[0]])
-                 for term in eq.terms[:-1]]
-        if len(parts) == 1:
-            return parts[0]
-        fixed = {}
-        for part in parts:
-            _merge_min(fixed, part.items())
-        return fixed
 
-    def run(s, ctx):
-        eq = equations[s]
-        plen = lfp_depth[s]
-        if eq.op == "attract":
-            own = eq.terms[-1]
-            fixed = fixed_map(s, eq, ctx)
-            last = last_leaf.get(s)
-            if last is not None and (last[0] is fixed or last[0] == fixed):
-                final[s] = last[1]
-                return last[1]
-        if eq.lfp:
-            cur = {}
-        else:
-            cur = {v: (0,) * plen for v in range(arena.n)}
-        while True:
-            tick()
-            if eq.op == "attract":
-                new = dict(fixed)
-                derive_term(0, own, cur, new)
-            else:
-                ctx_here = dict(ctx)
-                ctx_here[s] = cur
-                child_maps = [run(t, ctx_here) for t in eq.children]
-                new = {}
-                if eq.op == "union":
-                    for cmap in child_maps:
-                        _merge_min(new, ((v, sig[:plen]) for v, sig in cmap.items()))
-                else:
-                    common = set(child_maps[0])
-                    for cmap in child_maps[1:]:
-                        common &= set(cmap)
-                    for v in common:
-                        new[v] = max(cmap[v][:plen] for cmap in child_maps)
-            if eq.lfp:
-                merged = _merge_min(dict(cur), new.items())
-                if merged == cur:
-                    break
-                cur = merged
-            else:
-                if new == cur:
-                    break
-                cur = new
-        if eq.op == "attract":
-            last_leaf[s] = (fixed, cur)
-        final[s] = cur
-        return cur
+def ranked_solve(game, tree):
+    """Entry-rank signature map of every tree vertex (:class:`RankBackend`).
 
-    run(tree.root, {})
-    return final
+    The maps are the least mutually consistent family, so moving along
+    signature-minimal successors never lets a play reset an enclosing
+    least fixpoint's progress, which is the certified-strategy property
+    the extractor needs.  They come from the solver's own nested
+    recursion, with the same per-variable stage bound as a verdict solve.
+    """
+    system = build_equations(tree)
+    backend = RankBackend(game, tree, guard_table(system, ExplicitBackend(game)))
+    return solve(system, backend, max_stages=game.arena.n + 1).values
 
 
 class _Extractor:

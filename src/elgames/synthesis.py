@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import el, ltl
 from .dd import Manager
-from .fixpoint import build_equations, solve, solve_game
+from .fixpoint import SetBackend, build_equations, solve, solve_game
 from .games import Arena, ELGame, EXISTENTIAL, UNIVERSAL
 from .ltl import (Ap, AndOp, Finally, Globally, Implies, NotOp, OrOp,
                   check_safety, determinize_symbolic, nfa_from_safety)
@@ -214,27 +214,13 @@ def symbolic_cpre(game, target):
     return m.forall(primed_inputs, m.exists(primed_rest, inner))
 
 
-class SymbolicBackend:
+class SymbolicBackend(SetBackend):
     """Assertion-set backend for the generic fixpoint solver."""
 
     def __init__(self, game):
+        super().__init__(game.manager.false, game.manager.true)
         self.game = game
         self.manager = game.manager
-
-    def bottom(self):
-        return self.manager.false
-
-    def top(self):
-        return self.manager.true
-
-    def union(self, a, b):
-        return a | b
-
-    def intersect(self, a, b):
-        return a & b
-
-    def equal(self, a, b):
-        return a == b
 
     def cpre(self, target):
         return symbolic_cpre(self.game, target)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from elgames import el
+from elgames import el, fixpoint, strategy
 from elgames import synthesis as syn
 from elgames.fixpoint import solve_game
 from elgames.games import Arena, ELGame, EXISTENTIAL, random_game
@@ -12,7 +12,7 @@ from elgames.zielonka import ZielonkaTree, max_tree_size
 from elgames.games import iter_nodes
 
 from ranked_reference import equation_errors, ranked_solve_reference
-from test_fixpoint import FAMILIES, streett3
+from test_fixpoint import FAMILIES, STREETT_N60_STAGES, streett_n60
 
 
 def solved(game):
@@ -172,10 +172,6 @@ def test_memory_members_stay_inside_variable_solutions():
                 assert result.values[m2] >> w & 1, (seed, v, m, w)
 
 
-def streett_n60():
-    return random_game(5, 60, 6, density=0.15, objective_factory=streett3)
-
-
 def family_games():
     """The parity, Streett, Rabin and Muller games of the fixpoint
     family test (n=40, 6-65 tree vertices)."""
@@ -204,17 +200,20 @@ def test_ranked_solve_matches_plain_reference():
         assert ranked_solve(game, tree) == ranked_solve_reference(game, tree), k
 
 
-# Kleene stages ranked_solve runs on streett_n60(); the plain recursion
-# of the reference runs 10,390.
-STREETT_N60_STAGES = 7214
-
-
-def test_ranked_solve_stage_budget_on_repeated_inputs():
+def test_ranked_solve_stage_budget_on_repeated_inputs(monkeypatch):
     game = streett_n60()
     tree = tree_of(game)
     with pytest.raises(RuntimeError):
         ranked_solve_reference(game, tree, max_rounds=STREETT_N60_STAGES)
-    ranked_solve(game, tree, max_rounds=STREETT_N60_STAGES)
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(fixpoint.solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(strategy, "solve", recording)
+    ranked_solve(game, tree)
+    assert len(results) == 1 and results[0].iterations <= STREETT_N60_STAGES
 
 
 def test_ranked_maps_satisfy_their_equations():
