@@ -6,7 +6,7 @@ and PGSolver export), ``ztree`` (objective tree as text or DOT),
 ``synth`` (safety + liveness realizability and controller extraction),
 ``oracle`` (independent solver only), ``corpus`` (random regression
 suite).  Exit codes: 0 success, 1 check failure, 2 usage error, 3 input
-format error.
+format error, 4 stage limit exceeded.
 """
 
 import argparse
@@ -15,7 +15,7 @@ import sys
 
 from . import el, games, ltl
 from .corpus import run_corpus
-from .fixpoint import solve_game
+from .fixpoint import StageLimitError, build_equations, format_equations, solve_game
 from .games import load_game
 from .oracles import solve_el_via_reduction
 from .reduction import (export_pgsolver, format_product_dot,
@@ -26,6 +26,7 @@ from . import synthesis as syn
 
 USAGE_ERROR = 2
 FORMAT_ERROR = 3
+LIMIT_ERROR = 4
 
 
 def _win_line(mask):
@@ -114,6 +115,7 @@ def cmd_ztree(args):
         print(tree.format_text(), end="")
         print("%d vertices, %d leaves, height %d"
               % (len(tree), len(tree.leaves), max(tree.depth)))
+        print(format_equations(build_equations(tree)), end="")
     return 0
 
 
@@ -206,6 +208,9 @@ def main(argv=None):
             syn.SynthesisError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return FORMAT_ERROR
+    except StageLimitError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return LIMIT_ERROR
 
 
 if __name__ == "__main__":

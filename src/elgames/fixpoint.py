@@ -18,7 +18,9 @@ The set backends memoize the controllable predecessor by target
 iterations keep re-running inner leaves under unchanged outer values,
 so the solver keeps, per leaf, the union of its ancestor terms and the
 result of its last run, and returns that result again when the union
-repeats.
+repeats.  A backend may also solve a leaf's own equation in one call
+(``leaf``); the signature backend does, as a worklist over the arena,
+and the set backends leave it to Kleene stages.
 """
 
 from dataclasses import dataclass, field
@@ -71,7 +73,7 @@ def build_equations(tree):
 
 
 def format_equations(system):
-    """Readable rendering, mainly for the CLI and debugging."""
+    """Readable rendering, one line per variable (``elgames ztree``)."""
     tree = system.tree
     table = tree.table
     lines = []
@@ -161,6 +163,10 @@ class ExplicitBackend(SetBackend):
         return out
 
 
+class StageLimitError(RuntimeError):
+    """A variable did not stabilize within the solve's stage bound."""
+
+
 @dataclass
 class SolveResult:
     """Final variable values and the number of Kleene stages run."""
@@ -191,9 +197,17 @@ def solve(system, backend, max_stages=None):
     ``s`` given its anchor's value.  A leaf's ancestor terms are fixed
     while it iterates; a leaf whose union of them equals that of its
     previous run returns the previous result without a stage.
-    ``max_stages`` bounds the stages of each variable's iteration.
+
+    A backend with a ``leaf(s, own, fixed, lfp)`` method solves each
+    leaf run in that one call, which counts as one stage: it returns
+    the least (``lfp``) or greatest fixpoint of
+    ``X = fixed | term(s, own, X)``, ``fixed`` being the union of the
+    ancestor terms.  ``max_stages`` bounds the stages of each
+    variable's iteration; past it the solve raises
+    :class:`StageLimitError`.
     """
     equations = {eq.vertex: eq for eq in system.equations}
+    leaf = getattr(backend, "leaf", None)
     values = {}
     last = {}   # leaf -> (union of its ancestor terms, result) of its last run
     total_iterations = 0
@@ -211,6 +225,11 @@ def solve(system, backend, max_stages=None):
             if prev is not None and backend.equal(prev[0], fixed):
                 values[s] = prev[1]
                 return prev[1]
+            if leaf is not None:
+                total_iterations += 1
+                x = values[s] = leaf(s, own, fixed, eq.lfp)
+                last[s] = (fixed, x)
+                return x
         x = backend.bottom(s) if eq.lfp else backend.top(s)
         stages = 0
         while True:
@@ -233,7 +252,7 @@ def solve(system, backend, max_stages=None):
             if backend.equal(x, w):
                 break
             if max_stages is not None and stages > max_stages:
-                raise RuntimeError(
+                raise StageLimitError(
                     "variable X%d did not stabilize within %d stages" % (s, max_stages))
         if eq.op == "attract":
             last[s] = (fixed, x)

@@ -8,7 +8,10 @@ to a successor in that variable's solution.  Successors are ordered by
 entry-rank signatures: one Kleene-stage component per least-fixpoint
 vertex enclosing the variable, outermost first, computed by the
 fixpoint solver itself with signature maps as its values
-(:class:`RankBackend`, :func:`ranked_solve`).
+(:class:`RankBackend`, :func:`ranked_solve`).  The backend solves each
+leaf run in one pass over the arena's predecessor lists: a Dijkstra
+order for least-fixpoint leaves, counter pruning for greatest-fixpoint
+ones.
 Signature descent is what guarantees progress; an arbitrary member of a
 least-fixpoint union, or of a greatest fixpoint nested inside one,
 would allow stalling or resetting the enclosing fixpoint's progress.
@@ -22,6 +25,7 @@ falsifying the objective, that no reachable nontrivial strongly
 connected component realizes exactly D.
 """
 
+import heapq
 from dataclasses import dataclass
 
 from . import el
@@ -127,6 +131,14 @@ class RankBackend:
     map, or an equal one, returns the stored result.  That memo holds
     one entry per distinct term, O(tree x nodes), the order of the maps
     the solve returns.
+
+    The engine asks ``term`` for a leaf's ancestor terms only; ``leaf``
+    solves the leaf's own equation in one call, a min-max reachability
+    with non-negative lexicographic weights.  Least-fixpoint leaves run
+    Dijkstra's order with a counter per universal node, as in the
+    attractor with counters (Gradel, Thomas & Wilke, LNCS 2500, ch. 2);
+    greatest-fixpoint leaves prune with the same counters, threshold by
+    threshold.  Both give the maps the Kleene stages would.
     """
 
     def __init__(self, game, tree, guards):
@@ -134,6 +146,8 @@ class RankBackend:
         self.tree = tree
         self.guards = guards
         self.last = {}   # (pad, term) -> (source map, derived map)
+        self._cores = {}   # guard mask -> _core(guard)
+        self._intos = {}   # node mask -> _into(mask)
 
     def bottom(self, s):
         return {}
@@ -173,6 +187,122 @@ class RankBackend:
         self.last[key] = (src, out)
         return out
 
+    def leaf(self, s, own, fixed, lfp):
+        """Map of leaf ``s``: the fixpoint of ``fixed`` united with its
+        own term, in one pass.  The terms of a leaf partition the color
+        sets, so no node of ``fixed`` is in the own guard and ``fixed``
+        stays as it is."""
+        guard = self.guards[own[1:]]
+        if lfp:
+            return self._reach(guard, fixed)
+        return self._stay(guard, fixed, self.tree.lfp_depth[s])
+
+    def _reach(self, guard, fixed):
+        """Least fixpoint: a min-max reachability of ``fixed`` through
+        the guard, each step adding one to the last component.  Keys
+        only grow, so nodes settle in heap order (Dijkstra): an
+        existential node takes its first settled successor, a universal
+        one its last."""
+        owner, succ = self.arena.owner, self.arena.succ
+        into = self._into(guard)
+        out = dict(fixed)
+        left = {}   # guard node -> successors it still waits for
+        heap = [(sig, w) for w, sig in fixed.items() if w in into]
+        heapq.heapify(heap)
+        while heap:
+            sig, w = heapq.heappop(heap)
+            out[w] = sig
+            lifted = sig[:-1] + (sig[-1] + 1,)
+            for v in into.get(w, ()):
+                n = left.get(v)
+                if n is None:
+                    n = 1 if owner[v] == EXISTENTIAL else len(succ[v])
+                left[v] = n - 1
+                if n == 1:
+                    heapq.heappush(heap, (lifted, v))
+        return out
+
+    def _stay(self, guard, fixed, plen):
+        """Greatest fixpoint: a node's signature is at most ``c`` iff it
+        is in nu Z. {fixed <= c} | (guard & cpre Z).  The guard's safe
+        core, nu Z. guard & cpre Z, gets zeros whatever ``fixed`` is.
+        Any other node that can stay reaches ``fixed`` through guard
+        nodes outside the core (the ones that cannot would form a trap
+        inside the guard, so belong to the core), and only those
+        candidates are counted.  Candidates that cannot stay in
+        guard | fixed are pruned; then the fixed nodes leave threshold
+        by threshold, highest first, and a candidate pruned at ``c``
+        gets ``c``.  Survivors get zeros, the least signature, so the
+        zero threshold changes nothing and is skipped."""
+        owner, succ_mask = self.arena.owner, self.arena.succ_mask
+        core, core_nodes, rest = self._core(guard)
+        into = self._into(rest)
+        zeros = (0,) * plen
+        left = {}   # candidate -> removals it survives
+        stack = [w for w in fixed if w in into]
+        while stack:
+            for v in into.get(stack.pop(), ()):
+                if v not in left:
+                    left[v] = 0
+                    stack.append(v)
+        live = core
+        for v in (*fixed, *left):
+            live |= 1 << v
+        for v in left:
+            m = succ_mask[v]
+            if owner[v] == EXISTENTIAL:
+                left[v] = (m & live).bit_count()
+            elif not m & ~live:
+                left[v] = 1
+            if not left[v]:
+                stack.append(v)
+        out = dict.fromkeys(core_nodes, zeros)
+        out.update(fixed)
+        _prune(into, left, stack)
+        leaving = {}
+        for v, sig in fixed.items():
+            leaving.setdefault(sig, []).append(v)
+        for sig in sorted(leaving, reverse=True):
+            if sig == zeros:
+                break
+            _prune(into, left, leaving[sig], out, sig)
+        for v, n in left.items():
+            if n:
+                out[v] = zeros
+        return out
+
+    def _core(self, guard):
+        """Per guard mask: its safe core nu Z. guard & cpre Z, as a mask
+        and as nodes, and the mask of the other guard nodes."""
+        cached = self._cores.get(guard)
+        if cached is None:
+            owner, succ_mask = self.arena.owner, self.arena.succ_mask
+            left = {}
+            for v in iter_nodes(guard):
+                m = succ_mask[v]
+                if owner[v] == EXISTENTIAL:
+                    left[v] = (m & guard).bit_count()
+                else:
+                    left[v] = 0 if m & ~guard else 1
+            _prune(self._into(guard), left, [v for v, n in left.items() if not n])
+            core = 0
+            for v, n in left.items():
+                if n:
+                    core |= 1 << v
+            cached = self._cores[guard] = (core, tuple(iter_nodes(core)), guard & ~core)
+        return cached
+
+    def _into(self, mask):
+        """Per node mask: the predecessors each node has in it (nodes
+        with none are left out)."""
+        into = self._intos.get(mask)
+        if into is None:
+            into = self._intos[mask] = {}
+            for v in iter_nodes(mask):
+                for w in self.arena.succ[v]:
+                    into.setdefault(w, []).append(v)
+        return into
+
     def derive(self, pad, term, src):
         """Signatures one attraction term gives, reading the anchor's map
         ``src``; ``pad`` zeros extend them to the leaf's length."""
@@ -202,6 +332,22 @@ class RankBackend:
             elif not arena.succ_mask[v] & ~domain:
                 out[v] = max(lift(w) for w in iter_nodes(succ_in))
         return out
+
+
+def _prune(into, left, stack, out=None, sig=None):
+    """Remove the nodes on ``stack`` and, transitively, every node of
+    ``left`` whose count of removals it survives drops to zero; record
+    ``sig`` in ``out`` for each node so removed from ``left``.  ``into``
+    maps a node to its predecessors that may be in ``left``."""
+    while stack:
+        for v in into.get(stack.pop(), ()):
+            n = left.get(v)
+            if n:
+                left[v] = n - 1
+                if n == 1:
+                    if out is not None:
+                        out[v] = sig
+                    stack.append(v)
 
 
 def ranked_solve(game, tree):

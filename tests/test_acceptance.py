@@ -22,12 +22,12 @@ from elgames import synthesis as syn
 from elgames.corpus import run_corpus
 from elgames.dd import Manager
 from elgames.fixpoint import build_equations
-from elgames.ttable import TTManager
 from elgames.zielonka import LassoPlay, ZielonkaTree, fair_induced_walk, max_tree_size
 
 from test_el import example_objective, ABCD
 from test_dd import _random_ops
 from test_ltl import random_safety_formula, random_lasso
+from ttable import TTManager
 
 
 @contextmanager

@@ -1,6 +1,8 @@
 import pytest
 
+from elgames import cli
 from elgames.cli import main
+from elgames.fixpoint import StageLimitError
 from elgames.games import random_game, save_game
 
 
@@ -16,6 +18,16 @@ def test_ztree_buchi(capsys):
     out = capsys.readouterr().out
     assert "2 vertices" in out
     assert "box {f}" in out and "circle {}" in out
+
+
+def test_ztree_prints_equations(capsys):
+    # The objective of test_el.example_objective, colors in its table order.
+    assert main(["ztree", "--el", "(Inf a -> Inf b) & ((Fin a | Fin d) & Inf c)",
+                 "--colors", "a,b,c,d"]) == 0
+    _, equations = capsys.readouterr().out.split("8 vertices, 3 leaves, height 4\n")
+    lines = equations.splitlines()
+    assert len(lines) == 8 and lines[0] == "X0 =LFP X1 | X6"
+    assert "CPre(X0)" in lines[2]
 
 
 def test_ztree_dot(capsys):
@@ -110,3 +122,13 @@ def test_format_error_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert main(["solve", "/nonexistent/game.elg"]) == 3
+
+
+def test_stage_limit_exit_code(game_file, monkeypatch, capsys):
+    def over_limit(game):
+        raise StageLimitError("variable X0 did not stabilize within 7 stages")
+
+    monkeypatch.setattr(cli, "solve_game", over_limit)
+    assert main(["solve", game_file]) == cli.LIMIT_ERROR == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: variable X0 did not stabilize")

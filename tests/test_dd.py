@@ -4,7 +4,8 @@ import pytest
 
 from elgames import dd
 from elgames.dd import BddError, Manager
-from elgames.ttable import TTManager
+
+from ttable import TTManager
 
 
 def small_manager():

@@ -180,24 +180,59 @@ def family_games():
             for _, ncolors, factory in FAMILIES for i in range(3)]
 
 
-def arb2_expansion():
-    mutex = "G(!(g0 & g1))"
-    live = "(G F r0 -> G F g0) & (G F r1 -> G F g1)"
-    game = syn.build_game(syn.problem_from_strings(
-        mutex, live, ["r0", "r1"], ["g0", "g1"]))
+def expansion(safety, live, inputs, outputs):
+    """Explicit expansion of a synthesis game, as an explicit game."""
+    game = syn.build_game(syn.problem_from_strings(safety, live, inputs, outputs))
     return syn.expand_explicit(game).elgame
+
+
+ARB2 = ("G(!(g0 & g1))", "(G F r0 -> G F g0) & (G F r1 -> G F g1)",
+        ["r0", "r1"], ["g0", "g1"])
+
+
+def arb2_expansion():
+    return expansion(*ARB2)
+
+
+def readme_expansion():
+    """The README's synthesis example: 3 least-fixpoint leaves."""
+    return expansion("G(b|c) & G(a -> b | X X b)",
+                     "(G F a -> G F b) & ((F G !a | F G !(b&c)) & G F c)",
+                     ["a"], ["b", "c"])
+
+
+def arb2_resp2_expansion():
+    """arb2 with a bounded response: 561 nodes, 2 greatest-fixpoint leaves."""
+    safety, live, inputs, outputs = ARB2
+    return expansion(safety + " & G(r0 -> X g0 | X X g0)", live, inputs, outputs)
 
 
 def tree_of(game):
     return ZielonkaTree(game.objective, game.table)
 
 
-def test_ranked_solve_matches_plain_reference():
+def test_ranked_solve_matches_plain_reference(monkeypatch):
     games = family_games() + [streett_n60(), arb2_expansion()]
     games += [random_game(900 + i, 20, 4, formula_depth=4) for i in range(100)]
+    games += [readme_expansion(), arb2_resp2_expansion()]
+    polarities = set()
+
+    class Counting(strategy.RankBackend):
+        def leaf(self, s, own, fixed, lfp):
+            polarities.add(lfp)
+            return super().leaf(s, own, fixed, lfp)
+
+    monkeypatch.setattr(strategy, "RankBackend", Counting)
     for k, game in enumerate(games):
         tree = tree_of(game)
         assert ranked_solve(game, tree) == ranked_solve_reference(game, tree), k
+    # Both one-pass leaf solvers ran: least and greatest fixpoints.
+    assert polarities == {True, False}
+
+
+# Stages of the ranked solve on streett_n60(): one per internal-vertex
+# Kleene stage and one per leaf run that the leaf memo does not skip.
+STREETT_N60_RANKED_STAGES = 5950
 
 
 def test_ranked_solve_stage_budget_on_repeated_inputs(monkeypatch):
@@ -213,7 +248,8 @@ def test_ranked_solve_stage_budget_on_repeated_inputs(monkeypatch):
 
     monkeypatch.setattr(strategy, "solve", recording)
     ranked_solve(game, tree)
-    assert len(results) == 1 and results[0].iterations <= STREETT_N60_STAGES
+    assert len(results) == 1
+    assert results[0].iterations <= STREETT_N60_RANKED_STAGES
 
 
 def test_ranked_maps_satisfy_their_equations():
