@@ -8,10 +8,11 @@ to a successor in that variable's solution.  Successors are ordered by
 entry-rank signatures: one Kleene-stage component per least-fixpoint
 vertex enclosing the variable, outermost first, computed by the
 fixpoint solver itself with signature maps as its values
-(:class:`RankBackend`, :func:`ranked_solve`).  The backend solves each
-leaf run in one pass over the arena's predecessor lists: a Dijkstra
-order for least-fixpoint leaves, counter pruning for greatest-fixpoint
-ones.
+(:class:`RankBackend`, :func:`ranked_solve`).  The backend works on
+the arena's predecessor lists: it solves each leaf run in one pass (a
+Dijkstra order for least-fixpoint leaves, counter pruning for
+greatest-fixpoint ones) and derives each ancestor term from the
+predecessors of the map it reads.
 Signature descent is what guarantees progress; an arbitrary member of a
 least-fixpoint union, or of a greatest fixpoint nested inside one,
 would allow stalling or resetting the enclosing fixpoint's progress.
@@ -124,13 +125,18 @@ class RankBackend:
     successor, existential nodes the best; union keeps each node's best
     signature, intersection its worst over the common nodes, cut to the
     vertex's length.  Bottom is the empty map, top maps every node to
-    zeros.
+    zeros; there is one top map per signature length, kept for the life
+    of the backend, and intersecting it with a map only cuts that map.
+    The cached top is a real map: leaves read it as their anchor's value
+    in the first stage of a greatest fixpoint.
 
     A term's map depends only on ``(pad, term)`` and the anchor's map;
     each keeps its last input and result, and an input that is the same
     map, or an equal one, returns the stored result.  That memo holds
     one entry per distinct term, O(tree x nodes), the order of the maps
-    the solve returns.
+    the solve returns.  A term that is computed walks the guard's
+    predecessors of the anchor's map, so it costs the guard edges into
+    that map, not the guard.
 
     The engine asks ``term`` for a leaf's ancestor terms only; ``leaf``
     solves the leaf's own equation in one call, a min-max reachability
@@ -148,12 +154,17 @@ class RankBackend:
         self.last = {}   # (pad, term) -> (source map, derived map)
         self._cores = {}   # guard mask -> _core(guard)
         self._intos = {}   # node mask -> _into(mask)
+        self._tops = {}   # signature length -> all-zeros map of every node
 
     def bottom(self, s):
         return {}
 
     def top(self, s):
-        return dict.fromkeys(range(self.arena.n), (0,) * self.tree.lfp_depth[s])
+        plen = self.tree.lfp_depth[s]
+        top = self._tops.get(plen)
+        if top is None:
+            top = self._tops[plen] = dict.fromkeys(range(self.arena.n), (0,) * plen)
+        return top
 
     def union(self, a, b, s):
         # No cut: unions are taken at leaves and at losing vertices, whose
@@ -171,6 +182,8 @@ class RankBackend:
 
     def intersect(self, a, b, s):
         plen = self.tree.lfp_depth[s]
+        if a is self._tops.get(plen):   # max(zeros, sig) == sig
+            return {v: sig[:plen] for v, sig in b.items()}
         return {v: max(a[v][:plen], b[v][:plen]) for v in a.keys() & b.keys()}
 
     def equal(self, a, b):
@@ -305,33 +318,35 @@ class RankBackend:
 
     def derive(self, pad, term, src):
         """Signatures one attraction term gives, reading the anchor's map
-        ``src``; ``pad`` zeros extend them to the leaf's length."""
-        anc, sub, esc = term
-        out = {}
-        if not src:
-            return out
-        arena = self.arena
-        domain = 0
-        for w in src:
-            domain |= 1 << w
-        bump = not self.tree.winning[anc]
+        ``src``; ``pad`` zeros extend them to the leaf's length.  Walks
+        the guard's predecessors of each node of ``src``: an existential
+        one keeps its least signature, a universal one its greatest, once
+        it has seen all its successors.  The signatures of ``src`` have
+        one length, so lifting keeps their order and can follow the min
+        or max."""
+        owner, succ = self.arena.owner, self.arena.succ
+        into = self._into(self.guards[term[1:]])
+        best = {}
+        seen = {}   # universal node -> its successors in src so far
+        for w, sig in src.items():
+            for v in into.get(w, ()):
+                old = best.get(v)
+                if owner[v] == EXISTENTIAL:
+                    if old is None or sig < old:
+                        best[v] = sig
+                else:
+                    seen[v] = seen.get(v, 0) + 1
+                    if old is None or sig > old:
+                        best[v] = sig
+        for v, n in seen.items():
+            if n < len(succ[v]):
+                del best[v]
+        anc = term[0]
+        tail = (0,) * pad
+        if self.tree.winning[anc]:
+            return {v: sig + tail for v, sig in best.items()} if pad else best
         pos = self.tree.lfp_depth[anc] - 1
-
-        def lift(w):
-            sig = src[w]
-            if bump:
-                sig = sig[:pos] + (sig[pos] + 1,)
-            return sig + (0,) * pad
-
-        for v in iter_nodes(self.guards[(sub, esc)]):
-            succ_in = arena.succ_mask[v] & domain
-            if arena.owner[v] == EXISTENTIAL:
-                if not succ_in:
-                    continue
-                out[v] = min(lift(w) for w in iter_nodes(succ_in))
-            elif not arena.succ_mask[v] & ~domain:
-                out[v] = max(lift(w) for w in iter_nodes(succ_in))
-        return out
+        return {v: sig[:pos] + (sig[pos] + 1,) + tail for v, sig in best.items()}
 
 
 def _prune(into, left, stack, out=None, sig=None):
@@ -476,24 +491,6 @@ def extract(game, tree, result):
                 for w in arena.succ[v]:
                     update[(v, m, w)] = ex.next_memory(v, m, w)
     return ELStrategy(game, tree, win, initial, move, update)
-
-
-def with_redirected_move(game, tree, result, strategy, v, m, new_w):
-    """Copy of ``strategy`` with one move redirected (mutation testing).
-
-    The memory update for the new edge is recomputed with the regular
-    rules so the result stays total.
-    """
-    ex = _Extractor(game, tree, result)
-    move = dict(strategy.move)
-    update = dict(strategy.update)
-    move[(v, m)] = new_w
-    try:
-        update[(v, m, new_w)] = ex.next_memory(v, m, new_w)
-    except (KeyError, AssertionError):
-        update[(v, m, new_w)] = tree.min_leaf
-    return ELStrategy(game, tree, strategy.win_mask, dict(strategy.initial),
-                      move, update)
 
 
 def product_states(game, strategy, claimed):

@@ -241,9 +241,12 @@ class SymbolicBackend(SetBackend):
 
 
 def solve_symbolic(game):
+    """Symbolic winning region; each variable's iteration is bounded by
+    the number of symbolic nodes plus one, as ``solve_game``'s is."""
     tree = ZielonkaTree(game.el_formula, game.color_table)
     system = build_equations(tree)
-    result = solve(system, SymbolicBackend(game))
+    nodes = 2 ** (len(game.state_vars) + len(game.ap))
+    result = solve(system, SymbolicBackend(game), max_stages=nodes + 1)
     return result.winning(), tree, result
 
 

@@ -132,3 +132,15 @@ def test_stage_limit_exit_code(game_file, monkeypatch, capsys):
     assert main(["solve", game_file]) == cli.LIMIT_ERROR == 4
     err = capsys.readouterr().err
     assert err.startswith("error: variable X0 did not stabilize")
+
+
+def test_synth_stage_limit_exit_code(monkeypatch, capsys):
+    def over_limit(game):
+        raise StageLimitError("variable X0 did not stabilize within 7 stages")
+
+    monkeypatch.setattr(cli.syn, "solve_symbolic", over_limit)
+    code = main(["synth", "--safety", "true", "--el", "G F a -> G F b",
+                 "--inputs", "a", "--outputs", "b"])
+    assert code == cli.LIMIT_ERROR == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: variable X0 did not stabilize")

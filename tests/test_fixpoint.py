@@ -190,6 +190,35 @@ def test_stage_limit_raises_stage_limit_error():
         solve(build_equations(tree), ExplicitBackend(game), max_stages=1)
 
 
+ARB2 = ("G(!(g0 & g1))", "(G F r0 -> G F g0) & (G F r1 -> G F g1)",
+        ["r0", "r1"], ["g0", "g1"])
+
+
+def arb2_game():
+    return syn.build_game(syn.problem_from_strings(*ARB2))
+
+
+def test_symbolic_stage_limit_raises_stage_limit_error():
+    game = arb2_game()
+    tree = ZielonkaTree(game.el_formula, game.color_table)
+    with pytest.raises(StageLimitError, match="did not stabilize within 1 stages"):
+        solve(build_equations(tree), syn.SymbolicBackend(game), max_stages=1)
+
+
+def test_solve_symbolic_bounds_stages_by_symbolic_nodes(monkeypatch):
+    game = arb2_game()
+    bounds = []
+
+    def recording(system, backend, max_stages=None):
+        bounds.append(max_stages)
+        return solve(system, backend, max_stages=max_stages)
+
+    monkeypatch.setattr(syn, "solve", recording)
+    win, _, _ = syn.solve_symbolic(game)
+    assert syn.is_won(game, win)
+    assert bounds == [2 ** (len(game.state_vars) + len(game.ap)) + 1]
+
+
 def test_leaf_memo_skips_repeated_leaf_runs():
     game = streett_n60()
     win, tree, result = solve_game(game)
@@ -222,10 +251,7 @@ def test_explicit_cpre_memo_asks_each_target_once():
 
 
 def test_symbolic_cpre_memo_asks_each_handle_once():
-    mutex = "G(!(g0 & g1))"
-    live = "(G F r0 -> G F g0) & (G F r1 -> G F g1)"
-    game = syn.build_game(syn.problem_from_strings(
-        mutex, live, ["r0", "r1"], ["g0", "g1"]))
+    game = arb2_game()
     tree = ZielonkaTree(game.el_formula, game.color_table)
     backend = counting(syn.SymbolicBackend, lambda a: a.handle)(game)
     result = solve(build_equations(tree), backend)

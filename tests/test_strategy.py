@@ -5,14 +5,16 @@ import pytest
 from elgames import el, fixpoint, strategy
 from elgames import synthesis as syn
 from elgames.fixpoint import solve_game
-from elgames.games import Arena, ELGame, EXISTENTIAL, random_game
-from elgames.strategy import (ELStrategy, extract, ranked_solve, replay_lasso,
-                              strategy_from_text, verify, with_redirected_move)
+from elgames.fixpoint import ExplicitBackend, build_equations, guard_table
+from elgames.games import Arena, ELGame, EXISTENTIAL, UNIVERSAL, random_game
+from elgames.strategy import (ELStrategy, RankBackend, extract, ranked_solve,
+                              replay_lasso, strategy_from_text, verify)
 from elgames.zielonka import ZielonkaTree, max_tree_size
 from elgames.games import iter_nodes
 
-from ranked_reference import equation_errors, ranked_solve_reference
-from test_fixpoint import FAMILIES, STREETT_N60_STAGES, streett_n60
+from mutations import with_redirected_move
+from ranked_reference import _Terms, equation_errors, ranked_solve_reference
+from test_fixpoint import ARB2, FAMILIES, STREETT_N60_STAGES, streett_n60
 
 
 def solved(game):
@@ -186,10 +188,6 @@ def expansion(safety, live, inputs, outputs):
     return syn.expand_explicit(game).elgame
 
 
-ARB2 = ("G(!(g0 & g1))", "(G F r0 -> G F g0) & (G F r1 -> G F g1)",
-        ["r0", "r1"], ["g0", "g1"])
-
-
 def arb2_expansion():
     return expansion(*ARB2)
 
@@ -256,3 +254,49 @@ def test_ranked_maps_satisfy_their_equations():
     for k, game in enumerate(family_games() + [streett_n60()]):
         tree = tree_of(game)
         assert equation_errors(game, tree, ranked_solve(game, tree)) == [], k
+
+
+def rank_backend(game, tree):
+    system = build_equations(tree)
+    return RankBackend(game, tree, guard_table(system, ExplicitBackend(game)))
+
+
+def test_rank_derive_matches_reference_terms():
+    games = family_games() + [streett_n60(), readme_expansion()]
+    for k, game in enumerate(games):
+        tree = tree_of(game)
+        maps = ranked_solve(game, tree)
+        backend = rank_backend(game, tree)
+        reference = _Terms(game, tree)
+        for s in tree.leaves:
+            for term in reference.equations[s].terms:
+                anc = term[0]
+                pad = tree.lfp_depth[s] - tree.lfp_depth[anc]
+                want = {}
+                reference.derive(s, term, maps[anc], want)
+                assert backend.derive(pad, term, maps[anc]) == want, (k, s, term)
+
+
+def test_rank_derive_on_hand_built_arena():
+    # Inf b & Fin a: root {a,b} losing, {b} winning, leaf {} losing.  The
+    # leaf's root term has guard "colours contain a", a losing anchor
+    # (bump) and one losing vertex below it (pad 1).
+    table = el.ColorTable(["a", "b"])
+    a = table.mask("a")
+    arena = Arena([EXISTENTIAL, UNIVERSAL, EXISTENTIAL, EXISTENTIAL,
+                   EXISTENTIAL, UNIVERSAL],
+                  [[2, 3], [2, 4], [2], [3], [4], [2, 3]],
+                  [a, a, 0, 0, 0, a])
+    game = ELGame(arena, table, el.parse_formula("Inf b & Fin a", table))
+    tree = tree_of(game)
+    assert tree.winning == [False, True, False] and tree.leaves == (2,)
+    term = build_equations(tree).equations[2].terms[0]
+    assert term[0] == tree.root and tree.lfp_depth[2] - tree.lfp_depth[0] == 1
+    src = {2: (3,), 3: (1,)}
+    # 0 takes its least successor, 3; 1 has successor 4 outside src;
+    # 5 takes its greatest, 2; 2 and 3 are outside the guard.
+    want = {0: (2, 0), 5: (4, 0)}
+    assert rank_backend(game, tree).derive(1, term, src) == want
+    reference = {}
+    _Terms(game, tree).derive(2, term, src, reference)
+    assert reference == want
