@@ -14,13 +14,14 @@ backend that supplies the values, so the same recursion runs on
 explicit node masks, on symbolic decision-diagram assertions and on the
 entry-rank signature maps the strategy module extracts moves from.
 The set backends memoize the controllable predecessor by target
-(explicit masks and diagram handles are both canonical).  Outer
-iterations keep re-running inner leaves under unchanged outer values,
-so the solver keeps, per leaf, the union of its ancestor terms and the
-result of its last run, and returns that result again when the union
-repeats.  A backend may also solve a leaf's own equation in one call
-(``leaf``); the signature backend does, as a worklist over the arena,
-and the set backends leave it to Kleene stages.
+(explicit masks and diagram handles are both canonical).  Each stage
+of an outer variable restarts the inner ones from bottom or top, so a
+leaf is asked again for inputs it has already solved.  The solver keeps,
+per leaf, the union of its ancestor terms and the result of each of its
+last few runs (as many as the leaf has terms), and returns the stored
+result when a union repeats.  A backend may also solve a leaf's own
+equation in one call (``leaf``); the signature backend does, as a
+worklist over the arena, and the set backends leave it to Kleene stages.
 """
 
 from dataclasses import dataclass, field
@@ -195,8 +196,10 @@ def solve(system, backend, max_stages=None):
     ``union(a, b, s)``, ``intersect(a, b, s)``, ``equal(a, b)`` and
     ``term(s, term, value)``, the value of one attraction term of leaf
     ``s`` given its anchor's value.  A leaf's ancestor terms are fixed
-    while it iterates; a leaf whose union of them equals that of its
-    previous run returns the previous result without a stage.
+    while it iterates, so a leaf run's result depends only on their
+    union.  Each leaf keeps its last ``len(terms)`` runs (its depth plus
+    one); a run whose union equals one of theirs returns that run's
+    result without a stage.
 
     A backend with a ``leaf(s, own, fixed, lfp)`` method solves each
     leaf run in that one call, which counts as one stage: it returns
@@ -208,8 +211,11 @@ def solve(system, backend, max_stages=None):
     """
     equations = {eq.vertex: eq for eq in system.equations}
     leaf = getattr(backend, "leaf", None)
+    equal = backend.equal
     values = {}
-    last = {}   # leaf -> (union of its ancestor terms, result) of its last run
+    # leaf -> (union of its ancestor terms, result) of its last len(terms)
+    # runs, newest first
+    recent = {}
     total_iterations = 0
 
     def run(s, ls):
@@ -221,14 +227,15 @@ def solve(system, backend, max_stages=None):
             for term in ancestors:
                 fixed = backend.union(
                     fixed, backend.term(s, term, ls[term[0]]), s)
-            prev = last.get(s)
-            if prev is not None and backend.equal(prev[0], fixed):
-                values[s] = prev[1]
-                return prev[1]
+            runs = recent.get(s, ())
+            for prev, x in runs:
+                if equal(prev, fixed):
+                    values[s] = x
+                    return x
             if leaf is not None:
                 total_iterations += 1
                 x = values[s] = leaf(s, own, fixed, eq.lfp)
-                last[s] = (fixed, x)
+                recent[s] = ((fixed, x),) + runs[:len(eq.terms) - 1]
                 return x
         x = backend.bottom(s) if eq.lfp else backend.top(s)
         stages = 0
@@ -249,13 +256,13 @@ def solve(system, backend, max_stages=None):
                         x = backend.intersect(x, run(t, ls_here), s)
             stages += 1
             total_iterations += 1
-            if backend.equal(x, w):
+            if equal(x, w):
                 break
             if max_stages is not None and stages > max_stages:
                 raise StageLimitError(
                     "variable X%d did not stabilize within %d stages" % (s, max_stages))
         if eq.op == "attract":
-            last[s] = (fixed, x)
+            recent[s] = ((fixed, x),) + runs[:len(eq.terms) - 1]
         values[s] = x
         return x
 

@@ -39,7 +39,6 @@ class Arena:
         self.colors = tuple(colors) if colors is not None else (0,) * self.n
         if len(self.succ) != self.n or len(self.colors) != self.n:
             raise GameError("owner/succ/colors lengths disagree")
-        pred = [[] for _ in range(self.n)]
         succ_mask = []
         for v, targets in enumerate(self.succ):
             if not targets:
@@ -51,9 +50,7 @@ class Arena:
                 if not 0 <= w < self.n:
                     raise GameError("edge %d -> %d out of range" % (v, w))
                 m |= 1 << w
-                pred[w].append(v)
             succ_mask.append(m)
-        self.pred = tuple(tuple(p) for p in pred)
         self.succ_mask = tuple(succ_mask)
 
     @property
@@ -89,28 +86,6 @@ def cpre(arena, target, player=EXISTENTIAL):
         elif m & ~target & full == 0:
             out |= 1 << v
     return out
-
-
-def attractor(arena, target, player):
-    """Least set containing ``target`` closed under ``player``'s one-step
-    control; worklist over the reverse adjacency, linear in the edges."""
-    attr = target
-    remaining = [len(s) for s in arena.succ]
-    queue = list(iter_nodes(target))
-    while queue:
-        w = queue.pop()
-        for v in arena.pred[w]:
-            if attr >> v & 1:
-                continue
-            if arena.owner[v] == player:
-                attr |= 1 << v
-                queue.append(v)
-            else:
-                remaining[v] -= 1
-                if remaining[v] == 0:
-                    attr |= 1 << v
-                    queue.append(v)
-    return attr
 
 
 class ELGame:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from elgames import el
+from elgames import el, strategy
 from elgames import synthesis as syn
 from elgames.fixpoint import (ExplicitBackend, StageLimitError, build_equations,
                               solve, solve_game)
@@ -11,6 +11,7 @@ from elgames.oracles import solve_el_via_reduction
 from elgames.strategy import extract, verify
 from elgames.zielonka import ZielonkaTree
 
+from ranked_reference import ranked_solve_reference
 from test_el import example_objective, ABCD
 
 
@@ -180,7 +181,7 @@ def streett_n60():
 # Kleene stages of the verdict solve on streett_n60() with the leaf memo;
 # the plain recursion runs 10,390.  The plain ranked reference cannot
 # finish within this many (test_strategy.py).
-STREETT_N60_STAGES = 7214
+STREETT_N60_STAGES = 5540
 
 
 def test_stage_limit_raises_stage_limit_error():
@@ -224,6 +225,30 @@ def test_leaf_memo_skips_repeated_leaf_runs():
     win, tree, result = solve_game(game)
     assert result.iterations <= STREETT_N60_STAGES
     assert win == solve_el_via_reduction(game, tree)
+
+
+def test_leaf_memo_window_holds_each_leafs_recent_runs(monkeypatch):
+    # A leaf run's result depends only on the union of its ancestor terms,
+    # and each leaf remembers its last len(terms) runs: no leaf is run
+    # again on the input of one of them.
+    game = streett_n60()
+    tree = ZielonkaTree(game.objective, game.table)
+    window = {eq.vertex: len(eq.terms) for eq in build_equations(tree)
+              if eq.op == "attract"}
+    calls = []
+
+    class Recording(strategy.RankBackend):
+        def leaf(self, s, own, fixed, lfp):
+            calls.append((s, fixed))
+            return super().leaf(s, own, fixed, lfp)
+
+    monkeypatch.setattr(strategy, "RankBackend", Recording)
+    assert strategy.ranked_solve(game, tree) == ranked_solve_reference(game, tree)
+    runs = {s: [] for s in window}
+    for s, fixed in calls:
+        assert fixed not in runs[s][-window[s]:], s
+        runs[s].append(fixed)
+    assert len(calls) > len(window)   # some leaves ran more than once
 
 
 def counting(backend_cls, key):

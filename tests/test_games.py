@@ -121,21 +121,6 @@ def test_single_node_game_semantics():
     assert win == 0
 
 
-def test_attractor_matches_naive_fixpoint():
-    rng = random.Random(55)
-    for seed in range(50):
-        arena = random_game(seed, 8, 2).arena
-        target = rng.randrange(1 << arena.n)
-        for player in (EXISTENTIAL, UNIVERSAL):
-            naive = target
-            while True:
-                grown = naive | cpre(arena, naive, player)
-                if grown == naive:
-                    break
-                naive = grown
-            assert games.attractor(arena, target, player) == naive
-
-
 def test_arena_rejects_duplicate_edges():
     with pytest.raises(games.GameError):
         Arena([EXISTENTIAL], [[0, 0]])

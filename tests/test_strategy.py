@@ -230,7 +230,7 @@ def test_ranked_solve_matches_plain_reference(monkeypatch):
 
 # Stages of the ranked solve on streett_n60(): one per internal-vertex
 # Kleene stage and one per leaf run that the leaf memo does not skip.
-STREETT_N60_RANKED_STAGES = 5950
+STREETT_N60_RANKED_STAGES = 5113
 
 
 def test_ranked_solve_stage_budget_on_repeated_inputs(monkeypatch):
