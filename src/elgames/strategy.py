@@ -12,7 +12,8 @@ fixpoint solver itself with signature maps as its values
 the arena's predecessor lists: it solves each leaf run in one pass (a
 Dijkstra order for least-fixpoint leaves, counter pruning for
 greatest-fixpoint ones) and derives each ancestor term from the
-predecessors of the map it reads.
+predecessors of the map it reads.  A greatest fixpoint starts from
+zeros over the verdict solve's set of its vertex, not over every node.
 Signature descent is what guarantees progress; an arbitrary member of a
 least-fixpoint union, or of a greatest fixpoint nested inside one,
 would allow stalling or resetting the enclosing fixpoint's progress.
@@ -29,8 +30,8 @@ connected component realizes exactly D.
 import heapq
 from dataclasses import dataclass
 
-from . import el
-from .fixpoint import ExplicitBackend, build_equations, guard_table, solve
+from . import el, fixpoint
+from .fixpoint import ExplicitBackend, build_equations, guard_table
 from .games import EXISTENTIAL, iter_nodes
 from .oracles import _sccs
 
@@ -124,11 +125,18 @@ class RankBackend:
     (the play leaves their scopes).  Universal nodes take the worst
     successor, existential nodes the best; union keeps each node's best
     signature, intersection its worst over the common nodes, cut to the
-    vertex's length.  Bottom is the empty map, top maps every node to
-    zeros; there is one top map per signature length, kept for the life
-    of the backend, and intersecting it with a map only cuts that map.
-    The cached top is a real map: leaves read it as their anchor's value
-    in the first stage of a greatest fixpoint.
+    vertex's length.  Bottom is the empty map; top maps the nodes of the
+    verdict's set of the vertex (``values``) to zeros.  That bounds the
+    greatest fixpoint: the operations act on a map's keys as the set
+    backend acts on masks, and in every run each ancestor's keys lie
+    inside its verdict set (least fixpoints climb from empty, greatest
+    ones start at that set and only lose keys), so by monotonicity each
+    run's keys lie inside the vertex's verdict set too.  There is one
+    top map per vertex, kept for the life of the backend, and
+    intersecting it with a map only cuts that map: the intersection of
+    all the children's maps lies inside the vertex's set.  The cached
+    top is a real map: leaves read it as their anchor's value in the
+    first stage of a greatest fixpoint.
 
     A term's map depends only on ``(pad, term)`` and the anchor's map;
     each keeps its last input and result, and an input that is the same
@@ -147,23 +155,24 @@ class RankBackend:
     threshold.  Both give the maps the Kleene stages would.
     """
 
-    def __init__(self, game, tree, guards):
+    def __init__(self, game, tree, guards, values):
         self.arena = game.arena
         self.tree = tree
         self.guards = guards
+        self.values = values
         self.last = {}   # (pad, term) -> (source map, derived map)
         self._cores = {}   # guard mask -> _core(guard)
         self._intos = {}   # node mask -> _into(mask)
-        self._tops = {}   # signature length -> all-zeros map of every node
+        self._tops = {}   # vertex -> all-zeros map of its verdict solution
 
     def bottom(self, s):
         return {}
 
     def top(self, s):
-        plen = self.tree.lfp_depth[s]
-        top = self._tops.get(plen)
+        top = self._tops.get(s)
         if top is None:
-            top = self._tops[plen] = dict.fromkeys(range(self.arena.n), (0,) * plen)
+            top = self._tops[s] = dict.fromkeys(
+                iter_nodes(self.values[s]), (0,) * self.tree.lfp_depth[s])
         return top
 
     def union(self, a, b, s):
@@ -182,7 +191,7 @@ class RankBackend:
 
     def intersect(self, a, b, s):
         plen = self.tree.lfp_depth[s]
-        if a is self._tops.get(plen):   # max(zeros, sig) == sig
+        if a is self._tops.get(s):   # max(zeros, sig) == sig
             return {v: sig[:plen] for v, sig in b.items()}
         return {v: max(a[v][:plen], b[v][:plen]) for v in a.keys() & b.keys()}
 
@@ -365,18 +374,24 @@ def _prune(into, left, stack, out=None, sig=None):
                     stack.append(v)
 
 
-def ranked_solve(game, tree):
-    """Entry-rank signature map of every tree vertex (:class:`RankBackend`).
+def ranked_solve(game, tree, values):
+    """Entry-rank signature map of every tree vertex (:class:`RankBackend`),
+    given the verdict solve's node set of every vertex, ``values``.
 
     The maps are the least mutually consistent family, so moving along
     signature-minimal successors never lets a play reset an enclosing
     least fixpoint's progress, which is the certified-strategy property
     the extractor needs.  They come from the solver's own nested
     recursion, with the same per-variable stage bound as a verdict solve.
+    Greatest fixpoints start from zeros over ``values``, which lies
+    between their fixpoint and the all-nodes map; descent from there
+    ends at the same maps in no more stages, and only least-fixpoint
+    stages enter signatures.
     """
     system = build_equations(tree)
-    backend = RankBackend(game, tree, guard_table(system, ExplicitBackend(game)))
-    return solve(system, backend, max_stages=game.arena.n + 1).values
+    backend = RankBackend(game, tree, guard_table(system, ExplicitBackend(game)),
+                          values)
+    return fixpoint.solve(system, backend, max_stages=game.arena.n + 1).values
 
 
 class _Extractor:
@@ -386,7 +401,7 @@ class _Extractor:
         self.tree = tree
         self.result = result
         self.values = result.values
-        self.ranked = ranked_solve(game, tree)
+        self.ranked = ranked_solve(game, tree, result.values)
         for s, rmap in self.ranked.items():
             members = 0
             for v in rmap:

@@ -243,7 +243,8 @@ def test_leaf_memo_window_holds_each_leafs_recent_runs(monkeypatch):
             return super().leaf(s, own, fixed, lfp)
 
     monkeypatch.setattr(strategy, "RankBackend", Recording)
-    assert strategy.ranked_solve(game, tree) == ranked_solve_reference(game, tree)
+    maps = strategy.ranked_solve(game, tree, solve_game(game, tree)[2].values)
+    assert maps == ranked_solve_reference(game, tree)
     runs = {s: [] for s in window}
     for s, fixed in calls:
         assert fixed not in runs[s][-window[s]:], s

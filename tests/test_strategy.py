@@ -209,9 +209,30 @@ def tree_of(game):
     return ZielonkaTree(game.objective, game.table)
 
 
+def verdict_values(game, tree):
+    """The verdict solve's node set of every tree vertex."""
+    return solve_game(game, tree)[2].values
+
+
+def ranked(game, tree):
+    return ranked_solve(game, tree, verdict_values(game, tree))
+
+
+# Four-colour parity, 2-pair Streett and Rabin, and even-cardinality
+# Muller objectives on n=30 arenas, ten games each.
+SMALL_FAMILIES = [
+    lambda rng, t: el.parity(t, list("abcd")),
+    lambda rng, t: el.streett(t, [("a", "b"), ("c", "d")]),
+    lambda rng, t: el.rabin(t, [("a", "b"), ("c", "d")]),
+    lambda rng, t: el.even_cardinality_muller(t),
+]
+
+
 def test_ranked_solve_matches_plain_reference(monkeypatch):
     games = family_games() + [streett_n60(), arb2_expansion()]
     games += [random_game(900 + i, 20, 4, formula_depth=4) for i in range(100)]
+    games += [random_game(7000 + i, 30, 4, density=0.12, objective_factory=factory)
+              for factory in SMALL_FAMILIES for i in range(10)]
     games += [readme_expansion(), arb2_resp2_expansion()]
     polarities = set()
 
@@ -223,14 +244,15 @@ def test_ranked_solve_matches_plain_reference(monkeypatch):
     monkeypatch.setattr(strategy, "RankBackend", Counting)
     for k, game in enumerate(games):
         tree = tree_of(game)
-        assert ranked_solve(game, tree) == ranked_solve_reference(game, tree), k
+        assert ranked(game, tree) == ranked_solve_reference(game, tree), k
     # Both one-pass leaf solvers ran: least and greatest fixpoints.
     assert polarities == {True, False}
 
 
 # Stages of the ranked solve on streett_n60(): one per internal-vertex
 # Kleene stage and one per leaf run that the leaf memo does not skip.
-STREETT_N60_RANKED_STAGES = 5113
+# Greatest fixpoints start from the verdict's sets, not from every node.
+STREETT_N60_RANKED_STAGES = 888
 
 
 def test_ranked_solve_stage_budget_on_repeated_inputs(monkeypatch):
@@ -238,14 +260,16 @@ def test_ranked_solve_stage_budget_on_repeated_inputs(monkeypatch):
     tree = tree_of(game)
     with pytest.raises(RuntimeError):
         ranked_solve_reference(game, tree, max_rounds=STREETT_N60_STAGES)
+    values = verdict_values(game, tree)
     results = []
+    original = fixpoint.solve
 
     def recording(*args, **kwargs):
-        results.append(fixpoint.solve(*args, **kwargs))
+        results.append(original(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(strategy, "solve", recording)
-    ranked_solve(game, tree)
+    monkeypatch.setattr(fixpoint, "solve", recording)
+    ranked_solve(game, tree, values)
     assert len(results) == 1
     assert results[0].iterations <= STREETT_N60_RANKED_STAGES
 
@@ -253,19 +277,20 @@ def test_ranked_solve_stage_budget_on_repeated_inputs(monkeypatch):
 def test_ranked_maps_satisfy_their_equations():
     for k, game in enumerate(family_games() + [streett_n60()]):
         tree = tree_of(game)
-        assert equation_errors(game, tree, ranked_solve(game, tree)) == [], k
+        assert equation_errors(game, tree, ranked(game, tree)) == [], k
 
 
 def rank_backend(game, tree):
     system = build_equations(tree)
-    return RankBackend(game, tree, guard_table(system, ExplicitBackend(game)))
+    return RankBackend(game, tree, guard_table(system, ExplicitBackend(game)),
+                       verdict_values(game, tree))
 
 
 def test_rank_derive_matches_reference_terms():
     games = family_games() + [streett_n60(), readme_expansion()]
     for k, game in enumerate(games):
         tree = tree_of(game)
-        maps = ranked_solve(game, tree)
+        maps = ranked(game, tree)
         backend = rank_backend(game, tree)
         reference = _Terms(game, tree)
         for s in tree.leaves:
