@@ -26,6 +26,8 @@ worklist over the arena, and the set backends leave it to Kleene stages.
 
 from dataclasses import dataclass, field
 
+from . import games
+
 
 @dataclass(frozen=True)
 class Equation:
@@ -141,26 +143,33 @@ class SetBackend:
 
 
 class ExplicitBackend(SetBackend):
-    """Set backend over integer node masks of an explicit game."""
+    """Set backend over integer node masks of an explicit game.
+
+    The owner-split successor tables of ``games.cpre`` are built on the
+    first ``cpre`` call and live as long as the backend, so a backend
+    used only for guards (``guard_table``) never builds them.
+    """
 
     def __init__(self, game):
         super().__init__(0, game.arena.full_mask)
         self.game = game
         self.arena = game.arena
+        self._split = None
 
     def cpre(self, target):
-        from .games import cpre
-        return cpre(self.arena, target)
+        if self._split is None:
+            self._split = games.owner_split(self.arena)
+        return games.cpre(self._split, target)
 
     def guard(self, subset_mask, escape_mask):
+        outside = ~subset_mask
+        escaped = 0 if escape_mask is None else ~escape_mask
         out = 0
-        for v in range(self.arena.n):
-            colors = self.arena.colors[v]
-            if colors & ~subset_mask:
-                continue
-            if escape_mask is not None and not colors & ~escape_mask:
-                continue
-            out |= 1 << v
+        bit = 1
+        for colors in self.arena.colors:
+            if not colors & outside and (escape_mask is None or colors & escaped):
+                out |= bit
+            bit <<= 1
         return out
 
 

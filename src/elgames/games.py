@@ -2,8 +2,11 @@
 
 Arenas are total (every node has a successor) directed graphs whose
 nodes are owned by the existential or the universal player.  Node sets
-are plain integer bit masks, which keeps the one-step controllable
-predecessor a tight loop over precomputed successor masks.
+are plain integer bit masks.  The one-step controllable predecessor
+runs over owner-split successor tables, ``(node bit, successor mask)``
+pairs for one player's nodes and for the opponent's, so each node costs
+one AND and one test.  A solve builds the tables once (``owner_split``)
+and drops them with its backend; arenas do not keep them.
 
 The module also provides the line-oriented game file format and a
 seeded random generator used by the regression corpus.
@@ -74,17 +77,30 @@ def iter_nodes(mask):
         mask ^= low
 
 
-def cpre(arena, target, player=EXISTENTIAL):
-    """Nodes from which ``player`` forces the next node into ``target``."""
+def owner_split(arena, player=EXISTENTIAL):
+    """``(node bit, successor mask)`` pairs of ``player``'s nodes and of
+    the opponent's, in node order: the tables :func:`cpre` runs over."""
+    mine = []
+    theirs = []
+    bit = 1
+    for owner, m in zip(arena.owner, arena.succ_mask):
+        (mine if owner == player else theirs).append((bit, m))
+        bit <<= 1
+    return tuple(mine), tuple(theirs)
+
+
+def cpre(split, target):
+    """Nodes from which the player of ``split`` (see :func:`owner_split`)
+    forces the next node into ``target``: its own nodes with a successor
+    in ``target`` and the opponent's nodes with every successor in it."""
+    mine, theirs = split
     out = 0
-    full = arena.full_mask
-    for v in range(arena.n):
-        m = arena.succ_mask[v]
-        if arena.owner[v] == player:
-            if m & target:
-                out |= 1 << v
-        elif m & ~target & full == 0:
-            out |= 1 << v
+    for bit, m in mine:
+        if m & target:
+            out |= bit
+    for bit, m in theirs:
+        if m & target == m:
+            out |= bit
     return out
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from elgames import el, strategy
+from elgames import el, games, strategy
 from elgames import synthesis as syn
 from elgames.fixpoint import (ExplicitBackend, StageLimitError, build_equations,
                               solve, solve_game)
@@ -274,6 +274,35 @@ def test_explicit_cpre_memo_asks_each_target_once():
     result = solve(build_equations(tree), backend, max_stages=game.arena.n + 1)
     assert len(backend.targets) == len(set(backend.targets)) > 1
     assert result.winning() == solve_el_via_reduction(game, tree)
+
+
+def test_solve_game_calls_games_cpre_and_splits_owners_once(monkeypatch):
+    # The benchmark's trace counts ``games.cpre`` by wrapping the module
+    # attribute, keyed on its second argument: the solve must call it
+    # through the module, once per distinct target.
+    targets = []
+    splits = []
+    cpre, owner_split = games.cpre, games.owner_split
+
+    def counting_cpre(split, target):
+        targets.append(target)
+        return cpre(split, target)
+
+    def counting_split(arena, *args):
+        splits.append(arena)
+        return owner_split(arena, *args)
+
+    monkeypatch.setattr(games, "cpre", counting_cpre)
+    monkeypatch.setattr(games, "owner_split", counting_split)
+    game = streett_n60()
+    win, tree, result = solve_game(game)
+    calls = len(targets)
+    assert calls == len(set(targets)) > 0
+    assert splits == [game.arena]
+    assert win == solve_el_via_reduction(game, tree)
+    # The ranked solve asks its explicit backend for guards only.
+    strategy.ranked_solve(game, tree, result.values)
+    assert splits == [game.arena] and len(targets) == calls
 
 
 def test_symbolic_cpre_memo_asks_each_handle_once():

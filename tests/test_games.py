@@ -4,7 +4,9 @@ import pytest
 
 from elgames import el, games
 from elgames.games import (Arena, ELGame, EXISTENTIAL, UNIVERSAL, cpre,
-                           load_game, random_game, save_game)
+                           load_game, owner_split, random_game, save_game)
+
+from test_strategy import arb2_resp2_expansion
 
 
 def two_node_arena():
@@ -14,13 +16,15 @@ def two_node_arena():
 
 def test_cpre_totality_extremes():
     arena = two_node_arena()
-    assert cpre(arena, arena.full_mask) == arena.full_mask
-    assert cpre(arena, 0) == 0
+    for player in (EXISTENTIAL, UNIVERSAL):
+        split = owner_split(arena, player)
+        assert cpre(split, arena.full_mask) == arena.full_mask
+        assert cpre(split, 0) == 0
 
 
 def test_cpre_two_node_example():
     arena = two_node_arena()
-    assert cpre(arena, 0b01) == 0b01
+    assert cpre(owner_split(arena), 0b01) == 0b01
 
 
 def test_arena_rejects_dead_ends_and_bad_edges():
@@ -90,7 +94,8 @@ def test_cpre_monotone():
         arena = random_game(seed, 7, 2).arena
         x = rng.randrange(1 << arena.n)
         y = x | rng.randrange(1 << arena.n)
-        cx, cy = cpre(arena, x), cpre(arena, y)
+        split = owner_split(arena)
+        cx, cy = cpre(split, x), cpre(split, y)
         assert cx & ~cy == 0
 
 
@@ -99,9 +104,36 @@ def test_cpre_duality_on_total_arenas():
         arena = random_game(seed, 7, 2).arena
         full = arena.full_mask
         for x in (0, full, seed * 2654435761 % (full + 1)):
-            ex = cpre(arena, x, EXISTENTIAL)
-            un = cpre(arena, ~x & full, UNIVERSAL)
+            ex = cpre(owner_split(arena, EXISTENTIAL), x)
+            un = cpre(owner_split(arena, UNIVERSAL), ~x & full)
             assert ex == ~un & full
+
+
+def cpre_by_definition(arena, target, player):
+    """Node by node: the player's nodes with a successor in ``target``,
+    the opponent's with every successor in it."""
+    out = 0
+    for v in range(arena.n):
+        inside = [target >> w & 1 for w in arena.succ[v]]
+        if any(inside) if arena.owner[v] == player else all(inside):
+            out |= 1 << v
+    return out
+
+
+def test_cpre_matches_its_definition_node_by_node():
+    rng = random.Random(11)
+    arenas = [random_game(seed, n, 2, density=0.2).arena
+              for seed, n in enumerate((1, 5, 17, 64, 65, 130))]
+    arenas.append(arb2_resp2_expansion().arena)
+    assert arenas[-1].n == 561
+    for arena in arenas:
+        full = arena.full_mask
+        targets = [0, full] + [rng.getrandbits(arena.n) for _ in range(6)]
+        for player in (EXISTENTIAL, UNIVERSAL):
+            split = owner_split(arena, player)
+            for target in targets:
+                assert cpre(split, target) == cpre_by_definition(
+                    arena, target, player), (arena.n, player, target)
 
 
 def test_dual_game_swaps_owner_and_negates():
