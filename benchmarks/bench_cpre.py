@@ -1,12 +1,15 @@
 """Benchmark of the explicit controllable predecessor, ``games.cpre``.
 
-Each workload records the targets one ``fixpoint.solve_game`` asks
+Each workload records the targets one ``fixpoint.solve`` asks
 ``games.cpre`` for (each distinct: the solve memoizes by target), then
 times a replay of those calls on fresh owner-split tables, table build
-included, as a solve pays it.  The workloads are a 60-node Streett game
-(``random_game(5, 60, 6, density=0.15)``, k=3) and the 561-node explicit
-expansion of a two-client arbiter with a bounded response, whose masks
-are far past 64 bits.  Each run's results are checked against a pinned
+included, as a solve pays it.  The recording solve does not warm-start
+(its backend has no ``subset``): every variable restarts from bottom or
+top, so the target list stays that of the plain nested iteration.  The
+workloads are a 60-node Streett game (``random_game(5, 60, 6,
+density=0.15)``, k=3) and the 561-node explicit expansion of a
+two-client arbiter with a bounded response, whose masks are far past
+64 bits.  Each run's results are checked against a pinned
 checksum.  Run as a script; pass --repeat to stabilize numbers.
 
     python benchmarks/bench_cpre.py
@@ -17,6 +20,7 @@ import time
 
 from elgames import el, fixpoint, games
 from elgames import synthesis as syn
+from elgames.zielonka import ZielonkaTree
 
 CHECKSUM_MODULUS = (1 << 61) - 1
 
@@ -35,8 +39,13 @@ def arb2_resp2_expansion():
     return syn.expand_explicit(game).elgame
 
 
+class ColdBackend(fixpoint.ExplicitBackend):
+    """Explicit backend without ``subset``: the solve never warm-starts."""
+    subset = None
+
+
 def solve_targets(game):
-    """Targets of the ``games.cpre`` calls of one ``solve_game``, in order."""
+    """Targets of the ``games.cpre`` calls of one cold solve, in order."""
     targets = []
     cpre = games.cpre
 
@@ -46,7 +55,9 @@ def solve_targets(game):
 
     games.cpre = recording
     try:
-        fixpoint.solve_game(game)
+        tree = ZielonkaTree(game.objective, game.table)
+        fixpoint.solve(fixpoint.build_equations(tree), ColdBackend(game),
+                       max_stages=game.arena.n + 1)
     finally:
         games.cpre = cpre
     return targets

@@ -15,13 +15,17 @@ explicit node masks, on symbolic decision-diagram assertions and on the
 entry-rank signature maps the strategy module extracts moves from.
 The set backends memoize the controllable predecessor by target
 (explicit masks and diagram handles are both canonical).  Each stage
-of an outer variable restarts the inner ones from bottom or top, so a
-leaf is asked again for inputs it has already solved.  The solver keeps,
-per leaf, the union of its ancestor terms and the result of each of its
-last few runs (as many as the leaf has terms), and returns the stored
-result when a union repeats.  A backend may also solve a leaf's own
-equation in one call (``leaf``); the signature backend does, as a
-worklist over the arena, and the set backends leave it to Kleene stages.
+of an outer variable runs the inner ones again, often on inputs close
+to those of an earlier run.  The solver keeps, per vertex, the inputs
+and result of its last few runs (as many as the vertex has ancestors
+plus one).  A leaf returns the stored result when its inputs repeat.
+On the set backends a run whose inputs are dominated by a stored run's
+(inside them at a greatest fixpoint, containing them at a least one)
+starts from that run's result instead of from top or bottom, as in
+Long, Browne, Clarke, Jha and Marrero (CAV 1994).  A backend may also
+solve a leaf's own equation in one call (``leaf``); the signature
+backend does, as a worklist over the arena, and the set backends leave
+it to Kleene stages.
 """
 
 from dataclasses import dataclass, field
@@ -99,7 +103,8 @@ def format_equations(system):
 
 class SetBackend:
     """Values that are node sets: ``|``, ``&`` and ``==`` on explicit
-    masks or diagram assertions, both canonical and hashable.
+    masks or diagram assertions, both canonical and hashable, so
+    ``subset`` is one union and one comparison.
 
     An attraction term's value is its guard intersected with the
     controllable predecessor of the anchor's value.  Inner iterations
@@ -130,6 +135,9 @@ class SetBackend:
 
     def equal(self, a, b):
         return a == b
+
+    def subset(self, a, b):
+        return a | b == b
 
     def term(self, s, term, value):
         key = term[1:]
@@ -179,9 +187,11 @@ class StageLimitError(RuntimeError):
 
 @dataclass
 class SolveResult:
-    """Final variable values and the number of Kleene stages run."""
+    """Final variable values, the number of Kleene stages run and, per
+    vertex, the number of runs warm-started from a stored result."""
     values: dict
     iterations: int = 0
+    warm_starts: dict = field(default_factory=dict)
 
     def winning(self):
         return self.values[0]
@@ -204,11 +214,22 @@ def solve(system, backend, max_stages=None):
     The backend supplies the values: ``bottom(s)``, ``top(s)``,
     ``union(a, b, s)``, ``intersect(a, b, s)``, ``equal(a, b)`` and
     ``term(s, term, value)``, the value of one attraction term of leaf
-    ``s`` given its anchor's value.  A leaf's ancestor terms are fixed
-    while it iterates, so a leaf run's result depends only on their
-    union.  Each leaf keeps its last ``len(terms)`` runs (its depth plus
-    one); a run whose union equals one of theirs returns that run's
-    result without a stage.
+    ``s`` given its anchor's value.  A vertex's fixpoint depends only on
+    its inputs: the union of its ancestor terms at a leaf, the tuple of
+    its ancestors' values at an internal vertex.  Each vertex keeps the
+    inputs and result of its last runs, as many as it has ancestors
+    plus one.  A leaf run whose inputs equal one of theirs returns that
+    run's result without a stage.  A backend with ``subset(a, b)``
+    (``a`` inside ``b``) also warm-starts: a greatest-fixpoint run whose
+    every input is inside the matching input of a stored run starts
+    from that run's result instead of from top, and a least-fixpoint
+    run whose every input contains the stored one starts from it
+    instead of from bottom.  By monotonicity the stored result lies on
+    the iteration's side of the new fixpoint, so the iteration reaches
+    the same value in fewer stages.  An internal vertex always runs at
+    least one stage, so its descendants' values come from its final
+    context.  (Its inputs never repeat anyway: every enclosing
+    iteration is strictly monotone, so each run sees a new tuple.)
 
     A backend with a ``leaf(s, own, fixed, lfp)`` method solves each
     leaf run in that one call, which counts as one stage: it returns
@@ -220,38 +241,51 @@ def solve(system, backend, max_stages=None):
     """
     equations = {eq.vertex: eq for eq in system.equations}
     leaf = getattr(backend, "leaf", None)
+    subset = getattr(backend, "subset", None)
     equal = backend.equal
     values = {}
-    # leaf -> (union of its ancestor terms, result) of its last len(terms)
-    # runs, newest first
+    # vertex -> (inputs, result) of its last len(ancestors) + 1 runs,
+    # newest first
     recent = {}
+    warm_starts = {}
     total_iterations = 0
 
     def run(s, ls):
         nonlocal total_iterations
         eq = equations[s]
-        if eq.op == "attract":
+        attract = eq.op == "attract"
+        if attract:
             *ancestors, own = eq.terms
-            fixed = backend.bottom(s)
+            inputs = backend.bottom(s)
             for term in ancestors:
-                fixed = backend.union(
-                    fixed, backend.term(s, term, ls[term[0]]), s)
-            runs = recent.get(s, ())
-            for prev, x in runs:
-                if equal(prev, fixed):
-                    values[s] = x
-                    return x
-            if leaf is not None:
-                total_iterations += 1
-                x = values[s] = leaf(s, own, fixed, eq.lfp)
-                recent[s] = ((fixed, x),) + runs[:len(eq.terms) - 1]
-                return x
-        x = backend.bottom(s) if eq.lfp else backend.top(s)
+                inputs = backend.union(
+                    inputs, backend.term(s, term, ls[term[0]]), s)
+        else:
+            inputs = tuple(ls.values())
+        runs = recent.get(s, ())
+        x = None
+        for prev, result in runs:
+            if attract and equal(prev, inputs):
+                values[s] = result
+                return result
+            if x is None and subset is not None:
+                lo, hi = (prev, inputs) if eq.lfp else (inputs, prev)
+                if subset(lo, hi) if attract else all(map(subset, lo, hi)):
+                    x = result
+        if attract and leaf is not None:
+            total_iterations += 1
+            x = values[s] = leaf(s, own, inputs, eq.lfp)
+            recent[s] = ((inputs, x),) + runs[:len(ls)]
+            return x
+        if x is None:
+            x = backend.bottom(s) if eq.lfp else backend.top(s)
+        else:
+            warm_starts[s] = warm_starts.get(s, 0) + 1
         stages = 0
         while True:
             w = x
-            if eq.op == "attract":
-                x = backend.union(fixed, backend.term(s, own, w), s)
+            if attract:
+                x = backend.union(inputs, backend.term(s, own, w), s)
             else:
                 ls_here = dict(ls)
                 ls_here[s] = w
@@ -270,13 +304,13 @@ def solve(system, backend, max_stages=None):
             if max_stages is not None and stages > max_stages:
                 raise StageLimitError(
                     "variable X%d did not stabilize within %d stages" % (s, max_stages))
-        if eq.op == "attract":
-            recent[s] = ((fixed, x),) + runs[:len(eq.terms) - 1]
+        if attract or subset is not None:
+            recent[s] = ((inputs, x),) + runs[:len(ls)]
         values[s] = x
         return x
 
     run(system.tree.root, {})
-    return SolveResult(values, total_iterations)
+    return SolveResult(values, total_iterations, warm_starts)
 
 
 def solve_game(game, tree=None):

@@ -65,9 +65,6 @@ class Arena:
             for w in targets:
                 yield v, w
 
-    def num_edges(self):
-        return sum(len(s) for s in self.succ)
-
 
 def iter_nodes(mask):
     """Node ids set in a mask, ascending."""

@@ -178,10 +178,11 @@ def streett_n60():
     return random_game(5, 60, 6, density=0.15, objective_factory=streett3)
 
 
-# Kleene stages of the verdict solve on streett_n60() with the leaf memo;
-# the plain recursion runs 10,390.  The plain ranked reference cannot
-# finish within this many (test_strategy.py).
-STREETT_N60_STAGES = 5540
+# Kleene stages of the verdict solve on streett_n60() with the leaf memo
+# and warm starts; without warm starts it runs 5,540, the plain
+# recursion 10,390.  The plain ranked reference cannot finish within
+# this many (test_strategy.py).
+STREETT_N60_STAGES = 1802
 
 
 def test_stage_limit_raises_stage_limit_error():
@@ -197,6 +198,15 @@ ARB2 = ("G(!(g0 & g1))", "(G F r0 -> G F g0) & (G F r1 -> G F g1)",
 
 def arb2_game():
     return syn.build_game(syn.problem_from_strings(*ARB2))
+
+
+ARB3 = ("G(!(g0 & g1) & !(g0 & g2) & !(g1 & g2))",
+        "(G F r0 -> G F g0) & (G F r1 -> G F g1) & (G F r2 -> G F g2)",
+        ["r0", "r1", "r2"], ["g0", "g1", "g2"])
+
+# Kleene stages of the symbolic solve of the 3-client arbiter with warm
+# starts; without them it runs 5,349.
+ARB3_SYMBOLIC_STAGES = 1623
 
 
 def test_symbolic_stage_limit_raises_stage_limit_error():
@@ -337,3 +347,78 @@ def test_objective_families_agree_with_oracle_dual_and_verify(name, ncolors,
         assert dual_win == ~win & game.arena.full_mask, (name, i)
         assert win and dual_win, (name, i)   # both players win somewhere
         assert verify(game, extract(game, tree, result), win), (name, i)
+
+
+def family_games():
+    """The parity, Streett, Rabin and Muller games of the fixpoint
+    family test (n=40, 6-65 tree vertices)."""
+    return [random_game(700 + i, 40, ncolors, density=0.15,
+                        objective_factory=factory)
+            for _, ncolors, factory in FAMILIES for i in range(3)]
+
+
+def expansion(safety, live, inputs, outputs):
+    """Explicit expansion of a synthesis game, as an explicit game."""
+    game = syn.build_game(syn.problem_from_strings(safety, live, inputs, outputs))
+    return syn.expand_explicit(game).elgame
+
+
+def arb2_expansion():
+    return expansion(*ARB2)
+
+
+def readme_expansion():
+    """The README's synthesis example: 3 least-fixpoint leaves."""
+    return expansion("G(b|c) & G(a -> b | X X b)",
+                     "(G F a -> G F b) & ((F G !a | F G !(b&c)) & G F c)",
+                     ["a"], ["b", "c"])
+
+
+def arb2_resp2_expansion():
+    """arb2 with a bounded response: 561 nodes, 2 greatest-fixpoint leaves."""
+    safety, live, inputs, outputs = ARB2
+    return expansion(safety + " & G(r0 -> X g0 | X X g0)", live, inputs, outputs)
+
+
+class ColdExplicit(ExplicitBackend):
+    """Explicit backend without ``subset``: no run is warm-started."""
+    subset = None
+
+
+class ColdSymbolic(syn.SymbolicBackend):
+    subset = None
+
+
+def test_warm_starts_leave_every_vertex_value_unchanged():
+    games = family_games() + [streett_n60(), readme_expansion(),
+                              arb2_resp2_expansion()]
+    for k, game in enumerate(games):
+        system = build_equations(ZielonkaTree(game.objective, game.table))
+        bound = game.arena.n + 1
+        warm = solve(system, ExplicitBackend(game), max_stages=bound)
+        cold = solve(system, ColdExplicit(game), max_stages=bound)
+        assert warm.values == cold.values, k
+        assert cold.warm_starts == {} and warm.iterations <= cold.iterations, k
+    game = arb2_game()
+    system = build_equations(ZielonkaTree(game.el_formula, game.color_table))
+    warm = solve(system, syn.SymbolicBackend(game))
+    cold = solve(system, ColdSymbolic(game))
+    assert warm.values == cold.values
+
+
+def test_warm_starts_on_both_polarities():
+    # Least-fixpoint runs start from a stored result whose inputs are
+    # inside theirs, greatest-fixpoint runs from one whose inputs contain
+    # theirs; streett_n60() has both.
+    game = streett_n60()
+    system = build_equations(ZielonkaTree(game.objective, game.table))
+    result = solve(system, ExplicitBackend(game), max_stages=game.arena.n + 1)
+    lfp = {eq.vertex: eq.lfp for eq in system.equations}
+    assert {lfp[s] for s, n in result.warm_starts.items() if n} == {True, False}
+
+
+def test_arb3_symbolic_stage_count():
+    game = syn.build_game(syn.problem_from_strings(*ARB3))
+    win, _, result = syn.solve_symbolic(game)
+    assert syn.is_won(game, win)
+    assert result.iterations <= ARB3_SYMBOLIC_STAGES

@@ -6,7 +6,7 @@ from elgames import el, games
 from elgames.games import (Arena, ELGame, EXISTENTIAL, UNIVERSAL, cpre,
                            load_game, owner_split, random_game, save_game)
 
-from test_strategy import arb2_resp2_expansion
+from test_fixpoint import arb2_resp2_expansion
 
 
 def two_node_arena():

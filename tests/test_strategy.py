@@ -3,7 +3,6 @@ import random
 import pytest
 
 from elgames import el, fixpoint, strategy
-from elgames import synthesis as syn
 from elgames.fixpoint import solve_game
 from elgames.fixpoint import ExplicitBackend, build_equations, guard_table
 from elgames.games import Arena, ELGame, EXISTENTIAL, UNIVERSAL, random_game
@@ -14,7 +13,9 @@ from elgames.games import iter_nodes
 
 from mutations import with_redirected_move
 from ranked_reference import _Terms, equation_errors, ranked_solve_reference
-from test_fixpoint import ARB2, FAMILIES, STREETT_N60_STAGES, streett_n60
+from test_fixpoint import (STREETT_N60_STAGES, arb2_expansion,
+                           arb2_resp2_expansion, family_games,
+                           readme_expansion, streett_n60)
 
 
 def solved(game):
@@ -172,37 +173,6 @@ def test_memory_members_stay_inside_variable_solutions():
         for (v, m, w), m2 in strat.update.items():
             if win >> w & 1:
                 assert result.values[m2] >> w & 1, (seed, v, m, w)
-
-
-def family_games():
-    """The parity, Streett, Rabin and Muller games of the fixpoint
-    family test (n=40, 6-65 tree vertices)."""
-    return [random_game(700 + i, 40, ncolors, density=0.15,
-                        objective_factory=factory)
-            for _, ncolors, factory in FAMILIES for i in range(3)]
-
-
-def expansion(safety, live, inputs, outputs):
-    """Explicit expansion of a synthesis game, as an explicit game."""
-    game = syn.build_game(syn.problem_from_strings(safety, live, inputs, outputs))
-    return syn.expand_explicit(game).elgame
-
-
-def arb2_expansion():
-    return expansion(*ARB2)
-
-
-def readme_expansion():
-    """The README's synthesis example: 3 least-fixpoint leaves."""
-    return expansion("G(b|c) & G(a -> b | X X b)",
-                     "(G F a -> G F b) & ((F G !a | F G !(b&c)) & G F c)",
-                     ["a"], ["b", "c"])
-
-
-def arb2_resp2_expansion():
-    """arb2 with a bounded response: 561 nodes, 2 greatest-fixpoint leaves."""
-    safety, live, inputs, outputs = ARB2
-    return expansion(safety + " & G(r0 -> X g0 | X X g0)", live, inputs, outputs)
 
 
 def tree_of(game):
