@@ -102,22 +102,25 @@ def format_equations(system):
 
 
 class SetBackend:
-    """Values that are node sets: ``|``, ``&`` and ``==`` on explicit
-    masks or diagram assertions, both canonical and hashable, so
-    ``subset`` is one union and one comparison.
+    """Values that are node sets: ``|``, ``&``, ``~`` and ``==`` on
+    explicit masks or diagram assertions, both canonical and hashable,
+    so ``subset`` is one union and one comparison.
 
     An attraction term's value is its guard intersected with the
-    controllable predecessor of the anchor's value.  Inner iterations
-    keep asking for the predecessor of the same few sets, so guards and
-    ``cpre`` results are memoized, by guard masks and by target, for
-    the life of the backend; each solve makes its own backend.
-    Subclasses give ``guard`` and ``cpre`` and pass the empty and the
-    full set.
+    controllable predecessor of the anchor's value.  The guard is
+    stated once, over ``colors``, the set of nodes of each color: the
+    nodes with no color outside the subset mask and, when an escape
+    mask is given, some color outside it.  Inner iterations keep asking
+    for the predecessor of the same few sets, so guards and ``cpre``
+    results are memoized, by guard masks and by target, for the life of
+    the backend; each solve makes its own backend.  Subclasses give
+    ``cpre`` and pass the empty set, the full set and the color sets.
     """
 
-    def __init__(self, empty, full):
+    def __init__(self, empty, full, colors):
         self.empty = empty
         self.full = full
+        self.colors = tuple(colors)
         self._guards = {}
         self._pre = {}
 
@@ -139,6 +142,21 @@ class SetBackend:
     def subset(self, a, b):
         return a | b == b
 
+    def guard(self, subset, escape):
+        """Nodes whose colors lie inside ``subset`` and, unless
+        ``escape`` is None, not inside ``escape``."""
+        out = self.full
+        for cid, nodes in enumerate(self.colors):
+            if not subset >> cid & 1:
+                out = out & ~nodes
+        if escape is None:
+            return out
+        escapes = self.empty
+        for cid, nodes in enumerate(self.colors):
+            if not escape >> cid & 1:
+                escapes = escapes | nodes
+        return out & escapes
+
     def term(self, s, term, value):
         key = term[1:]
         guard = self._guards.get(key)
@@ -153,13 +171,24 @@ class SetBackend:
 class ExplicitBackend(SetBackend):
     """Set backend over integer node masks of an explicit game.
 
-    The owner-split successor tables of ``games.cpre`` are built on the
-    first ``cpre`` call and live as long as the backend, so a backend
-    used only for guards (``guard_table``) never builds them.
+    Its color sets are one node mask per color of the game's table,
+    built in one pass over the arena's colors.  The owner-split
+    successor tables of ``games.cpre`` are built on the first ``cpre``
+    call and live as long as the backend, so a backend used only for
+    guards (``guard_table``) never builds them.
     """
 
     def __init__(self, game):
-        super().__init__(0, game.arena.full_mask)
+        by_mask = {}   # color mask -> nodes with exactly those colors
+        bit = 1
+        for mask in game.arena.colors:
+            by_mask[mask] = by_mask.get(mask, 0) | bit
+            bit <<= 1
+        colors = [0] * len(game.table)
+        for mask, nodes in by_mask.items():
+            for cid in games.iter_nodes(mask):
+                colors[cid] |= nodes
+        super().__init__(0, game.arena.full_mask, colors)
         self.game = game
         self.arena = game.arena
         self._split = None
@@ -168,17 +197,6 @@ class ExplicitBackend(SetBackend):
         if self._split is None:
             self._split = games.owner_split(self.arena)
         return games.cpre(self._split, target)
-
-    def guard(self, subset_mask, escape_mask):
-        outside = ~subset_mask
-        escaped = 0 if escape_mask is None else ~escape_mask
-        out = 0
-        bit = 1
-        for colors in self.arena.colors:
-            if not colors & outside and (escape_mask is None or colors & escaped):
-                out |= bit
-            bit <<= 1
-        return out
 
 
 class StageLimitError(RuntimeError):

@@ -450,39 +450,32 @@ class _Extractor:
             raise AssertionError("no admitted successor at node %d leaf %d" % (v, m))
         return min(candidates, key=lambda w: (lifted(w), continuation_depth(w), w))
 
-    def descend(self, v_next, start, from_leaf):
-        """Leaf below ``start`` per the memory-update rules; ``v_next``
-        steers losing vertices, ``from_leaf`` seeds the round-robin."""
+    def position(self, v, m):
+        """Where node ``v``'s colors attach against memory leaf ``m``:
+        the anchor and the slot of its child towards ``m`` (-1 when the
+        anchor is ``m`` itself)."""
+        tree = self.tree
+        s = tree.anchor(m, self.arena.colors[v])
+        if s == m:
+            return s, -1
+        return s, tree.children[s].index(tree.child_towards(s, m))
+
+    def descend(self, v_next, start, slot=-1):
+        """Leaf below ``start`` per the memory-update rules: ``v_next``
+        steers losing vertices; a winning ``start`` takes the child after
+        ``slot``, round-robin, and every other winning vertex its first
+        child."""
         tree = self.tree
         cur = start
-        at_pivot = True
-        while not tree.is_leaf(cur):
-            kids = tree.children[cur]
-            if not tree.winning[cur]:
+        kids = tree.children[cur]
+        while kids:
+            if tree.winning[cur]:
+                cur = kids[(slot + 1) % len(kids)]
+            else:
                 cur = self.choice(v_next, cur)
-            elif at_pivot:
-                o = kids.index(tree.child_towards(cur, from_leaf))
-                cur = kids[(o + 1) % len(kids)]
-            else:
-                cur = kids[0]
-            at_pivot = False
+            slot = -1
+            kids = tree.children[cur]
         return cur
-
-    def initial_leaf(self, v):
-        tree = self.tree
-        cur = tree.root
-        while not tree.is_leaf(cur):
-            if not tree.winning[cur]:
-                cur = self.choice(v, cur)
-            else:
-                cur = tree.children[cur][0]
-        return cur
-
-    def next_memory(self, v, m, w):
-        s = self.tree.anchor(m, self.arena.colors[v])
-        if self.tree.is_leaf(s):
-            return s
-        return self.descend(w, s, m)
 
 
 def extract(game, tree, result):
@@ -494,17 +487,18 @@ def extract(game, tree, result):
     move = {}
     update = {}
     for v in iter_nodes(win):
-        initial[v] = ex.initial_leaf(v)
+        initial[v] = ex.descend(v, tree.root)
     for m in tree.leaves:
         members = result.values[m] & win
         for v in iter_nodes(members):
+            s, slot = ex.position(v, m)
             if arena.owner[v] == EXISTENTIAL:
-                w = ex.pick_move(v, m)
-                move[(v, m)] = w
-                update[(v, m, w)] = ex.next_memory(v, m, w)
+                w = move[(v, m)] = ex.pick_move(v, m)
+                succs = (w,)
             else:
-                for w in arena.succ[v]:
-                    update[(v, m, w)] = ex.next_memory(v, m, w)
+                succs = arena.succ[v]
+            for w in succs:
+                update[(v, m, w)] = ex.descend(w, s, slot)
     return ELStrategy(game, tree, win, initial, move, update)
 
 

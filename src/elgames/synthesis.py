@@ -215,29 +215,16 @@ def symbolic_cpre(game, target):
 
 
 class SymbolicBackend(SetBackend):
-    """Assertion-set backend for the generic fixpoint solver."""
+    """Assertion-set backend for the generic fixpoint solver; its color
+    sets are the color assertions over the letter block."""
 
     def __init__(self, game):
-        super().__init__(game.manager.false, game.manager.true)
+        super().__init__(game.manager.false, game.manager.true,
+                         game.color_assertions)
         self.game = game
-        self.manager = game.manager
 
     def cpre(self, target):
         return symbolic_cpre(self.game, target)
-
-    def guard(self, subset_mask, escape_mask):
-        m = self.manager
-        inside = m.true
-        for cid, ca in enumerate(self.game.color_assertions):
-            if not subset_mask >> cid & 1:
-                inside = inside & ~ca
-        if escape_mask is None:
-            return inside
-        escapes = m.false
-        for cid, ca in enumerate(self.game.color_assertions):
-            if not escape_mask >> cid & 1:
-                escapes = escapes | ca
-        return inside & escapes
 
 
 def solve_symbolic(game):
@@ -393,30 +380,22 @@ class MealyController:
     def __len__(self):
         return len(self.states)
 
+    def _steps(self, input_sets):
+        """(input, output, state) of each step against the given input
+        sequence."""
+        state = None
+        for step, inp in enumerate(input_sets):
+            inp = frozenset(inp)
+            out, state = self.init[inp] if step == 0 else self.trans[(state, inp)]
+            yield inp, out, state
+
     def run(self, input_sets):
         """Letters produced against the given input sequence."""
-        letters = []
-        state = None
-        for step, inp in enumerate(input_sets):
-            inp = frozenset(inp)
-            if step == 0:
-                out, state = self.init[inp]
-            else:
-                out, state = self.trans[(state, inp)]
-            letters.append(inp | out)
-        return letters
+        return [inp | out for inp, out, _ in self._steps(input_sets)]
 
     def state_trace(self, input_sets):
-        trace = []
-        state = None
-        for step, inp in enumerate(input_sets):
-            inp = frozenset(inp)
-            if step == 0:
-                _, state = self.init[inp]
-            else:
-                _, state = self.trans[(state, inp)]
-            trace.append(state)
-        return trace
+        """States entered against the given input sequence."""
+        return [state for _, _, state in self._steps(input_sets)]
 
     def to_text(self):
         def cube(names, chosen):
@@ -453,36 +432,7 @@ def extract_controller(game, expansion=None, explicit=None):
         explicit = solve_game(expansion.elgame)
     ewin, etree, eresult = explicit
     exp = expansion
-    arena = exp.elgame.arena
     ex = _Extractor(exp.elgame, etree, eresult)
-    rmaps = ex.ranked
-
-    def sig_of(vid, vertex):
-        return rmaps[vertex].get(vid)
-
-    def consume(vid, leaf):
-        """Anchor of a full node against memory ``leaf``, as (anchor, slot)."""
-        anchor = etree.anchor(leaf, arena.colors[vid])
-        if etree.is_leaf(anchor):
-            return anchor, -1
-        child = etree.child_towards(anchor, leaf)
-        return anchor, etree.children[anchor].index(child)
-
-    def descend_from(anchor, slot, mid_vid):
-        """Memory leaf after the pivot, steered by the entered node."""
-        tree = etree
-        cur = anchor
-        first = True
-        while not tree.is_leaf(cur):
-            kids = tree.children[cur]
-            if not tree.winning[cur]:
-                cur = ex.choice(mid_vid, cur)
-            elif first and slot >= 0:
-                cur = kids[(slot + 1) % len(kids)]
-            else:
-                cur = kids[0]
-            first = False
-        return cur
 
     states = []
     state_index = {}
@@ -503,7 +453,7 @@ def extract_controller(game, expansion=None, explicit=None):
             vid = exp.index.get(("full", exp.initial_subset, letter))
             if vid is None or not ewin >> vid & 1:
                 continue
-            sig = sig_of(vid, etree.root)
+            sig = ex.ranked[etree.root].get(vid)
             key = (sig, sorted(out))
             if best is None or key < best[0]:
                 best = (key, out, vid)
@@ -511,8 +461,8 @@ def extract_controller(game, expansion=None, explicit=None):
             raise SynthesisError("no winning first output for input %s"
                                  % sorted(inp))
         _, out, vid = best
-        leaf = ex.initial_leaf(vid)
-        anchor, slot = consume(vid, leaf)
+        leaf = ex.descend(vid, etree.root)
+        anchor, slot = ex.position(vid, leaf)
         letter = frozenset(inp | out)
         nxt = game.dsa.step_bits(exp.initial_subset, letter)
         q = intern(nxt, anchor, slot)
@@ -532,13 +482,13 @@ def extract_controller(game, expansion=None, explicit=None):
             if mid is None:
                 raise SynthesisError(
                     "controller reached an unexplored subset %x" % bits)
-            leaf = descend_from(anchor, slot, mid)
+            leaf = ex.descend(mid, anchor, slot)
             w = ex.pick_move(mid, leaf)
             wkind = exp.kinds[w]
             assert wkind[0] == "full"
             _, wbits, wletter = wkind
             out = frozenset(wletter & set(game.outputs))
-            anchor2, slot2 = consume(w, leaf)
+            anchor2, slot2 = ex.position(w, leaf)
             nxt = game.dsa.step_bits(wbits, wletter)
             q2 = intern(nxt, anchor2, slot2)
             trans[(q, frozenset(inp))] = (out, q2)
@@ -565,9 +515,11 @@ class SynthesisResult:
 def solve_synthesis(problem, with_controller=True, expand_check=False):
     game = build_game(problem)
     win, tree, _ = solve_symbolic(game)
+    expansion = explicit = None
     if expand_check:
-        cross_check_symbolic_vs_explicit(game, win)
+        expansion, *explicit = cross_check_symbolic_vs_explicit(game, win)
     if not is_won(game, win):
         return SynthesisResult(False, game, win, tree, losing_region=~win)
-    controller = extract_controller(game) if with_controller else None
+    controller = (extract_controller(game, expansion, explicit)
+                  if with_controller else None)
     return SynthesisResult(True, game, win, tree, controller=controller)

@@ -8,10 +8,9 @@ children are ordered by descending label cardinality, then by mask
 value, which makes the numbering (the total order used everywhere
 downstream) deterministic.
 
-Also provided: anchor computation, the ancestor-segment membership test
-used by the fixpoint equations, and a fair induced-walk simulator over
-ultimately periodic color sequences that serves as a semantic oracle in
-the tests.
+Also provided: anchor computation and a fair induced-walk simulator
+over ultimately periodic color sequences that serves as a semantic
+oracle in the tests.
 """
 
 from dataclasses import dataclass
@@ -101,18 +100,6 @@ class ZielonkaTree:
         while colors & ~self.label[v]:
             v = self.parent[v]
         return v
-
-    def anc_member(self, s, t, colors):
-        """Whether a node with the given colors anchors the segment (s, t).
-
-        True iff ``colors`` is inside the label of ``s`` and, unless
-        ``s == t``, escapes the label of the child of ``s`` towards ``t``.
-        """
-        if colors & ~self.label[s]:
-            return False
-        if s == t:
-            return True
-        return bool(colors & ~self.label[self.child_towards(s, t)])
 
     def vertex_with_label(self, mask):
         for v, lab in enumerate(self.label):

@@ -14,7 +14,7 @@ def with_redirected_move(game, tree, result, strategy, v, m, new_w):
     update = dict(strategy.update)
     move[(v, m)] = new_w
     try:
-        update[(v, m, new_w)] = ex.next_memory(v, m, new_w)
+        update[(v, m, new_w)] = ex.descend(new_w, *ex.position(v, m))
     except (KeyError, AssertionError):
         update[(v, m, new_w)] = tree.min_leaf
     return ELStrategy(game, tree, strategy.win_mask, dict(strategy.initial),

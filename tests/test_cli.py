@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from elgames import cli
@@ -49,6 +51,18 @@ def test_solve_with_verify_and_oracle(game_file, capsys, tmp_path):
     assert code == 0, out
     assert "verified" in out and "agrees" in out
     assert open(strat).read().startswith("strategy 1")
+
+
+def test_readme_game_file_solves_verifies_and_agrees(capsys):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    block = readme.split("```\nelgame 1\n", 1)[1].split("```", 1)[0]
+    example = root / "example.elg"
+    assert example.read_text() == "elgame 1\n" + block
+    code = main(["solve", str(example), "--verify", "--oracle-check"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "verified" in out and "agrees" in out
 
 
 def test_solve_deterministic_output(game_file, capsys):

@@ -13,6 +13,7 @@ from elgames.zielonka import ZielonkaTree
 
 from ranked_reference import ranked_solve_reference
 from test_el import example_objective, ABCD
+from test_synthesis import running_problem
 
 
 def guard_accepts(term, colors):
@@ -132,6 +133,40 @@ def test_every_node_admitted_by_exactly_one_term():
                 hits = [t for t in eqn.terms if guard_accepts(t, colors)]
                 assert len(hits) == 1
                 assert hits[0][0] == tree.anchor(eqn.vertex, colors)
+
+
+def test_explicit_guard_matches_its_definition():
+    # Node by node, on every term of every leaf: the backend's guard
+    # mask holds exactly the nodes whose colors the term accepts.
+    rng = random.Random(12)
+    cases = [random_game(rng.randrange(1 << 16), rng.randint(5, 40),
+                         rng.randint(1, 5)) for _ in range(30)]
+    cases += family_games() + [readme_expansion()]
+    for game in cases:
+        backend = ExplicitBackend(game)
+        for eqn in build_equations(ZielonkaTree(game.objective, game.table)):
+            for term in eqn.terms:
+                expected = 0
+                for v, colors in enumerate(game.arena.colors):
+                    if guard_accepts(term, colors):
+                        expected |= 1 << v
+                assert backend.guard(*term[1:]) == expected, term
+
+
+def test_symbolic_guard_matches_its_definition():
+    # On every letter of the running example: the guard assertion holds
+    # exactly where the term accepts the letter's colors.
+    game = syn.build_game(running_problem())
+    m = game.manager
+    backend = syn.SymbolicBackend(game)
+    letters = list(syn._letters(game.ap))
+    for eqn in build_equations(ZielonkaTree(game.el_formula, game.color_table)):
+        for term in eqn.terms:
+            guard = backend.guard(*term[1:])
+            for letter in letters:
+                values = {name: name in letter for name in game.ap}
+                assert m.eval(guard, values) == guard_accepts(
+                    term, game.letter_colors(letter)), (term, sorted(letter))
 
 
 def test_solve_single_node_games():

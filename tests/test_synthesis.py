@@ -129,6 +129,29 @@ def test_running_example_realizable_with_verified_controller():
     assert el.evaluate(game.el_formula, union)
 
 
+def test_expand_check_expands_and_solves_once(monkeypatch):
+    # The controller reuses the cross-check's expansion and explicit solve.
+    calls = []
+    expand, solve = syn.expand_explicit, syn.solve_game
+
+    def counting_expand(game):
+        calls.append("expand")
+        return expand(game)
+
+    def counting_solve(game):
+        calls.append("solve")
+        return solve(game)
+
+    monkeypatch.setattr(syn, "expand_explicit", counting_expand)
+    monkeypatch.setattr(syn, "solve_game", counting_solve)
+    res = syn.solve_synthesis(running_problem(), expand_check=True)
+    assert res.realizable
+    assert sorted(calls) == ["expand", "solve"]
+    monkeypatch.undo()
+    plain = syn.solve_synthesis(running_problem())
+    assert res.controller.to_text() == plain.controller.to_text()
+
+
 def test_running_example_initial_node_wins_for_every_first_input():
     res = syn.solve_synthesis(running_problem(), with_controller=False)
     game = res.game

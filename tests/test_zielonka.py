@@ -124,31 +124,6 @@ def test_anchor_examples_on_branching_tree():
     assert tree.anchor(leaf, 0) == leaf
 
 
-def test_anc_membership_matches_anchor_for_leaves():
-    rng = random.Random(5)
-    for _ in range(40):
-        ncolors = rng.randint(1, 4)
-        table = el.ColorTable("abcd"[:ncolors])
-        phi = el.random_formula(rng, table, 3)
-        tree = ZielonkaTree(phi, table)
-        for t in tree.leaves:
-            for colors in range(table.full_mask + 1):
-                holds = [s for s in tree.ancestors(t)
-                         if tree.anc_member(s, t, colors)]
-                assert holds == [tree.anchor(t, colors)]
-
-
-def test_anc_sets_for_generalized_buchi():
-    names = ["f1", "f2", "f3"]
-    table = el.ColorTable(names)
-    tree = ZielonkaTree(el.generalized_buchi(table, names), table)
-    for child in tree.children[tree.root]:
-        missing = table.full_mask & ~tree.label[child]
-        for colors in range(table.full_mask + 1):
-            assert tree.anc_member(tree.root, child, colors) == bool(colors & missing)
-            assert tree.anc_member(child, child, colors) == (not colors & missing)
-
-
 def test_fair_walk_on_buchi_lassos():
     tree, table = buchi_tree()
     dom, winning = fair_induced_walk(tree, LassoPlay((), (table.mask("f"),)))
