@@ -124,9 +124,16 @@ def cmd_synth(args):
         args.safety, args.el,
         [n.strip() for n in args.inputs.split(",") if n.strip()],
         [n.strip() for n in args.outputs.split(",") if n.strip()])
-    result = syn.solve_synthesis(problem, with_controller=bool(args.controller),
-                                 expand_check=args.expand_check)
+    try:
+        result = syn.solve_synthesis(
+            problem, with_controller=bool(args.controller),
+            expand_check=args.expand_check)
+    except syn.ExpansionMismatch as exc:
+        print("expand-check: DISAGREES (%s)" % exc)
+        return 1
     print("REALIZABLE" if result.realizable else "UNREALIZABLE")
+    if args.expand_check:
+        print("expand-check: agrees")
     if result.realizable and args.controller:
         _write(args.controller, result.controller.to_text())
         print("controller with %d states written to %s"

@@ -11,11 +11,14 @@ solved by the generic fixpoint solver over diagram assertions, with the
 one-step controllable predecessor quantifying primed inputs universally
 and primed outputs and subset variables existentially.
 
-Controllers are extracted from the explicit expansion of the winning
-sub-arena: states pair a reachable subset with the position in the
-objective's tree where the last consumed letter anchored (vertex plus
-child slot, which seeds the round-robin through winning branches), and
-moves follow the certified signature rules of the strategy module.
+Controllers are extracted from the game's explicit expansion, whose
+intermediate nodes (the system's output choice) are keyed by the next
+subset and the input rather than by the full node they follow, so each
+is built once.  Controller states pair a reachable subset with the
+position in the objective's tree where the last consumed letter
+anchored (vertex plus child slot, which seeds the round-robin through
+winning branches), and moves follow the certified signature rules of the
+strategy module.
 """
 
 import re
@@ -38,6 +41,10 @@ class SynthesisError(ValueError):
 class NotELFragment(SynthesisError):
     def __init__(self, node):
         super().__init__("not in the liveness fragment: %r" % (node,))
+
+
+class ExpansionMismatch(AssertionError):
+    """The symbolic and the explicit solve disagree on a full node."""
 
 
 @dataclass
@@ -253,11 +260,16 @@ DEAD_COLOR = "stuck"
 class ExplicitExpansion:
     game: object               # the symbolic game it expands
     elgame: ELGame
-    kinds: list                # per node: ("full", subset, letter) or
-                               # ("mid", subset, letter, inp) or ("sink",)
+    kinds: list                # per node: ("full", subset, letter),
+                               # ("mid", next subset, inp), ("dead", inp)
+                               # or ("sink",)
     index: dict                # kind tuple -> node id
-    mid_rep: dict              # (next subset, input) -> representative mid id
     initial_subset: int
+
+    def next_subset(self, vid):
+        """Subset after a live full node's letter, read off the key of
+        its intermediate successors."""
+        return self.kinds[self.elgame.arena.succ[vid][0]][1]
 
 
 def _letters(names):
@@ -267,10 +279,24 @@ def _letters(names):
 
 
 def expand_explicit(game):
-    """Explicit arena of the symbolic game: full nodes carry (subset,
-    letter), intermediate nodes fix the next input, and a sink absorbs
-    positions where the subset has died (its fresh color is required to
-    occur only finitely often, so entering it loses)."""
+    """Explicit arena of the symbolic game with one intermediate node per
+    (next subset, input).
+
+    Full nodes carry (subset, letter); there the environment picks the
+    next input, and at the intermediate node the system picks the
+    output.  A full node steps the automaton once, and an intermediate
+    node's moves depend only on that next subset and the input, so every
+    full node with the same key shares the intermediate node ("mid",
+    next subset, input), whose successors are the full nodes ("full",
+    next subset, input | output): the bisimulation quotient of one
+    intermediate node per (full node, input), built directly.  A full
+    node whose subset has already died moves to ("dead", input) instead
+    (one per input, so each full node keeps one distinct successor per
+    input), which leads only to a sink (its fresh color is required to
+    occur only finitely often, so entering it loses); that key stays apart from
+    ("mid", 0, input), whose full successors still carry subset 0.  Nodes
+    are numbered in first-seen breadth-first order, which keeps the
+    relative order of the full nodes of the unmerged expansion."""
     dsa = game.dsa
     table = game.color_table
     xtable = el.ColorTable(tuple(table.names) + (DEAD_COLOR,))
@@ -287,58 +313,43 @@ def expand_explicit(game):
     owner = [UNIVERSAL]
     colors = [dead_bit]
     succ = [[0]]
-    mid_rep = {}
+    queue = []
 
     def intern(kind, node_owner, node_colors):
-        if kind in index:
-            return index[kind]
-        index[kind] = len(kinds)
-        kinds.append(kind)
-        owner.append(node_owner)
-        colors.append(node_colors)
-        succ.append([])
-        return index[kind]
+        vid = index.get(kind)
+        if vid is None:
+            vid = index[kind] = len(kinds)
+            kinds.append(kind)
+            owner.append(node_owner)
+            colors.append(node_colors)
+            succ.append([])
+            queue.append(vid)
+        return vid
 
-    queue = []
     for letter in letters:
-        vid = intern(("full", init_bits, letter), UNIVERSAL,
-                     game.letter_colors(letter))
-        queue.append(vid)
-    head = 0
-    seen = set(queue)
-    while head < len(queue):
-        vid = queue[head]
-        head += 1
+        intern(("full", init_bits, letter), UNIVERSAL, game.letter_colors(letter))
+    for vid in queue:              # grows as intern meets new nodes
         kind = kinds[vid]
         if kind[0] == "full":
             _, bits, letter = kind
-            nxt = dsa.step_bits(bits, letter) if bits else 0
-            for inp in inputs:
-                mid = intern(("mid", bits, letter, inp), EXISTENTIAL, 0)
-                mid_rep.setdefault((nxt, inp), mid)
-                succ[vid].append(mid)
-                if mid not in seen:
-                    seen.add(mid)
-                    queue.append(mid)
+            if bits:
+                nxt = dsa.step_bits(bits, letter)
+                keys = [("mid", nxt, inp) for inp in inputs]
+            else:
+                keys = [("dead", inp) for inp in inputs]
+            succ[vid] = [intern(key, EXISTENTIAL, 0) for key in keys]
+        elif kind[0] == "mid":
+            _, nxt, inp = kind
+            succ[vid] = [intern(("full", nxt, inp | out), UNIVERSAL,
+                                game.letter_colors(inp | out))
+                         for out in outputs]
         else:
-            _, bits, letter, inp = kind
-            if bits == 0:
-                # the subset died one step earlier: no legal output move
-                succ[vid].append(0)
-                continue
-            nxt = dsa.step_bits(bits, letter)
-            for out in outputs:
-                nletter = frozenset(inp | out)
-                w = intern(("full", nxt, nletter), UNIVERSAL,
-                           game.letter_colors(nletter))
-                succ[vid].append(w)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
+            # the subset died one step earlier: no legal output move
+            succ[vid] = [0]
 
     arena = Arena(owner, succ, colors)
     elgame = ELGame(arena, xtable, objective)
-    return ExplicitExpansion(game, elgame, kinds, index, mid_rep, init_bits)
+    return ExplicitExpansion(game, elgame, kinds, index, init_bits)
 
 
 def cross_check_symbolic_vs_explicit(game, win):
@@ -359,7 +370,7 @@ def cross_check_symbolic_vs_explicit(game, win):
         symbolic = m.eval(win, values)
         explicit = bool(ewin >> vid & 1)
         if symbolic != explicit:
-            raise AssertionError(
+            raise ExpansionMismatch(
                 "winner mismatch at subset=%x letter=%s: symbolic=%s explicit=%s"
                 % (bits, sorted(letter), symbolic, explicit))
     return exp, ewin, etree, eresult
@@ -463,9 +474,7 @@ def extract_controller(game, expansion=None, explicit=None):
         _, out, vid = best
         leaf = ex.descend(vid, etree.root)
         anchor, slot = ex.position(vid, leaf)
-        letter = frozenset(inp | out)
-        nxt = game.dsa.step_bits(exp.initial_subset, letter)
-        q = intern(nxt, anchor, slot)
+        q = intern(exp.next_subset(vid), anchor, slot)
         init[frozenset(inp)] = (frozenset(out), q)
         queue.append(q)
 
@@ -478,19 +487,12 @@ def extract_controller(game, expansion=None, explicit=None):
         done.add(q)
         bits, anchor, slot = states[q]
         for inp in _letters(game.inputs):
-            mid = exp.mid_rep.get((bits, frozenset(inp)))
-            if mid is None:
-                raise SynthesisError(
-                    "controller reached an unexplored subset %x" % bits)
+            mid = exp.index[("mid", bits, inp)]
             leaf = ex.descend(mid, anchor, slot)
             w = ex.pick_move(mid, leaf)
-            wkind = exp.kinds[w]
-            assert wkind[0] == "full"
-            _, wbits, wletter = wkind
-            out = frozenset(wletter & set(game.outputs))
+            out = exp.kinds[w][2] - inp
             anchor2, slot2 = ex.position(w, leaf)
-            nxt = game.dsa.step_bits(wbits, wletter)
-            q2 = intern(nxt, anchor2, slot2)
+            q2 = intern(exp.next_subset(w), anchor2, slot2)
             trans[(q, frozenset(inp))] = (out, q2)
             if q2 not in done:
                 queue.append(q2)

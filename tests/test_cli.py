@@ -53,13 +53,17 @@ def test_solve_with_verify_and_oracle(game_file, capsys, tmp_path):
     assert open(strat).read().startswith("strategy 1")
 
 
-def test_readme_game_file_solves_verifies_and_agrees(capsys):
-    root = pathlib.Path(__file__).resolve().parent.parent
-    readme = (root / "README.md").read_text()
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_readme_game_block_is_the_example_file():
+    readme = (ROOT / "README.md").read_text()
     block = readme.split("```\nelgame 1\n", 1)[1].split("```", 1)[0]
-    example = root / "example.elg"
-    assert example.read_text() == "elgame 1\n" + block
-    code = main(["solve", str(example), "--verify", "--oracle-check"])
+    assert (ROOT / "example.elg").read_text() == "elgame 1\n" + block
+
+
+def test_readme_game_file_solves_verifies_and_agrees(capsys):
+    code = main(["solve", str(ROOT / "example.elg"), "--verify", "--oracle-check"])
     out = capsys.readouterr().out
     assert code == 0, out
     assert "verified" in out and "agrees" in out
@@ -112,6 +116,33 @@ def test_synth_controller_file(tmp_path, capsys):
     assert code == 0
     assert "REALIZABLE" in capsys.readouterr().out
     assert open(ctrl).read().startswith("mealy 1")
+
+
+README_SYNTH = ["synth", "--safety", "G(b|c) & G(a -> b | X X b)",
+                "--el", "(G F a -> G F b) & ((F G !a | F G !(b&c)) & G F c)",
+                "--inputs", "a", "--outputs", "b,c", "--expand-check"]
+
+
+def test_synth_expand_check_agrees(capsys):
+    assert main(README_SYNTH) == 0
+    assert capsys.readouterr().out.splitlines() == ["REALIZABLE",
+                                                    "expand-check: agrees"]
+
+
+def test_synth_expand_check_reports_a_mismatch(monkeypatch, capsys):
+    # A symbolic solve that returns the complement of its winning region
+    # disagrees with the explicit expansion on its first full node.
+    solve_symbolic = cli.syn.solve_symbolic
+
+    def complemented(game):
+        win, tree, result = solve_symbolic(game)
+        return ~win, tree, result
+
+    monkeypatch.setattr(cli.syn, "solve_symbolic", complemented)
+    assert main(README_SYNTH) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("expand-check: DISAGREES (winner mismatch at subset=")
+    assert "REALIZABLE" not in out
 
 
 def test_corpus_deterministic_and_green(capsys):

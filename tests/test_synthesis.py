@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -150,6 +151,87 @@ def test_expand_check_expands_and_solves_once(monkeypatch):
     monkeypatch.undo()
     plain = syn.solve_synthesis(running_problem())
     assert res.controller.to_text() == plain.controller.to_text()
+
+
+def arbiter_expansion(spec):
+    game = syn.build_game(syn.problem_from_strings(*spec))
+    return game, syn.expand_explicit(game)
+
+
+def test_expansion_has_one_intermediate_node_per_key():
+    from test_fixpoint import ARB3
+    game, exp = arbiter_expansion(ARB3)
+    arena = exp.elgame.arena
+    tags = [kind[0] for kind in exp.kinds]
+    assert arena.n == 153
+    assert [tags.count(t) for t in ("sink", "full", "mid", "dead")] == [1, 128, 16, 8]
+    assert len(exp.index) == arena.n
+    assert all(exp.index[kind] == vid for vid, kind in enumerate(exp.kinds))
+    inputs = list(syn._letters(game.inputs))
+    live = [tuple(arena.succ[v]) for v, t in enumerate(tags) if t == "mid"]
+    # no live intermediate node repeats another's moves
+    assert len(set(live)) == len(live)
+    # one dead node per input, each leading only to the sink
+    dead = [v for v, t in enumerate(tags) if t == "dead"]
+    assert [exp.kinds[v][1] for v in dead] == inputs
+    assert all(arena.succ[v] == (0,) for v in dead)
+    for vid, kind in enumerate(exp.kinds):
+        if kind[0] == "full":
+            _, bits, letter = kind
+            nxt = game.dsa.step_bits(bits, letter) if bits else None
+            expected = [("mid", nxt, inp) if bits else ("dead", inp)
+                        for inp in inputs]
+            assert [exp.kinds[m] for m in arena.succ[vid]] == expected
+            if bits:
+                assert exp.next_subset(vid) == nxt
+
+
+def test_dead_intermediate_node_stays_apart_from_a_live_step_to_subset_zero():
+    # Granting both clients kills the mutual-exclusion automaton: the live
+    # step lands in ("mid", 0, input), whose full successors carry subset
+    # 0; only from those does the play move to ("dead", input) and the sink.
+    from test_fixpoint import ARB2
+    game, exp = arbiter_expansion(ARB2)
+    arena = exp.elgame.arena
+    outputs = list(syn._letters(game.outputs))
+    for inp in syn._letters(game.inputs):
+        live, dead = exp.index[("mid", 0, inp)], exp.index[("dead", inp)]
+        assert live != dead
+        assert [exp.kinds[w] for w in arena.succ[live]] == \
+            [("full", 0, inp | out) for out in outputs]
+        assert arena.succ[dead] == (0,)
+        assert all(arena.succ[w] == tuple(exp.index[("dead", i)]
+                                          for i in syn._letters(game.inputs))
+                   for w in arena.succ[live])
+    ewin, _, _ = solve_game(exp.elgame)
+    assert not any(ewin >> exp.index[("mid", 0, inp)] & 1
+                   for inp in syn._letters(game.inputs))
+
+
+# SHA-256 of each controller's text, computed with one intermediate node
+# per (full node, input); merging the intermediate nodes keeps them.
+CONTROLLER_DIGESTS = {
+    "readme": "996a4fc51e50183b8d15759636da3b82d1da2b3a98778657a32776c888654a55",
+    "arb2": "9236b5cb74707ebdd1649bba10a4085276e98feab288f2dc3c33cfcb9b08959d",
+    "arb2-resp2": "7aa49c4e4882c8aa7c9f703b3a890301ec808afe2c74071c3b40d5135e0f8afe",
+    "arb3": "2df8578b7eac7fcc75c560ac47fe197f9c481596d8816813b37b75745ad4340a",
+}
+
+
+def test_controller_texts_match_their_pinned_digests():
+    from test_fixpoint import ARB2, ARB3
+    safety, live, inputs, outputs = ARB2
+    specs = {
+        "readme": (RUNNING_SAFETY, RUNNING_LIVENESS, ["a"], ["b", "c"]),
+        "arb2": ARB2,
+        "arb2-resp2": (safety + " & G(r0 -> X g0 | X X g0)", live, inputs, outputs),
+        "arb3": ARB3,
+    }
+    for name, spec in specs.items():
+        res = syn.solve_synthesis(syn.problem_from_strings(*spec))
+        text = res.controller.to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            CONTROLLER_DIGESTS[name], name
 
 
 def test_running_example_initial_node_wins_for_every_first_input():
