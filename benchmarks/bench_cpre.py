@@ -7,10 +7,9 @@ included, as a solve pays it.  The recording solve does not warm-start
 (its backend has no ``subset``): every variable restarts from bottom or
 top, so the target list stays that of the plain nested iteration.  The
 workloads are a 60-node Streett game (``random_game(5, 60, 6,
-density=0.15)``, k=3) and the 145-node explicit expansion of a
-two-client arbiter with a bounded response, whose masks are past
-128 bits.  Each run's results are checked against a pinned
-checksum.  Run as a script; pass --repeat to stabilize numbers.
+density=0.15)``, k=3) and the 121-node explicit expansion of a
+two-client arbiter with a bounded response.  Each run's results are
+checked against a pinned checksum.  Run as a script; pass --repeat to stabilize numbers.
 
     python benchmarks/bench_cpre.py
 """
@@ -77,8 +76,8 @@ def checksum(results):
 
 WORKLOADS = [
     ("streett k=3, n=60", streett_n60, 185, 1508595977581080018),
-    ("arb2-resp2 expansion, n=145", arb2_resp2_expansion, 173,
-     1467267901567426274),
+    ("arb2-resp2 expansion, n=121", arb2_resp2_expansion, 54,
+     550971882683127906),
 ]
 
 

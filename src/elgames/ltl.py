@@ -174,6 +174,14 @@ def eval_propositional(phi, letter):
     raise LTLError("not propositional: %r" % (phi,))
 
 
+def letters(names):
+    """Every letter (set of true names) over ``names``; the i-th name is
+    bit i of the letter's position in the sequence."""
+    names = tuple(names)
+    for bits in range(1 << len(names)):
+        yield frozenset(n for i, n in enumerate(names) if bits >> i & 1)
+
+
 def prop_assert(manager, phi):
     """Assertion of ``manager`` for a temporal-free formula; the atoms
     must be declared variables of the manager."""
@@ -392,11 +400,6 @@ class SafetyNFA:
     def __len__(self):
         return len(self.states)
 
-    def letters(self):
-        names = self.ap
-        for bits in range(1 << len(names)):
-            yield frozenset(n for i, n in enumerate(names) if bits >> i & 1)
-
     def successors(self, state_id, letter):
         return sorted({t for c, t in self.transitions[state_id]
                        if eval_propositional(c, letter)})
@@ -465,15 +468,6 @@ def _constraint_formula(constraints):
     return out
 
 
-def _satisfiable(constraint, ap):
-    names = sorted(ap)
-    for bits in range(1 << len(names)):
-        letter = frozenset(n for i, n in enumerate(names) if bits >> i & 1)
-        if eval_propositional(constraint, letter):
-            return True
-    return False
-
-
 def nfa_from_safety(nnf):
     """Tableau automaton for a safety-fragment formula in NNF."""
     ap = atoms(nnf)
@@ -494,7 +488,8 @@ def nfa_from_safety(nnf):
             if target is None:
                 continue
             constraint = _constraint_formula(constraints)
-            if not _satisfiable(constraint, ap):
+            if not any(eval_propositional(constraint, letter)
+                       for letter in letters(ap)):
                 continue
             key = (repr(constraint), target)
             if key in seen_branches:

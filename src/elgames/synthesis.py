@@ -5,16 +5,17 @@ The safety part becomes a deterministic symbolic safety automaton; its
 subset variables join the letter variables as the game state, with the
 system choosing outputs and next subsets (the latter forced by the
 transition assertion) and the environment choosing inputs.  The
-liveness part maps each distinct predicate under GF / FG to a color
-whose membership assertion reads the current letter, and the game is
-solved by the generic fixpoint solver over diagram assertions, with the
-one-step controllable predecessor quantifying primed inputs universally
-and primed outputs and subset variables existentially.
+liveness part maps each distinct letter assertion under GF / FG to a
+color, and the game is solved by the generic fixpoint solver over
+diagram assertions, with the one-step controllable predecessor
+quantifying primed inputs universally and primed outputs and subset
+variables existentially.
 
 Controllers are extracted from the game's explicit expansion, whose
 intermediate nodes (the system's output choice) are keyed by the next
 subset and the input rather than by the full node they follow, so each
-is built once.  Controller states pair a reachable subset with the
+is built once; a letter that empties the subset leads to one losing
+sink.  Controller states pair a reachable subset with the
 position in the objective's tree where the last consumed letter
 anchored (vertex plus child slot, which seeds the round-robin through
 winning branches), and moves follow the certified signature rules of the
@@ -28,7 +29,7 @@ from . import el, ltl
 from .dd import Manager
 from .fixpoint import SetBackend, build_equations, solve, solve_game
 from .games import Arena, ELGame, EXISTENTIAL, UNIVERSAL
-from .ltl import (Ap, AndOp, Finally, Globally, Implies, NotOp, OrOp,
+from .ltl import (AndOp, Finally, Globally, Implies, NotOp, OrOp,
                   check_safety, determinize_symbolic, nfa_from_safety)
 from .strategy import _Extractor
 from .zielonka import ZielonkaTree
@@ -73,44 +74,27 @@ def problem_from_strings(safety, liveness, inputs, outputs):
                             tuple(inputs), tuple(outputs))
 
 
-def _nnf_prop(phi, negate=False):
-    if isinstance(phi, ltl.Tru):
-        return ltl.LTL_FALSE if negate else ltl.LTL_TRUE
-    if isinstance(phi, ltl.Fls):
-        return ltl.LTL_TRUE if negate else ltl.LTL_FALSE
-    if isinstance(phi, Ap):
-        return NotOp(phi) if negate else phi
-    if isinstance(phi, NotOp):
-        return _nnf_prop(phi.arg, not negate)
-    if isinstance(phi, AndOp):
-        op = OrOp if negate else AndOp
-        return op(_nnf_prop(phi.left, negate), _nnf_prop(phi.right, negate))
-    if isinstance(phi, OrOp):
-        op = AndOp if negate else OrOp
-        return op(_nnf_prop(phi.left, negate), _nnf_prop(phi.right, negate))
-    if isinstance(phi, Implies):
-        if negate:
-            return AndOp(_nnf_prop(phi.left), _nnf_prop(phi.right, True))
-        return OrOp(_nnf_prop(phi.left, True), _nnf_prop(phi.right))
-    raise NotELFragment(phi)
+def colors_of(liveness, manager):
+    """Color table and per-color letter assertions of a liveness formula.
 
-
-def colors_of(liveness):
-    """Color table and per-color letter predicates of a liveness formula.
-
-    One color per distinct predicate under GF / FG (after pushing
-    negations in the predicate); the formula itself becomes a Boolean
-    combination over "color occurs infinitely often" atoms.
+    One color per distinct letter assertion under GF / FG (``p`` for
+    ``GF p``, its complement for ``FG p``), over the letter variables of
+    ``manager``; the formula itself becomes a Boolean combination over
+    "color occurs infinitely often" atoms.
     """
-    props = []
+    assertions = []
     index = {}
 
-    def color_id(prop):
-        key = repr(prop)
-        if key not in index:
-            index[key] = len(props)
-            props.append(prop)
-        return index[key]
+    def color_id(node):
+        if not ltl.is_propositional(node.arg.arg):
+            raise NotELFragment(node)
+        assertion = ltl.prop_assert(manager, node.arg.arg)
+        if isinstance(node, Finally):
+            assertion = ~assertion
+        if assertion not in index:
+            index[assertion] = len(assertions)
+            assertions.append(assertion)
+        return index[assertion]
 
     def walk(node, positive):
         if isinstance(node, AndOp):
@@ -126,16 +110,10 @@ def colors_of(liveness):
         if isinstance(node, NotOp):
             return walk(node.arg, not positive)
         if isinstance(node, Globally) and isinstance(node.arg, Finally):
-            prop = _nnf_prop(node.arg.arg)
-            if not ltl.is_propositional(node.arg.arg):
-                raise NotELFragment(node)
-            cid = color_id(prop)
+            cid = color_id(node)
             return el.Inf(cid) if positive else el.fin(cid)
         if isinstance(node, Finally) and isinstance(node.arg, Globally):
-            if not ltl.is_propositional(node.arg.arg):
-                raise NotELFragment(node)
-            prop = _nnf_prop(node.arg.arg, negate=True)
-            cid = color_id(prop)
+            cid = color_id(node)
             return el.fin(cid) if positive else el.Inf(cid)
         if isinstance(node, ltl.Tru):
             return el.TRUE if positive else el.FALSE
@@ -146,18 +124,17 @@ def colors_of(liveness):
     formula = walk(liveness, True)
     names = []
     used = set()
-    for i, prop in enumerate(props):
-        if isinstance(prop, Ap) and re.match(r"[a-z][A-Za-z0-9_]*$", prop.name) \
-                and prop.name not in used:
-            name = prop.name
-        else:
+    for i, assertion in enumerate(assertions):
+        support = manager.support_names(assertion)
+        name = support[0] if len(support) == 1 else ""
+        if not (re.match(r"[a-z][A-Za-z0-9_]*$", name) and name not in used
+                and assertion == manager.var(name)):
             name = "k%d" % i
             while name in used:
                 name = "_" + name
         used.add(name)
         names.append(name)
-    table = el.ColorTable(names)
-    return formula, table, tuple(props)
+    return formula, el.ColorTable(names), tuple(assertions)
 
 
 @dataclass
@@ -171,7 +148,6 @@ class SymbolicGameStructure:
     rho: object                # Assertion over (V, V', AP)
     el_formula: object         # objective over the color table
     color_table: object
-    color_props: tuple         # per color: propositional letter predicate
     color_assertions: tuple    # per color: Assertion over the letter block
 
     @property
@@ -180,17 +156,14 @@ class SymbolicGameStructure:
 
     def letter_colors(self, letter):
         """Color mask of one letter (set of true APs)."""
-        mask = 0
-        for cid, prop in enumerate(self.color_props):
-            if ltl.eval_propositional(prop, letter):
-                mask |= 1 << cid
-        return mask
+        values = dict.fromkeys(letter, True)
+        return sum(1 << cid for cid, a in enumerate(self.color_assertions)
+                   if self.manager.eval(a, values))
 
 
 def build_game(problem):
     nnf = check_safety(problem.safety)
     nfa = nfa_from_safety(nnf)
-    formula, table, props = colors_of(problem.liveness)
 
     def declare_letters(manager, ap):
         for name in problem.inputs:
@@ -200,13 +173,12 @@ def build_game(problem):
 
     dsa = determinize_symbolic(nfa, Manager(), declare_letters=declare_letters)
     m = dsa.manager
-
+    formula, table, assertions = colors_of(problem.liveness, m)
     return SymbolicGameStructure(
         manager=m, dsa=dsa, inputs=problem.inputs, outputs=problem.outputs,
         state_vars=dsa.state_vars, theta=dsa.theta0,
         rho=dsa.trans, el_formula=formula, color_table=table,
-        color_props=props,
-        color_assertions=tuple(ltl.prop_assert(m, p) for p in props))
+        color_assertions=assertions)
 
 
 def symbolic_cpre(game, target):
@@ -258,24 +230,16 @@ DEAD_COLOR = "stuck"
 
 @dataclass
 class ExplicitExpansion:
-    game: object               # the symbolic game it expands
     elgame: ELGame
     kinds: list                # per node: ("full", subset, letter),
-                               # ("mid", next subset, inp), ("dead", inp)
-                               # or ("sink",)
+                               # ("mid", next subset, inp) or ("sink",)
     index: dict                # kind tuple -> node id
     initial_subset: int
 
     def next_subset(self, vid):
-        """Subset after a live full node's letter, read off the key of
-        its intermediate successors."""
+        """Subset after a full node's letter that keeps it nonempty, read
+        off the key of its intermediate successors."""
         return self.kinds[self.elgame.arena.succ[vid][0]][1]
-
-
-def _letters(names):
-    names = list(names)
-    for bits in range(1 << len(names)):
-        yield frozenset(n for i, n in enumerate(names) if bits >> i & 1)
 
 
 def expand_explicit(game):
@@ -290,28 +254,23 @@ def expand_explicit(game):
     next subset, input), whose successors are the full nodes ("full",
     next subset, input | output): the bisimulation quotient of one
     intermediate node per (full node, input), built directly.  A full
-    node whose subset has already died moves to ("dead", input) instead
-    (one per input, so each full node keeps one distinct successor per
-    input), which leads only to a sink (its fresh color is required to
-    occur only finitely often, so entering it loses); that key stays apart from
-    ("mid", 0, input), whose full successors still carry subset 0.  Nodes
-    are numbered in first-seen breadth-first order, which keeps the
-    relative order of the full nodes of the unmerged expansion."""
+    node whose letter empties its subset moves to the sink instead (its
+    fresh color is required to occur only finitely often, so entering
+    it loses); no node carries the empty subset.  Nodes are numbered in
+    first-seen breadth-first order, which keeps the relative order of
+    the full nodes of the unmerged expansion."""
     dsa = game.dsa
     table = game.color_table
     xtable = el.ColorTable(tuple(table.names) + (DEAD_COLOR,))
-    dead_bit = 1 << len(table)
     objective = el.And(game.el_formula, el.fin(len(table)))
-
     init_bits = dsa.initial_bits()
-    letters = list(_letters(game.ap))
-    inputs = list(_letters(game.inputs))
-    outputs = list(_letters(game.outputs))
+    inputs = list(ltl.letters(game.inputs))
+    outputs = list(ltl.letters(game.outputs))
 
     kinds = [("sink",)]
     index = {("sink",): 0}
     owner = [UNIVERSAL]
-    colors = [dead_bit]
+    colors = [1 << len(table)]
     succ = [[0]]
     queue = []
 
@@ -326,35 +285,34 @@ def expand_explicit(game):
             queue.append(vid)
         return vid
 
-    for letter in letters:
-        intern(("full", init_bits, letter), UNIVERSAL, game.letter_colors(letter))
+    letter_colors = {letter: game.letter_colors(letter)
+                     for letter in ltl.letters(game.ap)}
+
+    def full(bits, letter):
+        return intern(("full", bits, letter), UNIVERSAL, letter_colors[letter])
+
+    for letter in letter_colors:
+        full(init_bits, letter)
     for vid in queue:              # grows as intern meets new nodes
-        kind = kinds[vid]
-        if kind[0] == "full":
-            _, bits, letter = kind
-            if bits:
-                nxt = dsa.step_bits(bits, letter)
-                keys = [("mid", nxt, inp) for inp in inputs]
-            else:
-                keys = [("dead", inp) for inp in inputs]
-            succ[vid] = [intern(key, EXISTENTIAL, 0) for key in keys]
-        elif kind[0] == "mid":
-            _, nxt, inp = kind
-            succ[vid] = [intern(("full", nxt, inp | out), UNIVERSAL,
-                                game.letter_colors(inp | out))
-                         for out in outputs]
+        # label: a full node's letter, an intermediate node's input
+        tag, bits, label = kinds[vid]
+        if tag == "full":
+            nxt = dsa.step_bits(bits, label)
+            succ[vid] = [intern(("mid", nxt, inp), EXISTENTIAL, 0)
+                         for inp in inputs] if nxt else [0]
         else:
-            # the subset died one step earlier: no legal output move
-            succ[vid] = [0]
+            succ[vid] = [full(bits, label | out) for out in outputs]
 
     arena = Arena(owner, succ, colors)
-    elgame = ELGame(arena, xtable, objective)
-    return ExplicitExpansion(game, elgame, kinds, index, init_bits)
+    return ExplicitExpansion(ELGame(arena, xtable, objective), kinds, index,
+                             init_bits)
 
 
 def cross_check_symbolic_vs_explicit(game, win):
     """Compare the symbolic winning assertion with the explicitly solved
-    expansion on every reachable full node; returns the explicit data."""
+    expansion on every reachable full node, and check that it holds on
+    no state with the empty subset (the expansion sends those plays to
+    its sink); returns the explicit data."""
     exp = expand_explicit(game)
     ewin, etree, eresult = solve_game(exp.elgame)
     m = game.manager
@@ -373,6 +331,9 @@ def cross_check_symbolic_vs_explicit(game, win):
             raise ExpansionMismatch(
                 "winner mismatch at subset=%x letter=%s: symbolic=%s explicit=%s"
                 % (bits, sorted(letter), symbolic, explicit))
+    nonempty = m.disj(m.var(v) for v in game.state_vars)
+    if not (win & ~nonempty).is_false():
+        raise ExpansionMismatch("the symbolic region holds on the empty subset")
     return exp, ewin, etree, eresult
 
 
@@ -457,9 +418,9 @@ def extract_controller(game, expansion=None, explicit=None):
 
     init = {}
     queue = []
-    for inp in _letters(game.inputs):
+    for inp in ltl.letters(game.inputs):
         best = None
-        for out in _letters(game.outputs):
+        for out in ltl.letters(game.outputs):
             letter = frozenset(inp | out)
             vid = exp.index.get(("full", exp.initial_subset, letter))
             if vid is None or not ewin >> vid & 1:
@@ -486,7 +447,7 @@ def extract_controller(game, expansion=None, explicit=None):
             continue
         done.add(q)
         bits, anchor, slot = states[q]
-        for inp in _letters(game.inputs):
+        for inp in ltl.letters(game.inputs):
             mid = exp.index[("mid", bits, inp)]
             leaf = ex.descend(mid, anchor, slot)
             w = ex.pick_move(mid, leaf)

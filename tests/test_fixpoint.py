@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from elgames import el, games, strategy
+from elgames import el, games, ltl, strategy
 from elgames import synthesis as syn
 from elgames.fixpoint import (ExplicitBackend, StageLimitError, build_equations,
                               solve, solve_game)
@@ -159,7 +159,7 @@ def test_symbolic_guard_matches_its_definition():
     game = syn.build_game(running_problem())
     m = game.manager
     backend = syn.SymbolicBackend(game)
-    letters = list(syn._letters(game.ap))
+    letters = list(ltl.letters(game.ap))
     for eqn in build_equations(ZielonkaTree(game.el_formula, game.color_table)):
         for term in eqn.terms:
             guard = backend.guard(*term[1:])
@@ -410,7 +410,7 @@ def readme_expansion():
 
 
 def arb2_resp2_expansion():
-    """arb2 with a bounded response: 145 nodes, 2 greatest-fixpoint leaves."""
+    """arb2 with a bounded response: 121 nodes, 2 greatest-fixpoint leaves."""
     safety, live, inputs, outputs = ARB2
     return expansion(safety + " & G(r0 -> X g0 | X X g0)", live, inputs, outputs)
 

@@ -125,7 +125,7 @@ def test_cpre_matches_its_definition_node_by_node():
     arenas = [random_game(seed, n, 2, density=0.2).arena
               for seed, n in enumerate((1, 5, 17, 64, 65, 130))]
     arenas.append(arb2_resp2_expansion().arena)
-    assert arenas[-1].n == 145
+    assert arenas[-1].n == 121
     for arena in arenas:
         full = arena.full_mask
         targets = [0, full] + [rng.getrandbits(arena.n) for _ in range(6)]

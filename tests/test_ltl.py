@@ -68,7 +68,7 @@ def subset_language_equal(n1, n2):
     start = (frozenset([n1.initial]), frozenset([n2.initial]))
     seen = {start}
     queue = [start]
-    letters = list(n1.letters())
+    letters = list(ltl.letters(n1.ap))
     while queue:
         s1, s2 = queue.pop()
         if bool(s1) != bool(s2):

@@ -5,6 +5,7 @@ import pytest
 
 from elgames import el, ltl
 from elgames import synthesis as syn
+from elgames.dd import Manager
 from elgames.fixpoint import solve_game
 from elgames.ltl import parse_ltl
 from elgames.zielonka import ZielonkaTree
@@ -19,37 +20,56 @@ def running_problem():
         RUNNING_SAFETY, RUNNING_LIVENESS, ["a"], ["b", "c"])
 
 
+def letter_manager(*names):
+    m = Manager()
+    for name in names:
+        m.declare(name, "letter")
+    return m
+
+
 def test_colors_of_single_atom():
-    formula, table, props = syn.colors_of(parse_ltl("G F a"))
-    assert len(table) == 1
-    assert props == (ltl.Ap("a"),)
+    m = letter_manager("a")
+    formula, table, colors = syn.colors_of(parse_ltl("G F a"), m)
+    assert table.names == ("a",)
+    assert colors == (m.var("a"),)
     assert formula == el.Inf(0)
 
 
 def test_colors_of_running_liveness_dedupes_predicates():
-    formula, table, props = syn.colors_of(parse_ltl(RUNNING_LIVENESS))
-    # colors: a, b, b&c, c  (GF a and FG !a share one color)
-    assert len(table) == 4
-    reprs = {repr(p) for p in props}
-    assert repr(ltl.Ap("a")) in reprs
-    assert repr(ltl.AndOp(ltl.Ap("b"), ltl.Ap("c"))) in reprs
+    m = letter_manager("a", "b", "c")
+    formula, table, colors = syn.colors_of(parse_ltl(RUNNING_LIVENESS), m)
+    a, b, c = (m.var(n) for n in "abc")
+    # GF a and FG !a share one color; a one-variable color keeps its name
+    assert colors == (a, b, b & c, c)
+    assert table.names == ("a", "b", "k2", "c")
     tree = ZielonkaTree(formula, table)
     assert len(tree) == 8
 
 
+def test_colors_of_keys_colors_by_letter_assertion():
+    m = letter_manager("a", "b")
+    formula, table, colors = syn.colors_of(parse_ltl(
+        "G F (a -> b) & G F (!a | b) & G F (b & a) & G F (a & b)"), m)
+    a, b = m.var("a"), m.var("b")
+    assert colors == (a.implies(b), a & b)
+    assert table.names == ("k0", "k1")
+
+
 def test_colors_of_unsatisfiable_fin_predicate():
-    formula, table, props = syn.colors_of(parse_ltl("F G !(a & !a)"))
-    assert len(props) == 1
+    m = letter_manager("a")
+    formula, table, colors = syn.colors_of(parse_ltl("F G !(a & !a)"), m)
+    assert colors == (m.false,)
     assert formula == el.fin(0)
     # a color that can never occur makes Fin vacuously true
     assert el.evaluate(formula, 0)
 
 
 def test_colors_of_rejects_nested_temporal():
+    m = letter_manager("a", "b")
     with pytest.raises(syn.NotELFragment):
-        syn.colors_of(parse_ltl("G F (a & X b)"))
+        syn.colors_of(parse_ltl("G F (a & X b)"), m)
     with pytest.raises(syn.NotELFragment):
-        syn.colors_of(parse_ltl("a & G F b"))
+        syn.colors_of(parse_ltl("a & G F b"), m)
 
 
 def test_problem_validation():
@@ -163,49 +183,57 @@ def test_expansion_has_one_intermediate_node_per_key():
     game, exp = arbiter_expansion(ARB3)
     arena = exp.elgame.arena
     tags = [kind[0] for kind in exp.kinds]
-    assert arena.n == 153
-    assert [tags.count(t) for t in ("sink", "full", "mid", "dead")] == [1, 128, 16, 8]
+    assert arena.n == 73
+    assert [tags.count(t) for t in ("sink", "full", "mid")] == [1, 64, 8]
     assert len(exp.index) == arena.n
     assert all(exp.index[kind] == vid for vid, kind in enumerate(exp.kinds))
-    inputs = list(syn._letters(game.inputs))
+    # no node carries the empty subset
+    assert all(kind[1] for kind in exp.kinds[1:])
+    inputs = list(ltl.letters(game.inputs))
     live = [tuple(arena.succ[v]) for v, t in enumerate(tags) if t == "mid"]
-    # no live intermediate node repeats another's moves
+    # no intermediate node repeats another's moves
     assert len(set(live)) == len(live)
-    # one dead node per input, each leading only to the sink
-    dead = [v for v, t in enumerate(tags) if t == "dead"]
-    assert [exp.kinds[v][1] for v in dead] == inputs
-    assert all(arena.succ[v] == (0,) for v in dead)
+    emptied = 0
     for vid, kind in enumerate(exp.kinds):
         if kind[0] == "full":
             _, bits, letter = kind
-            nxt = game.dsa.step_bits(bits, letter) if bits else None
-            expected = [("mid", nxt, inp) if bits else ("dead", inp)
-                        for inp in inputs]
-            assert [exp.kinds[m] for m in arena.succ[vid]] == expected
-            if bits:
+            nxt = game.dsa.step_bits(bits, letter)
+            if nxt:
+                assert [exp.kinds[m] for m in arena.succ[vid]] == \
+                    [("mid", nxt, inp) for inp in inputs]
                 assert exp.next_subset(vid) == nxt
+            else:
+                # a letter that empties the subset leads straight to the sink
+                assert arena.succ[vid] == (0,)
+                emptied += 1
+    assert emptied
 
 
-def test_dead_intermediate_node_stays_apart_from_a_live_step_to_subset_zero():
-    # Granting both clients kills the mutual-exclusion automaton: the live
-    # step lands in ("mid", 0, input), whose full successors carry subset
-    # 0; only from those does the play move to ("dead", input) and the sink.
-    from test_fixpoint import ARB2
-    game, exp = arbiter_expansion(ARB2)
-    arena = exp.elgame.arena
-    outputs = list(syn._letters(game.outputs))
-    for inp in syn._letters(game.inputs):
-        live, dead = exp.index[("mid", 0, inp)], exp.index[("dead", inp)]
-        assert live != dead
-        assert [exp.kinds[w] for w in arena.succ[live]] == \
-            [("full", 0, inp | out) for out in outputs]
-        assert arena.succ[dead] == (0,)
-        assert all(arena.succ[w] == tuple(exp.index[("dead", i)]
-                                          for i in syn._letters(game.inputs))
-                   for w in arena.succ[live])
-    ewin, _, _ = solve_game(exp.elgame)
-    assert not any(ewin >> exp.index[("mid", 0, inp)] & 1
-                   for inp in syn._letters(game.inputs))
+# Stages of the arb3 expansion's explicit re-solve.
+ARB3_EXPANSION_STAGES = 2309
+
+
+def test_arb3_expansion_resolve_stage_count():
+    from test_fixpoint import ARB3
+    _, exp = arbiter_expansion(ARB3)
+    _, _, result = solve_game(exp.elgame)
+    assert result.iterations <= ARB3_EXPANSION_STAGES
+
+
+def test_cross_check_rejects_a_region_holding_on_the_empty_subset(monkeypatch):
+    # No full node carries the empty subset, so only the region check
+    # catches a symbolic region that claims such states.
+    solve = syn.solve_symbolic
+
+    def with_empty_subset(game):
+        win, tree, result = solve(game)
+        m = game.manager
+        empty = m.conj(~m.var(v) for v in game.state_vars)
+        return win | empty, tree, result
+
+    monkeypatch.setattr(syn, "solve_symbolic", with_empty_subset)
+    with pytest.raises(syn.ExpansionMismatch, match="empty subset"):
+        syn.solve_synthesis(running_problem(), expand_check=True)
 
 
 # SHA-256 of each controller's text, computed with one intermediate node
@@ -239,10 +267,10 @@ def test_running_example_initial_node_wins_for_every_first_input():
     game = res.game
     exp = syn.expand_explicit(game)
     ewin, _, _ = solve_game(exp.elgame)
-    for inp in syn._letters(game.inputs):
+    for inp in ltl.letters(game.inputs):
         assert any(
             ewin >> exp.index[("full", exp.initial_subset, frozenset(inp | out))] & 1
-            for out in syn._letters(game.outputs)), inp
+            for out in ltl.letters(game.outputs)), inp
 
 
 def test_forced_unrealizable_variant():
@@ -402,7 +430,7 @@ def test_expansion_projects_to_the_drawn_subset_arena():
         bits = queue.pop()
         if bits:
             count_nonempty += 1
-        for letter in syn._letters(game.ap):
+        for letter in ltl.letters(game.ap):
             nxt = dsa.step_bits(bits, letter) if bits else 0
             assert translate(nxt) == paper_step(translate(bits), letter), \
                 (bits, sorted(letter))
