@@ -21,10 +21,19 @@ The memory then descends from the anchor to a new leaf, steered at
 losing vertices by the admitting child of the node being entered and at
 the winning anchor by round-robin over its children.
 
+``extract`` builds moves and memory updates at the reachable (node,
+leaf) pairs only: it explores the product from each winning node's
+initial leaf, and strategy files list only those entries.
+
 ``verify`` is exact: it builds the product of the game with the
-strategy (universal moves left free) and checks, for every color set D
-falsifying the objective, that no reachable nontrivial strongly
-connected component realizes exactly D.
+strategy (universal moves left free) and checks its cycles SCC-first
+(Emerson & Lei 1987; Baier et al., ATVA 2019): a nontrivial strongly
+connected component whose color union falsifies the objective is a
+losing cycle; one whose union U satisfies it is searched again inside
+each maximal falsifying subset of U.  Any cycle with a falsifying color
+set D lies in one component, and D is then U itself or lies inside one
+of those subsets, so the search misses no losing cycle; unions shrink
+strictly, so it ends.
 """
 
 import heapq
@@ -45,7 +54,9 @@ class ELStrategy:
 
     ``initial`` maps winning nodes to a start leaf, ``move`` maps
     existential (node, leaf) pairs to the chosen successor, ``update``
-    maps (node, leaf, successor) to the next leaf.
+    maps (node, leaf, successor) to the next leaf.  ``extract`` fills
+    ``move`` and ``update`` at the pairs reachable from the initial
+    ones only, so ``to_text`` lists only those.
     """
 
     def __init__(self, game, tree, win_mask, initial, move, update):
@@ -74,43 +85,6 @@ class ELStrategy:
             else:
                 lines.append("update %d %d %d %d" % (v, m, w, m2))
         return "\n".join(lines) + "\n"
-
-
-def strategy_from_text(text, game, tree, win_mask):
-    initial = {}
-    move = {}
-    update = {}
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != "strategy 1":
-        raise StrategyError("expected header 'strategy 1'")
-    for line in lines[1:]:
-        parts = line.split()
-        try:
-            args = [int(x) for x in parts[1:]]
-        except ValueError as exc:
-            raise StrategyError("bad line: %r" % line) from exc
-        if parts[0] == "initial" and len(args) == 1:
-            continue
-        if parts[0] == "init" and len(args) == 2:
-            initial[args[0]] = args[1]
-        elif parts[0] == "move" and len(args) == 3:
-            move[(args[0], args[1])] = args[2]
-        elif parts[0] == "update" and len(args) == 3:
-            pass  # resolved below from the matching move line
-        elif parts[0] == "update" and len(args) == 4:
-            update[(args[0], args[1], args[2])] = args[3]
-        else:
-            raise StrategyError("bad line: %r" % line)
-    for line in lines[1:]:
-        parts = line.split()
-        if parts[0] == "update" and len(parts) == 4:
-            v, m, m2 = int(parts[1]), int(parts[2]), int(parts[3])
-            if (v, m) not in move:
-                raise StrategyError(
-                    "update for existential node %d lacks a move line" % v)
-            update[(v, m, move[(v, m)])] = m2
-    return ELStrategy(game, tree, win_mask, initial, move, update)
 
 
 class RankBackend:
@@ -428,16 +402,10 @@ class _Extractor:
 
     def pick_move(self, v, m):
         tree = self.tree
-        s = tree.anchor(m, self.arena.colors[v])
-        src = self.ranked[s]
-        bump = not tree.winning[s]
-        pos = tree.lfp_depth[s] - 1
-
-        def lifted(w):
-            sig = src[w]
-            if bump:
-                sig = sig[:pos] + (sig[pos] + 1,)
-            return sig
+        # Signature-minimal successors in the anchor's map.  Its
+        # signatures have one length, so lifting them (one more in the
+        # last component at a losing anchor) would keep their order.
+        src = self.ranked[tree.anchor(m, self.arena.colors[v])]
 
         def continuation_depth(w):
             # Tie-break among signature-minimal successors: prefer the
@@ -448,7 +416,7 @@ class _Extractor:
         candidates = [w for w in self.arena.succ[v] if w in src]
         if not candidates:
             raise AssertionError("no admitted successor at node %d leaf %d" % (v, m))
-        return min(candidates, key=lambda w: (lifted(w), continuation_depth(w), w))
+        return min(candidates, key=lambda w: (src[w], continuation_depth(w), w))
 
     def position(self, v, m):
         """Where node ``v``'s colors attach against memory leaf ``m``:
@@ -477,28 +445,47 @@ class _Extractor:
             kids = tree.children[cur]
         return cur
 
-
-def extract(game, tree, result):
-    """Winning strategy on the solved region (memory = tree leaves)."""
-    ex = _Extractor(game, tree, result)
-    arena = game.arena
-    win = result.values[tree.root]
-    initial = {}
-    move = {}
-    update = {}
-    for v in iter_nodes(win):
-        initial[v] = ex.descend(v, tree.root)
-    for m in tree.leaves:
-        members = result.values[m] & win
-        for v in iter_nodes(members):
-            s, slot = ex.position(v, m)
+    def close(self, move, update, pairs):
+        """Extend the partial strategy ``move``/``update`` over the (node,
+        leaf) pairs reachable from ``pairs``, keeping the entries it has.
+        A pair whose node is outside its leaf's solution or the winning
+        region gets no entries and is not left."""
+        arena, values = self.arena, self.values
+        win = values[self.tree.root]
+        seen = set()
+        stack = list(pairs)
+        while stack:
+            pair = stack.pop()
+            if pair in seen:
+                continue
+            seen.add(pair)
+            v, m = pair
+            if not (values[m] & win) >> v & 1:
+                continue
             if arena.owner[v] == EXISTENTIAL:
-                w = move[(v, m)] = ex.pick_move(v, m)
+                w = move.get(pair)
+                if w is None:
+                    w = move[pair] = self.pick_move(v, m)
                 succs = (w,)
             else:
                 succs = arena.succ[v]
+            s, slot = self.position(v, m)
             for w in succs:
-                update[(v, m, w)] = ex.descend(w, s, slot)
+                m2 = update.get((v, m, w))
+                if m2 is None:
+                    m2 = update[(v, m, w)] = self.descend(w, s, slot)
+                stack.append((w, m2))
+
+
+def extract(game, tree, result):
+    """Winning strategy on the solved region (memory = tree leaves),
+    with moves and updates at the reachable (node, leaf) pairs only."""
+    ex = _Extractor(game, tree, result)
+    win = result.values[tree.root]
+    initial = {v: ex.descend(v, tree.root) for v in iter_nodes(win)}
+    move = {}
+    update = {}
+    ex.close(move, update, initial.items())
     return ELStrategy(game, tree, win, initial, move, update)
 
 
@@ -539,7 +526,21 @@ class VerifyResult:
 
 
 def verify(game, strategy, claimed):
-    """Exact check that ``strategy`` wins every node of ``claimed``."""
+    """Exact check that ``strategy`` wins every node of ``claimed``.
+
+    The product of the game with the strategy is built from the initial
+    pairs of ``claimed``; a missing initial leaf, move or update, a move
+    along a non-edge and a play leaving ``claimed`` each fail with their
+    reason.  Moves and updates are needed at the reachable pairs only.
+    Cycles are then checked SCC-first: a nontrivial component whose
+    color union U falsifies the objective fails with a lasso through it;
+    otherwise each maximal falsifying subset of U is searched again, over
+    the component's states whose colors lie inside it.  A cycle whose
+    color set D falsifies the objective lies in one component; if that
+    component's U satisfies it, D is a proper subset of U, so it lies
+    inside a maximal falsifying one and the cycle survives the
+    restriction.  Unions shrink strictly, so the check ends.
+    """
     arena = game.arena
     phi = game.objective
 
@@ -599,13 +600,13 @@ def verify(game, strategy, claimed):
             out.append(j)
         adj[i] = out
 
-    for d in el.subsets_of(game.table.full_mask):
-        if el.evaluate(phi, d):
-            continue
-        keep = [i for i, (v, _) in enumerate(states)
-                if not arena.colors[v] & ~d]
-        keepset = set(keep)
-        sub = {i: [j for j in adj[i] if j in keepset] for i in keep}
+    colors = [arena.colors[v] for v, _ in states]
+    falsifying = {}   # color union -> its maximal falsifying subsets
+    work = [(range(len(states)), game.table.full_mask)]
+    while work:
+        nodes, d = work.pop()
+        keep = {i for i in nodes if not colors[i] & ~d}
+        sub = {i: [j for j in adj[i] if j in keep] for i in keep}
         for comp in _sccs(sub):
             if len(comp) == 1:
                 i = next(iter(comp))
@@ -613,15 +614,30 @@ def verify(game, strategy, claimed):
                     continue
             union = 0
             for i in comp:
-                union |= arena.colors[states[i][0]]
-            if union == d:
-                prefix, loop = _build_lasso(states, sub, parent, comp, d, arena)
-                return VerifyResult(
-                    False,
-                    "strategy admits a play with infinite color set %s"
-                    % game.table.format_mask(d),
-                    prefix=prefix, loop=loop)
+                union |= colors[i]
+            subsets = falsifying.get(union)
+            if subsets is None:
+                if not el.evaluate(phi, union):
+                    prefix, loop = _build_lasso(states, sub, parent, comp, union, arena)
+                    return VerifyResult(
+                        False,
+                        "strategy admits a play with infinite color set %s"
+                        % game.table.format_mask(union),
+                        prefix=prefix, loop=loop)
+                subsets = falsifying[union] = _maximal_falsifying(phi, union)
+            work.extend((comp, e) for e in subsets)
     return VerifyResult(True)
+
+
+def _maximal_falsifying(phi, mask):
+    """Maximal subsets of ``mask`` that falsify ``phi``, computed from
+    ``phi`` alone so that ``verify`` does not trust the Zielonka tree the
+    strategy was built from."""
+    out = []
+    for d in sorted(el.subsets_of(mask), key=int.bit_count, reverse=True):
+        if not el.evaluate(phi, d) and not any(d & ~e == 0 for e in out):
+            out.append(d)
+    return out
 
 
 def _path_to(parent, states, i):
@@ -696,31 +712,3 @@ def _build_lasso(states, sub, parent, comp, d, arena):
             else:
                 seen[i] = pos
     return prefix_states, tuple(states[i] for i in loop_idx)
-
-
-def replay_lasso(game, strategy, prefix, loop):
-    """Infinite-visit color set of a product lasso, after validating it
-    against the strategy and the arena; used to certify counterexamples."""
-    arena = game.arena
-    seq = list(prefix) + list(loop)
-    for k in range(len(seq) - 1):
-        v, m = seq[k]
-        w, m2 = seq[k + 1]
-        _check_step(game, strategy, v, m, w, m2)
-    v, m = loop[-1]
-    w, m2 = loop[0]
-    _check_step(game, strategy, v, m, w, m2)
-    union = 0
-    for v, _ in loop:
-        union |= arena.colors[v]
-    return union
-
-
-def _check_step(game, strategy, v, m, w, m2):
-    arena = game.arena
-    if not arena.succ_mask[v] >> w & 1:
-        raise StrategyError("lasso uses a non-edge %d -> %d" % (v, w))
-    if arena.owner[v] == EXISTENTIAL and strategy.move.get((v, m)) != w:
-        raise StrategyError("lasso disobeys the strategy at node %d" % v)
-    if strategy.update.get((v, m, w)) != m2:
-        raise StrategyError("lasso disobeys the memory update at node %d" % v)

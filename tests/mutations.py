@@ -7,7 +7,8 @@ def with_redirected_move(game, tree, result, strategy, v, m, new_w):
     """Copy of ``strategy`` with one move redirected.
 
     The memory update for the new edge is recomputed with the regular
-    rules so the result stays total.
+    rules, and the strategy is then closed over the pairs the redirected
+    pair reaches, so that it has moves past the redirect as well.
     """
     ex = _Extractor(game, tree, result)
     move = dict(strategy.move)
@@ -17,5 +18,6 @@ def with_redirected_move(game, tree, result, strategy, v, m, new_w):
         update[(v, m, new_w)] = ex.descend(new_w, *ex.position(v, m))
     except (KeyError, AssertionError):
         update[(v, m, new_w)] = tree.min_leaf
+    ex.close(move, update, [(v, m)])
     return ELStrategy(game, tree, strategy.win_mask, dict(strategy.initial),
                       move, update)

@@ -7,15 +7,17 @@ from elgames.fixpoint import solve_game
 from elgames.fixpoint import ExplicitBackend, build_equations, guard_table
 from elgames.games import Arena, ELGame, EXISTENTIAL, UNIVERSAL, random_game
 from elgames.strategy import (ELStrategy, RankBackend, extract, ranked_solve,
-                              replay_lasso, strategy_from_text, verify)
+                              verify)
 from elgames.zielonka import ZielonkaTree, max_tree_size
 from elgames.games import iter_nodes
 
 from mutations import with_redirected_move
 from ranked_reference import _Terms, equation_errors, ranked_solve_reference
+from verify_reference import (extract_reference, replay_lasso,
+                              strategy_from_text, verify_reference)
 from test_fixpoint import (STREETT_N60_STAGES, arb2_expansion,
                            arb2_resp2_expansion, family_games,
-                           readme_expansion, streett_n60)
+                           readme_expansion, streett3, streett_n60)
 
 
 def solved(game):
@@ -295,3 +297,62 @@ def test_rank_derive_on_hand_built_arena():
     reference = {}
     _Terms(game, tree).derive(2, term, src, reference)
     assert reference == want
+
+
+# Parity over 6 and 8 colours, Streett k=2 and k=3, even Muller and
+# random formulas: (colours, objective factory).
+REFERENCE_FAMILIES = [
+    (6, lambda rng, t: el.parity(t, list("abcdef"))),
+    (8, lambda rng, t: el.parity(t, list("abcdefgh"))),
+    (4, lambda rng, t: el.streett(t, [("a", "b"), ("c", "d")])),
+    (6, streett3),
+    (4, lambda rng, t: el.even_cardinality_muller(t)),
+    (4, None),
+]
+
+
+def reference_games():
+    """Won games of every reference family, n = 12, 28, 44 and 60."""
+    for ncolors, factory in REFERENCE_FAMILIES:
+        for i in range(4):
+            game = random_game(20_000 + i, 12 + 16 * i, ncolors, density=0.15,
+                               objective_factory=factory)
+            win, tree, result = solved(game)
+            if win:
+                yield game, win, tree, result
+
+
+def test_extract_equals_all_pairs_reference_on_product_states():
+    for k, (game, win, tree, result) in enumerate(reference_games()):
+        strat = extract(game, tree, result)
+        ref = extract_reference(game, tree, result)
+        reach = strategy.product_states(game, strat, win)
+        assert reach == strategy.product_states(game, ref, win), k
+        assert strat.initial == ref.initial, k
+        assert strat.move == {p: w for p, w in ref.move.items() if p in reach}, k
+        assert strat.update == {e: m for e, m in ref.update.items()
+                                if e[:2] in reach}, k
+
+
+def test_verify_agrees_with_per_color_set_reference():
+    mutants = lassos = 0
+    for k, (game, win, tree, result) in enumerate(reference_games()):
+        strat = extract(game, tree, result)
+        assert verify(game, strat, win).ok, k
+        assert verify_reference(game, strat, win) is None, k
+        rng = random.Random(k)
+        pairs = sorted(strat.move)
+        for v, m in rng.sample(pairs, min(4, len(pairs))):
+            for w in game.arena.succ[v]:
+                if w == strat.move[(v, m)]:
+                    continue
+                bad = with_redirected_move(game, tree, result, strat, v, m, w)
+                report = verify(game, bad, win)
+                reason = verify_reference(game, bad, win)
+                assert report.ok == (reason is None), (k, v, m, w, report, reason)
+                mutants += 1
+                if report.loop:
+                    union = replay_lasso(game, bad, report.prefix, report.loop)
+                    assert not el.evaluate(game.objective, union)
+                    lassos += 1
+    assert mutants >= 400 and lassos >= 15, (mutants, lassos)
