@@ -144,25 +144,6 @@ class Core:
 
         return go(f)
 
-    def restrict(self, f, level, value):
-        memo = {}
-
-        def go(node):
-            if node < 2 or self._level[node] > level:
-                return node
-            found = memo.get(node)
-            if found is not None:
-                return found
-            if self._level[node] == level:
-                out = go(self._hi[node] if value else self._lo[node])
-            else:
-                out = self.mk(self._level[node], go(self._lo[node]),
-                              go(self._hi[node]))
-            memo[node] = out
-            return out
-
-        return go(f)
-
     def support(self, f):
         seen = set()
         levels = set()

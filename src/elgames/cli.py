@@ -20,7 +20,7 @@ from .games import load_game
 from .oracles import solve_el_via_reduction
 from .reduction import (export_pgsolver, format_product_dot,
                         product_size_unpruned, reduce_to_parity)
-from .strategy import StrategyError, extract, verify
+from .strategy import extract, verify
 from .zielonka import ZielonkaTree
 from . import synthesis as syn
 
@@ -208,10 +208,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return FORMAT_ERROR
-    except (games.GameError, el.ELError, ltl.LTLError, StrategyError,
+    except (games.GameError, el.ELError, ltl.LTLError,
             syn.SynthesisError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return FORMAT_ERROR

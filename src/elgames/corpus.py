@@ -43,8 +43,7 @@ class CorpusReport:
         return "\n".join(lines)
 
 
-def run_corpus(seed, count, max_nodes=8, max_colors=4,
-               check_dual=True, check_strategies=True):
+def run_corpus(seed, count, max_nodes=8, max_colors=4):
     rng = random.Random(seed)
     report = CorpusReport()
     for i in range(count):
@@ -60,15 +59,12 @@ def run_corpus(seed, count, max_nodes=8, max_colors=4,
             report.oracle_agree += 1
         else:
             report.failures.append("%s: solver %#x oracle %#x" % (tag, win, oracle))
-        if check_dual:
-            dual_win, _, _ = solve_game(dual_game(game))
-            if dual_win == ~win & game.arena.full_mask:
-                report.dual_ok += 1
-            else:
-                report.failures.append("%s: dual game does not complement" % tag)
-        else:
+        dual_win, _, _ = solve_game(dual_game(game))
+        if dual_win == ~win & game.arena.full_mask:
             report.dual_ok += 1
-        if check_strategies and win:
+        else:
+            report.failures.append("%s: dual game does not complement" % tag)
+        if win:
             report.strategies_checked += 1
             strategy = extract(game, tree, result)
             report.max_memory = max(report.max_memory, strategy.memory_size)

@@ -73,7 +73,7 @@ class Assertion:
         return self.handle == 1
 
     def __repr__(self):
-        return "<Assertion %d over %s>" % (self.handle, self.manager.describe())
+        return "<Assertion %d over %d vars>" % (self.handle, len(self.manager.names))
 
 
 class Manager:
@@ -90,9 +90,6 @@ class Manager:
         self._levels = {}
         self._blocks = {}
         self._partner = {}
-
-    def describe(self):
-        return "vars=%d impl=%s" % (len(self.names), type(self.core).__module__)
 
     # -- declarations
 
@@ -186,9 +183,6 @@ class Manager:
                 raise BddError("variable %r has no partner" % self.names[level])
             perm[level] = self._partner[level]
         return Assertion(self, self.core.rename(a.handle, perm))
-
-    def restrict(self, a, name, value):
-        return Assertion(self, self.core.restrict(a.handle, self.level(name), value))
 
     def support_names(self, a):
         return tuple(self.names[level] for level in self.core.support(a.handle))

@@ -260,20 +260,6 @@ def random_game(seed, n, num_colors, density=0.3, formula_depth=3,
     return ELGame(Arena(owner, succ, colors), table, objective)
 
 
-def random_parity_game(seed, n, max_priority, density=0.3):
-    rng = random.Random(seed) if not isinstance(seed, random.Random) else seed
-    owner = [rng.randrange(2) for _ in range(n)]
-    succ = []
-    for v in range(n):
-        targets = {rng.randrange(n)}
-        for w in range(n):
-            if rng.random() < density:
-                targets.add(w)
-        succ.append(sorted(targets))
-    priority = [rng.randrange(max_priority + 1) for _ in range(n)]
-    return ParityGame(Arena(owner, succ), priority)
-
-
 def format_arena_dot(game, win_mask=None):
     """GraphViz rendering of an explicit game (diamond = universal)."""
     arena = game.arena

@@ -14,11 +14,7 @@ Determinization is the subset construction expressed symbolically: one
 Boolean state variable per automaton state, an exactly-initial cube,
 and a transition assertion of biconditionals plus the requirement that
 the tracked subset is nonempty (a run dies when it empties).  The
-subset space is never enumerated; reachability and counting go through
-the diagram manager.
-
-Everything is exact on ultimately periodic words, which is what the
-language-agreement tests use.
+subset space is never enumerated.
 """
 
 import re
@@ -558,16 +554,16 @@ class SymbolicSafetyAutomaton:
 MAX_SUBSET_VARS = 64
 
 
-def determinize_symbolic(nfa, manager=None, state_prefix="v", declare_letters=None,
+def determinize_symbolic(nfa, manager=None, declare_letters=None,
                          max_states=MAX_SUBSET_VARS):
     """Subset construction as assertions; one state variable per NFA state.
 
     The manager (created fresh here unless given empty) is laid out with
-    the state variables and their primed partners first, interleaved,
-    then the letter variables.  ``declare_letters`` may be passed to
-    control letter declaration (synthesis splits them into input and
-    output blocks); the default declares every AP with a partner in
-    block "letter".
+    the state variables ``v0``, ``v1``, ... and their primed partners
+    first, interleaved, then the letter variables.  ``declare_letters``
+    may be passed to control letter declaration (synthesis splits them
+    into input and output blocks); the default declares every AP with a
+    partner in block "letter".
     """
     if len(nfa) > max_states:
         raise LTLError("variable budget exceeded: %d automaton states > %d"
@@ -577,14 +573,13 @@ def determinize_symbolic(nfa, manager=None, state_prefix="v", declare_letters=No
     if manager.names:
         raise LTLError("determinization needs a fresh manager")
     for i in range(len(nfa)):
-        manager.declare_pair("%s%d" % (state_prefix, i),
-                             "%s%d'" % (state_prefix, i), "state")
+        manager.declare_pair("v%d" % i, "v%d'" % i, "state")
     if declare_letters is None:
         for name in nfa.ap:
             manager.declare_pair(name, name + "'", "letter")
     else:
         declare_letters(manager, nfa.ap)
-    state_vars = tuple("%s%d" % (state_prefix, i) for i in range(len(nfa)))
+    state_vars = tuple("v%d" % i for i in range(len(nfa)))
 
     theta0 = manager.cube({name: (i == nfa.initial)
                            for i, name in enumerate(state_vars)})
@@ -604,149 +599,3 @@ def determinize_symbolic(nfa, manager=None, state_prefix="v", declare_letters=No
         trans = trans & primed.iff(rhs[q])
     return SymbolicSafetyAutomaton(manager, state_vars, nfa.ap, theta0,
                                    trans, tuple(rhs), nfa)
-
-
-def reachable_subsets(dsa):
-    """Assertion over the state block: subsets reachable from the start."""
-    m = dsa.manager
-    letters = list(dsa.ap)
-    unprimed = list(dsa.state_vars) + letters
-    reach = dsa.theta0
-    frontier = dsa.theta0
-    while True:
-        image = m.exists(unprimed, dsa.trans & frontier)
-        image = m.rename_partners(image)
-        grown = reach | image
-        if grown == reach:
-            return reach
-        frontier = grown & ~reach
-        reach = grown
-
-
-def reachable_subset_count(dsa):
-    """Number of reachable nonempty subsets of the determinization."""
-    m = dsa.manager
-    reach = reachable_subsets(dsa)
-    nonempty = m.disj(m.var(v) for v in dsa.state_vars)
-    return m.count_sat(reach & nonempty, "state")
-
-
-# ---------------------------------------------------------------------------
-# Exact checks on ultimately periodic words.
-
-
-def eval_ltl_lasso(phi, prefix, loop):
-    """Truth of an LTL formula on the word prefix . loop^omega."""
-    if not loop:
-        raise LTLError("lasso loop must be nonempty")
-    letters = list(prefix) + list(loop)
-    n = len(letters)
-    start = len(prefix)
-
-    def nxt(p):
-        return p + 1 if p + 1 < n else start
-
-    memo = {}
-
-    def vec(node):
-        found = memo.get(node)
-        if found is not None:
-            return found
-        if isinstance(node, (Tru, Fls, Ap, NotOp, AndOp, OrOp, Implies)) \
-                and is_propositional(node):
-            out = [eval_propositional(node, letters[p]) for p in range(n)]
-        elif isinstance(node, NotOp):
-            sub = vec(node.arg)
-            out = [not x for x in sub]
-        elif isinstance(node, AndOp):
-            a, b = vec(node.left), vec(node.right)
-            out = [x and y for x, y in zip(a, b)]
-        elif isinstance(node, OrOp):
-            a, b = vec(node.left), vec(node.right)
-            out = [x or y for x, y in zip(a, b)]
-        elif isinstance(node, Implies):
-            a, b = vec(node.left), vec(node.right)
-            out = [(not x) or y for x, y in zip(a, b)]
-        elif isinstance(node, Next):
-            sub = vec(node.arg)
-            out = [sub[nxt(p)] for p in range(n)]
-        elif isinstance(node, (Until, Finally)):
-            if isinstance(node, Until):
-                a, b = vec(node.left), vec(node.right)
-            else:
-                a, b = [True] * n, vec(node.arg)
-            out = [False] * n
-            for _ in range(n + 1):
-                new = [b[p] or (a[p] and out[nxt(p)]) for p in range(n)]
-                if new == out:
-                    break
-                out = new
-        elif isinstance(node, (Release, Globally)):
-            if isinstance(node, Release):
-                a, b = vec(node.left), vec(node.right)
-            else:
-                a, b = [False] * n, vec(node.arg)
-            out = [True] * n
-            for _ in range(n + 1):
-                new = [b[p] and (a[p] or out[nxt(p)]) for p in range(n)]
-                if new == out:
-                    break
-                out = new
-        else:
-            raise LTLError("unknown node %r" % (node,))
-        memo[node] = out
-        return out
-
-    return vec(phi)[0]
-
-
-def nfa_accepts_lasso(nfa, prefix, loop):
-    """Whether some infinite run exists on the ultimately periodic word."""
-    letters = list(prefix) + list(loop)
-    n = len(letters)
-    start = len(prefix)
-
-    def nxt(p):
-        return p + 1 if p + 1 < n else start
-
-    reachable = {(nfa.initial, 0)}
-    queue = [(nfa.initial, 0)]
-    edges = {}
-    while queue:
-        s, p = queue.pop()
-        targets = [(t, nxt(p)) for t in nfa.successors(s, letters[p])]
-        edges[(s, p)] = targets
-        for node in targets:
-            if node not in reachable:
-                reachable.add(node)
-                queue.append(node)
-    # prune dead ends; anything left can be extended forever
-    alive = set(reachable)
-    changed = True
-    while changed:
-        changed = False
-        for node in list(alive):
-            if not any(t in alive for t in edges[node]):
-                alive.discard(node)
-                changed = True
-    return bool(alive)
-
-
-def dsa_accepts_lasso(dsa, prefix, loop):
-    """Whether the deterministic symbolic automaton runs forever."""
-    letters = list(prefix) + list(loop)
-    n = len(letters)
-    start = len(prefix)
-    bits = dsa.initial_bits()
-    seen = set()
-    p = 0
-    while True:
-        if bits == 0:
-            return False
-        if p >= start:
-            key = (bits, p)
-            if key in seen:
-                return True
-            seen.add(key)
-        bits = dsa.step_bits(bits, letters[p])
-        p = p + 1 if p + 1 < n else start

@@ -3,10 +3,7 @@
 The parity solver is the classical attractor-based recursive algorithm,
 implemented from its textbook description and sharing no code with the
 fixpoint solver.  On top of it sits the reduction-based Emerson-Lei
-solver, and for objectives of the form "one color infinitely often"
-there is a third, direct algorithm that repeatedly strips regions from
-which the target colors cannot be reached.  These are correctness
-anchors; no attempt is made to be fast.
+solver.  These are correctness anchors; no attempt is made to be fast.
 """
 
 from .games import EXISTENTIAL, UNIVERSAL
@@ -91,45 +88,6 @@ def solve_parity_recursive(pg):
     return w0, w1, strat[0], strat[1]
 
 
-def verify_parity_strategy(pg, region, strategy, player):
-    """Exact check that the positional strategy wins ``region`` for ``player``.
-
-    In the strategy-fixed subgraph restricted to ``region``, every cycle
-    must have its maximal priority of ``player``'s parity.  Checked per
-    opposing priority via strongly connected components.
-    """
-    arena = pg.arena
-    succ = []
-    ids = [v for v in range(arena.n) if region >> v & 1]
-    for v in ids:
-        if arena.owner[v] == player:
-            if v not in strategy:
-                return False
-            w = strategy[v]
-            if not arena.succ_mask[v] >> w & 1:
-                return False
-            targets = [w]
-        else:
-            targets = list(arena.succ[v])
-        if any(not region >> w & 1 for w in targets):
-            return False
-        succ.append(targets)
-    pos = {v: i for i, v in enumerate(ids)}
-    opposing = (lambda p: p % 2 == 1) if player == EXISTENTIAL else (lambda p: p % 2 == 0)
-    for p in sorted({pg.priority[v] for v in ids if opposing(pg.priority[v])}):
-        keep = [i for i, v in enumerate(ids) if pg.priority[v] <= p]
-        keepset = set(keep)
-        sub = {i: [pos[w] for w in succ[i] if pos[w] in keepset] for i in keep}
-        for comp in _sccs(sub):
-            if len(comp) == 1:
-                i = next(iter(comp))
-                if i not in sub[i]:
-                    continue
-            if any(pg.priority[ids[i]] == p for i in comp):
-                return False
-    return True
-
-
 def _sccs(succ):
     """Tarjan over a dict node -> successor list; yields node sets."""
     index = {}
@@ -193,19 +151,3 @@ def solve_el_via_reduction(game, tree=None):
         if w0 >> reduced.root_node(v) & 1:
             out |= 1 << v
     return out
-
-
-def solve_buchi_direct(arena, accepting_mask):
-    """Nodes from which the existential player forces visiting the
-    accepting set infinitely often.  Repeatedly removes the universal
-    attractor of the region that cannot reach the accepting set."""
-    region = arena.full_mask
-    while True:
-        reach = _attractor_with_strategy(
-            arena, accepting_mask & region, EXISTENTIAL, region, {})
-        hopeless = region & ~reach
-        if not hopeless:
-            return region
-        region &= ~_attractor_with_strategy(arena, hopeless, UNIVERSAL, region, {})
-        if not region:
-            return 0

@@ -89,34 +89,6 @@ def export_pgsolver(pg, names=None):
     return "\n".join(lines) + "\n"
 
 
-def import_pgsolver(text):
-    """Inverse of :func:`export_pgsolver` (round-trip checks and tooling)."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("parity"):
-        raise games.GameFormatError("expected 'parity <maxId>;' header", 1)
-    entries = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.endswith(";"):
-            line = line[:-1]
-        name = None
-        if '"' in line:
-            line, name = line.split('"', 1)
-            name = name.rstrip('"').strip('"')
-        parts = line.split()
-        if len(parts) != 4:
-            raise games.GameFormatError("expected '<id> <prio> <owner> <succs>'", lineno)
-        vid, prio, owner = int(parts[0]), int(parts[1]), int(parts[2])
-        succ = [int(x) for x in parts[3].split(",")]
-        entries[vid] = (prio, owner, succ, name)
-    n = len(entries)
-    if sorted(entries) != list(range(n)):
-        raise games.GameFormatError("node ids must be consecutive from 0")
-    owner = [EXISTENTIAL if entries[v][1] == 0 else UNIVERSAL for v in range(n)]
-    succ = [entries[v][2] for v in range(n)]
-    priority = [entries[v][0] for v in range(n)]
-    return ParityGame(Arena(owner, succ), priority)
-
-
 def format_product_dot(reduced):
     pg = reduced.parity_game
     arena = pg.arena

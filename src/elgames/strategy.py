@@ -45,10 +45,6 @@ from .games import EXISTENTIAL, iter_nodes
 from .oracles import _sccs
 
 
-class StrategyError(ValueError):
-    """Extraction requested outside the winning region, or bad data."""
-
-
 class ELStrategy:
     """Positional-in-(node, leaf) strategy with explicit memory updates.
 

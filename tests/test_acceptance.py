@@ -22,12 +22,15 @@ from elgames import synthesis as syn
 from elgames.corpus import run_corpus
 from elgames.dd import Manager
 from elgames.fixpoint import build_equations
-from elgames.zielonka import LassoPlay, ZielonkaTree, fair_induced_walk, max_tree_size
+from elgames.zielonka import ZielonkaTree
 
 from test_el import example_objective, ABCD
 from test_dd import _random_ops
 from test_ltl import random_safety_formula, random_lasso
 from ttable import TTManager
+from ltl_reference import (dsa_accepts_lasso, eval_ltl_lasso,
+                           nfa_accepts_lasso, reachable_subset_count)
+from zielonka_reference import LassoPlay, fair_induced_walk, max_tree_size
 
 
 @contextmanager
@@ -272,7 +275,7 @@ def test_criterion7_determinization():
         nfa = ltl.nfa_from_safety(ltl.check_safety(
             ltl.parse_ltl("G(b | c) & G(a -> b | X X b)")))
         dsa = ltl.determinize_symbolic(nfa)
-        assert ltl.reachable_subset_count(dsa) == 9
+        assert reachable_subset_count(dsa) == 9
 
         rng = random.Random(77)
         names = ["a", "b", "c"]
@@ -286,9 +289,9 @@ def test_criterion7_determinization():
             dsa = ltl.determinize_symbolic(nfa)
             for _ in range(3):
                 prefix, loop = random_lasso(rng, names, 5)
-                direct = ltl.eval_ltl_lasso(phi, prefix, loop)
-                assert direct == ltl.nfa_accepts_lasso(nfa, prefix, loop)
-                assert direct == ltl.dsa_accepts_lasso(dsa, prefix, loop)
+                direct = eval_ltl_lasso(phi, prefix, loop)
+                assert direct == nfa_accepts_lasso(nfa, prefix, loop)
+                assert direct == dsa_accepts_lasso(dsa, prefix, loop)
                 checked += 1
 
 
@@ -340,7 +343,7 @@ def test_criterion8_end_to_end_synthesis():
         for safety, liveness, ins, outs in small:
             sprob = syn.problem_from_strings(safety, liveness, ins, outs)
             sgame = syn.build_game(sprob)
-            assert ltl.reachable_subset_count(sgame.dsa) <= 12
+            assert reachable_subset_count(sgame.dsa) <= 12
             win, _, _ = syn.solve_symbolic(sgame)
             syn.cross_check_symbolic_vs_explicit(sgame, win)
 

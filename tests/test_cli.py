@@ -165,8 +165,14 @@ def test_format_error_exit_code(tmp_path, capsys):
     assert main(["solve", str(bad)]) == 3
 
 
-def test_missing_file_exit_code(capsys):
-    assert main(["solve", "/nonexistent/game.elg"]) == 3
+def test_missing_file_exit_code(game_file, tmp_path, capsys):
+    # A directory where a file is expected is an input error, not a
+    # check failure (exit 1) or a traceback.
+    for argv in (["solve", "/nonexistent/game.elg"],
+                 ["solve", str(tmp_path)],
+                 ["solve", game_file, "--strategy", str(tmp_path)]):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_stage_limit_exit_code(game_file, monkeypatch, capsys):

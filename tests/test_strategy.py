@@ -6,15 +6,16 @@ from elgames import el, fixpoint, strategy
 from elgames.fixpoint import solve_game
 from elgames.fixpoint import ExplicitBackend, build_equations, guard_table
 from elgames.games import Arena, ELGame, EXISTENTIAL, UNIVERSAL, random_game
-from elgames.strategy import (ELStrategy, RankBackend, extract, ranked_solve,
-                              verify)
-from elgames.zielonka import ZielonkaTree, max_tree_size
+from elgames.strategy import (ELStrategy, RankBackend, _Extractor, extract,
+                              ranked_solve, verify)
+from elgames.zielonka import ZielonkaTree
 from elgames.games import iter_nodes
 
 from mutations import with_redirected_move
 from ranked_reference import _Terms, equation_errors, ranked_solve_reference
 from verify_reference import (extract_reference, replay_lasso,
                               strategy_from_text, verify_reference)
+from zielonka_reference import max_tree_size
 from test_fixpoint import (STREETT_N60_STAGES, arb2_expansion,
                            arb2_resp2_expansion, family_games,
                            readme_expansion, streett3, streett_n60)
@@ -95,7 +96,7 @@ def test_counterexamples_replay_to_falsifying_color_sets():
         succs = [w for w in game.arena.succ[v] if w != strat.move[(v, m)]]
         if not succs:
             continue
-        bad = with_redirected_move(game, tree, result, strat, v, m,
+        bad = with_redirected_move(_Extractor(game, tree, result), strat, v, m,
                                    succs[rng.randrange(len(succs))])
         report = verify(game, bad, win)
         if not report.ok and report.loop:
@@ -126,7 +127,8 @@ def test_redirecting_outside_winning_region_is_always_rejected():
         if target is None:
             continue
         v, m, w = target
-        bad = with_redirected_move(game, tree, result, strat, v, m, w)
+        bad = with_redirected_move(_Extractor(game, tree, result), strat,
+                                   v, m, w)
         assert not verify(game, bad, win).ok
         checked += 1
     assert checked >= 20
@@ -340,13 +342,14 @@ def test_verify_agrees_with_per_color_set_reference():
         strat = extract(game, tree, result)
         assert verify(game, strat, win).ok, k
         assert verify_reference(game, strat, win) is None, k
+        ex = _Extractor(game, tree, result)
         rng = random.Random(k)
         pairs = sorted(strat.move)
         for v, m in rng.sample(pairs, min(4, len(pairs))):
             for w in game.arena.succ[v]:
                 if w == strat.move[(v, m)]:
                     continue
-                bad = with_redirected_move(game, tree, result, strat, v, m, w)
+                bad = with_redirected_move(ex, strat, v, m, w)
                 report = verify(game, bad, win)
                 reason = verify_reference(game, bad, win)
                 assert report.ok == (reason is None), (k, v, m, w, report, reason)

@@ -368,7 +368,7 @@ def test_pipeline_equivalence_on_small_instances():
 
 def bounded_states(game, etree):
     # reachable subsets x tree positions (anchor, slot) is the shape bound
-    from elgames.ltl import reachable_subset_count
+    from ltl_reference import reachable_subset_count
     subsets = reachable_subset_count(game.dsa) + 1  # plus the dead subset
     slots = sum(max(1, len(etree.children[v])) for v in range(len(etree)))
     return subsets * slots

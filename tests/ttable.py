@@ -188,18 +188,6 @@ class TTManager:
                 bits |= 1 << i
         return TTAssertion(self, bits)
 
-    def restrict(self, a, name, value):
-        level = self.level(name)
-        mask = self._mask(level)
-        step = 1 << level
-        if value:
-            kept = a.bits & mask
-            bits = kept | (kept >> step)
-        else:
-            kept = a.bits & ~mask
-            bits = kept | (kept << step)
-        return TTAssertion(self, bits & self.full)
-
     def _support_levels(self, bits):
         out = []
         for level in range(len(self.names)):

@@ -14,7 +14,11 @@ must agree with it on ok-ness.
 from elgames import el
 from elgames.games import EXISTENTIAL, iter_nodes
 from elgames.oracles import _sccs
-from elgames.strategy import ELStrategy, StrategyError, _Extractor
+from elgames.strategy import ELStrategy, _Extractor
+
+
+class StrategyError(ValueError):
+    """A malformed strategy file, or a lasso the strategy does not play."""
 
 
 def pick_move_reference(ex, v, m):
