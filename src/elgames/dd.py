@@ -121,9 +121,6 @@ class Manager:
         except KeyError:
             raise BddError("unknown block %r" % block) from None
 
-    def block_names(self, block):
-        return tuple(self.names[level] for level in self.block_levels(block))
-
     # -- constants and atoms
 
     @property
@@ -151,12 +148,6 @@ class Manager:
         c._peer(t)
         c._peer(e)
         return Assertion(self, self.core.ite(c.handle, t.handle, e.handle))
-
-    def conj(self, assertions):
-        out = self.true
-        for a in assertions:
-            out = out & a
-        return out
 
     def disj(self, assertions):
         out = self.false
@@ -212,22 +203,3 @@ class Manager:
         for name, val in values.items():
             by_level[self.level(name)] = bool(val)
         return self.core.eval(a.handle, by_level)
-
-    def to_dot(self, a):
-        core = self.core
-        lines = ["digraph bdd {", '  t0 [shape=box label="0"];',
-                 '  t1 [shape=box label="1"];']
-        seen = set()
-        stack = [a.handle]
-        while stack:
-            node = stack.pop()
-            if node < 2 or node in seen:
-                continue
-            seen.add(node)
-            lines.append('  n%d [label="%s"];' % (node, self.names[core.level_of(node)]))
-            for child, style in ((core.low(node), "dashed"), (core.high(node), "solid")):
-                target = "t%d" % child if child < 2 else "n%d" % child
-                lines.append("  n%d -> %s [style=%s];" % (node, target, style))
-                stack.append(child)
-        lines.append("}")
-        return "\n".join(lines) + "\n"

@@ -55,9 +55,6 @@ class EquationSystem:
     tree: object
     equations: list = field(default_factory=list)
 
-    def __iter__(self):
-        return iter(self.equations)
-
 
 def build_equations(tree):
     """Instantiate the equation system for a built Zielonka tree."""

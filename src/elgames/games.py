@@ -195,6 +195,8 @@ def load_game(text):
             except ValueError as exc:
                 raise GameFormatError(str(exc), lineno) from exc
         elif kind == "objective":
+            if objective_src is not None:
+                raise GameFormatError("duplicate objective line", lineno)
             objective_src = (line[len("objective"):].strip(), lineno)
         else:
             raise GameFormatError("unknown directive %r" % kind, lineno)

@@ -88,57 +88,6 @@ def solve_parity_recursive(pg):
     return w0, w1, strat[0], strat[1]
 
 
-def _sccs(succ):
-    """Tarjan over a dict node -> successor list; yields node sets."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    result = []
-    counter = [0]
-
-    def strongconnect(v):
-        work = [(v, iter(succ[v]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == node:
-                        break
-                result.append(comp)
-
-    for v in succ:
-        if v not in index:
-            strongconnect(v)
-    return result
-
-
 def solve_el_via_reduction(game, tree=None):
     """Winning set through the parity reduction and the recursive solver."""
     from .zielonka import ZielonkaTree

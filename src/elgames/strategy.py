@@ -26,14 +26,10 @@ leaf) pairs only: it explores the product from each winning node's
 initial leaf, and strategy files list only those entries.
 
 ``verify`` is exact: it builds the product of the game with the
-strategy (universal moves left free) and checks its cycles SCC-first
-(Emerson & Lei 1987; Baier et al., ATVA 2019): a nontrivial strongly
-connected component whose color union falsifies the objective is a
-losing cycle; one whose union U satisfies it is searched again inside
-each maximal falsifying subset of U.  Any cycle with a falsifying color
-set D lies in one component, and D is then U itself or lies inside one
-of those subsets, so the search misses no losing cycle; unions shrink
-strictly, so it ends.
+strategy (universal moves left free) and checks its cycles with
+:func:`losing_cycle`, SCC-first (Emerson & Lei 1987; Baier et al.,
+ATVA 2019).  That search reads only an adjacency, colors and the
+objective, not the strategy or the Zielonka tree.
 """
 
 import heapq
@@ -42,7 +38,6 @@ from dataclasses import dataclass
 from . import el, fixpoint
 from .fixpoint import ExplicitBackend, build_equations, guard_table
 from .games import EXISTENTIAL, iter_nodes
-from .oracles import _sccs
 
 
 class ELStrategy:
@@ -485,31 +480,6 @@ def extract(game, tree, result):
     return ELStrategy(game, tree, win, initial, move, update)
 
 
-def product_states(game, strategy, claimed):
-    """Reachable (node, leaf) pairs of the strategy product."""
-    arena = game.arena
-    seen = set()
-    stack = [(v, strategy.initial[v]) for v in iter_nodes(claimed)
-             if v in strategy.initial]
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        v, m = state
-        if arena.owner[v] == EXISTENTIAL:
-            succs = [strategy.move.get((v, m))]
-        else:
-            succs = arena.succ[v]
-        for w in succs:
-            if w is None:
-                continue
-            m2 = strategy.update.get((v, m, w))
-            if m2 is not None:
-                stack.append((w, m2))
-    return seen
-
-
 @dataclass
 class VerifyResult:
     ok: bool
@@ -521,84 +491,112 @@ class VerifyResult:
         return self.ok
 
 
-def verify(game, strategy, claimed):
-    """Exact check that ``strategy`` wins every node of ``claimed``.
+def _product(game, strategy, claimed):
+    """Breadth-first walk of the strategy product from the initial pairs
+    of ``claimed`` (universal moves left free).
 
-    The product of the game with the strategy is built from the initial
-    pairs of ``claimed``; a missing initial leaf, move or update, a move
-    along a non-edge and a play leaving ``claimed`` each fail with their
-    reason.  Moves and updates are needed at the reachable pairs only.
-    Cycles are then checked SCC-first: a nontrivial component whose
-    color union U falsifies the objective fails with a lasso through it;
-    otherwise each maximal falsifying subset of U is searched again, over
-    the component's states whose colors lie inside it.  A cycle whose
-    color set D falsifies the objective lies in one component; if that
-    component's U satisfies it, D is a proper subset of U, so it lies
-    inside a maximal falsifying one and the cycle survives the
-    restriction.  Unions shrink strictly, so the check ends.
+    Returns ``(states, adj, parent, failure)``: the (node, leaf) states
+    in visiting order, each state's successor indices, the index each
+    state was first reached from, and the first failure as a
+    :class:`VerifyResult` (``None`` when there is none).  A missing
+    initial leaf, move or update, a move along a non-edge and a play
+    leaving ``claimed`` each stop the walk with their reason.
     """
     arena = game.arena
-    phi = game.objective
-
+    owner, succ, succ_mask = arena.owner, arena.succ, arena.succ_mask
+    move, update = strategy.move, strategy.update
     index = {}
     states = []
     adj = []
     parent = {}
-    queue = []
 
-    def intern(state):
-        if state not in index:
-            index[state] = len(states)
-            states.append(state)
-            adj.append(None)
-            queue.append(state)
-        return index[state]
+    def fail(reason, i=None, tail=()):
+        prefix = () if i is None else _path_to(parent, states, i) + tail
+        return states, adj, parent, VerifyResult(False, reason, prefix=prefix)
 
     for v in sorted(iter_nodes(claimed)):
         if v not in strategy.initial:
-            return VerifyResult(False, "no initial memory for node %d" % v)
-        intern((v, strategy.initial[v]))
+            return fail("no initial memory for node %d" % v)
+        index[(v, strategy.initial[v])] = len(states)
+        states.append((v, strategy.initial[v]))
 
-    head = 0
-    while head < len(queue):
-        v, m = queue[head]
-        i = index[(v, m)]
-        head += 1
-        if arena.owner[v] == EXISTENTIAL:
-            w = strategy.move.get((v, m))
+    i = 0
+    while i < len(states):
+        v, m = states[i]
+        if owner[v] == EXISTENTIAL:
+            w = move.get((v, m))
             if w is None:
-                return VerifyResult(
-                    False, "no move at node %d with memory %d" % (v, m),
-                    prefix=_path_to(parent, states, i))
-            if not arena.succ_mask[v] >> w & 1:
-                return VerifyResult(
-                    False, "move %d -> %d is not an edge" % (v, w),
-                    prefix=_path_to(parent, states, i))
-            succs = [w]
+                return fail("no move at node %d with memory %d" % (v, m), i)
+            if not succ_mask[v] >> w & 1:
+                return fail("move %d -> %d is not an edge" % (v, w), i)
+            succs = (w,)
         else:
-            succs = arena.succ[v]
+            succs = succ[v]
         out = []
         for w in succs:
             if not claimed >> w & 1:
-                pfx = _path_to(parent, states, i) + ((w, None),)
-                return VerifyResult(
-                    False, "play escapes the claimed region at node %d" % w,
-                    prefix=pfx)
-            m2 = strategy.update.get((v, m, w))
+                return fail("play escapes the claimed region at node %d" % w,
+                            i, tail=((w, None),))
+            m2 = update.get((v, m, w))
             if m2 is None:
-                return VerifyResult(
-                    False, "no memory update for (%d, %d) -> %d" % (v, m, w),
-                    prefix=_path_to(parent, states, i))
-            known = (w, m2) in index
-            j = intern((w, m2))
-            if not known:
+                return fail("no memory update for (%d, %d) -> %d" % (v, m, w), i)
+            j = index.get((w, m2))
+            if j is None:
+                j = index[(w, m2)] = len(states)
+                states.append((w, m2))
                 parent[j] = i
             out.append(j)
-        adj[i] = out
+        adj.append(out)
+        i += 1
+    return states, adj, parent, None
 
-    colors = [arena.colors[v] for v, _ in states]
+
+def product_states(game, strategy, claimed):
+    """Reachable (node, leaf) pairs of the strategy product, as far as
+    ``verify``'s walk gets: all of them when the product is complete."""
+    return set(_product(game, strategy, claimed)[0])
+
+
+def verify(game, strategy, claimed):
+    """Exact check that ``strategy`` wins every node of ``claimed``.
+
+    The product of the game with the strategy is built from the initial
+    pairs of ``claimed`` (:func:`_product`); moves and updates are
+    needed at the reachable pairs only.  Its cycles are then checked by
+    :func:`losing_cycle`, and a losing one fails with a lasso through
+    every state of its component.
+    """
+    states, adj, parent, failure = _product(game, strategy, claimed)
+    if failure is not None:
+        return failure
+    colors = [game.arena.colors[v] for v, _ in states]
+    found = losing_cycle(adj, colors, game.objective)
+    if found is None:
+        return VerifyResult(True)
+    comp, sub, union = found
+    prefix, loop = _lasso(states, parent, comp, sub)
+    return VerifyResult(
+        False, "strategy admits a play with infinite color set %s"
+        % game.table.format_mask(union), prefix=prefix, loop=loop)
+
+
+def losing_cycle(adj, colors, phi):
+    """A strongly connected set of states whose color union falsifies
+    ``phi``, searched SCC-first; ``None`` when every cycle satisfies it.
+
+    ``adj[i]`` lists the successors of state ``i`` and ``colors[i]`` is
+    its color mask.  Returns ``(comp, sub, union)``: the component, its
+    adjacency restricted to itself, and its color union.  A nontrivial
+    component whose union U falsifies ``phi`` is returned; otherwise
+    each maximal falsifying subset of U is searched again, over the
+    component's states whose colors lie inside it.  A cycle whose color
+    set D falsifies ``phi`` lies in one component; if that component's U
+    satisfies ``phi``, D is a proper subset of U, so it lies inside a
+    maximal falsifying one and the cycle survives the restriction.
+    Unions shrink strictly, so the search ends.
+    """
     falsifying = {}   # color union -> its maximal falsifying subsets
-    work = [(range(len(states)), game.table.full_mask)]
+    work = [(range(len(adj)), -1)]
     while work:
         nodes, d = work.pop()
         keep = {i for i in nodes if not colors[i] & ~d}
@@ -614,15 +612,11 @@ def verify(game, strategy, claimed):
             subsets = falsifying.get(union)
             if subsets is None:
                 if not el.evaluate(phi, union):
-                    prefix, loop = _build_lasso(states, sub, parent, comp, union, arena)
-                    return VerifyResult(
-                        False,
-                        "strategy admits a play with infinite color set %s"
-                        % game.table.format_mask(union),
-                        prefix=prefix, loop=loop)
+                    own = {i: [j for j in sub[i] if j in comp] for i in comp}
+                    return comp, own, union
                 subsets = falsifying[union] = _maximal_falsifying(phi, union)
             work.extend((comp, e) for e in subsets)
-    return VerifyResult(True)
+    return None
 
 
 def _maximal_falsifying(phi, mask):
@@ -636,6 +630,57 @@ def _maximal_falsifying(phi, mask):
     return out
 
 
+def _sccs(succ):
+    """Tarjan over a dict node -> successor list; yields node sets."""
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    result = []
+    counter = [0]
+
+    def strongconnect(v):
+        work = [(v, iter(succ[v]))]
+        index[v] = low[v] = counter[0]
+        counter[0] += 1
+        stack.append(v)
+        on_stack.add(v)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[node] = min(low[node], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.add(w)
+                    if w == node:
+                        break
+                result.append(comp)
+
+    for v in succ:
+        if v not in index:
+            strongconnect(v)
+    return result
+
+
 def _path_to(parent, states, i):
     path = [i]
     while path[-1] in parent:
@@ -644,9 +689,9 @@ def _path_to(parent, states, i):
     return tuple(states[j] for j in path)
 
 
-def _bfs_path(sub, src, targets):
-    """Shortest path src..target inside restricted adjacency; may be [src]."""
-    if src in targets:
+def _bfs_path(sub, src, goal):
+    """Shortest path src..goal inside restricted adjacency; may be [src]."""
+    if src == goal:
         return [src]
     prev = {src: None}
     frontier = [src]
@@ -657,7 +702,7 @@ def _bfs_path(sub, src, targets):
                 if j in prev:
                     continue
                 prev[j] = i
-                if j in targets:
+                if j == goal:
                     path = [j]
                     while prev[path[-1]] is not None:
                         path.append(prev[path[-1]])
@@ -665,46 +710,19 @@ def _bfs_path(sub, src, targets):
                     return path
                 nxt.append(j)
         frontier = nxt
-    raise AssertionError("target unreachable inside component")
+    raise AssertionError("goal unreachable inside component")
 
 
-def _build_lasso(states, sub, parent, comp, d, arena):
-    comp_sorted = sorted(comp)
-    entry = comp_sorted[0]
-    # Path up to, but not including, the loop entry.
-    prefix_states = _path_to(parent, states, entry)[:-1]
-
-    loop_idx = [entry]
-    for goal in comp_sorted[1:]:
-        seg = _bfs_path(sub, loop_idx[-1], {goal})
-        loop_idx.extend(seg[1:])
-    seg = _bfs_path(sub, loop_idx[-1], {entry})
-    loop_idx.extend(seg[1:])
-    if len(loop_idx) > 1:
-        loop_idx = loop_idx[:-1]
-    else:
-        # single self-looping state
-        loop_idx = [entry]
-
-    def union_of(idxs):
-        u = 0
-        for i in idxs:
-            u |= arena.colors[states[i][0]]
-        return u
-
-    # Greedy trim: cut detours between repeated states while the loop
-    # still realizes exactly d.
-    changed = True
-    while changed:
-        changed = False
-        seen = {}
-        for pos, i in enumerate(loop_idx):
-            if i in seen:
-                cand = loop_idx[:seen[i]] + loop_idx[pos:]
-                if union_of(cand) == d:
-                    loop_idx = cand
-                    changed = True
-                    break
-            else:
-                seen[i] = pos
-    return prefix_states, tuple(states[i] for i in loop_idx)
+def _lasso(states, parent, comp, sub):
+    """Prefix from an initial state to the component's least state, and a
+    closed walk from there through every state of the component, so the
+    walk's color set is the component's union."""
+    order = sorted(comp)
+    entry = order[0]
+    loop = [entry]
+    for goal in order[1:] + [entry]:
+        loop.extend(_bfs_path(sub, loop[-1], goal)[1:])
+    if len(loop) > 1:
+        loop.pop()   # back at the entry; a lone state keeps its self-loop
+    prefix = _path_to(parent, states, entry)[:-1]
+    return prefix, tuple(states[i] for i in loop)

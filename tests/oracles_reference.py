@@ -9,7 +9,8 @@ import random
 
 from elgames import games
 from elgames.games import Arena, ParityGame, EXISTENTIAL, UNIVERSAL
-from elgames.oracles import _attractor_with_strategy, _sccs
+from elgames.oracles import _attractor_with_strategy
+from elgames.strategy import _sccs
 
 
 def random_parity_game(seed, n, max_priority, density=0.3):

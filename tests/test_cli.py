@@ -165,6 +165,14 @@ def test_format_error_exit_code(tmp_path, capsys):
     assert main(["solve", str(bad)]) == 3
 
 
+def test_second_objective_line_exit_code(tmp_path, capsys):
+    bad = tmp_path / "two.elg"
+    bad.write_text("elgame 1\ncolors a\nnode 0 E a\nedge 0 0\n"
+                   "objective Inf a\nobjective Fin a\n")
+    assert main(["solve", str(bad)]) == 3
+    assert "line 6" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(game_file, tmp_path, capsys):
     # A directory where a file is expected is an input error, not a
     # check failure (exit 1) or a traceback.

@@ -184,13 +184,6 @@ def test_differential_rename_against_truth_tables():
                               tt.rename_partners(ta), names)
 
 
-def test_to_dot_smoke():
-    m = small_manager()
-    a = (m.var("x") & m.var("y")) | m.var("z")
-    dot = m.to_dot(a)
-    assert "digraph" in dot and "x" in dot
-
-
 def test_core_impl_reports_something():
     assert dd.CORE_IMPL == "pure"
 

@@ -144,7 +144,8 @@ def test_explicit_guard_matches_its_definition():
     cases += family_games() + [readme_expansion()]
     for game in cases:
         backend = ExplicitBackend(game)
-        for eqn in build_equations(ZielonkaTree(game.objective, game.table)):
+        system = build_equations(ZielonkaTree(game.objective, game.table))
+        for eqn in system.equations:
             for term in eqn.terms:
                 expected = 0
                 for v, colors in enumerate(game.arena.colors):
@@ -160,7 +161,8 @@ def test_symbolic_guard_matches_its_definition():
     m = game.manager
     backend = syn.SymbolicBackend(game)
     letters = list(ltl.letters(game.ap))
-    for eqn in build_equations(ZielonkaTree(game.el_formula, game.color_table)):
+    system = build_equations(ZielonkaTree(game.el_formula, game.color_table))
+    for eqn in system.equations:
         for term in eqn.terms:
             guard = backend.guard(*term[1:])
             for letter in letters:
@@ -278,7 +280,7 @@ def test_leaf_memo_window_holds_each_leafs_recent_runs(monkeypatch):
     # again on the input of one of them.
     game = streett_n60()
     tree = ZielonkaTree(game.objective, game.table)
-    window = {eq.vertex: len(eq.terms) for eq in build_equations(tree)
+    window = {eq.vertex: len(eq.terms) for eq in build_equations(tree).equations
               if eq.op == "attract"}
     calls = []
 

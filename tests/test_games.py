@@ -52,6 +52,14 @@ def test_load_reports_line_numbers():
     assert "line 6" in str(err.value)
 
 
+def test_load_rejects_a_second_objective_line():
+    text = "elgame 1\ncolors a\nnode 0 E a\nedge 0 0\nobjective Inf a\nobjective Fin a\n"
+    with pytest.raises(games.GameFormatError) as err:
+        load_game(text)
+    assert "duplicate objective line" in str(err.value)
+    assert "line 6" in str(err.value)
+
+
 def test_load_rejects_totality_violation():
     text = "elgame 1\ncolors a\nnode 0 E a\nnode 1 A\nedge 0 1\nobjective Inf a\n"
     with pytest.raises(games.GameFormatError):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 
@@ -7,7 +8,10 @@ from elgames import el, ltl
 from elgames import synthesis as syn
 from elgames.dd import Manager
 from elgames.fixpoint import solve_game
+from elgames.games import Arena, ELGame, UNIVERSAL
 from elgames.ltl import parse_ltl
+from elgames.oracles import solve_el_via_reduction
+from elgames.strategy import losing_cycle
 from elgames.zielonka import ZielonkaTree
 
 
@@ -228,7 +232,7 @@ def test_cross_check_rejects_a_region_holding_on_the_empty_subset(monkeypatch):
     def with_empty_subset(game):
         win, tree, result = solve(game)
         m = game.manager
-        empty = m.conj(~m.var(v) for v in game.state_vars)
+        empty = ~m.disj(m.var(v) for v in game.state_vars)
         return win | empty, tree, result
 
     monkeypatch.setattr(syn, "solve_symbolic", with_empty_subset)
@@ -246,7 +250,9 @@ CONTROLLER_DIGESTS = {
 }
 
 
-def test_controller_texts_match_their_pinned_digests():
+@functools.lru_cache(maxsize=None)
+def pinned_synthesis(name):
+    """Synthesis result of one spec of ``CONTROLLER_DIGESTS``."""
     from test_fixpoint import ARB2, ARB3
     safety, live, inputs, outputs = ARB2
     specs = {
@@ -255,11 +261,91 @@ def test_controller_texts_match_their_pinned_digests():
         "arb2-resp2": (safety + " & G(r0 -> X g0 | X X g0)", live, inputs, outputs),
         "arb3": ARB3,
     }
-    for name, spec in specs.items():
-        res = syn.solve_synthesis(syn.problem_from_strings(*spec))
-        text = res.controller.to_text()
-        assert hashlib.sha256(text.encode()).hexdigest() == \
-            CONTROLLER_DIGESTS[name], name
+    return syn.solve_synthesis(syn.problem_from_strings(*specs[name]))
+
+
+def test_controller_texts_match_their_pinned_digests():
+    for name, digest in CONTROLLER_DIGESTS.items():
+        text = pinned_synthesis(name).controller.to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+def controller_product(game, init, trans):
+    """Controller state x DSA subset x every input, from the controller's
+    ``init`` and ``trans`` maps.  Every node is universal and carries the
+    colours of the letter it was entered by.  Returns the successor
+    lists and the colours, or None when a move is missing or a letter
+    empties the subset."""
+    dsa = game.dsa
+    index = {}
+    nodes = []
+
+    def enter(bits, inp, move):
+        if move is None:
+            return None
+        out, q = move
+        bits = dsa.step_bits(bits, inp | out)
+        if not bits:
+            return None
+        key = (q, bits, inp | out)
+        if key not in index:
+            index[key] = len(nodes)
+            nodes.append(key)
+        return index[key]
+
+    inputs = list(ltl.letters(game.inputs))
+    if None in [enter(dsa.initial_bits(), inp, init.get(inp)) for inp in inputs]:
+        return None
+    adj = []
+    for q, bits, _ in nodes:   # the list grows while it is walked
+        targets = [enter(bits, inp, trans.get((q, inp))) for inp in inputs]
+        if None in targets:
+            return None
+        adj.append(sorted(set(targets)))
+    return adj, [game.letter_colors(letter) for _, _, letter in nodes]
+
+
+def test_pinned_controllers_have_no_losing_cycle():
+    for name in CONTROLLER_DIGESTS:
+        res = pinned_synthesis(name)
+        ctrl = res.controller
+        built = controller_product(res.game, ctrl.init, ctrl.trans)
+        assert built is not None, name
+        adj, colors = built
+        assert losing_cycle(adj, colors, res.game.el_formula) is None, name
+
+
+def test_losing_cycle_agrees_with_the_oracle_on_mutated_controllers():
+    built = losing = rejected = 0
+    for name in CONTROLLER_DIGESTS:
+        res = pinned_synthesis(name)
+        game, ctrl = res.game, res.controller
+        rng = random.Random(name)
+        outs = list(ltl.letters(game.outputs))
+        keys = sorted(ctrl.trans, key=lambda k: (k[0], sorted(k[1])))
+        for _ in range(30):
+            k = rng.choice(keys)
+            out, q = ctrl.trans[k]
+            if rng.random() < 0.5:
+                move = (rng.choice([o for o in outs if o != out]), q)
+            else:
+                move = (out, rng.choice([r for r in range(len(ctrl)) if r != q]))
+            found = controller_product(game, ctrl.init, {**ctrl.trans, k: move})
+            if found is None:
+                rejected += 1
+                continue
+            adj, colors = found
+            cycle = losing_cycle(adj, colors, game.el_formula)
+            arena = Arena([UNIVERSAL] * len(adj), adj, colors)
+            product = ELGame(arena, game.color_table, game.el_formula)
+            won = solve_el_via_reduction(product)
+            assert (cycle is None) == (won == arena.full_mask), (name, k, move)
+            built += 1
+            losing += cycle is not None
+        for q in rng.sample(range(len(ctrl)), min(3, len(ctrl))):
+            dropped = {k: m for k, m in ctrl.trans.items() if k[0] != q}
+            assert controller_product(game, ctrl.init, dropped) is None, (name, q)
+    assert built >= 40 and losing >= 15 and rejected >= 20, (built, losing, rejected)
 
 
 def test_running_example_initial_node_wins_for_every_first_input():

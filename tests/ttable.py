@@ -103,9 +103,6 @@ class TTManager:
         except KeyError:
             raise TTError("unknown block %r" % block) from None
 
-    def block_names(self, block):
-        return tuple(self.names[level] for level in self.block_levels(block))
-
     @property
     def true(self):
         return TTAssertion(self, self.full)
@@ -135,12 +132,6 @@ class TTManager:
 
     def ite(self, c, t, e):
         return (c & t) | (~c & e)
-
-    def conj(self, assertions):
-        out = self.true
-        for a in assertions:
-            out = out & a
-        return out
 
     def disj(self, assertions):
         out = self.false

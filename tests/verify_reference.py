@@ -13,8 +13,7 @@ must agree with it on ok-ness.
 
 from elgames import el
 from elgames.games import EXISTENTIAL, iter_nodes
-from elgames.oracles import _sccs
-from elgames.strategy import ELStrategy, _Extractor
+from elgames.strategy import ELStrategy, _Extractor, _sccs
 
 
 class StrategyError(ValueError):
