@@ -10,10 +10,9 @@ format error, 4 stage limit exceeded.
 """
 
 import argparse
-import re
 import sys
 
-from . import el, games, ltl
+from . import el, games, ltl, syntax
 from .corpus import run_corpus
 from .fixpoint import StageLimitError, build_equations, format_equations, solve_game
 from .games import load_game
@@ -99,8 +98,9 @@ def _colors_from_text(text, explicit):
     if explicit:
         return el.ColorTable([n.strip() for n in explicit.split(",") if n.strip()])
     seen = []
-    for name in re.findall(r"\b(?:Inf|Fin)\s+([A-Za-z_][A-Za-z0-9_]*)", text):
-        if name not in seen:
+    tokens = syntax.tokenize(text, el.ELSyntaxError)
+    for (tok, _), (name, _) in zip(tokens, tokens[1:]):
+        if tok in ("Inf", "Fin") and el.is_color_name(name) and name not in seen:
             seen.append(name)
     return el.ColorTable(seen)
 

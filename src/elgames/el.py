@@ -7,13 +7,18 @@ desugared during parsing; it is not an AST node.  Colors are interned
 in a :class:`ColorTable` and color sets are dense bit masks over it.
 """
 
-import re
 from dataclasses import dataclass
+
+from . import syntax
 
 MAX_COLORS = 30
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _KEYWORDS = frozenset({"true", "false", "Inf", "Fin"})
+
+
+def is_color_name(name):
+    """Whether ``name`` can name a color: an identifier, not a keyword."""
+    return syntax.is_identifier(name) and name not in _KEYWORDS
 
 
 class ELError(ValueError):
@@ -42,7 +47,7 @@ class ColorTable:
         if len(names) > MAX_COLORS:
             raise ELError("too many colors (%d > %d)" % (len(names), MAX_COLORS))
         for name in names:
-            if not _IDENT_RE.match(name) or name in _KEYWORDS:
+            if not is_color_name(name):
                 raise ELError("bad color name: %r" % (name,))
         self.names = names
         self._ids = {name: i for i, name in enumerate(names)}
@@ -202,10 +207,10 @@ def check_colors(phi, table):
 
 
 # ---------------------------------------------------------------------------
-# Printing and parsing.  Precedence: ! > & > |; `->` is accepted on input
-# and desugared to !l | r, so it never needs printing.
+# Printing and parsing.  Precedence: ! > & > | > ->; `->` is accepted on
+# input and desugared to !l | r, so it never needs printing.
 
-_PREC_OR, _PREC_AND, _PREC_NOT = 1, 2, 3
+_PREC_IMPLIES, _PREC_OR, _PREC_AND = 1, 2, 3
 
 
 def format_formula(phi, table):
@@ -234,96 +239,33 @@ def format_formula(phi, table):
     return go(phi, 0)
 
 
-_TOKEN_RE = re.compile(r"\s*(->|[()!&|]|[A-Za-z_][A-Za-z0-9_]*)")
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ELSyntaxError("unexpected character %r" % text[pos], pos)
-            break
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    tokens.append((None, len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text, table):
-        self.tokens = _tokenize(text)
-        self.table = table
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i][0]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, want):
-        tok, pos = self.next()
-        if tok != want:
-            raise ELSyntaxError("expected %r, found %r" % (want, tok), pos)
-
-    def parse(self):
-        phi = self.implication()
-        tok, pos = self.next()
-        if tok is not None:
-            raise ELSyntaxError("trailing input %r" % tok, pos)
-        return phi
-
-    def implication(self):
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.next()
-            right = self.implication()
-            return Or(Not(left), right)
-        return left
-
-    def disjunction(self):
-        phi = self.conjunction()
-        while self.peek() == "|":
-            self.next()
-            phi = Or(phi, self.conjunction())
-        return phi
-
-    def conjunction(self):
-        phi = self.unary()
-        while self.peek() == "&":
-            self.next()
-            phi = And(phi, self.unary())
-        return phi
-
-    def unary(self):
-        tok, pos = self.next()
-        if tok == "!":
-            return Not(self.unary())
-        if tok == "(":
-            phi = self.implication()
-            self.expect(")")
-            return phi
-        if tok == "true":
-            return TRUE
-        if tok == "false":
-            return FALSE
-        if tok in ("Inf", "Fin"):
-            name, npos = self.next()
-            if name is None or not _IDENT_RE.match(name) or name in _KEYWORDS:
-                raise ELSyntaxError("expected color name after %s" % tok, npos)
-            cid = self.table.id(name)
-            return Inf(cid) if tok == "Inf" else Not(Inf(cid))
-        raise ELSyntaxError("unexpected token %r" % (tok,), pos)
+_BINARY = {
+    "->": (_PREC_IMPLIES, True, lambda left, right: Or(Not(left), right)),
+    "|": (_PREC_OR, False, Or),
+    "&": (_PREC_AND, False, And),
+}
+_PREFIX = {"!": Not}
 
 
 def parse_formula(text, table):
     """Parse the objective grammar; ``Fin c`` desugars to ``!Inf c``."""
-    return _Parser(text, table).parse()
+
+    def atom(tok, pos, take):
+        if tok in ("Inf", "Fin"):
+            name, npos = take()
+            cid = table._ids.get(name)   # a table name is a valid one
+            if cid is None:
+                if not is_color_name(name):
+                    raise ELSyntaxError("expected color name after %s" % tok, npos)
+                cid = table.id(name)
+            return Inf(cid) if tok == "Inf" else Not(Inf(cid))
+        if tok == "true":
+            return TRUE
+        if tok == "false":
+            return FALSE
+        return None
+
+    return syntax.parse(text, _BINARY, _PREFIX, atom, ELSyntaxError)
 
 
 # ---------------------------------------------------------------------------

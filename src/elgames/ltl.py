@@ -17,9 +17,9 @@ the tracked subset is nonempty (a run dies when it empties).  The
 subset space is never enumerated.
 """
 
-import re
 from dataclasses import dataclass
 
+from . import syntax
 from .dd import Manager
 
 
@@ -201,102 +201,32 @@ def prop_assert(manager, phi):
 # ---------------------------------------------------------------------------
 # Concrete syntax.
 
-_TOKEN_RE = re.compile(r"\s*(->|[()!&|]|[A-Za-z_][A-Za-z0-9_]*)")
-_KEYWORDS = {"true", "false", "X", "F", "G", "U", "R"}
+_KEYWORDS = frozenset({"true", "false", "X", "F", "G", "U", "R"})
+_BINARY = {
+    "->": (1, True, Implies),
+    "|": (2, False, OrOp),
+    "&": (3, False, AndOp),
+    "U": (4, True, Until),
+    "R": (4, True, Release),
+}
+_PREFIX = {"!": NotOp, "X": Next, "F": Finally, "G": Globally}
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise LTLSyntaxError("unexpected character %r" % text[pos], pos)
-            break
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    tokens.append((None, len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i][0]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self):
-        phi = self.implication()
-        tok, pos = self.next()
-        if tok is not None:
-            raise LTLSyntaxError("trailing input %r" % tok, pos)
-        return phi
-
-    def implication(self):
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.next()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self):
-        phi = self.conjunction()
-        while self.peek() == "|":
-            self.next()
-            phi = OrOp(phi, self.conjunction())
-        return phi
-
-    def conjunction(self):
-        phi = self.until()
-        while self.peek() == "&":
-            self.next()
-            phi = AndOp(phi, self.until())
-        return phi
-
-    def until(self):
-        phi = self.unary()
-        if self.peek() in ("U", "R"):
-            op, _ = self.next()
-            rhs = self.until()
-            return Until(phi, rhs) if op == "U" else Release(phi, rhs)
-        return phi
-
-    def unary(self):
-        tok, pos = self.next()
-        if tok == "!":
-            return NotOp(self.unary())
-        if tok == "X":
-            return Next(self.unary())
-        if tok == "F":
-            return Finally(self.unary())
-        if tok == "G":
-            return Globally(self.unary())
-        if tok == "(":
-            phi = self.implication()
-            got, gpos = self.next()
-            if got != ")":
-                raise LTLSyntaxError("expected ')'", gpos)
-            return phi
-        if tok == "true":
-            return LTL_TRUE
-        if tok == "false":
-            return LTL_FALSE
-        if tok is not None and tok not in _KEYWORDS and \
-                re.match(r"[A-Za-z_][A-Za-z0-9_]*$", tok):
-            return Ap(tok)
-        raise LTLSyntaxError("unexpected token %r" % (tok,), pos)
+def _atom(tok, pos, take):
+    if tok == "true":
+        return LTL_TRUE
+    if tok == "false":
+        return LTL_FALSE
+    if syntax.is_identifier(tok) and tok not in _KEYWORDS:
+        return Ap(tok)
+    return None
 
 
 def parse_ltl(text):
-    return _Parser(text).parse()
+    """Parse LTL: ``!``, ``X``, ``F``, ``G`` bind tightest, then the
+    right-associative ``U`` and ``R``, then ``&``, ``|`` and the
+    right-associative ``->``."""
+    return syntax.parse(text, _BINARY, _PREFIX, _atom, LTLSyntaxError)
 
 
 # ---------------------------------------------------------------------------

@@ -600,19 +600,14 @@ def losing_cycle(adj, colors, phi):
     while work:
         nodes, d = work.pop()
         keep = {i for i in nodes if not colors[i] & ~d}
-        sub = {i: [j for j in adj[i] if j in keep] for i in keep}
-        for comp in _sccs(sub):
-            if len(comp) == 1:
-                i = next(iter(comp))
-                if i not in sub[i]:
-                    continue
+        for comp in _sccs(adj, keep):
             union = 0
             for i in comp:
                 union |= colors[i]
             subsets = falsifying.get(union)
             if subsets is None:
                 if not el.evaluate(phi, union):
-                    own = {i: [j for j in sub[i] if j in comp] for i in comp}
+                    own = {i: [j for j in adj[i] if j in comp] for i in comp}
                     return comp, own, union
                 subsets = falsifying[union] = _maximal_falsifying(phi, union)
             work.extend((comp, e) for e in subsets)
@@ -630,55 +625,49 @@ def _maximal_falsifying(phi, mask):
     return out
 
 
-def _sccs(succ):
-    """Tarjan over a dict node -> successor list; yields node sets."""
+def _sccs(adj, members):
+    """Iterative Tarjan over ``adj`` restricted to the set ``members``;
+    yields, as node sets, the components that hold a cycle."""
     index = {}
     low = {}
-    on_stack = set()
     stack = []
-    result = []
-    counter = [0]
-
-    def strongconnect(v):
-        work = [(v, iter(succ[v]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
+    on_stack = set()
+    for root in members:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(adj[root]))]
         while work:
-            node, it = work[-1]
-            advanced = False
+            v, it = work[-1]
             for w in it:
+                if w not in members:
+                    continue
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
+                    work.append((w, iter(adj[w])))
                     break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == node:
-                        break
-                result.append(comp)
-
-    for v in succ:
-        if v not in index:
-            strongconnect(v)
-    return result
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    comp = set()
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.add(w)
+                        if w == v:
+                            break
+                    if len(comp) > 1 or v in adj[v]:
+                        yield comp
 
 
 def _path_to(parent, states, i):

@@ -225,7 +225,9 @@ def is_won(game, win):
 # ---------------------------------------------------------------------------
 # Explicit expansion (oracle cross-checks and controller extraction).
 
-DEAD_COLOR = "stuck"
+# The sink's color.  ``colors_of`` names colors after atoms starting with
+# [a-z], or ``k<i>`` with leading underscores, so this name never clashes.
+DEAD_COLOR = "_stuck"
 
 
 @dataclass

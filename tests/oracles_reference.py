@@ -10,7 +10,8 @@ import random
 from elgames import games
 from elgames.games import Arena, ParityGame, EXISTENTIAL, UNIVERSAL
 from elgames.oracles import _attractor_with_strategy
-from elgames.strategy import _sccs
+
+from verify_reference import sccs
 
 
 def random_parity_game(seed, n, max_priority, density=0.3):
@@ -84,7 +85,7 @@ def verify_parity_strategy(pg, region, strategy, player):
         keep = [i for i, v in enumerate(ids) if pg.priority[v] <= p]
         keepset = set(keep)
         sub = {i: [pos[w] for w in succ[i] if pos[w] in keepset] for i in keep}
-        for comp in _sccs(sub):
+        for comp in sccs(sub):
             if len(comp) == 1:
                 i = next(iter(comp))
                 if i not in sub[i]:

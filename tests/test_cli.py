@@ -37,6 +37,23 @@ def test_ztree_dot(capsys):
     assert "digraph" in capsys.readouterr().out
 
 
+def test_syntax_errors_name_the_end_of_input(capsys):
+    assert main(["ztree", "--el", "Inf a &"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: unexpected end of input (at column 8)\n"
+    assert main(["synth", "--safety", "G(b", "--el", "G F b",
+                 "--inputs", "a", "--outputs", "b"]) == 3
+    assert capsys.readouterr().err == \
+        "error: expected ')', found end of input (at column 4)\n"
+
+
+def test_ztree_colors_skip_keywords_after_inf(capsys):
+    # "Inf Fin" names no color; the parser reports where one is missing.
+    assert main(["ztree", "--el", "Inf Fin a"]) == 3
+    assert capsys.readouterr().err == \
+        "error: expected color name after Inf (at column 5)\n"
+
+
 def test_solve_prints_win_line(game_file, capsys):
     assert main(["solve", game_file]) == 0
     out = capsys.readouterr().out
@@ -116,6 +133,19 @@ def test_synth_controller_file(tmp_path, capsys):
     assert code == 0
     assert "REALIZABLE" in capsys.readouterr().out
     assert open(ctrl).read().startswith("mealy 1")
+
+
+def test_synth_liveness_color_named_like_the_sink(tmp_path, capsys):
+    # An output named "stuck" becomes the liveness color "stuck"; the
+    # expansion's sink color must not clash with it.
+    ctrl = str(tmp_path / "out.mealy")
+    code = main(["synth", "--safety", "G(true)", "--el", "G F stuck",
+                 "--inputs", "r", "--outputs", "stuck", "--controller", ctrl,
+                 "--expand-check"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "REALIZABLE", "expand-check: agrees",
+        "controller with 2 states written to %s" % ctrl]
 
 
 README_SYNTH = ["synth", "--safety", "G(b|c) & G(a -> b | X X b)",

@@ -37,6 +37,39 @@ def test_parse_syntax_errors_carry_position():
         el.parse_formula("(Inf a", ABCD)
 
 
+A, B, C = Inf(0), Inf(1), Inf(2)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("Inf a -> Inf b -> Inf c", Or(Not(A), Or(Not(B), C))),
+    ("(Inf a -> Inf b) -> Inf c", Or(Not(Or(Not(A), B)), C)),
+    ("Inf a | Inf b -> Inf c & Inf a", Or(Not(Or(A, B)), And(C, A))),
+    ("Inf a | Inf b | Inf c", Or(Or(A, B), C)),
+    ("Inf a & Inf b & Inf c", And(And(A, B), C)),
+    ("!Inf a | Fin b & !!Inf c", Or(Not(A), And(Not(B), Not(Not(C))))),
+    ("!(Inf a | false)", Not(Or(A, el.FALSE))),
+    # (text, (column, message)) of a syntax error
+    ("(a", (1, "unexpected token 'a'")),
+    ("a U", (0, "unexpected token 'a'")),
+    ("Inf a Inf b", (6, "trailing input 'Inf'")),
+    ("@", (0, "unexpected character '@'")),
+    ("(Inf a", (6, "expected ')', found end of input")),
+    ("Inf a &", (7, "unexpected end of input")),
+    ("Inf", (3, "expected color name after Inf")),
+    ("Fin ->", (4, "expected color name after Fin")),
+    ("Inf true", (4, "expected color name after Inf")),
+])
+def test_parse_table(text, expected):
+    if isinstance(expected, el.ELFormula):
+        assert el.parse_formula(text, ABCD) == expected
+        return
+    column, message = expected
+    with pytest.raises(el.ELSyntaxError) as err:
+        el.parse_formula(text, ABCD)
+    assert err.value.position == column
+    assert str(err.value) == "%s (at column %d)" % (message, column + 1)
+
+
 def test_precedence_not_over_and_over_or():
     table = ABCD
     phi = el.parse_formula("!Inf a & Inf b | Inf c", table)

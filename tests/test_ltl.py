@@ -3,9 +3,10 @@ import random
 import pytest
 
 from elgames import ltl
-from elgames.ltl import (Ap, AndOp, Globally, Implies, Next, NotOp, OrOp,
-                         Release, atoms, check_safety, determinize_symbolic,
-                         nfa_from_safety, parse_ltl, to_nnf)
+from elgames.ltl import (Ap, AndOp, Finally, Globally, Implies, Next, NotOp,
+                         OrOp, Release, Until, atoms, check_safety,
+                         determinize_symbolic, nfa_from_safety, parse_ltl,
+                         to_nnf)
 
 from ltl_reference import (dsa_accepts_lasso, eval_ltl_lasso,
                            nfa_accepts_lasso, reachable_subset_count)
@@ -28,6 +29,38 @@ def test_parse_errors():
         parse_ltl("G (a")
     with pytest.raises(ltl.LTLSyntaxError):
         parse_ltl("a U")
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("a -> b -> c", Implies(A, Implies(B, C))),
+    ("(a -> b) -> c", Implies(Implies(A, B), C)),
+    ("a | b -> c & a", Implies(OrOp(A, B), AndOp(C, A))),
+    ("a -> b | c & a", Implies(A, OrOp(B, AndOp(C, A)))),
+    ("a | b | c", OrOp(OrOp(A, B), C)),
+    ("a U b R c", Until(A, Release(B, C))),
+    ("a R b U c", Release(A, Until(B, C))),
+    ("a U b & c", AndOp(Until(A, B), C)),
+    ("!a U X b", Until(NotOp(A), Next(B))),
+    ("F a U G b", Until(Finally(A), Globally(B))),
+    ("G F !a", Globally(Finally(NotOp(A)))),
+    ("Inf & true", AndOp(Ap("Inf"), ltl.LTL_TRUE)),
+    # (text, (column, message)) of a syntax error
+    ("(a", (2, "expected ')', found end of input")),
+    ("a U", (3, "unexpected end of input")),
+    ("Inf a Inf b", (4, "trailing input 'a'")),
+    ("@", (0, "unexpected character '@'")),
+    ("a & U", (4, "unexpected token 'U'")),
+    ("G", (1, "unexpected end of input")),
+])
+def test_parse_table(text, expected):
+    if isinstance(expected, ltl.LTLFormula):
+        assert parse_ltl(text) == expected
+        return
+    column, message = expected
+    with pytest.raises(ltl.LTLSyntaxError) as err:
+        parse_ltl(text)
+    assert err.value.position == column
+    assert str(err.value) == "%s (at column %d)" % (message, column + 1)
 
 
 def test_nnf_dualities():

@@ -8,12 +8,14 @@ signatures; ``strategy.extract`` must equal it on the reachable pairs.
 ``verify_reference`` builds the product as ``strategy.verify`` does and
 runs one Tarjan pass per color set that falsifies the objective, looking
 for a component that realizes exactly that set; ``strategy.verify``
-must agree with it on ok-ness.
+must agree with it on ok-ness.  ``sccs`` is a Tarjan pass of its own
+over a dict adjacency, so a fault in the library's restricted Tarjan
+cannot hide behind the reference that checks it.
 """
 
 from elgames import el
 from elgames.games import EXISTENTIAL, iter_nodes
-from elgames.strategy import ELStrategy, _Extractor, _sccs
+from elgames.strategy import ELStrategy, _Extractor
 
 
 class StrategyError(ValueError):
@@ -99,7 +101,7 @@ def verify_reference(game, strategy, claimed):
             continue
         keep = {x for x in succs if not arena.colors[x[0]] & ~d}
         sub = {x: [y for y in succs[x] if y in keep] for x in keep}
-        for comp in _sccs(sub):
+        for comp in sccs(sub):
             if len(comp) == 1:
                 x = next(iter(comp))
                 if x not in sub[x]:
@@ -110,6 +112,57 @@ def verify_reference(game, strategy, claimed):
             if union == d:
                 return "cycle realizing %s" % game.table.format_mask(d)
     return None
+
+
+def sccs(succ):
+    """Tarjan over a dict node -> successor list; returns node sets."""
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    result = []
+    counter = [0]
+
+    def strongconnect(v):
+        work = [(v, iter(succ[v]))]
+        index[v] = low[v] = counter[0]
+        counter[0] += 1
+        stack.append(v)
+        on_stack.add(v)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[node] = min(low[node], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.add(w)
+                    if w == node:
+                        break
+                result.append(comp)
+
+    for v in succ:
+        if v not in index:
+            strongconnect(v)
+    return result
 
 
 def strategy_from_text(text, game, tree, win_mask):
