@@ -1,0 +1,137 @@
+"""Benchmark of strategy extraction's ranked solve, ``strategy.ranked_solve``.
+
+Each workload solves its game once for the verdict sets, then times
+``ranked_solve`` (the engine run with entry-rank signature maps as
+values) from those sets.  A counting run reports how many ancestor
+terms the engine asked the rank backend for (``term``) and how many of
+them the backend derived rather than found in its window (``derive``);
+both counts are pinned.
+The workloads are the three 60-node games of the end-to-end
+``explicit-deep`` workload at its base seed (Streett k=3, parity over 8
+colours, even-cardinality Muller over 4 colours; ``random_game(5, 60,
+k, density=0.15)``) and the 121-node explicit expansion of a two-client
+arbiter with a bounded response.  Each run's maps are checked against
+a pinned checksum.  Run as a script; pass --repeat to stabilize numbers.
+
+    python benchmarks/bench_ranked.py
+"""
+
+import argparse
+import time
+
+from elgames import el, fixpoint, games, strategy
+from elgames import synthesis as syn
+from elgames.zielonka import ZielonkaTree
+
+CHECKSUM_MODULUS = (1 << 61) - 1
+
+
+def deep_game(k, objective):
+    return games.random_game(5, 60, k, density=0.15,
+                             objective_factory=lambda rng, table: objective(table))
+
+
+def streett_n60():
+    return deep_game(6, lambda t: el.streett(t, [("a", "b"), ("c", "d"), ("e", "f")]))
+
+
+def parity_n60():
+    return deep_game(8, lambda t: el.parity(t, list("abcdefgh")))
+
+
+def muller_n60():
+    return deep_game(4, el.even_cardinality_muller)
+
+
+def arb2_resp2_expansion():
+    game = syn.build_game(syn.problem_from_strings(
+        "G(!(g0 & g1)) & G(r0 -> X g0 | X X g0)",
+        "(G F r0 -> G F g0) & (G F r1 -> G F g1)", ["r0", "r1"], ["g0", "g1"]))
+    return syn.expand_explicit(game).elgame
+
+
+class CountingBackend(strategy.RankBackend):
+    """Rank backend that counts ``term`` requests and ``derive`` calls."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.terms = self.derives = 0
+
+    def term(self, s, term, src):
+        self.terms += 1
+        return super().term(s, term, src)
+
+    def derive(self, pad, term, src):
+        self.derives += 1
+        return super().derive(pad, term, src)
+
+
+def counted_solve(game, tree, values):
+    """``ranked_solve`` on a counting backend; returns the maps and the
+    ``term`` and ``derive`` counts."""
+    backends = []
+
+    def make(*args):
+        backends.append(CountingBackend(*args))
+        return backends[-1]
+
+    plain = strategy.RankBackend
+    strategy.RankBackend = make
+    try:
+        maps = strategy.ranked_solve(game, tree, values)
+    finally:
+        strategy.RankBackend = plain
+    return maps, backends[0].terms, backends[0].derives
+
+
+def checksum(maps):
+    acc = len(maps)
+    for s in sorted(maps):
+        for v, sig in sorted(maps[s].items()):
+            for x in (s, v, len(sig), *sig):
+                acc = (acc * 1000003 + x) % CHECKSUM_MODULUS
+    return acc
+
+
+# name, game, term requests, derive calls, checksum of the maps
+WORKLOADS = [
+    ("streett k=3, n=60", streett_n60, 888, 188, 703282992019209369),
+    ("parity c=8, n=60", parity_n60, 388, 83, 1737994696147291185),
+    ("even Muller c=4, n=60", muller_n60, 564, 250, 941050132391191298),
+    ("arb2-resp2 expansion, n=121", arb2_resp2_expansion, 134, 54,
+     316887415309540599),
+]
+
+
+def run(repeat):
+    print("%-30s %6s %6s %10s" % ("workload", "terms", "derive", "best"))
+    for name, make, want_terms, want_derives, expected in WORKLOADS:
+        game = make()
+        tree = ZielonkaTree(game.objective, game.table)
+        values = fixpoint.solve_game(game, tree)[2].values
+        maps, terms, derives = counted_solve(game, tree, values)
+        assert (terms, derives) == (want_terms, want_derives), (
+            "%s asked %d terms and derived %d, expected %d and %d" % (
+                name, terms, derives, want_terms, want_derives))
+        best = None
+        for _ in range(repeat):
+            start = time.perf_counter()
+            maps = strategy.ranked_solve(game, tree, values)
+            elapsed = time.perf_counter() - start
+            best = elapsed if best is None else min(best, elapsed)
+            result = checksum(maps)
+            assert result == expected, "%s gave checksum %r, expected %r" % (
+                name, result, expected)
+        print("%-30s %6d %6d %9.4fs" % (name, terms, derives, best))
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--repeat", type=int, default=10,
+                        help="take the best of this many runs")
+    args = parser.parse_args()
+    run(args.repeat)
+
+
+if __name__ == "__main__":
+    main()

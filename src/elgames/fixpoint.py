@@ -19,10 +19,15 @@ of an outer variable runs the inner ones again, often on inputs close
 to those of an earlier run.  The solver keeps, per vertex, the inputs
 and result of its last few runs (as many as the vertex has ancestors
 plus one).  A leaf returns the stored result when its inputs repeat.
-On the set backends a run whose inputs are dominated by a stored run's
-(inside them at a greatest fixpoint, containing them at a least one)
-starts from that run's result instead of from top or bottom, as in
-Long, Browne, Clarke, Jha and Marrero (CAV 1994).  A backend may also
+Those inputs, the union of the leaf's ancestor terms, are rebuilt only
+from the outermost anchor whose value changed since the leaf's last
+run: each leaf keeps the running unions of its terms with the anchor
+values they read, as semi-naive evaluation keeps what has not changed
+(Bancilhon and Ramakrishnan, SIGMOD 1986).  On the set backends a run
+whose inputs are dominated by a stored run's (inside them at a greatest
+fixpoint, containing them at a least one) starts from that run's result
+instead of from top or bottom, as in Long, Browne, Clarke, Jha and
+Marrero (CAV 1994).  A backend may also
 solve a leaf's own equation in one call (``leaf``); the signature
 backend does, as a worklist over the arena, and the set backends leave
 it to Kleene stages.
@@ -231,20 +236,32 @@ def solve(system, backend, max_stages=None):
     ``term(s, term, value)``, the value of one attraction term of leaf
     ``s`` given its anchor's value.  A vertex's fixpoint depends only on
     its inputs: the union of its ancestor terms at a leaf, the tuple of
-    its ancestors' values at an internal vertex.  Each vertex keeps the
-    inputs and result of its last runs, as many as it has ancestors
-    plus one.  A leaf run whose inputs equal one of theirs returns that
-    run's result without a stage.  A backend with ``subset(a, b)``
-    (``a`` inside ``b``) also warm-starts: a greatest-fixpoint run whose
-    every input is inside the matching input of a stored run starts
-    from that run's result instead of from top, and a least-fixpoint
-    run whose every input contains the stored one starts from it
-    instead of from bottom.  By monotonicity the stored result lies on
-    the iteration's side of the new fixpoint, so the iteration reaches
-    the same value in fewer stages.  An internal vertex always runs at
-    least one stage, so its descendants' values come from its final
-    context.  (Its inputs never repeat anyway: every enclosing
-    iteration is strictly monotone, so each run sees a new tuple.)
+    its ancestors' values at an internal vertex.
+
+    A leaf with more than one ancestor keeps, for each ancestor term but
+    its parent's, the anchor value that term read and the union of the
+    terms up to it.  A run reuses those prefix unions while its anchors
+    hold the same values (by identity: values are never changed in
+    place, and the stored ones stay alive, so an identical value is an
+    equal one) and asks the backend again only from the first anchor
+    that moved.  The parent's term is always asked for: the leaf runs
+    inside the parent's iteration, which is strictly monotone, so the
+    parent's value never repeats.
+
+    Each vertex keeps the inputs and result of its last runs, as many as
+    it has ancestors plus one.  A leaf run whose inputs equal one of
+    theirs returns that run's result without a stage.  A backend with
+    ``subset(a, b)`` (``a`` inside ``b``) also warm-starts: a
+    greatest-fixpoint run whose every input is inside the matching input
+    of a stored run starts from that run's result instead of from top,
+    and a least-fixpoint run whose every input contains the stored one
+    starts from it instead of from bottom.  By monotonicity the stored
+    result lies on the iteration's side of the new fixpoint, so the
+    iteration reaches the same value in fewer stages.  An internal
+    vertex always runs at least one stage, so its descendants' values
+    come from its final context.  (Its inputs never repeat anyway:
+    every enclosing iteration is strictly monotone, so each run sees a
+    new tuple.)
 
     A backend with a ``leaf(s, own, fixed, lfp)`` method solves each
     leaf run in that one call, which counts as one stage: it returns
@@ -255,6 +272,10 @@ def solve(system, backend, max_stages=None):
     :class:`StageLimitError`.
     """
     equations = {eq.vertex: eq for eq in system.equations}
+    # leaf -> (ancestor terms but the parent's, the parent's term or
+    # nothing, its own term)
+    split = {eq.vertex: (eq.terms[:-2], eq.terms[-2:-1], eq.terms[-1])
+             for eq in system.equations if eq.op == "attract"}
     leaf = getattr(backend, "leaf", None)
     subset = getattr(backend, "subset", None)
     equal = backend.equal
@@ -262,6 +283,9 @@ def solve(system, backend, max_stages=None):
     # vertex -> (inputs, result) of its last len(ancestors) + 1 runs,
     # newest first
     recent = {}
+    # leaf -> [(anchor value read, union of ancestor terms 0..i)], for
+    # each of its ancestor terms but the parent's
+    prefixes = {}
     warm_starts = {}
     total_iterations = 0
 
@@ -270,9 +294,22 @@ def solve(system, backend, max_stages=None):
         eq = equations[s]
         attract = eq.op == "attract"
         if attract:
-            *ancestors, own = eq.terms
+            older, parent, own = split[s]
             inputs = backend.bottom(s)
-            for term in ancestors:
+            if older:
+                prefix = prefixes.setdefault(s, [])
+                kept = 0
+                for term, (value, union) in zip(older, prefix):
+                    if ls[term[0]] is not value:
+                        break
+                    inputs = union
+                    kept += 1
+                del prefix[kept:]
+                for term in older[kept:]:
+                    value = ls[term[0]]
+                    inputs = backend.union(inputs, backend.term(s, term, value), s)
+                    prefix.append((value, inputs))
+            for term in parent:
                 inputs = backend.union(
                     inputs, backend.term(s, term, ls[term[0]]), s)
         else:

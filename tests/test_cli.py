@@ -47,6 +47,33 @@ def test_syntax_errors_name_the_end_of_input(capsys):
         "error: expected ')', found end of input (at column 4)\n"
 
 
+def test_syntax_errors_name_the_bad_character(capsys):
+    assert main(["ztree", "--el", "Inf a  @"]) == 3
+    assert capsys.readouterr().err == \
+        "error: unexpected character '@' (at column 8)\n"
+    assert main(["synth", "--safety", "G(b  @)", "--el", "G F b",
+                 "--inputs", "a", "--outputs", "b"]) == 3
+    assert capsys.readouterr().err == \
+        "error: unexpected character '@' (at column 6)\n"
+
+
+@pytest.mark.parametrize("nest", [
+    lambda phi: "!" * 1200 + phi,
+    lambda phi: "(" * 600 + phi + ")" * 600,
+], ids=["negations", "parentheses"])
+def test_deeply_nested_formulas_are_input_errors(nest, capsys):
+    too_deep = "error: formula nested too deeply (over 100 levels) (at column 102)\n"
+    assert main(["ztree", "--el", nest("Inf a")]) == 3
+    assert capsys.readouterr().err == too_deep
+    for safety, liveness in [(nest("b"), "G F b"), ("G(b)", nest("G F b"))]:
+        assert main(["synth", "--safety", safety, "--el", liveness,
+                     "--inputs", "a", "--outputs", "b"]) == 3
+        assert capsys.readouterr().err == too_deep
+    # Nesting at the limit parses; one more level does not.
+    assert main(["ztree", "--el", "!" * 100 + "Inf a"]) == 0
+    assert main(["ztree", "--el", "!" * 101 + "Inf a"]) == 3
+
+
 def test_ztree_colors_skip_keywords_after_inf(capsys):
     # "Inf Fin" names no color; the parser reports where one is missing.
     assert main(["ztree", "--el", "Inf Fin a"]) == 3

@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import random
 
 import pytest
@@ -297,6 +299,39 @@ def test_leaf_memo_window_holds_each_leafs_recent_runs(monkeypatch):
         assert fixed not in runs[s][-window[s]:], s
         runs[s].append(fixed)
     assert len(calls) > len(window)   # some leaves ran more than once
+
+
+# SHA-256 of ``repr(sorted(values.items()))`` of the verdict solve on
+# streett_n60(), as computed when every leaf run asked for every
+# ancestor term.
+STREETT_N60_VALUES_DIGEST = (
+    "7da69ceb11a79540a65242c18f4dc39a75a3bf710b5c4ff832831aadf357ca82")
+
+
+def test_leaf_runs_ask_only_for_terms_of_changed_anchors():
+    # A leaf run reuses its prefix unions up to the first ancestor whose
+    # value changed since its last run, and asks for its parent's term
+    # every time: that term counts the leaf's runs.
+    game = streett_n60()
+    system = build_equations(ZielonkaTree(game.objective, game.table))
+    requests = collections.Counter()
+
+    class Counting(ExplicitBackend):
+        def term(self, s, term, value):
+            requests[s, term] += 1
+            return super().term(s, term, value)
+
+    result = solve(system, Counting(game), max_stages=game.arena.n + 1)
+    asked = every_term = 0
+    for eq in system.equations:
+        if eq.op == "attract" and len(eq.terms) > 2:
+            ancestors = eq.terms[:-1]
+            asked += sum(requests[eq.vertex, term] for term in ancestors)
+            every_term += requests[eq.vertex, ancestors[-1]] * len(ancestors)
+    assert 0 < asked < every_term
+    assert result.iterations == STREETT_N60_STAGES
+    assert hashlib.sha256(repr(sorted(result.values.items())).encode()
+                          ).hexdigest() == STREETT_N60_VALUES_DIGEST
 
 
 def counting(backend_cls, key):

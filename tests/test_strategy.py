@@ -248,6 +248,55 @@ def test_ranked_solve_stage_budget_on_repeated_inputs(monkeypatch):
     assert results[0].iterations <= STREETT_N60_RANKED_STAGES
 
 
+# ``derive`` calls of the ranked solve on streett_n60(): the ancestor
+# terms that neither a leaf's prefix unions nor the backend's window of
+# recent anchor maps answer.  With one stored map per term and no prefix
+# unions it ran 876 (3,024 term requests).
+STREETT_N60_DERIVES = 188
+
+
+def test_ranked_solve_derive_budget(monkeypatch):
+    calls = []
+
+    class Counting(strategy.RankBackend):
+        def derive(self, pad, term, src):
+            calls.append(term)
+            return super().derive(pad, term, src)
+
+    monkeypatch.setattr(strategy, "RankBackend", Counting)
+    game = streett_n60()
+    tree = tree_of(game)
+    ranked(game, tree)
+    assert 0 < len(calls) <= STREETT_N60_DERIVES
+
+
+def test_rank_term_window_keeps_the_newest_anchor_maps():
+    # Each (pad, term) answers its newest three anchor maps, by identity
+    # or by equality, and derives any other.
+    game = streett_n60()
+    tree = tree_of(game)
+    s = next(s for s in tree.leaves if len(tree.ancestors(s)) > 2)
+    term = build_equations(tree).equations[s].terms[0]
+    pad = tree.lfp_depth[s] - tree.lfp_depth[term[0]]
+    plain = rank_backend(game, tree)
+    full = list(ranked(game, tree)[term[0]].items())
+    a, b, c, d = (dict(full[:k]) for k in (len(full), len(full) // 2, 3, 1))
+    assert len({len(a), len(b), len(c), len(d)}) == 4
+    derived = []
+
+    class Counting(RankBackend):
+        def derive(self, pad, term, src):
+            derived.append(src)
+            return super().derive(pad, term, src)
+
+    backend = Counting(game, tree, plain.guards, plain.values)
+    for src, count in [(a, 1), (dict(a), 1), (b, 2), (c, 3), (a, 3),
+                       (dict(b), 3), (d, 4), (a, 5), (c, 5)]:
+        assert backend.term(s, term, src) == plain.derive(pad, term, src)
+        assert len(derived) == count, (len(src), count)
+    assert strategy.TERM_WINDOW == 3
+
+
 def test_ranked_maps_satisfy_their_equations():
     for k, game in enumerate(family_games() + [streett_n60()]):
         tree = tree_of(game)
