@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from . import syntax
 
 MAX_COLORS = 30
+# Truth tables, and so Zielonka trees, stop here: 2**12 bits per table.
+MAX_TABLE_COLORS = 12
 
 _KEYWORDS = frozenset({"true", "false", "Inf", "Fin"})
 
@@ -167,21 +169,69 @@ def fin(color):
     return Not(Inf(color))
 
 
-def evaluate(phi, mask):
-    """Truth of ``phi`` on the color set ``mask`` (``Inf c`` iff c in mask)."""
-    if isinstance(phi, TrueFormula):
-        return True
-    if isinstance(phi, FalseFormula):
-        return False
-    if isinstance(phi, Inf):
-        return bool(mask >> phi.color & 1)
-    if isinstance(phi, Not):
-        return not evaluate(phi.arg, mask)
-    if isinstance(phi, And):
-        return evaluate(phi.left, mask) and evaluate(phi.right, mask)
-    if isinstance(phi, Or):
-        return evaluate(phi.left, mask) or evaluate(phi.right, mask)
-    raise TypeError("not an objective node: %r" % (phi,))
+def truth_table(phi, ncolors):
+    """Truth table of ``phi`` over colors ``0..ncolors-1`` as one int:
+    bit ``m`` is set iff ``phi`` holds on the color set ``m``.
+
+    One iterative post-order pass of big-int operations on
+    ``2**ncolors``-bit ints, so a formula of any depth is safe.  Nodes
+    are memoized by ``id``, not by value: hashing a frozen dataclass
+    recurses once per level.
+    """
+    if ncolors > MAX_TABLE_COLORS:
+        raise ELError("color budget exceeded: %d > %d" % (ncolors, MAX_TABLE_COLORS))
+    full = (1 << (1 << ncolors)) - 1
+    done = {}
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        if isinstance(node, Inf):
+            if node.color >= ncolors:
+                raise ELError("formula mentions color id %d outside %d colors"
+                              % (node.color, ncolors))
+            # Sets containing color c: the upper half of every block of
+            # 2h consecutive masks, h = 2^c, repeated over the table.
+            h = 1 << node.color
+            value = ((1 << h) - 1 << h) * (full // ((1 << 2 * h) - 1))
+        elif isinstance(node, TrueFormula):
+            value = full
+        elif isinstance(node, FalseFormula):
+            value = 0
+        elif isinstance(node, Not):
+            arg = done.get(id(node.arg))
+            if arg is None:
+                stack.append(node.arg)
+                continue
+            value = full & ~arg
+        elif isinstance(node, (And, Or)):
+            left = done.get(id(node.left))
+            right = done.get(id(node.right))
+            if left is None or right is None:
+                stack += (node.left, node.right)
+                continue
+            value = left & right if isinstance(node, And) else left | right
+        else:
+            raise TypeError("not an objective node: %r" % (node,))
+        done[id(node)] = value
+        stack.pop()
+    return done[id(phi)]
+
+
+def maximal_flipped(truth, mask, value):
+    """Maximal proper submasks of ``mask`` whose bit in the truth table
+    ``truth`` differs from ``value``, by descending cardinality then
+    mask value."""
+    flipped = [sub for sub in subsets_of(mask)
+               if sub != mask and (truth >> sub & 1) != value]
+    flipped.sort(key=lambda m: (-m.bit_count(), m))
+    kept = []
+    for m in flipped:
+        if not any(k & m == m for k in kept):
+            kept.append(m)
+    return kept
 
 
 def colors_mentioned(phi):

@@ -29,7 +29,7 @@ initial leaf, and strategy files list only those entries.
 strategy (universal moves left free) and checks its cycles with
 :func:`losing_cycle`, SCC-first (Emerson & Lei 1987; Baier et al.,
 ATVA 2019).  That search reads only an adjacency, colors and the
-objective, not the strategy or the Zielonka tree.
+objective's own truth table, not the strategy or the Zielonka tree.
 """
 
 import heapq
@@ -576,7 +576,9 @@ def verify(game, strategy, claimed):
     pairs of ``claimed`` (:func:`_product`); moves and updates are
     needed at the reachable pairs only.  Its cycles are then checked by
     :func:`losing_cycle`, and a losing one fails with a lasso through
-    every state of its component.
+    every state of its component.  The cycle check builds its own truth
+    table of the objective rather than reading the Zielonka tree's, so
+    that a wrong tree cannot make a losing strategy pass.
     """
     states, adj, parent, failure = _product(game, strategy, claimed)
     if failure is not None:
@@ -606,7 +608,17 @@ def losing_cycle(adj, colors, phi):
     satisfies ``phi``, D is a proper subset of U, so it lies inside a
     maximal falsifying one and the cycle survives the restriction.
     Unions shrink strictly, so the search ends.
+
+    ``phi`` is evaluated through its truth table over the colors it
+    mentions (:func:`el.truth_table`), built from ``phi`` alone; a union
+    is looked up with the other colors cut off, and the maximal
+    falsifying subsets are those of the cut union
+    (:func:`el.maximal_flipped`) with the other colors put back.
     """
+    used = 0
+    for cid in el.colors_mentioned(phi):
+        used |= 1 << cid
+    truth = el.truth_table(phi, used.bit_length())
     falsifying = {}   # color union -> its maximal falsifying subsets
     work = [(range(len(adj)), -1)]
     while work:
@@ -618,23 +630,15 @@ def losing_cycle(adj, colors, phi):
                 union |= colors[i]
             subsets = falsifying.get(union)
             if subsets is None:
-                if not el.evaluate(phi, union):
+                cut = union & used
+                if not truth >> cut & 1:
                     own = {i: [j for j in adj[i] if j in comp] for i in comp}
                     return comp, own, union
-                subsets = falsifying[union] = _maximal_falsifying(phi, union)
+                rest = union & ~used
+                subsets = falsifying[union] = [
+                    e | rest for e in el.maximal_flipped(truth, cut, True)]
             work.extend((comp, e) for e in subsets)
     return None
-
-
-def _maximal_falsifying(phi, mask):
-    """Maximal subsets of ``mask`` that falsify ``phi``, computed from
-    ``phi`` alone so that ``verify`` does not trust the Zielonka tree the
-    strategy was built from."""
-    out = []
-    for d in sorted(el.subsets_of(mask), key=int.bit_count, reverse=True):
-        if not el.evaluate(phi, d) and not any(d & ~e == 0 for e in out):
-            out.append(d)
-    return out
 
 
 def _sccs(adj, members):

@@ -8,21 +8,23 @@ children are ordered by descending label cardinality, then by mask
 value, which makes the numbering (the total order used everywhere
 downstream) deterministic.  The anchor of a vertex and a color set is
 the vertex's deepest ancestor (or itself) whose label contains the set.
+
+The objective is evaluated once per tree, as its truth table
+(:func:`el.truth_table`, one bit per color set); a vertex's winning flag
+and its children (:func:`el.maximal_flipped`) are bit lookups in it.
+Past ``el.MAX_TABLE_COLORS`` colors the table, and so the tree, is
+refused with a "color budget exceeded" error.
 """
 
 from . import el
-
-MAX_TREE_COLORS = 12
 
 
 class ZielonkaTree:
     """Immutable tree; vertex ids are preorder positions."""
 
     def __init__(self, formula, table):
-        if len(table) > MAX_TREE_COLORS:
-            raise el.ELError(
-                "color budget exceeded: %d > %d" % (len(table), MAX_TREE_COLORS))
         el.check_colors(formula, table)
+        truth = el.truth_table(formula, len(table))
         self.formula = formula
         self.table = table
         self.label = []
@@ -31,14 +33,14 @@ class ZielonkaTree:
         self.children = []
         self.depth = []
         self.lfp_depth = []
-        self._build(table.full_mask, None)
+        self._build(truth, table.full_mask, None)
         ncolors = len(table)
         self.level = [ncolors - d for d in self.depth]
         self.leaves = tuple(v for v in range(len(self.label)) if not self.children[v])
 
-    def _build(self, mask, parent):
+    def _build(self, truth, mask, parent):
         vid = len(self.label)
-        win = el.evaluate(self.formula, mask)
+        win = bool(truth >> mask & 1)
         self.label.append(mask)
         self.winning.append(win)
         self.parent.append(parent)
@@ -50,8 +52,8 @@ class ZielonkaTree:
                               + (0 if win else 1))
         if parent is not None:
             self.children[parent].append(vid)
-        for sub in _maximal_flipped(self.formula, mask, win):
-            self._build(sub, vid)
+        for sub in el.maximal_flipped(truth, mask, win):
+            self._build(truth, sub, vid)
         self.children[vid] = tuple(self.children[vid])
         return vid
 
@@ -122,16 +124,3 @@ class ZielonkaTree:
                 lines.append("  n%d -> n%d;" % (v, c))
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _maximal_flipped(formula, mask, win):
-    """Maximal proper submasks of ``mask`` with flipped satisfaction,
-    ordered by descending cardinality then mask value."""
-    flipped = [sub for sub in el.subsets_of(mask)
-               if sub != mask and el.evaluate(formula, sub) != win]
-    flipped.sort(key=lambda m: (-bin(m).count("1"), m))
-    kept = []
-    for m in flipped:
-        if not any(k & m == m for k in kept):
-            kept.append(m)
-    return kept

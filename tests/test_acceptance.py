@@ -24,6 +24,7 @@ from elgames.dd import Manager
 from elgames.fixpoint import build_equations
 from elgames.zielonka import ZielonkaTree
 
+from el_reference import evaluate
 from test_el import example_objective, ABCD
 from test_dd import _random_ops
 from test_ltl import random_safety_formula, random_lasso
@@ -266,7 +267,7 @@ def test_criterion6_induced_walk_property():
             for colors in loop:
                 union |= colors
             assert union & ~tree.label[dom] == 0
-            assert winning == el.evaluate(phi, union)
+            assert winning == evaluate(phi, union)
 
 
 def test_criterion7_determinization():
@@ -326,7 +327,7 @@ def test_criterion8_end_to_end_synthesis():
                     union = 0
                     for pos in range(seen[key], step):
                         union |= game.letter_colors(letters[pos])
-                    assert el.evaluate(game.el_formula, union), trial
+                    assert evaluate(game.el_formula, union), trial
                     break
                 seen[key] = step
 

@@ -74,6 +74,13 @@ def test_deeply_nested_formulas_are_input_errors(nest, capsys):
     assert main(["ztree", "--el", "!" * 101 + "Inf a"]) == 3
 
 
+def test_long_flat_chain_builds_its_tree(capsys):
+    # A left-folded chain is 1,000 formula levels deep but one parser
+    # level; the objective is evaluated without recursion.
+    assert main(["ztree", "--el", " & ".join(["Inf a"] * 1000)]) == 0
+    assert "2 vertices, 1 leaves, height 1" in capsys.readouterr().out
+
+
 def test_ztree_colors_skip_keywords_after_inf(capsys):
     # "Inf Fin" names no color; the parser reports where one is missing.
     assert main(["ztree", "--el", "Inf Fin a"]) == 3

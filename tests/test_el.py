@@ -5,6 +5,8 @@ import pytest
 from elgames import el
 from elgames.el import And, Inf, Not, Or, TRUE
 
+from el_reference import evaluate
+
 
 ABCD = el.ColorTable("abcd")
 
@@ -78,10 +80,10 @@ def test_precedence_not_over_and_over_or():
 
 def test_eval_on_branching_objective():
     phi = example_objective()
-    assert el.evaluate(phi, ABCD.mask("a", "b", "c", "d")) is False
-    assert el.evaluate(phi, ABCD.mask("a", "b", "c")) is True
-    assert el.evaluate(phi, ABCD.mask("a", "c")) is False
-    assert el.evaluate(phi, ABCD.mask("c")) is True
+    assert evaluate(phi, ABCD.mask("a", "b", "c", "d")) is False
+    assert evaluate(phi, ABCD.mask("a", "b", "c")) is True
+    assert evaluate(phi, ABCD.mask("a", "c")) is False
+    assert evaluate(phi, ABCD.mask("c")) is True
 
 
 def test_buchi_builder():
@@ -116,7 +118,53 @@ def test_parity_satisfied_iff_max_priority_even():
         phi = el.parity(table, names)
         for mask in range(1, table.full_mask + 1):
             top = max(i for i in range(2 * k) if mask >> i & 1)
-            assert el.evaluate(phi, mask) == ((top + 1) % 2 == 0), (k, mask)
+            assert evaluate(phi, mask) == ((top + 1) % 2 == 0), (k, mask)
+
+
+def assert_table_matches(phi, ncolors):
+    truth = el.truth_table(phi, ncolors)
+    assert truth >> (1 << ncolors) == 0
+    for mask in range(1 << ncolors):
+        assert bool(truth >> mask & 1) == evaluate(phi, mask), (phi, mask)
+
+
+def test_truth_table_matches_evaluate_on_random_formulas():
+    rng = random.Random(29)
+    for _ in range(300):
+        ncolors = rng.randint(1, 8)
+        table = el.ColorTable("abcdefgh"[:ncolors])
+        assert_table_matches(el.random_formula(rng, table, 5), ncolors)
+
+
+def test_truth_table_matches_evaluate_on_named_families():
+    table = el.ColorTable("abcdef")
+    pairs = [("a", "b"), ("c", "d"), ("e", "f")]
+    families = [
+        el.buchi(table, "c"),
+        el.generalized_buchi(table, ["a", "c", "f"]),
+        el.parity(table, list("abcdef")),
+        el.streett(table, pairs),
+        el.rabin(table, pairs),
+        el.even_cardinality_muller(table),
+        el.TRUE,
+        el.FALSE,
+    ]
+    for phi in families + [Not(phi) for phi in families]:
+        assert_table_matches(phi, len(table))
+    assert el.truth_table(el.TRUE, 0) == 1 and el.truth_table(el.FALSE, 0) == 0
+
+
+def test_truth_table_color_budget():
+    table = el.ColorTable(["c%d" % i for i in range(13)])
+    phi = el.generalized_buchi(table, table.names)
+    with pytest.raises(el.ELError, match="color budget exceeded: 13 > 12"):
+        el.truth_table(phi, len(table))
+    # The budget is checked before the formula is read, so no table of
+    # 2^13 bits is started: a non-formula fails on the budget, not its type.
+    with pytest.raises(el.ELError, match="color budget exceeded: 13 > 12"):
+        el.truth_table(object(), len(table))
+    with pytest.raises(el.ELError, match="outside 2 colors"):
+        el.truth_table(Inf(2), 2)
 
 
 def test_negation_involution_exhaustive():
@@ -126,7 +174,7 @@ def test_negation_involution_exhaustive():
         for _ in range(20):
             phi = el.random_formula(rng, table, 4)
             for mask in range(table.full_mask + 1):
-                assert el.evaluate(Not(phi), mask) == (not el.evaluate(phi, mask))
+                assert evaluate(Not(phi), mask) == (not evaluate(phi, mask))
 
 
 def test_print_parse_round_trip():

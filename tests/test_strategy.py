@@ -11,6 +11,7 @@ from elgames.strategy import (ELStrategy, RankBackend, _Extractor, extract,
 from elgames.zielonka import ZielonkaTree
 from elgames.games import iter_nodes
 
+from el_reference import evaluate
 from mutations import with_redirected_move
 from ranked_reference import _Terms, equation_errors, ranked_solve_reference
 from verify_reference import (extract_reference, replay_lasso,
@@ -54,7 +55,7 @@ def test_verify_rejects_strategy_looping_on_uncolored_node():
     assert not report.ok
     union = replay_lasso(game, strat, report.prefix, report.loop)
     assert union == 0
-    assert not el.evaluate(game.objective, union)
+    assert not evaluate(game.objective, union)
 
 
 def test_verify_accepts_loop_on_accepting_node():
@@ -101,7 +102,7 @@ def test_counterexamples_replay_to_falsifying_color_sets():
         report = verify(game, bad, win)
         if not report.ok and report.loop:
             union = replay_lasso(game, bad, report.prefix, report.loop)
-            assert not el.evaluate(game.objective, union)
+            assert not evaluate(game.objective, union)
             found += 1
     assert found >= 10
 
@@ -405,6 +406,6 @@ def test_verify_agrees_with_per_color_set_reference():
                 mutants += 1
                 if report.loop:
                     union = replay_lasso(game, bad, report.prefix, report.loop)
-                    assert not el.evaluate(game.objective, union)
+                    assert not evaluate(game.objective, union)
                     lassos += 1
     assert mutants >= 400 and lassos >= 15, (mutants, lassos)

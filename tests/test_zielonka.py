@@ -1,11 +1,18 @@
 import math
 import random
 
+import pytest
+
 from elgames import el
+from elgames import synthesis as syn
+from elgames.dd import Manager
+from elgames.ltl import parse_ltl
 from elgames.zielonka import ZielonkaTree
 
+from el_reference import evaluate
 from test_el import example_objective, ABCD
 from zielonka_reference import (LassoPlay, fair_induced_walk, max_tree_size,
+                               reference_tree,
                                 tree_invariant_errors)
 
 
@@ -111,6 +118,46 @@ def test_invariants_on_random_formulas():
         assert all(len(tree.children[v]) <= 1 << ncolors for v in range(len(tree)))
 
 
+def arbiter_liveness(k):
+    """The objective and color table of ``GF r_i -> GF g_i`` for k clients."""
+    manager = Manager()
+    for i in range(k):
+        manager.declare("r%d" % i, "letter")
+        manager.declare("g%d" % i, "letter")
+    liveness = " & ".join("(G F r%d -> G F g%d)" % (i, i) for i in range(k))
+    formula, table, _ = syn.colors_of(parse_ltl(liveness), manager)
+    return formula, table
+
+
+def test_trees_match_the_per_subset_reference():
+    deep = [
+        (el.ColorTable("abcdef"),
+         lambda t: el.streett(t, [("a", "b"), ("c", "d"), ("e", "f")])),
+        (el.ColorTable("abcdefgh"), lambda t: el.parity(t, list("abcdefgh"))),
+        (el.ColorTable("abcd"), el.even_cardinality_muller),
+    ]
+    cases = [(make(table), table) for table, make in deep]
+    cases += [arbiter_liveness(3), arbiter_liveness(4)]
+    rng = random.Random(41)
+    for _ in range(100):
+        table = el.ColorTable("abcdef"[:rng.randint(1, 6)])
+        cases.append((el.random_formula(rng, table, 5), table))
+    sizes = []
+    for phi, table in cases:
+        tree = ZielonkaTree(phi, table)
+        label, winning, parent, children = reference_tree(phi, table)
+        assert tree.label == label and tree.winning == winning
+        assert tree.parent == parent and tree.children == children
+        sizes.append(len(tree))
+    assert sizes[:5] == [31, 8, 65, 31, 129]
+
+
+def test_tree_color_budget():
+    table = el.ColorTable(["c%d" % i for i in range(13)])
+    with pytest.raises(el.ELError, match="color budget exceeded: 13 > 12"):
+        ZielonkaTree(el.buchi(table, "c0"), table)
+
+
 def tree_ok(tree):
     errors = tree_invariant_errors(tree)
     assert not errors, errors
@@ -151,7 +198,7 @@ def test_fair_walk_agrees_with_objective_on_random_lassos():
         for colors in loop:
             union |= colors
         assert union & ~tree.label[dom] == 0
-        assert winning == el.evaluate(phi, union)
+        assert winning == evaluate(phi, union)
 
 
 def test_text_and_dot_outputs_mention_every_vertex():

@@ -17,6 +17,8 @@ from elgames import el
 from elgames.games import EXISTENTIAL, iter_nodes
 from elgames.strategy import ELStrategy, _Extractor
 
+from el_reference import evaluate
+
 
 class StrategyError(ValueError):
     """A malformed strategy file, or a lasso the strategy does not play."""
@@ -97,7 +99,7 @@ def verify_reference(game, strategy, claimed):
             out.append((w, m2))
             stack.append((w, m2))
     for d in el.subsets_of(game.table.full_mask):
-        if el.evaluate(game.objective, d):
+        if evaluate(game.objective, d):
             continue
         keep = {x for x in succs if not arena.colors[x[0]] & ~d}
         sub = {x: [y for y in succs[x] if y in keep] for x in keep}

@@ -1,13 +1,16 @@
 """Reference checks for Zielonka trees, kept out of the library.
 
 Structural invariants of a built tree, the closed-form bound on its
-size, and a fair induced-walk simulator over ultimately periodic colour
-sequences that serves as a semantic oracle for the tree.
+size, a reference builder that evaluates the objective on one subset at
+a time, and a fair induced-walk simulator over ultimately periodic
+colour sequences that serves as a semantic oracle for the tree.
 """
 
 from dataclasses import dataclass
 
 from elgames import el
+
+from el_reference import evaluate
 
 
 def tree_invariant_errors(tree):
@@ -21,7 +24,7 @@ def tree_invariant_errors(tree):
     if tree.level[tree.root] != len(table):
         errors.append("root level != |C|")
     for v in range(n):
-        if tree.winning[v] != el.evaluate(phi, tree.label[v]):
+        if tree.winning[v] != evaluate(phi, tree.label[v]):
             errors.append("vertex %d winning flag disagrees with objective" % v)
         for c in tree.children[v]:
             if tree.label[c] & ~tree.label[v]:
@@ -45,7 +48,7 @@ def tree_invariant_errors(tree):
                 if tree.label[v] & bit and not tree.label[c] & bit:
                     grown = tree.label[c] | bit
                     if grown != tree.label[v] and \
-                            el.evaluate(phi, grown) != tree.winning[v]:
+                            evaluate(phi, grown) != tree.winning[v]:
                         errors.append(
                             "child %d of %d is not maximal (add %s)"
                             % (c, v, table.name(cid)))
@@ -54,6 +57,41 @@ def tree_invariant_errors(tree):
     if any(len(tree.children[v]) > 1 << len(table) for v in range(n)):
         errors.append("branching exceeds 2^|C|")
     return errors
+
+
+def reference_tree(formula, table):
+    """``(label, winning, parent, children)`` of the Zielonka tree in
+    preorder, each vertex's children found by evaluating the objective
+    on every subset of its label (:func:`maximal_flipped`)."""
+    label, winning, parent, children = [], [], [], []
+
+    def build(mask, up):
+        vid = len(label)
+        win = evaluate(formula, mask)
+        label.append(mask)
+        winning.append(win)
+        parent.append(up)
+        children.append([])
+        if up is not None:
+            children[up].append(vid)
+        for sub in maximal_flipped(formula, mask, win):
+            build(sub, vid)
+
+    build(table.full_mask, None)
+    return label, winning, parent, [tuple(c) for c in children]
+
+
+def maximal_flipped(formula, mask, win):
+    """Maximal proper submasks of ``mask`` with flipped satisfaction,
+    ordered by descending cardinality then mask value."""
+    flipped = [sub for sub in el.subsets_of(mask)
+               if sub != mask and evaluate(formula, sub) != win]
+    flipped.sort(key=lambda m: (-bin(m).count("1"), m))
+    kept = []
+    for m in flipped:
+        if not any(k & m == m for k in kept):
+            kept.append(m)
+    return kept
 
 
 def max_tree_size(ncolors):
