@@ -3,8 +3,8 @@
 Each workload solves its game once for the verdict sets, then times
 ``ranked_solve`` (the engine run with entry-rank signature maps as
 values) from those sets.  A counting run reports how many ancestor
-terms the engine asked the rank backend for (``term``) and how many of
-them the backend derived rather than found in its window (``derive``);
+terms the engine asked the rank backend for (``term``) and how many
+distinct targets the backend's ``games.cpre`` calls read (``cpre``);
 both counts are pinned.
 The workloads are the three 60-node games of the end-to-end
 ``explicit-deep`` workload at its base seed (Streett k=3, parity over 8
@@ -51,37 +51,38 @@ def arb2_resp2_expansion():
 
 
 class CountingBackend(strategy.RankBackend):
-    """Rank backend that counts ``term`` requests and ``derive`` calls."""
+    """Rank backend that counts ``term`` requests."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.terms = self.derives = 0
+        self.terms = 0
 
     def term(self, s, term, src):
         self.terms += 1
         return super().term(s, term, src)
 
-    def derive(self, pad, term, src):
-        self.derives += 1
-        return super().derive(pad, term, src)
-
 
 def counted_solve(game, tree, values):
-    """``ranked_solve`` on a counting backend; returns the maps and the
-    ``term`` and ``derive`` counts."""
+    """``ranked_solve`` on a counting backend; returns the maps, the
+    ``term`` count and the number of distinct ``games.cpre`` targets."""
     backends = []
+    targets = set()
 
     def make(*args):
         backends.append(CountingBackend(*args))
         return backends[-1]
 
-    plain = strategy.RankBackend
-    strategy.RankBackend = make
+    def cpre(split, target):
+        targets.add(target)
+        return plain_cpre(split, target)
+
+    plain, plain_cpre = strategy.RankBackend, games.cpre
+    strategy.RankBackend, games.cpre = make, cpre
     try:
         maps = strategy.ranked_solve(game, tree, values)
     finally:
-        strategy.RankBackend = plain
-    return maps, backends[0].terms, backends[0].derives
+        strategy.RankBackend, games.cpre = plain, plain_cpre
+    return maps, backends[0].terms, len(targets)
 
 
 def checksum(maps):
@@ -93,26 +94,26 @@ def checksum(maps):
     return acc
 
 
-# name, game, term requests, derive calls, checksum of the maps
+# name, game, term requests, distinct cpre targets, checksum of the maps
 WORKLOADS = [
-    ("streett k=3, n=60", streett_n60, 888, 188, 703282992019209369),
-    ("parity c=8, n=60", parity_n60, 388, 83, 1737994696147291185),
-    ("even Muller c=4, n=60", muller_n60, 564, 250, 941050132391191298),
-    ("arb2-resp2 expansion, n=121", arb2_resp2_expansion, 134, 54,
+    ("streett k=3, n=60", streett_n60, 888, 23, 703282992019209369),
+    ("parity c=8, n=60", parity_n60, 388, 8, 1737994696147291185),
+    ("even Muller c=4, n=60", muller_n60, 564, 78, 941050132391191298),
+    ("arb2-resp2 expansion, n=121", arb2_resp2_expansion, 134, 23,
      316887415309540599),
 ]
 
 
 def run(repeat):
-    print("%-30s %6s %6s %10s" % ("workload", "terms", "derive", "best"))
-    for name, make, want_terms, want_derives, expected in WORKLOADS:
+    print("%-30s %6s %6s %10s" % ("workload", "terms", "cpre", "best"))
+    for name, make, want_terms, want_targets, expected in WORKLOADS:
         game = make()
         tree = ZielonkaTree(game.objective, game.table)
         values = fixpoint.solve_game(game, tree)[2].values
-        maps, terms, derives = counted_solve(game, tree, values)
-        assert (terms, derives) == (want_terms, want_derives), (
-            "%s asked %d terms and derived %d, expected %d and %d" % (
-                name, terms, derives, want_terms, want_derives))
+        maps, terms, targets = counted_solve(game, tree, values)
+        assert (terms, targets) == (want_terms, want_targets), (
+            "%s asked %d terms on %d cpre targets, expected %d and %d" % (
+                name, terms, targets, want_terms, want_targets))
         best = None
         for _ in range(repeat):
             start = time.perf_counter()
@@ -122,7 +123,7 @@ def run(repeat):
             result = checksum(maps)
             assert result == expected, "%s gave checksum %r, expected %r" % (
                 name, result, expected)
-        print("%-30s %6d %6d %9.4fs" % (name, terms, derives, best))
+        print("%-30s %6d %6d %9.4fs" % (name, terms, targets, best))
 
 
 def main():

@@ -264,29 +264,40 @@ _PREC_IMPLIES, _PREC_OR, _PREC_AND = 1, 2, 3
 
 
 def format_formula(phi, table):
-    """Round-trippable concrete syntax for ``phi``."""
+    """Round-trippable concrete syntax for ``phi``.
 
-    def go(node, prec):
+    Iterative over an explicit stack of pending nodes and literal text,
+    so a formula of any depth prints."""
+    out = []
+    stack = [(phi, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, prec = item
         if isinstance(node, TrueFormula):
-            return "true"
-        if isinstance(node, FalseFormula):
-            return "false"
-        if isinstance(node, Inf):
-            return "Inf %s" % table.name(node.color)
-        if isinstance(node, Not):
+            out.append("true")
+        elif isinstance(node, FalseFormula):
+            out.append("false")
+        elif isinstance(node, Inf):
+            out.append("Inf %s" % table.name(node.color))
+        elif isinstance(node, Not):
             if isinstance(node.arg, Inf):
-                return "Fin %s" % table.name(node.arg.color)
-            return "!(%s)" % go(node.arg, 0)
-        if isinstance(node, And):
+                out.append("Fin %s" % table.name(node.arg.color))
+            else:
+                out.append("!(")
+                stack += (")", (node.arg, 0))
+        elif isinstance(node, (And, Or)):
+            level, op = (_PREC_AND, " & ") if isinstance(node, And) else (_PREC_OR, " | ")
+            if prec > level:
+                out.append("(")
+                stack.append(")")
             # Right operand gets one level more so left-folded parses match.
-            s = "%s & %s" % (go(node.left, _PREC_AND), go(node.right, _PREC_AND + 1))
-            return s if prec <= _PREC_AND else "(%s)" % s
-        if isinstance(node, Or):
-            s = "%s | %s" % (go(node.left, _PREC_OR), go(node.right, _PREC_OR + 1))
-            return s if prec <= _PREC_OR else "(%s)" % s
-        raise TypeError(node)
-
-    return go(phi, 0)
+            stack += ((node.right, level + 1), op, (node.left, level))
+        else:
+            raise TypeError(node)
+    return "".join(out)
 
 
 _BINARY = {

@@ -29,8 +29,8 @@ fixpoint, containing them at a least one) starts from that run's result
 instead of from top or bottom, as in Long, Browne, Clarke, Jha and
 Marrero (CAV 1994).  A backend may also
 solve a leaf's own equation in one call (``leaf``); the signature
-backend does, as a worklist over the arena, and the set backends leave
-it to Kleene stages.
+backend does, ring by ring over this module's explicit set backend, and
+the set backends leave it to Kleene stages.
 """
 
 from dataclasses import dataclass, field
@@ -176,8 +176,7 @@ class ExplicitBackend(SetBackend):
     Its color sets are one node mask per color of the game's table,
     built in one pass over the arena's colors.  The owner-split
     successor tables of ``games.cpre`` are built on the first ``cpre``
-    call and live as long as the backend, so a backend used only for
-    guards (``guard_table``) never builds them.
+    call and live as long as the backend.
     """
 
     def __init__(self, game):
@@ -215,17 +214,6 @@ class SolveResult:
 
     def winning(self):
         return self.values[0]
-
-
-def guard_table(system, backend):
-    """Backend guard set of every distinct ``(subset, escape)`` pair the
-    attraction terms of ``system`` use."""
-    guards = {}
-    for eq in system.equations:
-        for anc, sub, esc in eq.terms:
-            if (sub, esc) not in guards:
-                guards[(sub, esc)] = backend.guard(sub, esc)
-    return guards
 
 
 def solve(system, backend, max_stages=None):

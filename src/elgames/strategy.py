@@ -8,11 +8,12 @@ to a successor in that variable's solution.  Successors are ordered by
 entry-rank signatures: one Kleene-stage component per least-fixpoint
 vertex enclosing the variable, outermost first, computed by the
 fixpoint solver itself with signature maps as its values
-(:class:`RankBackend`, :func:`ranked_solve`).  The backend works on
-the arena's predecessor lists: it solves each leaf run in one pass (a
-Dijkstra order for least-fixpoint leaves, counter pruning for
-greatest-fixpoint ones) and derives each ancestor term from the
-predecessors of the map it reads.  A greatest fixpoint starts from
+(:class:`RankBackend`, :func:`ranked_solve`).  A map is a few rings
+of node masks, one per signature, as in the progress measures of
+Jurdzinski (STACS 2000) and the nested rings of Piterman and Pnueli
+(LICS 2006); the backend computes them with the explicit set backend's
+guard and memoized ``cpre``, applied to cumulative masks ring by ring,
+and solves each leaf run in one pass.  A greatest fixpoint starts from
 zeros over the verdict solve's set of its vertex, not over every node.
 Signature descent is what guarantees progress; an arbitrary member of a
 least-fixpoint union, or of a greatest fixpoint nested inside one,
@@ -32,15 +33,11 @@ ATVA 2019).  That search reads only an adjacency, colors and the
 objective's own truth table, not the strategy or the Zielonka tree.
 """
 
-import heapq
 from dataclasses import dataclass
 
 from . import el, fixpoint
-from .fixpoint import ExplicitBackend, build_equations, guard_table
+from .fixpoint import ExplicitBackend, build_equations
 from .games import EXISTENTIAL, iter_nodes
-
-# Anchor maps whose derived term each (pad, term) keeps, newest first.
-TERM_WINDOW = 3
 
 
 class ELStrategy:
@@ -82,278 +79,173 @@ class ELStrategy:
 
 
 class RankBackend:
-    """Entry-rank signature maps as values of the fixpoint engine.
+    """Entry-rank signature maps as values of the fixpoint engine, kept
+    as rings of node masks.
 
-    A value maps the nodes of a variable's solution to their signature:
-    a tuple with one component per losing (least-fixpoint) vertex on the
-    path from the root, outermost first.  A node's signature is
-    inherited from the witness successor of its one-step-attraction
-    certificate, with the component of the anchor bumped by one when the
-    anchor is a least fixpoint and all components below the anchor reset
-    (the play leaves their scopes).  Universal nodes take the worst
-    successor, existential nodes the best; union keeps each node's best
-    signature, intersection its worst over the common nodes, cut to the
-    vertex's length.  Bottom is the empty map; top maps the nodes of the
-    verdict's set of the vertex (``values``) to zeros.  That bounds the
-    greatest fixpoint: the operations act on a map's keys as the set
-    backend acts on masks, and in every run each ancestor's keys lie
-    inside its verdict set (least fixpoints climb from empty, greatest
-    ones start at that set and only lose keys), so by monotonicity each
-    run's keys lie inside the vertex's verdict set too.  There is one
-    top map per vertex, kept for the life of the backend, and
-    intersecting it with a map only cuts that map: the intersection of
-    all the children's maps lies inside the vertex's set.  The cached
-    top is a real map: leaves read it as their anchor's value in the
-    first stage of a greatest fixpoint.
+    A signature has one component per losing (least-fixpoint) vertex on
+    the path from the root, outermost first.  A value is the rings
+    ``((sig, mask), ...)`` of a map from nodes to signatures: signatures
+    strictly increasing, masks nonempty and disjoint.  Bottom is ``()``;
+    top gives the verdict's set of the vertex (``values``) zeros, which
+    bounds the greatest fixpoints, since each run's nodes lie inside the
+    vertex's verdict set.  A node inherits the signature of the witness
+    successor of its one-step attraction, the anchor's component bumped
+    when the anchor is a least fixpoint and zeros below it; universal
+    nodes take the worst successor, existential ones the best.  Union
+    keeps each node's best signature, intersection its worst over the
+    common nodes, cut to the vertex's length.
 
-    A term's map depends only on ``(pad, term)`` and the anchor's map;
-    each keeps a window of its newest ``TERM_WINDOW`` (3) inputs and
-    results, and an input that is one of those maps (looked up by
-    identity first), or equal to one, returns the stored result.  An
-    anchor's map often comes back after one or two other maps were read
-    through the same term, which a single stored map misses: on the
-    three ``explicit-deep`` games the window, with the engine's prefix
-    unions, cuts ``derive`` calls from 1,778 to 521.  The window holds
-    three entries per distinct term, O(tree x nodes), the order of the
-    maps the solve returns.  A term that is computed walks the guard's
-    predecessors of the anchor's map, so it costs the guard edges into
-    that map, not the guard.
-
-    The engine asks ``term`` for a leaf's ancestor terms only; ``leaf``
-    solves the leaf's own equation in one call, a min-max reachability
-    with non-negative lexicographic weights.  Least-fixpoint leaves run
-    Dijkstra's order with a counter per universal node, as in the
-    attractor with counters (Gradel, Thomas & Wilke, LNCS 2500, ch. 2);
-    greatest-fixpoint leaves prune with the same counters, threshold by
-    threshold.  Both give the maps the Kleene stages would.
+    Every operation reads the cumulative masks, the nodes whose
+    signature is at most a given one.  A node's derived signature is at
+    most the lift of ``sig`` iff it is in the term's guard and in the
+    controllable predecessor of the anchor's cumulative mask at ``sig``:
+    ``cpre``'s rule is the min/max rule over successors.  So the
+    backend's only graph operation is the set backend's memoized
+    ``term`` (:class:`ExplicitBackend`), applied ring by ring.  ``leaf``
+    solves a leaf's own equation in one call with the same rule.
     """
 
-    def __init__(self, game, tree, guards, values):
-        self.arena = game.arena
+    def __init__(self, game, tree, values):
+        self.sets = ExplicitBackend(game)
         self.tree = tree
-        self.guards = guards
         self.values = values
-        self.recent = {}   # (pad, term) -> its newest (source, derived) maps
-        self._cores = {}   # guard mask -> _core(guard)
-        self._intos = {}   # node mask -> _into(mask)
-        self._tops = {}   # vertex -> all-zeros map of its verdict solution
 
     def bottom(self, s):
-        return {}
+        return ()
 
     def top(self, s):
-        top = self._tops.get(s)
-        if top is None:
-            top = self._tops[s] = dict.fromkeys(
-                iter_nodes(self.values[s]), (0,) * self.tree.lfp_depth[s])
-        return top
+        mask = self.values[s]
+        return (((0,) * self.tree.lfp_depth[s], mask),) if mask else ()
 
     def union(self, a, b, s):
         # No cut: unions are taken at leaves and at losing vertices, whose
         # children are winning and so share their signature length.
-        if len(a) < len(b):
-            a, b = b, a
         if not b:
             return a
-        out = dict(a)
-        for v, sig in b.items():
-            old = out.get(v)
-            if old is None or sig < old:
-                out[v] = sig
-        return out
+        if not a:
+            return b
+        out = []
+        placed = 0
+        for sig, mask in sorted(a + b):
+            mask &= ~placed
+            if mask:
+                placed |= mask
+                if out and out[-1][0] == sig:
+                    mask |= out.pop()[1]
+                out.append((sig, mask))
+        return tuple(out)
 
     def intersect(self, a, b, s):
         plen = self.tree.lfp_depth[s]
-        if a is self._tops.get(s):   # max(zeros, sig) == sig
-            return {v: sig[:plen] for v, sig in b.items()}
-        return {v: max(a[v][:plen], b[v][:plen]) for v in a.keys() & b.keys()}
+        a, b = _cut(a, plen), _cut(b, plen)
+        out = []
+        ca = cb = placed = 0
+        for sig in sorted(a.keys() | b.keys()):
+            ca |= a.get(sig, 0)
+            cb |= b.get(sig, 0)
+            new = ca & cb & ~placed
+            if new:
+                placed |= new
+                out.append((sig, new))
+        return tuple(out)
 
     def equal(self, a, b):
-        return a is b or a == b
+        return a == b
 
     def term(self, s, term, src):
-        lfp_depth = self.tree.lfp_depth
-        pad = lfp_depth[s] - lfp_depth[term[0]]
-        key = (pad, term)
-        window = self.recent.get(key, ())
-        for prev, out in window:
-            if prev is src:
-                return out
-        for prev, out in window:
-            if prev == src:
-                return out
-        out = self.derive(pad, term, src)
-        self.recent[key] = ((src, out),) + window[:TERM_WINDOW - 1]
-        return out
+        """Rings one attraction term of leaf ``s`` gives, reading the
+        anchor's rings ``src``: each ring places the term's nodes on the
+        cumulative mask that are not placed yet, at its signature lifted
+        to the leaf (bumped at a losing anchor, then zero-padded)."""
+        tree = self.tree
+        anc = term[0]
+        pad = (0,) * (tree.lfp_depth[s] - tree.lfp_depth[anc])
+        bump = not tree.winning[anc]
+        out = []
+        reach = placed = 0
+        for sig, mask in src:
+            reach |= mask
+            new = self.sets.term(s, term, reach) & ~placed
+            if new:
+                placed |= new
+                if bump:
+                    sig = sig[:-1] + (sig[-1] + 1,)
+                out.append((sig + pad, new))
+        return tuple(out)
 
     def leaf(self, s, own, fixed, lfp):
-        """Map of leaf ``s``: the fixpoint of ``fixed`` united with its
+        """Rings of leaf ``s``: the fixpoint of ``fixed`` united with its
         own term, in one pass.  The terms of a leaf partition the color
-        sets, so no node of ``fixed`` is in the own guard and ``fixed``
-        stays as it is."""
-        guard = self.guards[own[1:]]
+        sets, so no node of ``fixed`` is in the own guard.
+
+        A least fixpoint pops the least pending signature, as Dijkstra's
+        order would, places its nodes not placed yet, and attracts the
+        own term of all placed nodes at that signature bumped.  In a
+        greatest fixpoint a node's signature is at most ``c`` iff it is
+        in nu Z. {fixed <= c} | term(own, Z).  That set is taken for all
+        of ``fixed``, then the rings of ``fixed`` are dropped highest
+        first, each nu restarting from the last: a drop's lost nodes get
+        its signature, and the nodes left get zeros."""
+        term = self.sets.term
+        out = []
         if lfp:
-            return self._reach(guard, fixed)
-        return self._stay(guard, fixed, self.tree.lfp_depth[s])
+            placed = 0
+            pending = dict(fixed)
+            while pending:
+                sig = min(pending)
+                new = pending.pop(sig) & ~placed
+                if not new:
+                    continue
+                placed |= new
+                out.append((sig, new))
+                more = term(s, own, placed) & ~placed
+                if more:
+                    up = sig[:-1] + (sig[-1] + 1,)
+                    pending[up] = pending.get(up, 0) | more
+            return tuple(out)
 
-    def _reach(self, guard, fixed):
-        """Least fixpoint: a min-max reachability of ``fixed`` through
-        the guard, each step adding one to the last component.  Keys
-        only grow, so nodes settle in heap order (Dijkstra): an
-        existential node takes its first settled successor, a universal
-        one its last."""
-        owner, succ = self.arena.owner, self.arena.succ
-        into = self._into(guard)
-        out = dict(fixed)
-        left = {}   # guard node -> successors it still waits for
-        heap = [(sig, w) for w, sig in fixed.items() if w in into]
-        heapq.heapify(heap)
-        while heap:
-            sig, w = heapq.heappop(heap)
-            out[w] = sig
-            lifted = sig[:-1] + (sig[-1] + 1,)
-            for v in into.get(w, ()):
-                n = left.get(v)
-                if n is None:
-                    n = 1 if owner[v] == EXISTENTIAL else len(succ[v])
-                left[v] = n - 1
-                if n == 1:
-                    heapq.heappush(heap, (lifted, v))
-        return out
+        def nu(keep, z):
+            while True:
+                smaller = keep | term(s, own, z)
+                if smaller == z:
+                    return z
+                z = smaller
 
-    def _stay(self, guard, fixed, plen):
-        """Greatest fixpoint: a node's signature is at most ``c`` iff it
-        is in nu Z. {fixed <= c} | (guard & cpre Z).  The guard's safe
-        core, nu Z. guard & cpre Z, gets zeros whatever ``fixed`` is.
-        Any other node that can stay reaches ``fixed`` through guard
-        nodes outside the core (the ones that cannot would form a trap
-        inside the guard, so belong to the core), and only those
-        candidates are counted.  Candidates that cannot stay in
-        guard | fixed are pruned; then the fixed nodes leave threshold
-        by threshold, highest first, and a candidate pruned at ``c``
-        gets ``c``.  Survivors get zeros, the least signature, so the
-        zero threshold changes nothing and is skipped."""
-        owner, succ_mask = self.arena.owner, self.arena.succ_mask
-        core, core_nodes, rest = self._core(guard)
-        into = self._into(rest)
-        zeros = (0,) * plen
-        left = {}   # candidate -> removals it survives
-        stack = [w for w in fixed if w in into]
-        while stack:
-            for v in into.get(stack.pop(), ()):
-                if v not in left:
-                    left[v] = 0
-                    stack.append(v)
-        live = core
-        for v in (*fixed, *left):
-            live |= 1 << v
-        for v in left:
-            m = succ_mask[v]
-            if owner[v] == EXISTENTIAL:
-                left[v] = (m & live).bit_count()
-            elif not m & ~live:
-                left[v] = 1
-            if not left[v]:
-                stack.append(v)
-        out = dict.fromkeys(core_nodes, zeros)
-        out.update(fixed)
-        _prune(into, left, stack)
-        leaving = {}
-        for v, sig in fixed.items():
-            leaving.setdefault(sig, []).append(v)
-        for sig in sorted(leaving, reverse=True):
+        zeros = (0,) * self.tree.lfp_depth[s]
+        keep = 0
+        for _, mask in fixed:
+            keep |= mask
+        # The first step from the full mask: on a total arena its cpre
+        # is every node, so the own term is the own guard.
+        z = nu(keep, keep | self.sets.guard(*own[1:]))
+        for sig, mask in reversed(fixed):
             if sig == zeros:
                 break
-            _prune(into, left, leaving[sig], out, sig)
-        for v, n in left.items():
-            if n:
-                out[v] = zeros
-        return out
-
-    def _core(self, guard):
-        """Per guard mask: its safe core nu Z. guard & cpre Z, as a mask
-        and as nodes, and the mask of the other guard nodes."""
-        cached = self._cores.get(guard)
-        if cached is None:
-            owner, succ_mask = self.arena.owner, self.arena.succ_mask
-            left = {}
-            for v in iter_nodes(guard):
-                m = succ_mask[v]
-                if owner[v] == EXISTENTIAL:
-                    left[v] = (m & guard).bit_count()
-                else:
-                    left[v] = 0 if m & ~guard else 1
-            _prune(self._into(guard), left, [v for v, n in left.items() if not n])
-            core = 0
-            for v, n in left.items():
-                if n:
-                    core |= 1 << v
-            cached = self._cores[guard] = (core, tuple(iter_nodes(core)), guard & ~core)
-        return cached
-
-    def _into(self, mask):
-        """Per node mask: the predecessors each node has in it (nodes
-        with none are left out)."""
-        into = self._intos.get(mask)
-        if into is None:
-            into = self._intos[mask] = {}
-            for v in iter_nodes(mask):
-                for w in self.arena.succ[v]:
-                    into.setdefault(w, []).append(v)
-        return into
-
-    def derive(self, pad, term, src):
-        """Signatures one attraction term gives, reading the anchor's map
-        ``src``; ``pad`` zeros extend them to the leaf's length.  Walks
-        the guard's predecessors of each node of ``src``: an existential
-        one keeps its least signature, a universal one its greatest, once
-        it has seen all its successors.  The signatures of ``src`` have
-        one length, so lifting keeps their order and can follow the min
-        or max."""
-        owner, succ = self.arena.owner, self.arena.succ
-        into = self._into(self.guards[term[1:]])
-        best = {}
-        seen = {}   # universal node -> its successors in src so far
-        for w, sig in src.items():
-            for v in into.get(w, ()):
-                old = best.get(v)
-                if owner[v] == EXISTENTIAL:
-                    if old is None or sig < old:
-                        best[v] = sig
-                else:
-                    seen[v] = seen.get(v, 0) + 1
-                    if old is None or sig > old:
-                        best[v] = sig
-        for v, n in seen.items():
-            if n < len(succ[v]):
-                del best[v]
-        anc = term[0]
-        tail = (0,) * pad
-        if self.tree.winning[anc]:
-            return {v: sig + tail for v, sig in best.items()} if pad else best
-        pos = self.tree.lfp_depth[anc] - 1
-        return {v: sig[:pos] + (sig[pos] + 1,) + tail for v, sig in best.items()}
+            keep &= ~mask
+            smaller = nu(keep, z)
+            out.append((sig, z & ~smaller))
+            z = smaller
+        if z:
+            out.append((zeros, z))
+        out.reverse()
+        return tuple(out)
 
 
-def _prune(into, left, stack, out=None, sig=None):
-    """Remove the nodes on ``stack`` and, transitively, every node of
-    ``left`` whose count of removals it survives drops to zero; record
-    ``sig`` in ``out`` for each node so removed from ``left``.  ``into``
-    maps a node to its predecessors that may be in ``left``."""
-    while stack:
-        for v in into.get(stack.pop(), ()):
-            n = left.get(v)
-            if n:
-                left[v] = n - 1
-                if n == 1:
-                    if out is not None:
-                        out[v] = sig
-                    stack.append(v)
+def _cut(rings, plen):
+    """Rings cut to signatures of length ``plen``, as a signature ->
+    mask dict in signature order (cutting keeps the order, so rings
+    that meet are adjacent)."""
+    out = {}
+    for sig, mask in rings:
+        sig = sig[:plen]
+        out[sig] = out.get(sig, 0) | mask
+    return out
 
 
 def ranked_solve(game, tree, values):
-    """Entry-rank signature map of every tree vertex (:class:`RankBackend`),
-    given the verdict solve's node set of every vertex, ``values``.
+    """Entry-rank signature map, ``{node: signature}``, of every tree
+    vertex (:class:`RankBackend`), given the verdict solve's node set of
+    every vertex, ``values``.
 
     The maps are the least mutually consistent family, so moving along
     signature-minimal successors never lets a play reset an enclosing
@@ -365,10 +257,10 @@ def ranked_solve(game, tree, values):
     ends at the same maps in no more stages, and only least-fixpoint
     stages enter signatures.
     """
-    system = build_equations(tree)
-    backend = RankBackend(game, tree, guard_table(system, ExplicitBackend(game)),
-                          values)
-    return fixpoint.solve(system, backend, max_stages=game.arena.n + 1).values
+    rings = fixpoint.solve(build_equations(tree), RankBackend(game, tree, values),
+                           max_stages=game.arena.n + 1).values
+    return {s: {v: sig for sig, mask in r for v in iter_nodes(mask)}
+            for s, r in rings.items()}
 
 
 class _Extractor:

@@ -7,7 +7,7 @@ vertex's equation once against a family of final maps, without any
 memo, and names the vertices whose map would change.
 """
 
-from elgames.fixpoint import ExplicitBackend, build_equations, guard_table
+from elgames.fixpoint import ExplicitBackend, build_equations
 from elgames.games import EXISTENTIAL, iter_nodes
 
 
@@ -21,7 +21,7 @@ class _Terms:
         self.equations = {eq.vertex: eq for eq in system.equations}
         self.lfp_path = [tuple(u for u in tree.ancestors(s) if not tree.winning[u])
                          for s in range(len(tree))]
-        self.guard_masks = guard_table(system, ExplicitBackend(game))
+        self.sets = ExplicitBackend(game)
 
     def derive(self, s, term, src, out):
         """Min-merge into ``out`` the signatures one attraction term of
@@ -43,7 +43,7 @@ class _Terms:
                 sig = sig[:pos] + (sig[pos] + 1,)
             return sig + (0,) * pad
 
-        for v in iter_nodes(self.guard_masks[(sub, esc)]):
+        for v in iter_nodes(self.sets.guard(sub, esc)):
             succ_in = arena.succ_mask[v] & domain
             if arena.owner[v] == EXISTENTIAL:
                 if not succ_in:

@@ -45,6 +45,20 @@ def test_save_load_round_trip():
     assert back.arena.colors == game.arena.colors
 
 
+def test_deep_objective_saves_and_loads_back():
+    # 1,000 ``Inf a`` joined by ``&`` are 1,000 formula levels deep.  The
+    # saved texts and truth tables are compared, not the formulas:
+    # dataclass equality recurses once per level.
+    table = el.ColorTable(["a"])
+    objective = el.parse_formula(" & ".join(["Inf a"] * 1000), table)
+    game = ELGame(Arena([EXISTENTIAL], [[0]], [table.mask("a")]), table, objective)
+    text = save_game(game)
+    assert text.endswith("objective %s\n" % " & ".join(["Inf a"] * 1000))
+    back = load_game(text)
+    assert save_game(back) == text
+    assert el.truth_table(back.objective, 1) == el.truth_table(objective, 1)
+
+
 def test_load_reports_line_numbers():
     text = "elgame 1\ncolors a b\nnode 0 E a\nnode 1 A\nedge 0 1\nedge 1 zero\nobjective Inf a\n"
     with pytest.raises(games.GameFormatError) as err:

@@ -4,8 +4,8 @@ import pytest
 
 from elgames import el, fixpoint, strategy
 from elgames.fixpoint import solve_game
-from elgames.fixpoint import ExplicitBackend, build_equations, guard_table
-from elgames.games import Arena, ELGame, EXISTENTIAL, UNIVERSAL, random_game
+from elgames.fixpoint import build_equations
+from elgames.games import Arena, ELGame, EXISTENTIAL, UNIVERSAL, cpre, random_game
 from elgames.strategy import (ELStrategy, RankBackend, _Extractor, extract,
                               ranked_solve, verify)
 from elgames.zielonka import ZielonkaTree
@@ -249,53 +249,70 @@ def test_ranked_solve_stage_budget_on_repeated_inputs(monkeypatch):
     assert results[0].iterations <= STREETT_N60_RANKED_STAGES
 
 
-# ``derive`` calls of the ranked solve on streett_n60(): the ancestor
-# terms that neither a leaf's prefix unions nor the backend's window of
-# recent anchor maps answer.  With one stored map per term and no prefix
-# unions it ran 876 (3,024 term requests).
-STREETT_N60_DERIVES = 188
+# Distinct ``games.cpre`` targets of the ranked solve on streett_n60():
+# the cumulative ring masks its terms and leaves read.
+STREETT_N60_RANKED_TARGETS = 23
 
 
-def test_ranked_solve_derive_budget(monkeypatch):
-    calls = []
-
-    class Counting(strategy.RankBackend):
-        def derive(self, pad, term, src):
-            calls.append(term)
-            return super().derive(pad, term, src)
-
-    monkeypatch.setattr(strategy, "RankBackend", Counting)
+def test_ranked_solve_asks_cpre_once_per_target(monkeypatch):
     game = streett_n60()
     tree = tree_of(game)
-    ranked(game, tree)
-    assert 0 < len(calls) <= STREETT_N60_DERIVES
+    values = verdict_values(game, tree)
+    targets = []
+
+    def counting(split, target):
+        targets.append(target)
+        return cpre(split, target)
+
+    monkeypatch.setattr("elgames.games.cpre", counting)
+    ranked_solve(game, tree, values)
+    assert len(targets) == len(set(targets)) == STREETT_N60_RANKED_TARGETS
 
 
-def test_rank_term_window_keeps_the_newest_anchor_maps():
-    # Each (pad, term) answers its newest three anchor maps, by identity
-    # or by equality, and derives any other.
-    game = streett_n60()
-    tree = tree_of(game)
-    s = next(s for s in tree.leaves if len(tree.ancestors(s)) > 2)
-    term = build_equations(tree).equations[s].terms[0]
-    pad = tree.lfp_depth[s] - tree.lfp_depth[term[0]]
-    plain = rank_backend(game, tree)
-    full = list(ranked(game, tree)[term[0]].items())
-    a, b, c, d = (dict(full[:k]) for k in (len(full), len(full) // 2, 3, 1))
-    assert len({len(a), len(b), len(c), len(d)}) == 4
-    derived = []
+def canonical(rings):
+    """Rings with strictly increasing signatures of one length and
+    nonempty, disjoint masks."""
+    seen = 0
+    for _, mask in rings:
+        if not mask or mask & seen:
+            return False
+        seen |= mask
+    sigs = [sig for sig, _ in rings]
+    return all(len(a) == len(b) and a < b for a, b in zip(sigs, sigs[1:]))
 
-    class Counting(RankBackend):
-        def derive(self, pad, term, src):
-            derived.append(src)
-            return super().derive(pad, term, src)
 
-    backend = Counting(game, tree, plain.guards, plain.values)
-    for src, count in [(a, 1), (dict(a), 1), (b, 2), (c, 3), (a, 3),
-                       (dict(b), 3), (d, 4), (a, 5), (c, 5)]:
-        assert backend.term(s, term, src) == plain.derive(pad, term, src)
-        assert len(derived) == count, (len(src), count)
-    assert strategy.TERM_WINDOW == 3
+def test_rank_backend_values_are_canonical():
+    games = family_games() + [streett_n60()]
+    games += [random_game(900 + i, 20, 4, formula_depth=4) for i in range(40)]
+    returned = []
+
+    class Recording(RankBackend):
+        def term(self, s, term, src):
+            returned.append(super().term(s, term, src))
+            return returned[-1]
+
+        def leaf(self, s, own, fixed, lfp):
+            returned.append(super().leaf(s, own, fixed, lfp))
+            return returned[-1]
+
+        def union(self, a, b, s):
+            returned.append(super().union(a, b, s))
+            return returned[-1]
+
+        def intersect(self, a, b, s):
+            returned.append(super().intersect(a, b, s))
+            return returned[-1]
+
+    for k, game in enumerate(games):
+        tree = tree_of(game)
+        values = verdict_values(game, tree)
+        backend = Recording(game, tree, values)
+        returned.extend(backend.top(s) for s in range(len(tree)))
+        result = fixpoint.solve(build_equations(tree), backend,
+                                max_stages=game.arena.n + 1)
+        returned.extend(result.values.values())
+        assert all(canonical(r) for r in returned), k
+        returned.clear()
 
 
 def test_ranked_maps_satisfy_their_equations():
@@ -305,9 +322,16 @@ def test_ranked_maps_satisfy_their_equations():
 
 
 def rank_backend(game, tree):
-    system = build_equations(tree)
-    return RankBackend(game, tree, guard_table(system, ExplicitBackend(game)),
-                       verdict_values(game, tree))
+    return RankBackend(game, tree, verdict_values(game, tree))
+
+
+def to_rings(rmap):
+    """A node -> signature map as rings: (signature, node mask) pairs in
+    signature order."""
+    rings = {}
+    for v, sig in rmap.items():
+        rings[sig] = rings.get(sig, 0) | 1 << v
+    return tuple(sorted(rings.items()))
 
 
 def test_rank_derive_matches_reference_terms():
@@ -319,11 +343,10 @@ def test_rank_derive_matches_reference_terms():
         reference = _Terms(game, tree)
         for s in tree.leaves:
             for term in reference.equations[s].terms:
-                anc = term[0]
-                pad = tree.lfp_depth[s] - tree.lfp_depth[anc]
                 want = {}
-                reference.derive(s, term, maps[anc], want)
-                assert backend.derive(pad, term, maps[anc]) == want, (k, s, term)
+                reference.derive(s, term, maps[term[0]], want)
+                got = backend.term(s, term, to_rings(maps[term[0]]))
+                assert got == to_rings(want), (k, s, term)
 
 
 def test_rank_derive_on_hand_built_arena():
@@ -345,7 +368,7 @@ def test_rank_derive_on_hand_built_arena():
     # 0 takes its least successor, 3; 1 has successor 4 outside src;
     # 5 takes its greatest, 2; 2 and 3 are outside the guard.
     want = {0: (2, 0), 5: (4, 0)}
-    assert rank_backend(game, tree).derive(1, term, src) == want
+    assert rank_backend(game, tree).term(2, term, to_rings(src)) == to_rings(want)
     reference = {}
     _Terms(game, tree).derive(2, term, src, reference)
     assert reference == want
