@@ -1,0 +1,99 @@
+"""Benchmark of the symbolic fixpoint solve, ``synthesis.solve_symbolic``.
+
+Each workload builds the symbolic game of one synthesis specification
+and times ``solve_symbolic`` on it: the nested Kleene iteration of
+``fixpoint.solve`` over the diagram core's node handles, with its leaf
+memo, warm starts and memoized ``symbolic_cpre``.  Every run starts from
+a freshly built game, so no diagram memo is shared between runs.  The
+specifications are those of the end-to-end ``synth-arbiter`` workload
+(the README example; the two-client arbiter alone, with a bounded
+response and with next-step grants; the three-client arbiter) and the
+four-client arbiter.  Each run's Kleene stages, warm-started runs,
+distinct ``symbolic_cpre`` targets and the number of assignments of
+every declared variable in the winning region are pinned.  Run as a
+script; pass --repeat to stabilize numbers.
+
+    python benchmarks/bench_symbolic.py
+"""
+
+import argparse
+import time
+
+from elgames import synthesis as syn
+
+
+def arbiter(n, extra=""):
+    """Mutual exclusion of grants (plus ``extra``) and GF r_i -> GF g_i
+    for every client."""
+    mutex = " & ".join("!(g%d & g%d)" % (i, j)
+                       for i in range(n) for j in range(i + 1, n))
+    safety = "G(%s)" % mutex + extra
+    liveness = " & ".join("(G F r%d -> G F g%d)" % (i, i) for i in range(n))
+    return (safety, liveness, ["r%d" % i for i in range(n)],
+            ["g%d" % i for i in range(n)])
+
+
+README = ("G(b|c) & G(a -> b | X X b)",
+          "(G F a -> G F b) & ((F G !a | F G !(b&c)) & G F c)", ["a"], ["b", "c"])
+
+# name, specification, stages, warm starts, cpre targets, satcount
+WORKLOADS = [
+    ("readme", README, 87, 18, 16, 10752),
+    ("arb2", arbiter(2), 143, 38, 12, 384),
+    ("arb2-resp2", arbiter(2, " & G(r0 -> X g0 | X X g0)"), 223, 55, 30, 39936),
+    ("arb2-next01", arbiter(2, " & G(r0 -> X g0) & G(r1 -> X g1)"),
+     155, 36, 27, 0),
+    ("arb3", arbiter(3), 1623, 618, 61, 4096),
+    ("arb4", arbiter(4), 23119, 10188, 442, 40960),
+]
+
+
+def solve_counting(game):
+    """``solve_symbolic`` of a game, timed, with its distinct
+    ``symbolic_cpre`` targets."""
+    targets = set()
+    cpre = syn.symbolic_cpre
+
+    def recording(game, target):
+        targets.add(target.handle)
+        return cpre(game, target)
+
+    syn.symbolic_cpre = recording
+    try:
+        start = time.perf_counter()
+        win, _, result = syn.solve_symbolic(game)
+        elapsed = time.perf_counter() - start
+    finally:
+        syn.symbolic_cpre = cpre
+    return elapsed, win, result, len(targets)
+
+
+def run(repeat):
+    print("%-12s %7s %6s %7s %8s %10s" % ("spec", "stages", "warm", "targets",
+                                           "satcount", "best"))
+    for name, spec, stages, warm, targets, satcount in WORKLOADS:
+        problem = syn.problem_from_strings(*spec)
+        best = None
+        for _ in range(repeat):
+            game = syn.build_game(problem)
+            elapsed, win, result, asked = solve_counting(game)
+            best = elapsed if best is None else min(best, elapsed)
+            m = game.manager
+            got = (result.iterations, sum(result.warm_starts.values()), asked,
+                   m.core.satcount(win.handle, range(len(m.names))))
+            want = (stages, warm, targets, satcount)
+            assert got == want, "%s gave (stages, warm starts, targets, " \
+                "satcount) %r, expected %r" % (name, got, want)
+        print("%-12s %7d %6d %7d %8d %9.4fs" % ((name,) + want + (best,)))
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--repeat", type=int, default=3,
+                        help="take the best of this many runs")
+    args = parser.parse_args()
+    run(args.repeat)
+
+
+if __name__ == "__main__":
+    main()

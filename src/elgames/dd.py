@@ -178,13 +178,18 @@ class Manager:
     def support_names(self, a):
         return tuple(self.names[level] for level in self.core.support(a.handle))
 
+    def _project(self, a, levels):
+        """Handle of ``a`` with every variable outside ``levels``
+        existentially abstracted."""
+        inside = set(levels)
+        others = [lv for lv in range(len(self.names)) if lv not in inside]
+        return self.core.exists(a.handle, others)
+
     def count_sat(self, a, block):
         """Satisfying assignments of the block's variables, after
         existentially abstracting everything else."""
         levels = self.block_levels(block)
-        others = [lv for lv in range(len(self.names)) if lv not in set(levels)]
-        g = self.core.exists(a.handle, others)
-        return self.core.satcount(g, levels)
+        return self.core.satcount(self._project(a, levels), levels)
 
     def pick_witness(self, a, block):
         """One block assignment (complete name -> bool dict) consistent
@@ -192,9 +197,7 @@ class Manager:
         if a.handle == 0:
             raise BddError("cannot pick a witness from an unsatisfiable assertion")
         levels = self.block_levels(block)
-        others = [lv for lv in range(len(self.names)) if lv not in set(levels)]
-        g = self.core.exists(a.handle, others)
-        partial = self.core.pick(g)
+        partial = self.core.pick(self._project(a, levels))
         return {self.names[lv]: partial.get(lv, False) for lv in levels}
 
     def eval(self, a, values):

@@ -11,8 +11,9 @@ region.
 
 The solver is plain nested Kleene iteration and is generic in a
 backend that supplies the values, so the same recursion runs on
-explicit node masks, on symbolic decision-diagram assertions and on the
-entry-rank signature maps the strategy module extracts moves from.
+explicit node masks, on the integer node handles of a decision diagram
+(wrapped as assertions only outside the solve) and on the entry-rank
+signature maps the strategy module extracts moves from.
 The set backends memoize the controllable predecessor by target
 (explicit masks and diagram handles are both canonical).  Each stage
 of an outer variable runs the inner ones again, often on inputs close
@@ -104,9 +105,13 @@ def format_equations(system):
 
 
 class SetBackend:
-    """Values that are node sets: ``|``, ``&``, ``~`` and ``==`` on
-    explicit masks or diagram assertions, both canonical and hashable,
-    so ``subset`` is one union and one comparison.
+    """Values that are node sets in a canonical, hashable form, so
+    ``==`` is set equality and ``subset`` is one union and one
+    comparison.  The set operations here are Python's integer operators
+    on node masks, inline so that the explicit backend pays no extra
+    call per term; the symbolic backend overrides ``union``,
+    ``intersect``, ``complement``, ``subset`` and ``term`` with the
+    diagram core's operations on its integer node handles.
 
     An attraction term's value is its guard intersected with the
     controllable predecessor of the anchor's value.  The guard is
@@ -144,26 +149,36 @@ class SetBackend:
     def subset(self, a, b):
         return a | b == b
 
+    def complement(self, a):
+        return self.full & ~a
+
     def guard(self, subset, escape):
         """Nodes whose colors lie inside ``subset`` and, unless
-        ``escape`` is None, not inside ``escape``."""
+        ``escape`` is None, not inside ``escape``.  Memoized by the two
+        masks, it is computed once per key, so it goes through the
+        overridable set operations."""
+        key = (subset, escape)
+        out = self._guards.get(key)
+        if out is not None:
+            return out
         out = self.full
         for cid, nodes in enumerate(self.colors):
             if not subset >> cid & 1:
-                out = out & ~nodes
-        if escape is None:
-            return out
-        escapes = self.empty
-        for cid, nodes in enumerate(self.colors):
-            if not escape >> cid & 1:
-                escapes = escapes | nodes
-        return out & escapes
+                out = self.intersect(out, self.complement(nodes), None)
+        if escape is not None:
+            escapes = self.empty
+            for cid, nodes in enumerate(self.colors):
+                if not escape >> cid & 1:
+                    escapes = self.union(escapes, nodes, None)
+            out = self.intersect(out, escapes, None)
+        self._guards[key] = out
+        return out
 
     def term(self, s, term, value):
         key = term[1:]
         guard = self._guards.get(key)
         if guard is None:
-            guard = self._guards[key] = self.guard(*key)
+            guard = self.guard(*key)
         pre = self._pre.get(value)
         if pre is None:
             pre = self._pre[value] = self.cpre(value)

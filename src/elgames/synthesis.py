@@ -6,10 +6,11 @@ subset variables join the letter variables as the game state, with the
 system choosing outputs and next subsets (the latter forced by the
 transition assertion) and the environment choosing inputs.  The
 liveness part maps each distinct letter assertion under GF / FG to a
-color, and the game is solved by the generic fixpoint solver over
-diagram assertions, with the one-step controllable predecessor
+color, and the game is solved by the generic fixpoint solver over the
+diagram core's node handles, with the one-step controllable predecessor
 quantifying primed inputs universally and primed outputs and subset
-variables existentially.
+variables existentially.  The solve wraps handles as assertions only
+around that predecessor and on its final values.
 
 Controllers are extracted from the game's explicit expansion, whose
 intermediate nodes (the system's output choice) are keyed by the next
@@ -26,7 +27,7 @@ import re
 from dataclasses import dataclass
 
 from . import el, ltl
-from .dd import Manager
+from .dd import Assertion, Manager
 from .fixpoint import SetBackend, build_equations, solve, solve_game
 from .games import Arena, ELGame, EXISTENTIAL, UNIVERSAL
 from .ltl import (AndOp, Finally, Globally, Implies, NotOp, OrOp,
@@ -194,25 +195,60 @@ def symbolic_cpre(game, target):
 
 
 class SymbolicBackend(SetBackend):
-    """Assertion-set backend for the generic fixpoint solver; its color
-    sets are the color assertions over the letter block."""
+    """Set backend for the generic fixpoint solver over the diagram
+    core's integer node handles, as the explicit backend computes on
+    node masks.  Handles are canonical, so equality, the ``cpre`` memo
+    keys and the solver's identity checks are plain int operations.
+    Its color sets are the handles of the color assertions over the
+    letter block.  Only ``cpre`` builds assertions: it wraps each
+    distinct target once for ``symbolic_cpre``."""
 
     def __init__(self, game):
-        super().__init__(game.manager.false, game.manager.true,
-                         game.color_assertions)
+        core = game.manager.core
+        self._or, self._and, self._not = core.or_, core.and_, core.not_
+        super().__init__(core.FALSE, core.TRUE,
+                         [a.handle for a in game.color_assertions])
         self.game = game
 
+    def union(self, a, b, s):
+        return self._or(a, b)
+
+    def intersect(self, a, b, s):
+        return self._and(a, b)
+
+    def complement(self, a):
+        return self._not(a)
+
+    def subset(self, a, b):
+        return a == b or self._or(a, b) == b
+
+    def term(self, s, term, value):
+        # SetBackend.term with the core's and_: the explicit backend keeps
+        # its inline ``&``, as one more call per term slows it measurably.
+        key = term[1:]
+        guard = self._guards.get(key)
+        if guard is None:
+            guard = self.guard(*key)
+        pre = self._pre.get(value)
+        if pre is None:
+            pre = self._pre[value] = self.cpre(value)
+        return self._and(guard, pre)
+
     def cpre(self, target):
-        return symbolic_cpre(self.game, target)
+        target = Assertion(self.game.manager, target)
+        return symbolic_cpre(self.game, target).handle
 
 
 def solve_symbolic(game):
     """Symbolic winning region; each variable's iteration is bounded by
-    the number of symbolic nodes plus one, as ``solve_game``'s is."""
+    the number of symbolic nodes plus one, as ``solve_game``'s is.  The
+    result's values are wrapped as assertions."""
     tree = ZielonkaTree(game.el_formula, game.color_table)
     system = build_equations(tree)
     nodes = 2 ** (len(game.state_vars) + len(game.ap))
     result = solve(system, SymbolicBackend(game), max_stages=nodes + 1)
+    m = game.manager
+    result.values = {s: Assertion(m, h) for s, h in result.values.items()}
     return result.winning(), tree, result
 
 

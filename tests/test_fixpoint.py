@@ -6,6 +6,7 @@ import pytest
 
 from elgames import el, games, ltl, strategy
 from elgames import synthesis as syn
+from elgames.dd import Assertion
 from elgames.fixpoint import (ExplicitBackend, StageLimitError, build_equations,
                               solve, solve_game)
 from elgames.games import Arena, ELGame, UNIVERSAL, dual_game, random_game
@@ -14,8 +15,10 @@ from elgames.strategy import extract, verify
 from elgames.zielonka import ZielonkaTree
 
 from ranked_reference import ranked_solve_reference
+from symbolic_reference import SymbolicBackend as ReferenceBackend
 from test_el import example_objective, ABCD
-from test_synthesis import running_problem
+from test_synthesis import (RUNNING_LIVENESS, RUNNING_SAFETY, random_games,
+                            running_problem)
 
 
 def guard_accepts(term, colors):
@@ -166,7 +169,7 @@ def test_symbolic_guard_matches_its_definition():
     system = build_equations(ZielonkaTree(game.el_formula, game.color_table))
     for eqn in system.equations:
         for term in eqn.terms:
-            guard = backend.guard(*term[1:])
+            guard = Assertion(m, backend.guard(*term[1:]))
             for letter in letters:
                 values = {name: name in letter for name in game.ap}
                 assert m.eval(guard, values) == guard_accepts(
@@ -243,9 +246,10 @@ ARB3 = ("G(!(g0 & g1) & !(g0 & g2) & !(g1 & g2))",
         "(G F r0 -> G F g0) & (G F r1 -> G F g1) & (G F r2 -> G F g2)",
         ["r0", "r1", "r2"], ["g0", "g1", "g2"])
 
-# Kleene stages of the symbolic solve of the 3-client arbiter with warm
-# starts; without them it runs 5,349.
+# Kleene stages and warm-started runs of the symbolic solve of the
+# 3-client arbiter; without warm starts it runs 5,349 stages.
 ARB3_SYMBOLIC_STAGES = 1623
+ARB3_SYMBOLIC_WARM_STARTS = 618
 
 
 def test_symbolic_stage_limit_raises_stage_limit_error():
@@ -386,10 +390,10 @@ def test_solve_game_calls_games_cpre_and_splits_owners_once(monkeypatch):
 def test_symbolic_cpre_memo_asks_each_handle_once():
     game = arb2_game()
     tree = ZielonkaTree(game.el_formula, game.color_table)
-    backend = counting(syn.SymbolicBackend, lambda a: a.handle)(game)
+    backend = counting(syn.SymbolicBackend, lambda handle: handle)(game)
     result = solve(build_equations(tree), backend)
     assert len(backend.targets) == len(set(backend.targets)) > 1
-    assert syn.is_won(game, result.winning())
+    assert syn.is_won(game, Assertion(game.manager, result.winning()))
 
 
 FAMILIES = [
@@ -489,4 +493,34 @@ def test_arb3_symbolic_stage_count():
     game = syn.build_game(syn.problem_from_strings(*ARB3))
     win, _, result = syn.solve_symbolic(game)
     assert syn.is_won(game, win)
-    assert result.iterations <= ARB3_SYMBOLIC_STAGES
+    assert result.iterations == ARB3_SYMBOLIC_STAGES
+    assert sum(result.warm_starts.values()) == ARB3_SYMBOLIC_WARM_STARTS
+
+
+# The fixed specifications of the end-to-end synth-arbiter workload.
+REFERENCE_SPECS = {
+    "readme": (RUNNING_SAFETY, RUNNING_LIVENESS, ["a"], ["b", "c"]),
+    "arb2": ARB2,
+    "arb2-resp2": (ARB2[0] + " & G(r0 -> X g0 | X X g0)",) + ARB2[1:],
+    "arb2-next01": (ARB2[0] + " & G(r0 -> X g0) & G(r1 -> X g1)",) + ARB2[1:],
+    "arb3": ARB3,
+}
+
+
+def test_symbolic_solve_matches_the_assertion_reference():
+    # The handle backend reaches the values of the backend over wrapped
+    # assertions, vertex for vertex, in the same stages and with the
+    # same warm starts.
+    named = [(name, syn.build_game(syn.problem_from_strings(*spec)))
+             for name, spec in REFERENCE_SPECS.items()]
+    randoms = random_games(random.Random(31415))
+    named += [("random %d" % trial, game)
+              for (trial, game), _ in zip(randoms, range(60))]
+    for name, game in named:
+        _, tree, result = syn.solve_symbolic(game)
+        ref = solve(build_equations(tree), ReferenceBackend(game))
+        assert result.values.keys() == ref.values.keys(), name
+        for s, value in ref.values.items():
+            assert result.values[s] == value, (name, s)
+        assert result.iterations == ref.iterations, name
+        assert result.warm_starts == ref.warm_starts, name

@@ -528,15 +528,11 @@ def test_expansion_projects_to_the_drawn_subset_arena():
     assert count_nonempty == 9
 
 
-def test_random_specifications_cross_check_and_verify():
-    """Randomized end-to-end check: symbolic solution equals the
-    explicitly solved expansion and the reduction oracle; realizable
-    instances yield exactly-verified strategies and live controllers."""
+def random_games(rng):
+    """Endless stream of ``(trial, game)`` for random small specifications:
+    at most 7 automaton states and 4 colors.  The caller may draw from
+    ``rng`` between items."""
     from elgames.ltl import Ap, NotOp, AndOp, OrOp, Next, Globally, Release
-    from elgames.oracles import solve_el_via_reduction
-    from elgames.strategy import extract, verify
-
-    rng = random.Random(31415)
 
     def rand_safety(names, depth):
         if depth == 0 or rng.random() < 0.35:
@@ -576,9 +572,8 @@ def test_random_specifications_cross_check_and_verify():
             return OrOp(x, y)
         return ltl.Implies(x, y)
 
-    checked = verified = 0
     trial = 0
-    while checked < 60:
+    while True:
         trial += 1
         ins = ["a"] if rng.random() < 0.7 else ["a", "d"]
         outs = ["b"] if rng.random() < 0.4 else ["b", "c"]
@@ -592,6 +587,21 @@ def test_random_specifications_cross_check_and_verify():
             continue
         if len(game.dsa.nfa) > 7 or len(game.color_table) > 4:
             continue
+        yield trial, game
+
+
+def test_random_specifications_cross_check_and_verify():
+    """Randomized end-to-end check: symbolic solution equals the
+    explicitly solved expansion and the reduction oracle; realizable
+    instances yield exactly-verified strategies and live controllers."""
+    from elgames.oracles import solve_el_via_reduction
+    from elgames.strategy import extract, verify
+
+    rng = random.Random(31415)
+    checked = verified = 0
+    for trial, game in random_games(rng):
+        if checked == 60:
+            break
         win, tree, result = syn.solve_symbolic(game)
         exp, ewin, etree, eresult = syn.cross_check_symbolic_vs_explicit(game, win)
         assert ewin == solve_el_via_reduction(exp.elgame), trial
@@ -601,10 +611,11 @@ def test_random_specifications_cross_check_and_verify():
             assert verify(exp.elgame, strat, ewin).ok, trial
             verified += 1
             ctrl = syn.extract_controller(game, exp, (ewin, etree, eresult))
-            inputs = [frozenset(n for n in ins if rng.random() < 0.5)
+            inputs = [frozenset(n for n in game.inputs if rng.random() < 0.5)
                       for _ in range(40)]
             bits = game.dsa.initial_bits()
             for letter in ctrl.run(inputs):
                 bits = game.dsa.step_bits(bits, letter)
                 assert bits != 0, trial
     assert verified >= 10
+
