@@ -1,11 +1,13 @@
 """Benchmark of the decision-diagram core.
 
 Workloads exercise the hot paths of the symbolic pipeline: if-then-else
-chains, relational image under quantification and partner renaming, and
-model counting.  Each run's result is checked against a pinned value:
-the node count after the counter's reachability, the XOR of the
-battery's model counts and the composition's final model count.  Run
-as a script; pass --repeat to stabilize numbers.
+chains, relational image under quantification and partner renaming,
+universal-over-existential quantification as in the synthesis game's
+controllable predecessor, and model counting.  Each run's result is
+checked against a pinned value: the node count after the counter's
+reachability, the XOR of the battery's model counts, the composition's
+final model count and the model count of the alternation's safe set.
+Run as a script; pass --repeat to stabilize numbers.
 
     python benchmarks/bench_bddcore.py
 """
@@ -95,12 +97,58 @@ def relation_composition(bits, rounds):
     return m.count_sat(s, "state")
 
 
+def quantifier_alternation(nstate, nletters, seed):
+    """Greatest safe set of a seeded game: ``safe`` shrinks to
+    ``safe & forall i'. exists o', s'. R & rename(safe)``, the shape of
+    ``synthesis.symbolic_cpre``, until it is stable (9 rounds here).
+    ``R`` sets each next state bit to a random formula of the current
+    state and the primed letters."""
+    rng = random.Random(seed)
+    m = Manager()
+    state = ["s%d" % i for i in range(nstate)]
+    inputs = ["i%d" % i for i in range(nletters)]
+    outputs = ["o%d" % i for i in range(nletters)]
+    for name in state + inputs + outputs:
+        m.declare_pair(name, name + "'", "now")
+
+    def primed(names):
+        return [n + "'" for n in names]
+
+    def formula(names, depth):
+        if depth == 0 or rng.random() < 0.3:
+            lit = m.var(rng.choice(names))
+            return lit if rng.random() < 0.5 else ~lit
+        a = formula(names, depth - 1)
+        b = formula(names, depth - 1)
+        r = rng.random()
+        if r < 0.4:
+            return a & b
+        if r < 0.8:
+            return a | b
+        return a ^ b
+
+    step = state + primed(inputs + outputs)
+    rel = m.true
+    for name in state:
+        rel = rel & m.var(name + "'").iff(formula(step, 3))
+    safe = formula(state, 4) | formula(state, 4)
+    while True:
+        moved = rel & m.rename_partners(safe)
+        pre = m.forall(primed(inputs), m.exists(primed(outputs + state), moved))
+        shrunk = safe & pre
+        if shrunk == safe:
+            return m.count_sat(safe, "now")
+        safe = shrunk
+
+
 WORKLOADS = [
     ("counter reachability (10 bits)", lambda: counter_reachability(10), 12247),
     ("random op battery (300 x 12 vars)",
      lambda: random_op_battery(300, 12, 99), 1424),
     ("relation composition (16 bits x 40)",
      lambda: relation_composition(16, 40), 1),
+    ("quantifier alternation (12+3+3 bits)",
+     lambda: quantifier_alternation(12, 3, 3), 100736),
 ]
 
 

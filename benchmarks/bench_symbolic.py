@@ -8,9 +8,9 @@ a freshly built game, so no diagram memo is shared between runs.  The
 specifications are those of the end-to-end ``synth-arbiter`` workload
 (the README example; the two-client arbiter alone, with a bounded
 response and with next-step grants; the three-client arbiter) and the
-four-client arbiter.  Each run's Kleene stages, warm-started runs,
-distinct ``symbolic_cpre`` targets and the number of assignments of
-every declared variable in the winning region are pinned.  Run as a
+four- and five-client arbiters.  Each run's Kleene stages, warm-started
+runs, distinct ``symbolic_cpre`` targets and the number of assignments
+of every declared variable in the winning region are pinned.  Run as a
 script; pass --repeat to stabilize numbers.
 
     python benchmarks/bench_symbolic.py
@@ -45,6 +45,7 @@ WORKLOADS = [
      155, 36, 27, 0),
     ("arb3", arbiter(3), 1623, 618, 61, 4096),
     ("arb4", arbiter(4), 23119, 10188, 442, 40960),
+    ("arb5", arbiter(5), 372283, 176850, 3314, 393216),
 ]
 
 

@@ -4,6 +4,20 @@ Nodes are integers: 0 and 1 are the terminals, larger handles index a
 shared (level, low, high) store with hash-consing, so handle equality
 is semantic equality.  ``elgames.dd`` wraps it in named variables and
 assertions.
+
+``ite`` is the one general operation.  Conjunction, disjunction and
+negation are kernels of their own (Brace, Rudell & Bryant, DAC 1990)
+with memos that live as long as the core: ``and_`` and ``or_`` key
+theirs by the ordered operand pair, so ``(f, g)`` and ``(g, f)`` share
+an entry, and ``not_`` stores each pair in both directions.  ``ite``
+sends its and/or/not cases to them.  ``exists`` and ``forall`` share
+one walk: it joins a quantified node's cofactors with ``or_`` or
+``and_``, skips the high cofactor when the low one is already the
+join's absorbing constant, and returns a node as it is once its level
+is past the last quantified one.  Its memo persists per quantifier and
+level set, since the symbolic solve quantifies the same level sets of
+changing relations.  ``rename`` builds a node with ``mk`` when its new
+level lies above both renamed children, and through ``ite`` otherwise.
 """
 
 TERMINAL_LEVEL = 1 << 30
@@ -23,6 +37,11 @@ class Core:
         self._hi = [0, 1]
         self._unique = {}
         self._ite_memo = {}
+        self._and_memo = {}
+        self._or_memo = {}
+        self._not_memo = {}
+        self._exists_memo = {}
+        self._forall_memo = {}
 
     def node_count(self):
         return len(self._level)
@@ -54,14 +73,22 @@ class Core:
         return self.mk(level, 0, 1)
 
     def ite(self, f, g, h):
-        if f == 1:
-            return g
-        if f == 0:
-            return h
+        """If-then-else, the one general operation; its and/or/not cases
+        go to the dedicated kernels."""
+        if f < 2:
+            return g if f == 1 else h
+        if g == f:
+            g = 1
+        if h == f:
+            h = 0
         if g == h:
             return g
-        if g == 1 and h == 0:
-            return f
+        if h == 0:
+            return self.and_(f, g)
+        if g == 1:
+            return self.or_(f, h)
+        if g == 0 and h == 1:
+            return self.not_(f)
         key = (f, g, h)
         found = self._ite_memo.get(key)
         if found is not None:
@@ -82,50 +109,117 @@ class Core:
         return f, f
 
     def not_(self, f):
-        return self.ite(f, 0, 1)
+        if f < 2:
+            return 1 - f
+        found = self._not_memo.get(f)
+        if found is not None:
+            return found
+        out = self.mk(self._level[f], self.not_(self._lo[f]),
+                      self.not_(self._hi[f]))
+        self._not_memo[f] = out
+        self._not_memo[out] = f
+        return out
 
     def and_(self, f, g):
-        return self.ite(f, g, 0)
+        if f == g or g == 1:
+            return f
+        if f < 2:
+            return g if f == 1 else 0
+        if g == 0:
+            return 0
+        if f > g:
+            f, g = g, f
+        key = (f, g)
+        found = self._and_memo.get(key)
+        if found is not None:
+            return found
+        level, lo, hi = self._level, self._lo, self._hi
+        lf, lg = level[f], level[g]
+        if lf == lg:
+            out = self.mk(lf, self.and_(lo[f], lo[g]), self.and_(hi[f], hi[g]))
+        elif lf < lg:
+            out = self.mk(lf, self.and_(lo[f], g), self.and_(hi[f], g))
+        else:
+            out = self.mk(lg, self.and_(f, lo[g]), self.and_(f, hi[g]))
+        self._and_memo[key] = out
+        return out
 
     def or_(self, f, g):
-        return self.ite(f, 1, g)
+        if f == g or g == 0:
+            return f
+        if f < 2:
+            return 1 if f == 1 else g
+        if g == 1:
+            return 1
+        if f > g:
+            f, g = g, f
+        key = (f, g)
+        found = self._or_memo.get(key)
+        if found is not None:
+            return found
+        level, lo, hi = self._level, self._lo, self._hi
+        lf, lg = level[f], level[g]
+        if lf == lg:
+            out = self.mk(lf, self.or_(lo[f], lo[g]), self.or_(hi[f], hi[g]))
+        elif lf < lg:
+            out = self.mk(lf, self.or_(lo[f], g), self.or_(hi[f], g))
+        else:
+            out = self.mk(lg, self.or_(f, lo[g]), self.or_(f, hi[g]))
+        self._or_memo[key] = out
+        return out
 
     def xor_(self, f, g):
-        return self.ite(f, self.ite(g, 0, 1), g)
+        return self.ite(f, self.not_(g), g)
 
     def iff_(self, f, g):
-        return self.ite(f, g, self.ite(g, 0, 1))
+        return self.ite(f, g, self.not_(g))
 
     def implies_(self, f, g):
         return self.ite(f, g, 1)
 
     def exists(self, f, levels):
+        return self._quantify(f, levels, self.or_, 1, self._exists_memo)
+
+    def forall(self, f, levels):
+        return self._quantify(f, levels, self.and_, 0, self._forall_memo)
+
+    def _quantify(self, f, levels, join, absorbing, memos):
+        """Abstract ``levels`` from ``f``, joining the cofactors of a
+        quantified node with ``join`` unless the low one is already
+        ``absorbing``; a node past the last quantified level is
+        returned as it is.  ``memos`` maps a level set to its memo."""
         levels = frozenset(levels)
-        memo = {}
+        if not levels:
+            return f
+        last = max(levels)
+        level, lo, hi, mk = self._level, self._lo, self._hi, self.mk
+        memo = memos.get(levels)
+        if memo is None:
+            memo = memos[levels] = {}
 
         def go(node):
-            if node < 2:
+            if level[node] > last:
                 return node
             found = memo.get(node)
             if found is not None:
                 return found
-            lo = go(self._lo[node])
-            hi = go(self._hi[node])
-            if self._level[node] in levels:
-                out = self.or_(lo, hi)
+            at = level[node]
+            if at in levels:
+                out = go(lo[node])
+                if out != absorbing:
+                    out = join(out, go(hi[node]))
             else:
-                out = self.mk(self._level[node], lo, hi)
+                out = mk(at, go(lo[node]), go(hi[node]))
             memo[node] = out
             return out
 
         return go(f)
 
-    def forall(self, f, levels):
-        return self.not_(self.exists(self.not_(f), levels))
-
     def rename(self, f, perm):
         """Substitute variables by levels per ``perm``; safe for any
-        permutation because nodes are rebuilt through ite."""
+        permutation: a node whose new level lies above both renamed
+        children is built directly, any other through ite."""
+        level, lo, hi = self._level, self._lo, self._hi
         memo = {}
 
         def go(node):
@@ -134,11 +228,14 @@ class Core:
             found = memo.get(node)
             if found is not None:
                 return found
-            level = self._level[node]
-            target = perm.get(level, level)
-            lo = go(self._lo[node])
-            hi = go(self._hi[node])
-            out = self.ite(self.var_node(target), hi, lo)
+            at = level[node]
+            target = perm.get(at, at)
+            new_lo = go(lo[node])
+            new_hi = go(hi[node])
+            if target < level[new_lo] and target < level[new_hi]:
+                out = self.mk(target, new_lo, new_hi)
+            else:
+                out = self.ite(self.var_node(target), new_hi, new_lo)
             memo[node] = out
             return out
 

@@ -25,6 +25,7 @@ strategy module.
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import el, ltl
 from .dd import Assertion, Manager
@@ -155,6 +156,15 @@ class SymbolicGameStructure:
     def ap(self):
         return self.inputs + self.outputs
 
+    @cached_property
+    def _cpre_levels(self):
+        """Levels ``symbolic_cpre`` quantifies: the primed inputs
+        (universally) and the primed outputs and subset variables
+        (existentially)."""
+        m = self.manager
+        return (frozenset(m.level(n + "'") for n in self.inputs),
+                frozenset(m.level(n + "'") for n in self.outputs + self.state_vars))
+
     def letter_colors(self, letter):
         """Color mask of one letter (set of true APs)."""
         values = dict.fromkeys(letter, True)
@@ -186,12 +196,9 @@ def symbolic_cpre(game, target):
     """Nodes where every next input admits outputs and a subset step
     keeping the successor in the target."""
     m = game.manager
-    primed = m.rename_partners(target)
-    inner = game.rho & primed
-    primed_inputs = [n + "'" for n in game.inputs]
-    primed_rest = ([n + "'" for n in game.outputs]
-                   + [n + "'" for n in game.state_vars])
-    return m.forall(primed_inputs, m.exists(primed_rest, inner))
+    inputs, rest = game._cpre_levels
+    inner = game.rho & m.rename_partners(target)
+    return Assertion(m, m.core.forall(m.core.exists(inner.handle, rest), inputs))
 
 
 class SymbolicBackend(SetBackend):

@@ -204,3 +204,111 @@ def test_canonicity_tracks_truth_table_equality():
         ta = _random_ops(rng, tt, names, 4)
         tb = _random_ops(rng, tt, names, 4)
         assert (a.handle == b.handle) == (ta.bits == tb.bits)
+
+
+def _store_errors(core):
+    """Violations of the reduced, hash-consed node store."""
+    errors = []
+    triples = {}
+    for handle in range(2, core.node_count()):
+        level, lo, hi = core.level_of(handle), core.low(handle), core.high(handle)
+        if lo == hi:
+            errors.append("node %d is redundant" % handle)
+        if not (level < core.level_of(lo) and level < core.level_of(hi)):
+            errors.append("node %d is not above its children" % handle)
+        if (level, lo, hi) in triples:
+            errors.append("nodes %d and %d are equal" % (triples[level, lo, hi], handle))
+        triples[level, lo, hi] = handle
+    if triples != core._unique:
+        errors.append("the unique table does not index the store")
+    return errors
+
+
+def test_store_stays_reduced_and_canonical_after_random_ops():
+    rng = random.Random(4242)
+    for _ in range(40):
+        npairs = rng.randint(1, 4)
+        m = Manager()
+        names = []
+        for i in range(npairs):
+            m.declare_pair("v%d" % i, "v%d'" % i, "state")
+            names += ["v%d" % i, "v%d'" % i]
+        for _ in range(5):
+            a = _random_ops(rng, m, names, 4)
+            subset = [n for n in names if rng.random() < 0.4]
+            m.exists(subset, a)
+            m.forall(subset, a)
+            m.rename_partners(a)
+        assert _store_errors(m.core) == []
+
+
+def test_and_or_of_a_handle_with_itself_is_that_handle():
+    m = small_manager()
+    x, y, z, w = (m.var(n) for n in "xyzw")
+    core = m.core
+    h = ((x & ~y) | (z ^ w)).handle
+
+    def sizes():
+        return {k: len(v) for k, v in vars(core).items() if isinstance(v, dict)}
+
+    nodes, before = core.node_count(), sizes()
+    assert core.or_(h, h) == h
+    assert core.and_(h, h) == h
+    assert core.node_count() == nodes
+    assert sizes() == before
+
+
+def _twins(names):
+    """A manager and its truth-table twin, declaring ``names``."""
+    m, tt = Manager(), TTManager()
+    for name in names:
+        m.declare(name, "main")
+        tt.declare(name, "main")
+    return m, tt
+
+
+def _same_random_ops(rng, m, tt, names, depth):
+    state = rng.getstate()
+    a = _random_ops(rng, m, names, depth)
+    rng.setstate(state)
+    return a, _random_ops(rng, tt, names, depth)
+
+
+def test_core_rename_matches_truth_tables_under_any_permutation():
+    rng = random.Random(515)
+    for round_no in range(80):
+        names = ["v%d" % i for i in range(rng.randint(2, 7))]
+        m, tt = _twins(names)
+        a, ta = _same_random_ops(rng, m, tt, names, 4)
+        levels = list(range(len(names)))
+        shuffled = levels[:]
+        rng.shuffle(shuffled)
+        perms = [dict(zip(levels, shuffled)),
+                 dict(zip(levels, reversed(levels)))]
+        for perm in perms:
+            got = dd.Assertion(m, m.core.rename(a.handle, perm))
+            assert_same_semantics(m, got, tt, tt.rename(ta, perm), names)
+        assert _store_errors(m.core) == []
+
+
+def test_quantifiers_match_truth_tables_wherever_the_last_level_lies():
+    """The last quantified level above, inside and below the support;
+    one manager per round, so the quantifier memos of one level set
+    serve many assertions."""
+    rng = random.Random(2718)
+    names = ["v%d" % i for i in range(8)]
+    for round_no in range(30):
+        m, tt = _twins(names)
+        for _ in range(6):
+            a, ta = _same_random_ops(rng, m, tt, names[2:6], 4)
+            # last quantified level v1, v4, v7: above, inside, below v2..v5
+            for last in (1, 4, 7):
+                subset = [n for n in names[:last] if rng.random() < 0.5]
+                subset.append(names[last])
+                for quant in ("exists", "forall"):
+                    got = getattr(m, quant)(subset, a)
+                    want = getattr(tt, quant)(subset, ta)
+                    assert_same_semantics(m, got, tt, want, names)
+                    if last == 1:
+                        assert got == a
+        assert _store_errors(m.core) == []

@@ -167,6 +167,11 @@ class TTManager:
             if level not in self._partner:
                 raise TTError("variable %r has no partner" % self.names[level])
             perm[level] = self._partner[level]
+        return self.rename(a, perm)
+
+    def rename(self, a, perm):
+        """Substitute the variable at level ``perm[l]`` for the one at
+        each level ``l`` in ``perm``."""
         total = 1 << len(self.names)
         bits = 0
         for i in range(total):
