@@ -10,8 +10,12 @@ specifications are those of the end-to-end ``synth-arbiter`` workload
 response and with next-step grants; the three-client arbiter) and the
 four- and five-client arbiters.  Each run's Kleene stages, warm-started
 runs, distinct ``symbolic_cpre`` targets and the number of assignments
-of every declared variable in the winning region are pinned.  Run as a
-script; pass --repeat to stabilize numbers.
+of every declared variable in the winning region are pinned.  The
+diagram core's node count and memo entries (all of its memos, which
+live as long as the game's manager) after the last run are printed,
+not pinned, so the memory the memos keep shows; they vary a little with
+``PYTHONHASHSEED``.  Run as a script; pass --repeat to stabilize
+numbers.
 
     python benchmarks/bench_symbolic.py
 """
@@ -70,8 +74,9 @@ def solve_counting(game):
 
 
 def run(repeat):
-    print("%-12s %7s %6s %7s %8s %10s" % ("spec", "stages", "warm", "targets",
-                                           "satcount", "best"))
+    print("%-12s %7s %6s %7s %8s %10s %7s %8s" % (
+        "spec", "stages", "warm", "targets", "satcount", "best", "nodes",
+        "memo"))
     for name, spec, stages, warm, targets, satcount in WORKLOADS:
         problem = syn.problem_from_strings(*spec)
         best = None
@@ -85,7 +90,8 @@ def run(repeat):
             want = (stages, warm, targets, satcount)
             assert got == want, "%s gave (stages, warm starts, targets, " \
                 "satcount) %r, expected %r" % (name, got, want)
-        print("%-12s %7d %6d %7d %8d %9.4fs" % ((name,) + want + (best,)))
+        print("%-12s %7d %6d %7d %8d %9.4fs %7d %8d" % (
+            (name,) + want + (best, m.core.node_count(), m.core.memo_entries())))
 
 
 def main():

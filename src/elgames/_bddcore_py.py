@@ -17,7 +17,9 @@ join's absorbing constant, and returns a node as it is once its level
 is past the last quantified one.  Its memo persists per quantifier and
 level set, since the symbolic solve quantifies the same level sets of
 changing relations.  ``rename`` builds a node with ``mk`` when its new
-level lies above both renamed children, and through ``ite`` otherwise.
+level lies above both renamed children, and through ``ite`` otherwise;
+its memo persists per permutation, and a level that the permutation
+does not map raises.
 """
 
 TERMINAL_LEVEL = 1 << 30
@@ -40,11 +42,15 @@ class Core:
         self._and_memo = {}
         self._or_memo = {}
         self._not_memo = {}
-        self._exists_memo = {}
-        self._forall_memo = {}
+        self._walk_memos = {}   # by (absorbing, level set) or permutation
 
     def node_count(self):
         return len(self._level)
+
+    def memo_entries(self):
+        """Entries in all memos, the quantifiers' and rename's included."""
+        flat = (self._ite_memo, self._and_memo, self._or_memo, self._not_memo)
+        return sum(map(len, flat)) + sum(map(len, self._walk_memos.values()))
 
     def level_of(self, f):
         return self._level[f]
@@ -178,24 +184,23 @@ class Core:
         return self.ite(f, g, 1)
 
     def exists(self, f, levels):
-        return self._quantify(f, levels, self.or_, 1, self._exists_memo)
+        return self._quantify(f, levels, self.or_, 1)
 
     def forall(self, f, levels):
-        return self._quantify(f, levels, self.and_, 0, self._forall_memo)
+        return self._quantify(f, levels, self.and_, 0)
 
-    def _quantify(self, f, levels, join, absorbing, memos):
+    def _quantify(self, f, levels, join, absorbing):
         """Abstract ``levels`` from ``f``, joining the cofactors of a
         quantified node with ``join`` unless the low one is already
         ``absorbing``; a node past the last quantified level is
-        returned as it is.  ``memos`` maps a level set to its memo."""
+        returned as it is.  The memo is kept per quantifier and level
+        set."""
         levels = frozenset(levels)
         if not levels:
             return f
         last = max(levels)
         level, lo, hi, mk = self._level, self._lo, self._hi, self.mk
-        memo = memos.get(levels)
-        if memo is None:
-            memo = memos[levels] = {}
+        memo = self._walk_memos.setdefault((absorbing, levels), {})
 
         def go(node):
             if level[node] > last:
@@ -216,11 +221,14 @@ class Core:
         return go(f)
 
     def rename(self, f, perm):
-        """Substitute variables by levels per ``perm``; safe for any
-        permutation: a node whose new level lies above both renamed
-        children is built directly, any other through ite."""
+        """Substitute each level of ``f`` by its image under ``perm``,
+        which must map every one of them (``KeyError`` names the first
+        it meets that it does not).  Safe for any permutation: a node
+        whose new level lies above both renamed children is built
+        directly, any other through ite.  The memo is kept per
+        permutation."""
+        memo = self._walk_memos.setdefault(frozenset(perm.items()), {})
         level, lo, hi = self._level, self._lo, self._hi
-        memo = {}
 
         def go(node):
             if node < 2:
@@ -228,8 +236,7 @@ class Core:
             found = memo.get(node)
             if found is not None:
                 return found
-            at = level[node]
-            target = perm.get(at, at)
+            target = perm[level[node]]
             new_lo = go(lo[node])
             new_hi = go(hi[node])
             if target < level[new_lo] and target < level[new_hi]:

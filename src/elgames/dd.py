@@ -168,12 +168,11 @@ class Manager:
 
     def rename_partners(self, a):
         """Swap every variable with its primed partner."""
-        perm = {}
-        for level in self.core.support(a.handle):
-            if level not in self._partner:
-                raise BddError("variable %r has no partner" % self.names[level])
-            perm[level] = self._partner[level]
-        return Assertion(self, self.core.rename(a.handle, perm))
+        try:
+            return Assertion(self, self.core.rename(a.handle, self._partner))
+        except KeyError as missing:
+            raise BddError("variable %r has no partner"
+                           % self.names[missing.args[0]]) from None
 
     def support_names(self, a):
         return tuple(self.names[level] for level in self.core.support(a.handle))

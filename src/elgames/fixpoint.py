@@ -143,9 +143,6 @@ class SetBackend:
     def intersect(self, a, b, s):
         return a & b
 
-    def equal(self, a, b):
-        return a == b
-
     def subset(self, a, b):
         return a | b == b
 
@@ -235,9 +232,10 @@ def solve(system, backend, max_stages=None):
     """Solve by nested Kleene iteration; returns all stabilized values.
 
     The backend supplies the values: ``bottom(s)``, ``top(s)``,
-    ``union(a, b, s)``, ``intersect(a, b, s)``, ``equal(a, b)`` and
-    ``term(s, term, value)``, the value of one attraction term of leaf
-    ``s`` given its anchor's value.  A vertex's fixpoint depends only on
+    ``union(a, b, s)``, ``intersect(a, b, s)`` and ``term(s, term,
+    value)``, the value of one attraction term of leaf ``s`` given its
+    anchor's value.  Values are compared with ``==``, so each backend's
+    values must be canonical.  A vertex's fixpoint depends only on
     its inputs: the union of its ancestor terms at a leaf, the tuple of
     its ancestors' values at an internal vertex.
 
@@ -281,7 +279,6 @@ def solve(system, backend, max_stages=None):
              for eq in system.equations if eq.op == "attract"}
     leaf = getattr(backend, "leaf", None)
     subset = getattr(backend, "subset", None)
-    equal = backend.equal
     values = {}
     # vertex -> (inputs, result) of its last len(ancestors) + 1 runs,
     # newest first
@@ -320,7 +317,7 @@ def solve(system, backend, max_stages=None):
         runs = recent.get(s, ())
         x = None
         for prev, result in runs:
-            if attract and equal(prev, inputs):
+            if attract and prev == inputs:
                 values[s] = result
                 return result
             if x is None and subset is not None:
@@ -354,7 +351,7 @@ def solve(system, backend, max_stages=None):
                         x = backend.intersect(x, run(t, ls_here), s)
             stages += 1
             total_iterations += 1
-            if equal(x, w):
+            if x == w:
                 break
             if max_stages is not None and stages > max_stages:
                 raise StageLimitError(

@@ -149,9 +149,6 @@ class RankBackend:
                 out.append((sig, new))
         return tuple(out)
 
-    def equal(self, a, b):
-        return a == b
-
     def term(self, s, term, src):
         """Rings one attraction term of leaf ``s`` gives, reading the
         anchor's rings ``src``: each ring places the term's nodes on the

@@ -31,8 +31,8 @@ from . import el, ltl
 from .dd import Assertion, Manager
 from .fixpoint import SetBackend, build_equations, solve, solve_game
 from .games import Arena, ELGame, EXISTENTIAL, UNIVERSAL
-from .ltl import (AndOp, Finally, Globally, Implies, NotOp, OrOp,
-                  check_safety, determinize_symbolic, nfa_from_safety)
+from .ltl import (AndOp, Finally, Globally, OrOp, check_safety,
+                  determinize_symbolic, nfa_from_safety)
 from .strategy import _Extractor
 from .zielonka import ZielonkaTree
 
@@ -82,7 +82,9 @@ def colors_of(liveness, manager):
     One color per distinct letter assertion under GF / FG (``p`` for
     ``GF p``, its complement for ``FG p``), over the letter variables of
     ``manager``; the formula itself becomes a Boolean combination over
-    "color occurs infinitely often" atoms.
+    "color occurs infinitely often" atoms.  The formula is read in
+    negation normal form (``ltl.to_nnf``), so only conjunctions and
+    disjunctions of ``G F p``, ``F G p`` and the constants remain.
     """
     assertions = []
     index = {}
@@ -98,32 +100,22 @@ def colors_of(liveness, manager):
             assertions.append(assertion)
         return index[assertion]
 
-    def walk(node, positive):
+    def walk(node):
         if isinstance(node, AndOp):
-            op = el.And if positive else el.Or
-            return op(walk(node.left, positive), walk(node.right, positive))
+            return el.And(walk(node.left), walk(node.right))
         if isinstance(node, OrOp):
-            op = el.Or if positive else el.And
-            return op(walk(node.left, positive), walk(node.right, positive))
-        if isinstance(node, Implies):
-            if positive:
-                return el.Or(walk(node.left, False), walk(node.right, True))
-            return el.And(walk(node.left, True), walk(node.right, False))
-        if isinstance(node, NotOp):
-            return walk(node.arg, not positive)
+            return el.Or(walk(node.left), walk(node.right))
         if isinstance(node, Globally) and isinstance(node.arg, Finally):
-            cid = color_id(node)
-            return el.Inf(cid) if positive else el.fin(cid)
+            return el.Inf(color_id(node))
         if isinstance(node, Finally) and isinstance(node.arg, Globally):
-            cid = color_id(node)
-            return el.fin(cid) if positive else el.Inf(cid)
+            return el.fin(color_id(node))
         if isinstance(node, ltl.Tru):
-            return el.TRUE if positive else el.FALSE
+            return el.TRUE
         if isinstance(node, ltl.Fls):
-            return el.FALSE if positive else el.TRUE
+            return el.FALSE
         raise NotELFragment(node)
 
-    formula = walk(liveness, True)
+    formula = walk(ltl.to_nnf(liveness))
     names = []
     used = set()
     for i, assertion in enumerate(assertions):
@@ -196,9 +188,10 @@ def symbolic_cpre(game, target):
     """Nodes where every next input admits outputs and a subset step
     keeping the successor in the target."""
     m = game.manager
+    core = m.core
     inputs, rest = game._cpre_levels
-    inner = game.rho & m.rename_partners(target)
-    return Assertion(m, m.core.forall(m.core.exists(inner.handle, rest), inputs))
+    inner = core.and_(game.rho.handle, m.rename_partners(target).handle)
+    return Assertion(m, core.forall(core.exists(inner, rest), inputs))
 
 
 class SymbolicBackend(SetBackend):

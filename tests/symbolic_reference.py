@@ -46,9 +46,6 @@ class SetBackend:
     def intersect(self, a, b, s):
         return a & b
 
-    def equal(self, a, b):
-        return a == b
-
     def subset(self, a, b):
         return a | b == b
 

@@ -68,6 +68,49 @@ def test_rename_unpartnered_variable_rejected():
         m.rename_partners(m.var("u"))
 
 
+def test_second_rename_partners_adds_no_node_and_no_memo_entry(monkeypatch):
+    m = Manager()
+    for name in "xyz":
+        m.declare_pair(name, name + "'", "state")
+    x, yp, z = m.var("x"), m.var("y'"), m.var("z")
+    a = (x & yp) | (~x & ~z) | (m.var("x'") ^ m.var("z'"))
+    first = m.rename_partners(a)
+    nodes, memo = m.core.node_count(), m.core.memo_entries()
+
+    def build(*args):
+        raise AssertionError("the second rename built a node")
+
+    # the rename memo outlives the call, so the second one builds nothing
+    monkeypatch.setattr(m.core, "mk", build)
+    monkeypatch.setattr(m.core, "ite", build)
+    assert m.rename_partners(a) == first
+    assert (m.core.node_count(), m.core.memo_entries()) == (nodes, memo)
+
+
+def test_unpartnered_variable_below_partnered_ones_rejected():
+    """The rename walk meets the unpartnered ``u`` only after renaming
+    nodes above it; a later rename on the same manager still matches
+    the truth tables."""
+    m, tt = Manager(), TTManager()
+    for twin in (m, tt):
+        twin.declare_pair("x", "x'", "state")
+        twin.declare_pair("y", "y'", "state")
+        twin.declare("u", "aux")
+    names = ["x", "x'", "y", "y'", "u"]
+
+    def build(twin):
+        x, yp, u = twin.var("x"), twin.var("y'"), twin.var("u")
+        bad = (~x & yp) | (x & u)
+        good = (~x & yp) | (x & twin.var("y"))
+        return bad, good
+
+    (bad, good), (_, tt_good) = build(m), build(tt)
+    with pytest.raises(BddError, match="'u' has no partner"):
+        m.rename_partners(bad)
+    assert_same_semantics(m, m.rename_partners(good), tt,
+                          tt.rename_partners(tt_good), names)
+
+
 def test_count_sat_cubes():
     m = small_manager()
     assert m.count_sat(m.true, "main") == 16

@@ -396,6 +396,22 @@ def test_symbolic_cpre_memo_asks_each_handle_once():
     assert syn.is_won(game, Assertion(game.manager, result.winning()))
 
 
+def test_solve_symbolic_makes_no_support_walk(monkeypatch):
+    """Renaming targets to their primed partners is the rename walk
+    alone: no support walk per ``symbolic_cpre`` call."""
+    game = arb2_game()
+    core, levels = game.manager.core, range(len(game.manager.names))
+
+    def support(f):
+        raise AssertionError("core.support called during the solve")
+
+    monkeypatch.setattr(core, "support", support)
+    win, _, _ = syn.solve_symbolic(game)
+    assert syn.is_won(game, win)
+    # the winning region's size pinned by benchmarks/bench_symbolic.py
+    assert core.satcount(win.handle, levels) == 384
+
+
 FAMILIES = [
     ("parity-c6", 6, lambda rng, t: el.parity(t, list("abcdef"))),
     ("streett-k3", 6, streett3),

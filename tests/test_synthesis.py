@@ -53,12 +53,23 @@ def test_colors_of_running_liveness_dedupes_predicates():
 
 
 def test_colors_of_keys_colors_by_letter_assertion():
-    m = letter_manager("a", "b")
-    formula, table, colors = syn.colors_of(parse_ltl(
-        "G F (a -> b) & G F (!a | b) & G F (b & a) & G F (a & b)"), m)
-    a, b = m.var("a"), m.var("b")
-    assert colors == (a.implies(b), a & b)
-    assert table.names == ("k0", "k1")
+    m = letter_manager("a", "b", "c")
+    a, b, c = (m.var(n) for n in "abc")
+    inf, fin = el.Inf, el.fin
+    cases = [
+        ("G F (a -> b) & G F (!a | b) & G F (b & a) & G F (a & b)",
+         (a.implies(b), a & b), ("k0", "k1"),
+         el.And(el.And(el.And(inf(0), inf(0)), inf(1)), inf(1))),
+        # negated G F / F G: the formula is read in negation normal form
+        ("!(G F a) | G F b", (a, b), ("a", "b"), el.Or(fin(0), inf(1))),
+        ("(G F a -> G F b) & !(F G c)", (a, b, ~c), ("a", "b", "k2"),
+         el.And(el.Or(fin(0), inf(1)), inf(2))),
+    ]
+    for text, want_colors, want_names, want_formula in cases:
+        formula, table, colors = syn.colors_of(parse_ltl(text), m)
+        assert colors == want_colors, text
+        assert table.names == want_names, text
+        assert formula == want_formula, text
 
 
 def test_colors_of_unsatisfiable_fin_predicate():
@@ -76,6 +87,8 @@ def test_colors_of_rejects_nested_temporal():
         syn.colors_of(parse_ltl("G F (a & X b)"), m)
     with pytest.raises(syn.NotELFragment):
         syn.colors_of(parse_ltl("a & G F b"), m)
+    with pytest.raises(syn.NotELFragment):
+        syn.colors_of(parse_ltl("a -> G F b"), m)
 
 
 def test_problem_validation():
