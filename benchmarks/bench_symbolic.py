@@ -13,9 +13,8 @@ runs, distinct ``symbolic_cpre`` targets and the number of assignments
 of every declared variable in the winning region are pinned.  The
 diagram core's node count and memo entries (all of its memos, which
 live as long as the game's manager) after the last run are printed,
-not pinned, so the memory the memos keep shows; they vary a little with
-``PYTHONHASHSEED``.  Run as a script; pass --repeat to stabilize
-numbers.
+not pinned, so the memory the memos keep shows.  Run as a script; pass
+--repeat to stabilize numbers.
 
     python benchmarks/bench_symbolic.py
 """

@@ -288,11 +288,8 @@ def check_safety(phi):
     nnf = to_nnf(phi)
 
     def walk(node):
-        if isinstance(node, (Tru, Fls, Ap)):
-            return
-        if isinstance(node, NotOp):
-            if not isinstance(node.arg, Ap):
-                raise NotSafetyError("!")
+        # a letter constraint, such as an antecedent to_nnf keeps as written
+        if is_propositional(node):
             return
         if isinstance(node, (Until, Finally)):
             raise NotSafetyError("U" if isinstance(node, Until) else "F")
@@ -351,7 +348,8 @@ def _normalize_state(formulas):
 
 def _expand(state):
     """Branches (constraint list, next obligation set) of one state."""
-    branches = [([], [], list(state))]  # (constraints, next, todo)
+    # canonical order: the automaton must not depend on PYTHONHASHSEED
+    branches = [([], [], sorted(state, key=repr))]  # (constraints, next, todo)
     done = []
     while branches:
         constraints, nxt, todo = branches.pop()
@@ -484,31 +482,22 @@ class SymbolicSafetyAutomaton:
 MAX_SUBSET_VARS = 64
 
 
-def determinize_symbolic(nfa, manager=None, declare_letters=None,
-                         max_states=MAX_SUBSET_VARS):
+def determinize_symbolic(nfa, letters=None, max_states=MAX_SUBSET_VARS):
     """Subset construction as assertions; one state variable per NFA state.
 
-    The manager (created fresh here unless given empty) is laid out with
-    the state variables ``v0``, ``v1``, ... and their primed partners
-    first, interleaved, then the letter variables.  ``declare_letters``
-    may be passed to control letter declaration (synthesis splits them
-    into input and output blocks); the default declares every AP with a
-    partner in block "letter".
+    A fresh manager is laid out with the state variables ``v0``, ``v1``,
+    ... and their primed partners first, interleaved, then ``letters``
+    (default: the automaton's APs; synthesis passes its inputs and then
+    its outputs), each with a partner, in block "letter".
     """
     if len(nfa) > max_states:
         raise LTLError("variable budget exceeded: %d automaton states > %d"
                        % (len(nfa), max_states))
-    if manager is None:
-        manager = Manager()
-    if manager.names:
-        raise LTLError("determinization needs a fresh manager")
+    manager = Manager()
     for i in range(len(nfa)):
         manager.declare_pair("v%d" % i, "v%d'" % i, "state")
-    if declare_letters is None:
-        for name in nfa.ap:
-            manager.declare_pair(name, name + "'", "letter")
-    else:
-        declare_letters(manager, nfa.ap)
+    for name in nfa.ap if letters is None else letters:
+        manager.declare_pair(name, name + "'", "letter")
     state_vars = tuple("v%d" % i for i in range(len(nfa)))
 
     theta0 = manager.cube({name: (i == nfa.initial)

@@ -12,15 +12,17 @@ quantifying primed inputs universally and primed outputs and subset
 variables existentially.  The solve wraps handles as assertions only
 around that predecessor and on its final values.
 
-Controllers are extracted from the game's explicit expansion, whose
-intermediate nodes (the system's output choice) are keyed by the next
-subset and the input rather than by the full node they follow, so each
-is built once; a letter that empties the subset leads to one losing
-sink.  Controller states pair a reachable subset with the
-position in the objective's tree where the last consumed letter
-anchored (vertex plus child slot, which seeds the round-robin through
-winning branches), and moves follow the certified signature rules of the
-strategy module.
+Controllers are extracted from the explicit expansion of the symbolic
+winning region, solved on the symbolic solve's objective and tree (the
+explicit solve must win every node of it).  Its intermediate nodes
+(the system's output choice) are keyed by the next subset and the
+input rather than by the full node they follow, so each is built once.
+Controller states pair a reachable subset with the position in the
+objective's tree where the last consumed letter anchored (vertex plus
+child slot, which seeds the round-robin through winning branches), and
+moves follow the certified signature rules of the strategy module.
+The full expansion, where a letter that empties the subset leads to a
+losing sink, is the cross-check's oracle.
 """
 
 import re
@@ -149,6 +151,11 @@ class SymbolicGameStructure:
         return self.inputs + self.outputs
 
     @cached_property
+    def solution(self):
+        """``solve_symbolic(self)``, computed once per game."""
+        return solve_symbolic(self)
+
+    @cached_property
     def _cpre_levels(self):
         """Levels ``symbolic_cpre`` quantifies: the primed inputs
         (universally) and the primed outputs and subset variables
@@ -157,24 +164,24 @@ class SymbolicGameStructure:
         return (frozenset(m.level(n + "'") for n in self.inputs),
                 frozenset(m.level(n + "'") for n in self.outputs + self.state_vars))
 
+    def holds(self, assertion, bits, letter):
+        """Truth of an assertion at one subset (bit mask over
+        ``state_vars``) and letter (set of true APs)."""
+        values = dict.fromkeys(letter, True)
+        values.update((v, True) for i, v in enumerate(self.state_vars)
+                      if bits >> i & 1)
+        return self.manager.eval(assertion, values)
+
     def letter_colors(self, letter):
         """Color mask of one letter (set of true APs)."""
-        values = dict.fromkeys(letter, True)
         return sum(1 << cid for cid, a in enumerate(self.color_assertions)
-                   if self.manager.eval(a, values))
+                   if self.holds(a, 0, letter))
 
 
 def build_game(problem):
     nnf = check_safety(problem.safety)
     nfa = nfa_from_safety(nnf)
-
-    def declare_letters(manager, ap):
-        for name in problem.inputs:
-            manager.declare_pair(name, name + "'", "input")
-        for name in problem.outputs:
-            manager.declare_pair(name, name + "'", "output")
-
-    dsa = determinize_symbolic(nfa, Manager(), declare_letters=declare_letters)
+    dsa = determinize_symbolic(nfa, problem.inputs + problem.outputs)
     m = dsa.manager
     formula, table, assertions = colors_of(problem.liveness, m)
     return SymbolicGameStructure(
@@ -259,7 +266,7 @@ def is_won(game, win):
 
 
 # ---------------------------------------------------------------------------
-# Explicit expansion (oracle cross-checks and controller extraction).
+# Explicit expansion (controller extraction and oracle cross-checks).
 
 # The sink's color.  ``colors_of`` names colors after atoms starting with
 # [a-z], or ``k<i>`` with leading underscores, so this name never clashes.
@@ -280,7 +287,7 @@ class ExplicitExpansion:
         return self.kinds[self.elgame.arena.succ[vid][0]][1]
 
 
-def expand_explicit(game):
+def expand_explicit(game, win=None):
     """Explicit arena of the symbolic game with one intermediate node per
     (next subset, input).
 
@@ -291,25 +298,28 @@ def expand_explicit(game):
     full node with the same key shares the intermediate node ("mid",
     next subset, input), whose successors are the full nodes ("full",
     next subset, input | output): the bisimulation quotient of one
-    intermediate node per (full node, input), built directly.  A full
-    node whose letter empties its subset moves to the sink instead (its
-    fresh color is required to occur only finitely often, so entering
-    it loses); no node carries the empty subset.  Nodes are numbered in
-    first-seen breadth-first order, which keeps the relative order of
-    the full nodes of the unmerged expansion."""
+    intermediate node per (full node, input), built directly.  Nodes are
+    numbered in first-seen breadth-first order.  Given the symbolic
+    winning region ``win``, only the full nodes inside it are built: a
+    total arena with the game's own colours and objective.  Otherwise a
+    full node whose letter empties its subset moves to the sink, node 0,
+    whose fresh colour may occur only finitely often."""
     dsa = game.dsa
-    table = game.color_table
-    xtable = el.ColorTable(tuple(table.names) + (DEAD_COLOR,))
-    objective = el.And(game.el_formula, el.fin(len(table)))
+    table, objective = game.color_table, game.el_formula
     init_bits = dsa.initial_bits()
     inputs = list(ltl.letters(game.inputs))
     outputs = list(ltl.letters(game.outputs))
 
-    kinds = [("sink",)]
-    index = {("sink",): 0}
-    owner = [UNIVERSAL]
-    colors = [1 << len(table)]
-    succ = [[0]]
+    # sink: the moves of a full node whose letter empties its subset; a
+    # sound region holds at no such node, and Arena rejects a dead end
+    kinds, owner, colors, succ, sink = [], [], [], [], []
+    if win is None:
+        dead = len(table)
+        table = el.ColorTable(tuple(table.names) + (DEAD_COLOR,))
+        objective = el.And(objective, el.fin(dead))
+        kinds, owner, colors, succ, sink = \
+            [("sink",)], [UNIVERSAL], [1 << dead], [[0]], [0]
+    index = {kind: vid for vid, kind in enumerate(kinds)}
     queue = []
 
     def intern(kind, node_owner, node_colors):
@@ -327,6 +337,8 @@ def expand_explicit(game):
                      for letter in ltl.letters(game.ap)}
 
     def full(bits, letter):
+        if win is not None and not game.holds(win, bits, letter):
+            return None
         return intern(("full", bits, letter), UNIVERSAL, letter_colors[letter])
 
     for letter in letter_colors:
@@ -337,42 +349,37 @@ def expand_explicit(game):
         if tag == "full":
             nxt = dsa.step_bits(bits, label)
             succ[vid] = [intern(("mid", nxt, inp), EXISTENTIAL, 0)
-                         for inp in inputs] if nxt else [0]
+                         for inp in inputs] if nxt else sink
         else:
-            succ[vid] = [full(bits, label | out) for out in outputs]
+            succ[vid] = [w for w in (full(bits, label | out) for out in outputs)
+                         if w is not None]
 
     arena = Arena(owner, succ, colors)
-    return ExplicitExpansion(ELGame(arena, xtable, objective), kinds, index,
+    return ExplicitExpansion(ELGame(arena, table, objective), kinds, index,
                              init_bits)
 
 
 def cross_check_symbolic_vs_explicit(game, win):
     """Compare the symbolic winning assertion with the explicitly solved
-    expansion on every reachable full node, and check that it holds on
-    no state with the empty subset (the expansion sends those plays to
-    its sink); returns the explicit data."""
+    full expansion on every reachable full node, and check that it holds
+    on no state with the empty subset (the expansion sends those plays
+    to its sink); raises ``ExpansionMismatch`` on a difference."""
     exp = expand_explicit(game)
-    ewin, etree, eresult = solve_game(exp.elgame)
-    m = game.manager
+    ewin, _, _ = solve_game(exp.elgame)
     for vid, kind in enumerate(exp.kinds):
         if kind[0] != "full":
             continue
         _, bits, letter = kind
-        values = {}
-        for i, name in enumerate(game.state_vars):
-            values[name] = bool(bits >> i & 1)
-        for name in game.ap:
-            values[name] = name in letter
-        symbolic = m.eval(win, values)
+        symbolic = game.holds(win, bits, letter)
         explicit = bool(ewin >> vid & 1)
         if symbolic != explicit:
             raise ExpansionMismatch(
                 "winner mismatch at subset=%x letter=%s: symbolic=%s explicit=%s"
                 % (bits, sorted(letter), symbolic, explicit))
+    m = game.manager
     nonempty = m.disj(m.var(v) for v in game.state_vars)
     if not (win & ~nonempty).is_false():
         raise ExpansionMismatch("the symbolic region holds on the empty subset")
-    return exp, ewin, etree, eresult
 
 
 # ---------------------------------------------------------------------------
@@ -428,21 +435,24 @@ class MealyController:
         return "\n".join(lines) + "\n"
 
 
-def extract_controller(game, expansion=None, explicit=None):
-    """Winning controller from the certified explicit extraction.
+def extract_controller(game):
+    """Winning controller from the certified explicit extraction on the
+    winning sub-arena of ``game.solution``, solved on its tree.
 
     States are (reachable subset, anchor vertex, child slot): the anchor
     is where the last consumed letter attached in the objective tree and
     the slot remembers which child the memory sat under, seeding the
     round-robin over winning branches.
     """
-    if expansion is None:
-        expansion = expand_explicit(game)
-    if explicit is None:
-        explicit = solve_game(expansion.elgame)
-    ewin, etree, eresult = explicit
-    exp = expansion
-    ex = _Extractor(exp.elgame, etree, eresult)
+    win, tree, _ = game.solution
+    exp = expand_explicit(game, win)
+    arena = exp.elgame.arena
+    ewin, _, eresult = solve_game(exp.elgame, tree)
+    if ewin != arena.full_mask:
+        raise ExpansionMismatch(
+            "the explicit solve of the winning sub-arena loses %d of its %d nodes"
+            % (bin(arena.full_mask & ~ewin).count("1"), arena.n))
+    ex = _Extractor(exp.elgame, tree, eresult)
 
     states = []
     state_index = {}
@@ -461,9 +471,9 @@ def extract_controller(game, expansion=None, explicit=None):
         for out in ltl.letters(game.outputs):
             letter = frozenset(inp | out)
             vid = exp.index.get(("full", exp.initial_subset, letter))
-            if vid is None or not ewin >> vid & 1:
+            if vid is None:
                 continue
-            sig = ex.ranked[etree.root].get(vid)
+            sig = ex.ranked[tree.root].get(vid)
             key = (sig, sorted(out))
             if best is None or key < best[0]:
                 best = (key, out, vid)
@@ -471,7 +481,7 @@ def extract_controller(game, expansion=None, explicit=None):
             raise SynthesisError("no winning first output for input %s"
                                  % sorted(inp))
         _, out, vid = best
-        leaf = ex.descend(vid, etree.root)
+        leaf = ex.descend(vid, tree.root)
         anchor, slot = ex.position(vid, leaf)
         q = intern(exp.next_subset(vid), anchor, slot)
         init[frozenset(inp)] = (frozenset(out), q)
@@ -515,12 +525,10 @@ class SynthesisResult:
 
 def solve_synthesis(problem, with_controller=True, expand_check=False):
     game = build_game(problem)
-    win, tree, _ = solve_symbolic(game)
-    expansion = explicit = None
+    win, tree, _ = game.solution
     if expand_check:
-        expansion, *explicit = cross_check_symbolic_vs_explicit(game, win)
+        cross_check_symbolic_vs_explicit(game, win)
     if not is_won(game, win):
         return SynthesisResult(False, game, win, tree, losing_region=~win)
-    controller = (extract_controller(game, expansion, explicit)
-                  if with_controller else None)
+    controller = extract_controller(game) if with_controller else None
     return SynthesisResult(True, game, win, tree, controller=controller)

@@ -182,6 +182,34 @@ def test_synth_liveness_color_named_like_the_sink(tmp_path, capsys):
         "controller with 2 states written to %s" % ctrl]
 
 
+def test_synth_safety_with_a_negated_compound_antecedent(capsys):
+    assert main(["synth", "--safety", "G(!(a & b) -> X c)", "--el", "G F c",
+                 "--inputs", "a,b", "--outputs", "c", "--expand-check"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["REALIZABLE",
+                                                    "expand-check: agrees"]
+
+
+TWELVE_COLOURS = " & ".join(
+    "G F (%s)" % " & ".join(n if bits >> i & 1 else "!" + n
+                            for i, n in enumerate("bcde"))
+    for bits in range(12))
+
+
+def test_synth_twelve_colours(tmp_path, capsys):
+    # The controller is built on the liveness objective's own 12 colours;
+    # only the full expansion of --expand-check adds its sink's colour.
+    ctrl = str(tmp_path / "out.mealy")
+    argv = ["synth", "--safety", "true", "--el", TWELVE_COLOURS,
+            "--inputs", "a", "--outputs", "b,c,d,e", "--controller", ctrl]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "REALIZABLE"
+    assert out[1].startswith("controller with ")
+    assert main(argv + ["--expand-check"]) == 3
+    assert capsys.readouterr().err.strip() == \
+        "error: color budget exceeded: 13 > 12"
+
+
 README_SYNTH = ["synth", "--safety", "G(b|c) & G(a -> b | X X b)",
                 "--el", "(G F a -> G F b) & ((F G !a | F G !(b&c)) & G F c)",
                 "--inputs", "a", "--outputs", "b,c", "--expand-check"]

@@ -82,6 +82,28 @@ def test_safety_check_accepts_and_rejects():
     assert isinstance(check_safety(parse_ltl(EX_SAFETY_CORE)), Globally)
 
 
+def test_safety_check_accepts_a_negated_compound_antecedent():
+    # to_nnf keeps a propositional antecedent as written, negation and all
+    rng = random.Random(17)
+    for text in ("G(!(a & b) -> X c)", "!(a & b) -> X c"):
+        phi = parse_ltl(text)
+        nnf = check_safety(phi)
+        assert nnf == to_nnf(phi)
+        nfa = nfa_from_safety(nnf)
+        dsa = determinize_symbolic(nfa)
+        for _ in range(40):
+            prefix, loop = random_lasso(rng, ["a", "b", "c"], 4)
+            assert eval_ltl_lasso(phi, prefix, loop) \
+                == nfa_accepts_lasso(nfa, prefix, loop) \
+                == dsa_accepts_lasso(dsa, prefix, loop), (text, prefix, loop)
+    # a temporal antecedent is still rewritten, and rejected when its
+    # negation is not safety: !(!(F a)) is F a, !(G a) is F !a
+    for text, offending in (("G(!(F a) -> X c)", "F"), ("G(G a -> X c)", "F")):
+        with pytest.raises(ltl.NotSafetyError) as err:
+            check_safety(parse_ltl(text))
+        assert err.value.offending == offending, text
+
+
 def paper_nfa():
     """The four-state automaton for G(a -> b | XXb) as drawn: state 0
     tracks nothing pending, 1 needs b next, 2 needs b now, 3 needs b
@@ -180,6 +202,38 @@ def test_reachable_subsets_of_full_example_is_nine():
     assert len(nfa) == 4
     dsa = determinize_symbolic(nfa)
     assert reachable_subset_count(dsa) == 9
+
+
+def test_determinization_lays_letters_out_in_the_given_order():
+    nfa = nfa_from_safety(check_safety(parse_ltl("G(a -> X b)")))
+    assert determinize_symbolic(nfa).manager.names[-4:] == ["a", "a'", "b", "b'"]
+    # letters the automaton does not read get variables too
+    m = determinize_symbolic(nfa, ("b", "d", "a")).manager
+    assert m.names[2 * len(nfa):] == ["b", "b'", "d", "d'", "a", "a'"]
+
+
+def test_automaton_does_not_depend_on_the_hash_seed():
+    # The tableau expands each state's obligations in a canonical order,
+    # so the built game is the same diagram under every PYTHONHASHSEED.
+    import os
+    import subprocess
+    import sys
+    script = (
+        "from elgames import synthesis as syn\n"
+        "p = syn.problem_from_strings('G(!(g0 & g1)) & G(r0 -> X g0) & "
+        "G(r1 -> X g1)', '(G F r0 -> G F g0) & (G F r1 -> G F g1)', "
+        "['r0', 'r1'], ['g0', 'g1'])\n"
+        "g = syn.build_game(p)\n"
+        "print(g.manager.core.node_count(), g.dsa.nfa.transitions)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.path.abspath(src))
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert outs[0] == outs[1]
 
 
 def test_reachable_subsets_of_globally_atom_is_one():

@@ -169,27 +169,54 @@ def test_running_example_realizable_with_verified_controller():
     assert evaluate(game.el_formula, union)
 
 
-def test_expand_check_expands_and_solves_once(monkeypatch):
-    # The controller reuses the cross-check's expansion and explicit solve.
+def test_expand_check_builds_and_solves_each_arena_once(monkeypatch):
+    # The cross-check builds and solves the full expansion; the controller
+    # builds and solves the winning sub-arena on the symbolic solve's tree,
+    # which the game computes once for both.
     calls = []
     expand, solve = syn.expand_explicit, syn.solve_game
+    symbolic = syn.solve_symbolic
 
-    def counting_expand(game):
-        calls.append("expand")
-        return expand(game)
+    def counting_expand(game, win=None):
+        calls.append("expand " + ("full" if win is None else "winning"))
+        return expand(game, win)
 
-    def counting_solve(game):
-        calls.append("solve")
-        return solve(game)
+    def counting_solve(game, tree=None):
+        full = syn.DEAD_COLOR in game.table.names
+        calls.append("solve " + ("full" if full else "winning"))
+        return solve(game, tree)
+
+    def counting_symbolic(game):
+        calls.append("symbolic")
+        return symbolic(game)
 
     monkeypatch.setattr(syn, "expand_explicit", counting_expand)
     monkeypatch.setattr(syn, "solve_game", counting_solve)
+    monkeypatch.setattr(syn, "solve_symbolic", counting_symbolic)
     res = syn.solve_synthesis(running_problem(), expand_check=True)
     assert res.realizable
-    assert sorted(calls) == ["expand", "solve"]
+    assert calls == ["symbolic", "expand full", "solve full",
+                     "expand winning", "solve winning"]
     monkeypatch.undo()
     plain = syn.solve_synthesis(running_problem())
     assert res.controller.to_text() == plain.controller.to_text()
+
+
+def test_controller_rejects_a_region_the_explicit_solve_loses(monkeypatch):
+    # The environment owns a, so G F a is unrealizable; a region claiming
+    # every state with a nonempty subset passes the initial check, and the
+    # explicit solve of its sub-arena must catch it.
+    solve = syn.solve_symbolic
+
+    def everything(game):
+        _, tree, result = solve(game)
+        m = game.manager
+        return m.disj(m.var(v) for v in game.state_vars), tree, result
+
+    monkeypatch.setattr(syn, "solve_symbolic", everything)
+    prob = syn.problem_from_strings("true", "G F a", ["a"], ["b"])
+    with pytest.raises(syn.ExpansionMismatch, match="winning sub-arena loses"):
+        syn.solve_synthesis(prob)
 
 
 def arbiter_expansion(spec):
@@ -228,6 +255,34 @@ def test_expansion_has_one_intermediate_node_per_key():
     assert emptied
 
 
+def test_winning_sub_arena_keeps_the_winning_full_nodes():
+    from test_fixpoint import ARB3
+    game, full = arbiter_expansion(ARB3)
+    win, tree, _ = game.solution
+    sub = syn.expand_explicit(game, win)
+    arena = sub.elgame.arena
+    tags = [kind[0] for kind in sub.kinds]
+    assert arena.n == 40
+    assert [tags.count(t) for t in ("sink", "full", "mid")] == [0, 32, 8]
+    # the game's own colours and objective, no sink colour
+    assert sub.elgame.table is game.color_table
+    assert sub.elgame.objective is game.el_formula
+    fwin, _, _ = solve_game(full.elgame)
+    # its nodes are the full expansion's winning nodes ...
+    assert sorted(sub.kinds) == sorted(
+        kind for vid, kind in enumerate(full.kinds) if fwin >> vid & 1)
+    for vid, kind in enumerate(sub.kinds):
+        if kind[0] == "full":
+            assert game.holds(win, kind[1], kind[2])
+        # ... with the full expansion's moves into winning nodes
+        fvid = full.index[kind]
+        assert [sub.kinds[w] for w in arena.succ[vid]] == [
+            full.kinds[w] for w in full.elgame.arena.succ[fvid] if fwin >> w & 1]
+    # and the sub-arena's solve on the liveness tree wins every node
+    ewin, _, _ = solve_game(sub.elgame, tree)
+    assert ewin == arena.full_mask
+
+
 # Stages of the arb3 expansion's explicit re-solve.
 ARB3_EXPANSION_STAGES = 2309
 
@@ -255,13 +310,14 @@ def test_cross_check_rejects_a_region_holding_on_the_empty_subset(monkeypatch):
         syn.solve_synthesis(running_problem(), expand_check=True)
 
 
-# SHA-256 of each controller's text, computed with one intermediate node
-# per (full node, input); merging the intermediate nodes keeps them.
+# SHA-256 of each controller's text, extracted on the winning sub-arena
+# with the liveness objective's tree.  Each text is the full-expansion
+# reference's with anchors renumbered (see the test below).
 CONTROLLER_DIGESTS = {
     "readme": "996a4fc51e50183b8d15759636da3b82d1da2b3a98778657a32776c888654a55",
-    "arb2": "9236b5cb74707ebdd1649bba10a4085276e98feab288f2dc3c33cfcb9b08959d",
-    "arb2-resp2": "7aa49c4e4882c8aa7c9f703b3a890301ec808afe2c74071c3b40d5135e0f8afe",
-    "arb3": "2df8578b7eac7fcc75c560ac47fe197f9c481596d8816813b37b75745ad4340a",
+    "arb2": "aa59eb4957beb73cd16ff47e41a33463c26625aed6a5e13e4fae129eb80c3532",
+    "arb2-resp2": "89330e65784cc43a7314580ad809a737ef7a760448be001b84190289175e10bc",
+    "arb3": "e8956a25c105a5f01df061a2fca833290fb6f208c25fe4d4321b7388131dc106",
 }
 
 
@@ -283,6 +339,21 @@ def test_controller_texts_match_their_pinned_digests():
     for name, digest in CONTROLLER_DIGESTS.items():
         text = pinned_synthesis(name).controller.to_text()
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+def test_controllers_equal_the_full_expansion_reference():
+    from controller_reference import extract_controller_full, renumbered_text
+    shifts = {}
+    for name in CONTROLLER_DIGESTS:
+        res = pinned_synthesis(name)
+        reference, etree = extract_controller_full(res.game)
+        shift = len(etree) - len(res.tree)
+        assert res.controller.to_text() == renumbered_text(reference, shift), name
+        shifts[name] = shift
+    # phi fails on the README spec's full colour set, so both trees have
+    # one shape there; the arbiters' phi holds on it, so phi & Fin(_stuck)
+    # adds a losing root
+    assert shifts == {"readme": 0, "arb2": 1, "arb2-resp2": 1, "arb3": 1}
 
 
 def controller_product(game, init, trans):
@@ -328,6 +399,27 @@ def test_pinned_controllers_have_no_losing_cycle():
         assert built is not None, name
         adj, colors = built
         assert losing_cycle(adj, colors, res.game.el_formula) is None, name
+
+
+def twelve_colour_problem():
+    """G F of twelve distinct output cubes: a liveness part with as many
+    colours as an objective tree takes."""
+    outs = ["b", "c", "d", "e"]
+    cubes = [" & ".join(n if bits >> i & 1 else "!" + n
+                        for i, n in enumerate(outs)) for bits in range(12)]
+    live = " & ".join("G F (%s)" % cube for cube in cubes)
+    return syn.problem_from_strings("true", live, ["a"], outs)
+
+
+def test_twelve_colour_liveness_gets_a_live_controller():
+    res = syn.solve_synthesis(twelve_colour_problem())
+    assert res.realizable
+    assert len(res.game.color_table) == el.MAX_TABLE_COLORS
+    ctrl = res.controller
+    built = controller_product(res.game, ctrl.init, ctrl.trans)
+    assert built is not None
+    adj, colors = built
+    assert losing_cycle(adj, colors, res.game.el_formula) is None
 
 
 def test_losing_cycle_agrees_with_the_oracle_on_mutated_controllers():
@@ -456,22 +548,24 @@ def test_pipeline_equivalence_on_small_instances():
     for safety, liveness, ins, outs in cases:
         prob = syn.problem_from_strings(safety, liveness, ins, outs)
         game = syn.build_game(prob)
-        win, _, _ = syn.solve_symbolic(game)
+        win, tree, _ = game.solution
         # raises on any disagreement with the explicit pipeline
-        exp, ewin, etree, eresult = syn.cross_check_symbolic_vs_explicit(game, win)
+        syn.cross_check_symbolic_vs_explicit(game, win)
         # and the reduction oracle agrees with the explicit solver
         from elgames.oracles import solve_el_via_reduction
+        exp = syn.expand_explicit(game)
+        ewin, _, _ = solve_game(exp.elgame)
         assert ewin == solve_el_via_reduction(exp.elgame)
         if syn.is_won(game, win):
-            ctrl = syn.extract_controller(game, exp, (ewin, etree, eresult))
-            assert len(ctrl) <= bounded_states(game, etree)
+            ctrl = syn.extract_controller(game)
+            assert len(ctrl) <= bounded_states(game, tree)
 
 
-def bounded_states(game, etree):
+def bounded_states(game, tree):
     # reachable subsets x tree positions (anchor, slot) is the shape bound
     from ltl_reference import reachable_subset_count
     subsets = reachable_subset_count(game.dsa) + 1  # plus the dead subset
-    slots = sum(max(1, len(etree.children[v])) for v in range(len(etree)))
+    slots = sum(max(1, len(tree.children[v])) for v in range(len(tree)))
     return subsets * slots
 
 
@@ -615,15 +709,17 @@ def test_random_specifications_cross_check_and_verify():
     for trial, game in random_games(rng):
         if checked == 60:
             break
-        win, tree, result = syn.solve_symbolic(game)
-        exp, ewin, etree, eresult = syn.cross_check_symbolic_vs_explicit(game, win)
+        win, _, _ = game.solution
+        syn.cross_check_symbolic_vs_explicit(game, win)
+        exp = syn.expand_explicit(game)
+        ewin, etree, eresult = solve_game(exp.elgame)
         assert ewin == solve_el_via_reduction(exp.elgame), trial
         checked += 1
         if syn.is_won(game, win):
             strat = extract(exp.elgame, etree, eresult)
             assert verify(exp.elgame, strat, ewin).ok, trial
             verified += 1
-            ctrl = syn.extract_controller(game, exp, (ewin, etree, eresult))
+            ctrl = syn.extract_controller(game)
             inputs = [frozenset(n for n in game.inputs if rng.random() < 0.5)
                       for _ in range(40)]
             bits = game.dsa.initial_bits()
