@@ -5,7 +5,10 @@ Each workload solves its game once for the verdict sets, then times
 values) from those sets.  A counting run reports how many ancestor
 terms the engine asked the rank backend for (``term``) and how many
 distinct targets the backend's ``games.cpre`` calls read (``cpre``);
-both counts are pinned.
+both counts are pinned.  A second row runs the ranked solve as
+``strategy.extract`` does, ``ranked_rings`` on the verdict solve's own
+set backend, and reports how many ``games.cpre`` targets it asks that
+the verdict did not (``new``, pinned) and its time (``shared``).
 The workloads are the three 60-node games of the end-to-end
 ``explicit-deep`` workload at its base seed (Streett k=3, parity over 8
 colours, even-cardinality Muller over 4 colours; ``random_game(5, 60,
@@ -85,6 +88,31 @@ def counted_solve(game, tree, values):
     return maps, backends[0].terms, len(targets)
 
 
+def as_maps(rings):
+    """Rings as ``ranked_solve``'s ``{vertex: {node: signature}}``."""
+    return {s: {v: sig for sig, mask in r for v in games.iter_nodes(mask)}
+            for s, r in rings.items()}
+
+
+def shared_solve(game, tree, result):
+    """The extractor's ranked solve on the verdict's backend; returns the
+    maps and the number of ``games.cpre`` targets the verdict had not
+    asked (the backend's memo answers the others without a call)."""
+    targets = set()
+
+    def cpre(split, target):
+        targets.add(target)
+        return plain_cpre(split, target)
+
+    plain_cpre = games.cpre
+    games.cpre = cpre
+    try:
+        rings = strategy.ranked_rings(result.backend, tree, result.values)
+    finally:
+        games.cpre = plain_cpre
+    return as_maps(rings), len(targets)
+
+
 def checksum(maps):
     acc = len(maps)
     for s in sorted(maps):
@@ -94,19 +122,21 @@ def checksum(maps):
     return acc
 
 
-# name, game, term requests, distinct cpre targets, checksum of the maps
+# name, game, term requests, distinct cpre targets, cpre targets new to
+# the verdict's backend, checksum of the maps
 WORKLOADS = [
-    ("streett k=3, n=60", streett_n60, 888, 23, 703282992019209369),
-    ("parity c=8, n=60", parity_n60, 388, 8, 1737994696147291185),
-    ("even Muller c=4, n=60", muller_n60, 564, 78, 941050132391191298),
-    ("arb2-resp2 expansion, n=121", arb2_resp2_expansion, 134, 23,
+    ("streett k=3, n=60", streett_n60, 888, 23, 11, 703282992019209369),
+    ("parity c=8, n=60", parity_n60, 388, 8, 3, 1737994696147291185),
+    ("even Muller c=4, n=60", muller_n60, 564, 78, 42, 941050132391191298),
+    ("arb2-resp2 expansion, n=121", arb2_resp2_expansion, 134, 23, 10,
      316887415309540599),
 ]
 
 
 def run(repeat):
-    print("%-30s %6s %6s %10s" % ("workload", "terms", "cpre", "best"))
-    for name, make, want_terms, want_targets, expected in WORKLOADS:
+    print("%-30s %6s %6s %10s %6s %10s" % (
+        "workload", "terms", "cpre", "best", "new", "shared"))
+    for name, make, want_terms, want_targets, want_new, expected in WORKLOADS:
         game = make()
         tree = ZielonkaTree(game.objective, game.table)
         values = fixpoint.solve_game(game, tree)[2].values
@@ -114,7 +144,12 @@ def run(repeat):
         assert (terms, targets) == (want_terms, want_targets), (
             "%s asked %d terms on %d cpre targets, expected %d and %d" % (
                 name, terms, targets, want_terms, want_targets))
-        best = None
+        maps, new = shared_solve(game, tree, fixpoint.solve_game(game, tree)[2])
+        assert new == want_new, (
+            "%s asked %d cpre targets new to the verdict, expected %d" % (
+                name, new, want_new))
+        assert checksum(maps) == expected, "%s on the verdict's backend" % name
+        best = shared = None
         for _ in range(repeat):
             start = time.perf_counter()
             maps = strategy.ranked_solve(game, tree, values)
@@ -123,7 +158,13 @@ def run(repeat):
             result = checksum(maps)
             assert result == expected, "%s gave checksum %r, expected %r" % (
                 name, result, expected)
-        print("%-30s %6d %6d %9.4fs" % (name, terms, targets, best))
+            verdict = fixpoint.solve_game(game, tree)[2]
+            start = time.perf_counter()
+            strategy.ranked_rings(verdict.backend, tree, verdict.values)
+            elapsed = time.perf_counter() - start
+            shared = elapsed if shared is None else min(shared, elapsed)
+        print("%-30s %6d %6d %9.4fs %6d %9.4fs" % (
+            name, terms, targets, best, new, shared))
 
 
 def main():

@@ -31,7 +31,9 @@ instead of from top or bottom, as in Long, Browne, Clarke, Jha and
 Marrero (CAV 1994).  A backend may also
 solve a leaf's own equation in one call (``leaf``); the signature
 backend does, ring by ring over this module's explicit set backend, and
-the set backends leave it to Kleene stages.
+the set backends leave it to Kleene stages.  A solve's result keeps the
+backend that produced it, so the signature solve of a strategy runs on
+the verdict's own color sets, guards and ``cpre`` memo.
 """
 
 from dataclasses import dataclass, field
@@ -120,8 +122,12 @@ class SetBackend:
     mask is given, some color outside it.  Inner iterations keep asking
     for the predecessor of the same few sets, so guards and ``cpre``
     results are memoized, by guard masks and by target, for the life of
-    the backend; each solve makes its own backend.  Subclasses give
-    ``cpre`` and pass the empty set, the full set and the color sets.
+    the backend.  Each verdict solve makes its own backend and hands it
+    on in its :class:`SolveResult`; strategy extraction's signature
+    solve computes its terms through that same backend, so a guard or
+    ``cpre`` target the verdict asked for is not computed again.
+    Subclasses give ``cpre`` and pass the empty set, the full set and
+    the color sets.
     """
 
     def __init__(self, empty, full, colors):
@@ -218,11 +224,13 @@ class StageLimitError(RuntimeError):
 
 @dataclass
 class SolveResult:
-    """Final variable values, the number of Kleene stages run and, per
-    vertex, the number of runs warm-started from a stored result."""
+    """Final variable values, the number of Kleene stages run, per
+    vertex the number of runs warm-started from a stored result, and the
+    backend the values were computed with."""
     values: dict
     iterations: int = 0
     warm_starts: dict = field(default_factory=dict)
+    backend: object = None
 
     def winning(self):
         return self.values[0]
@@ -362,7 +370,7 @@ def solve(system, backend, max_stages=None):
         return x
 
     run(system.tree.root, {})
-    return SolveResult(values, total_iterations, warm_starts)
+    return SolveResult(values, total_iterations, warm_starts, backend)
 
 
 def solve_game(game, tree=None):

@@ -8,7 +8,7 @@ to a successor in that variable's solution.  Successors are ordered by
 entry-rank signatures: one Kleene-stage component per least-fixpoint
 vertex enclosing the variable, outermost first, computed by the
 fixpoint solver itself with signature maps as its values
-(:class:`RankBackend`, :func:`ranked_solve`).  A map is a few rings
+(:class:`RankBackend`, :func:`ranked_rings`).  A map is a few rings
 of node masks, one per signature, as in the progress measures of
 Jurdzinski (STACS 2000) and the nested rings of Piterman and Pnueli
 (LICS 2006); the backend computes them with the explicit set backend's
@@ -22,9 +22,14 @@ The memory then descends from the anchor to a new leaf, steered at
 losing vertices by the admitting child of the node being entered and at
 the winning anchor by round-robin over its children.
 
-``extract`` builds moves and memory updates at the reachable (node,
-leaf) pairs only: it explores the product from each winning node's
-initial leaf, and strategy files list only those entries.
+``extract`` runs that solve on the verdict's own set backend
+(``SolveResult.backend``), so the color sets, guards and ``cpre``
+results the verdict computed are reused, and it keeps the rings: a move
+is read off the first ring of the anchor's map that meets the node's
+successors, and a signature off the ring whose mask holds the node.
+It builds moves and memory updates at the reachable (node, leaf) pairs
+only: it explores the product from each winning node's initial leaf,
+and strategy files list only those entries.
 
 ``verify`` is exact: it builds the product of the game with the
 strategy (universal moves left free) and checks its cycles with
@@ -101,12 +106,13 @@ class RankBackend:
     controllable predecessor of the anchor's cumulative mask at ``sig``:
     ``cpre``'s rule is the min/max rule over successors.  So the
     backend's only graph operation is the set backend's memoized
-    ``term`` (:class:`ExplicitBackend`), applied ring by ring.  ``leaf``
-    solves a leaf's own equation in one call with the same rule.
+    ``term`` (:class:`ExplicitBackend`, ``sets``), applied ring by
+    ring.  ``leaf`` solves a leaf's own equation in one call with the
+    same rule.
     """
 
-    def __init__(self, game, tree, values):
-        self.sets = ExplicitBackend(game)
+    def __init__(self, sets, tree, values):
+        self.sets = sets
         self.tree = tree
         self.values = values
 
@@ -239,10 +245,11 @@ def _cut(rings, plen):
     return out
 
 
-def ranked_solve(game, tree, values):
-    """Entry-rank signature map, ``{node: signature}``, of every tree
-    vertex (:class:`RankBackend`), given the verdict solve's node set of
-    every vertex, ``values``.
+def ranked_rings(sets, tree, values):
+    """Entry-rank signature map of every tree vertex as rings
+    (:class:`RankBackend`), computed through the explicit set backend
+    ``sets``, given the verdict solve's node set of every vertex,
+    ``values``.
 
     The maps are the least mutually consistent family, so moving along
     signature-minimal successors never lets a play reset an enclosing
@@ -254,8 +261,15 @@ def ranked_solve(game, tree, values):
     ends at the same maps in no more stages, and only least-fixpoint
     stages enter signatures.
     """
-    rings = fixpoint.solve(build_equations(tree), RankBackend(game, tree, values),
-                           max_stages=game.arena.n + 1).values
+    backend = RankBackend(sets, tree, values)
+    return fixpoint.solve(build_equations(tree), backend,
+                          max_stages=sets.arena.n + 1).values
+
+
+def ranked_solve(game, tree, values):
+    """:func:`ranked_rings` on a set backend of its own, as
+    ``{vertex: {node: signature}}``."""
+    rings = ranked_rings(ExplicitBackend(game), tree, values)
     return {s: {v: sig for sig, mask in r for v in iter_nodes(mask)}
             for s, r in rings.items()}
 
@@ -265,16 +279,24 @@ class _Extractor:
         self.game = game
         self.arena = game.arena
         self.tree = tree
-        self.result = result
         self.values = result.values
-        self.ranked = ranked_solve(game, tree, result.values)
-        for s, rmap in self.ranked.items():
+        self.sets = result.backend
+        self.rings = ranked_rings(self.sets, tree, result.values)
+        for s, rings in self.rings.items():
             members = 0
-            for v in rmap:
-                members |= 1 << v
+            for _, mask in rings:
+                members |= mask
             if members != result.values[s]:
                 raise AssertionError(
                     "ranked solve disagrees with the solver at X%d" % s)
+
+    def signature(self, s, v):
+        """Signature of node ``v`` in vertex ``s``'s map, None when ``v``
+        is outside it."""
+        for sig, mask in self.rings[s]:
+            if mask >> v & 1:
+                return sig
+        return None
 
     def choice(self, v, s):
         """Child of losing internal ``s`` whose solution admits ``v``
@@ -282,7 +304,7 @@ class _Extractor:
         plen = self.tree.lfp_depth[s]
         best = None
         for t in self.tree.children[s]:
-            sig = self.ranked[t].get(v)
+            sig = self.signature(t, v)
             if sig is None:
                 continue
             key = sig[:plen]
@@ -294,21 +316,32 @@ class _Extractor:
 
     def pick_move(self, v, m):
         tree = self.tree
-        # Signature-minimal successors in the anchor's map.  Its
-        # signatures have one length, so lifting them (one more in the
-        # last component at a losing anchor) would keep their order.
-        src = self.ranked[tree.anchor(m, self.arena.colors[v])]
-
-        def continuation_depth(w):
-            # Tie-break among signature-minimal successors: prefer the
-            # move whose colors anchor deepest against the current
-            # memory, i.e. the walk disturbs the tree least.
-            return -tree.depth[tree.anchor(m, self.arena.colors[w])]
-
-        candidates = [w for w in self.arena.succ[v] if w in src]
-        if not candidates:
+        # Signature-minimal successors in the anchor's map: its first ring
+        # that meets them.  Its signatures have one length, so lifting
+        # them (one more in the last component at a losing anchor) would
+        # keep their order.
+        succs = self.arena.succ_mask[v]
+        for _, mask in self.rings[tree.anchor(m, self.arena.colors[v])]:
+            best = mask & succs
+            if best:
+                break
+        else:
             raise AssertionError("no admitted successor at node %d leaf %d" % (v, m))
-        return min(candidates, key=lambda w: (src[w], continuation_depth(w), w))
+        if best & (best - 1):
+            # Tie-break among them: prefer the move whose colors anchor
+            # deepest against the current memory, i.e. the walk disturbs
+            # the tree least; then the least node.  A node anchors at or
+            # below an ancestor of ``m`` iff its colors lie inside that
+            # ancestor's label, so the first guard upwards from ``m``
+            # that meets them holds the deepest-anchoring ones.
+            s = m
+            while True:
+                inside = best & self.sets.guard(tree.label[s], None)
+                if inside:
+                    break
+                s = tree.parent[s]
+            best = inside & -inside
+        return best.bit_length() - 1
 
     def position(self, v, m):
         """Where node ``v``'s colors attach against memory leaf ``m``:

@@ -473,7 +473,7 @@ def extract_controller(game):
             vid = exp.index.get(("full", exp.initial_subset, letter))
             if vid is None:
                 continue
-            sig = ex.ranked[tree.root].get(vid)
+            sig = ex.signature(tree.root, vid)
             key = (sig, sorted(out))
             if best is None or key < best[0]:
                 best = (key, out, vid)

@@ -17,7 +17,7 @@ import re
 
 from elgames import ltl
 from elgames.fixpoint import solve_game
-from elgames.strategy import _Extractor
+from elgames.strategy import _Extractor, ranked_solve
 from elgames.synthesis import (MealyController, SynthesisError,
                                expand_explicit)
 
@@ -27,6 +27,7 @@ def extract_controller_full(game):
     exp = expand_explicit(game)
     ewin, etree, eresult = solve_game(exp.elgame)
     ex = _Extractor(exp.elgame, etree, eresult)
+    root_map = ranked_solve(exp.elgame, etree, eresult.values)[etree.root]
 
     states = []
     state_index = {}
@@ -47,7 +48,7 @@ def extract_controller_full(game):
             vid = exp.index.get(("full", exp.initial_subset, letter))
             if vid is None or not ewin >> vid & 1:
                 continue
-            sig = ex.ranked[etree.root].get(vid)
+            sig = root_map.get(vid)
             key = (sig, sorted(out))
             if best is None or key < best[0]:
                 best = (key, out, vid)

@@ -387,6 +387,35 @@ def test_solve_game_calls_games_cpre_and_splits_owners_once(monkeypatch):
     assert win == solve_el_via_reduction(game, tree)
 
 
+def test_extract_reuses_the_verdicts_owner_split_and_cpre_memo(monkeypatch):
+    # The certificate's ranked solve runs on the verdict's set backend: no
+    # second owner split, and no ``games.cpre`` target asked twice across
+    # the verdict and the certificate.
+    targets = []
+    splits = []
+    cpre, owner_split = games.cpre, games.owner_split
+
+    def counting_cpre(split, target):
+        targets.append(target)
+        return cpre(split, target)
+
+    def counting_split(arena, *args):
+        splits.append(arena)
+        return owner_split(arena, *args)
+
+    monkeypatch.setattr(games, "cpre", counting_cpre)
+    monkeypatch.setattr(games, "owner_split", counting_split)
+    game = streett_n60()
+    win, tree, result = solve_game(game)
+    verdict = set(targets)
+    del targets[:]
+    strat = extract(game, tree, result)
+    assert splits == [game.arena]
+    assert len(targets) == len(set(targets)) > 0
+    assert not verdict & set(targets)
+    assert verify(game, strat, win).ok
+
+
 def test_symbolic_cpre_memo_asks_each_handle_once():
     game = arb2_game()
     tree = ZielonkaTree(game.el_formula, game.color_table)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -305,14 +306,66 @@ def test_rank_backend_values_are_canonical():
 
     for k, game in enumerate(games):
         tree = tree_of(game)
-        values = verdict_values(game, tree)
-        backend = Recording(game, tree, values)
+        verdict = solve_game(game, tree)[2]
+        backend = Recording(verdict.backend, tree, verdict.values)
         returned.extend(backend.top(s) for s in range(len(tree)))
         result = fixpoint.solve(build_equations(tree), backend,
                                 max_stages=game.arena.n + 1)
         returned.extend(result.values.values())
         assert all(canonical(r) for r in returned), k
         returned.clear()
+
+
+def test_extractor_signatures_equal_the_ranked_maps():
+    # The extractor reads signatures off the rings it solved on the
+    # verdict's backend; ranked_solve's maps come from a backend of their
+    # own.  Both must give every (vertex, node) the same signature or none.
+    games = [streett_n60()] + family_games()
+    games += [random_game(900 + i, 20, 4, formula_depth=4) for i in range(40)]
+    for k, game in enumerate(games):
+        _, tree, result = solved(game)
+        ex = _Extractor(game, tree, result)
+        maps = ranked_solve(game, tree, result.values)
+        for s in range(len(tree)):
+            for v in range(game.arena.n):
+                assert ex.signature(s, v) == maps[s].get(v), (k, s, v)
+
+
+# SHA-256 of ``extract(...).to_text()``: the three n=60 base games of the
+# benchmark's explicit-deep workload and the first won game of each
+# explicit-shallow family, as (name, seed, n, colours, density, objective
+# factory, digest).
+STRATEGY_DIGESTS = [
+    ("streett k=3", 5, 60, 6, 0.15, streett3,
+     "9f31c77c8ca78cb807f8c2d162e165fc8cd2c55de14f8ea1819fa55d6b0831ec"),
+    ("parity c=8", 5, 60, 8, 0.15, lambda rng, t: el.parity(t, list("abcdefgh")),
+     "b84c93aa14e853d0674014f03c4438caa0a3e8d4efae5b05187b409853c9f2a5"),
+    ("even Muller c=4", 5, 60, 4, 0.15,
+     lambda rng, t: el.even_cardinality_muller(t),
+     "3fd659466ae029b1fe6698daf43c15ceecfc84d5671994dc3c2c3224b70d45c5"),
+    ("buchi", 548563996, 69, 3, 0.08, lambda rng, t: el.buchi(t, "a"),
+     "73879e63559c812b15d8064b2a906c980fbc058825a62b6661130b5599506381"),
+    ("genbuchi", 769949150, 77, 3, 0.08,
+     lambda rng, t: el.generalized_buchi(t, ["a", "b", "c"]),
+     "c3cf1788004d1cfe2a4f61944c3088654fbfa5a03be5eb8e7d2bad8810186c2e"),
+    ("rabin1", 62288247, 80, 3, 0.08, lambda rng, t: el.rabin(t, [("a", "b")]),
+     "fad7c128b2ba0829de0c66325cfc922e8cbc84288ad246542dff6d598d716fc5"),
+    ("streett1", 999917037, 83, 3, 0.08, lambda rng, t: el.streett(t, [("a", "b")]),
+     "8eb85253fde3c16e4eaf1304126f67b616c1f62637b47eca0719a397a0323db1"),
+    ("random3", 218988355, 54, 3, 0.08, lambda rng, t: el.random_formula(rng, t, 3),
+     "7eb7c364aab9b378bf0eed571d09fc81c0dab30cd3e82b4e01a7cf60992c2734"),
+]
+
+
+def test_strategy_texts_match_their_pinned_digests():
+    for name, seed, n, ncolors, density, factory, digest in STRATEGY_DIGESTS:
+        game = random_game(seed, n, ncolors, density=density,
+                           objective_factory=factory)
+        win, tree, result = solved(game)
+        strat = extract(game, tree, result)
+        assert win and verify(game, strat, win).ok, name
+        text = strat.to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
 def test_ranked_maps_satisfy_their_equations():
@@ -322,7 +375,9 @@ def test_ranked_maps_satisfy_their_equations():
 
 
 def rank_backend(game, tree):
-    return RankBackend(game, tree, verdict_values(game, tree))
+    """Rank backend over the verdict solve's own set backend."""
+    verdict = solve_game(game, tree)[2]
+    return RankBackend(verdict.backend, tree, verdict.values)
 
 
 def to_rings(rmap):

@@ -15,7 +15,7 @@ cannot hide behind the reference that checks it.
 
 from elgames import el
 from elgames.games import EXISTENTIAL, iter_nodes
-from elgames.strategy import ELStrategy, _Extractor
+from elgames.strategy import ELStrategy, _Extractor, ranked_solve
 
 from el_reference import evaluate
 
@@ -24,11 +24,13 @@ class StrategyError(ValueError):
     """A malformed strategy file, or a lasso the strategy does not play."""
 
 
-def pick_move_reference(ex, v, m):
-    """``_Extractor.pick_move`` ordering successors by lifted signatures."""
+def pick_move_reference(ex, ranked, v, m):
+    """``_Extractor.pick_move`` ordering successors by lifted signatures,
+    read from the ``{node: signature}`` maps of ``strategy.ranked_solve``
+    rather than from the extractor's rings."""
     tree = ex.tree
     s = tree.anchor(m, ex.arena.colors[v])
-    src = ex.ranked[s]
+    src = ranked[s]
     bump = not tree.winning[s]
     pos = tree.lfp_depth[s] - 1
 
@@ -48,6 +50,7 @@ def pick_move_reference(ex, v, m):
 def extract_reference(game, tree, result):
     """Strategy with entries at every pair of ``values[m] & win``."""
     ex = _Extractor(game, tree, result)
+    ranked = ranked_solve(game, tree, result.values)
     arena = game.arena
     win = result.values[tree.root]
     initial = {v: ex.descend(v, tree.root) for v in iter_nodes(win)}
@@ -57,7 +60,7 @@ def extract_reference(game, tree, result):
         for v in iter_nodes(result.values[m] & win):
             s, slot = ex.position(v, m)
             if arena.owner[v] == EXISTENTIAL:
-                w = move[(v, m)] = pick_move_reference(ex, v, m)
+                w = move[(v, m)] = pick_move_reference(ex, ranked, v, m)
                 succs = (w,)
             else:
                 succs = arena.succ[v]
