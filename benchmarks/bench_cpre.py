@@ -4,11 +4,11 @@ Each workload records the targets one ``fixpoint.solve`` asks
 ``games.cpre`` for (each distinct: the solve memoizes by target), then
 times a replay of those calls on fresh owner-split tables, table build
 included, as a solve pays it.  The recording solve does not warm-start
-(its backend has no ``subset``): every variable restarts from bottom or
-top, so the target list stays that of the plain nested iteration.  The
-workloads are a 60-node Streett game (``random_game(5, 60, 6,
-density=0.15)``, k=3) and the 121-node explicit expansion of a
-two-client arbiter with a bounded response.  Each run's results are
+(its backend's ``subset`` never holds): every variable restarts from
+bottom or top, so the target list stays that of the plain nested
+iteration.  The workloads are a 60-node Streett game
+(``random_game(5, 60, 6, density=0.15)``, k=3) and the 121-node
+explicit expansion of a two-client arbiter with a bounded response.  Each run's results are
 checked against a pinned checksum.  Run as a script; pass --repeat to stabilize numbers.
 
     python benchmarks/bench_cpre.py
@@ -39,8 +39,11 @@ def arb2_resp2_expansion():
 
 
 class ColdBackend(fixpoint.ExplicitBackend):
-    """Explicit backend without ``subset``: the solve never warm-starts."""
-    subset = None
+    """Explicit backend whose order never holds: the solve never
+    warm-starts."""
+
+    def subset(self, a, b):
+        return False
 
 
 def solve_targets(game):

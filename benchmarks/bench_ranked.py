@@ -2,23 +2,25 @@
 
 Each workload solves its game once for the verdict sets, then times
 ``ranked_solve`` (the engine run with entry-rank signature maps as
-values) from those sets.  A counting run reports how many ancestor
-terms the engine asked the rank backend for (``term``) and how many
-distinct targets the backend's ``games.cpre`` calls read (``cpre``);
-both counts are pinned.  A second row runs the ranked solve as
-``strategy.extract`` does, ``ranked_rings`` on the verdict solve's own
-set backend, and reports how many ``games.cpre`` targets it asks that
-the verdict did not (``new``, pinned) and its time (``shared``).
-The workloads are the three 60-node games of the end-to-end
-``explicit-deep`` workload at its base seed (Streett k=3, parity over 8
-colours, even-cardinality Muller over 4 colours; ``random_game(5, 60,
-k, density=0.15)``) and the 121-node explicit expansion of a two-client
-arbiter with a bounded response.  Each run's maps are checked against
-a pinned checksum.  Run as a script; pass --repeat to stabilize numbers.
+values) from those sets.  A counting run reports the engine's Kleene
+stages (``stages``) and its runs warm-started from a stored run's rings
+(``warm``), how many ancestor terms it asked the rank backend for
+(``term``) and how many distinct targets the backend's ``games.cpre``
+calls read (``cpre``); all four counts are pinned.  A second row runs
+the ranked solve as ``strategy.extract`` does, ``ranked_rings`` on the
+verdict solve's own set backend, and reports how many ``games.cpre``
+targets it asks that the verdict did not (``new``, pinned) and its time
+(``shared``).  The workloads are the three 60-node games of the
+end-to-end ``explicit-deep`` workload at its base seed (Streett k=3,
+parity over 8 colours, even-cardinality Muller over 4 colours;
+``random_game(5, 60, k, density=0.15)``), the 121-node explicit
+expansion of a two-client arbiter with a bounded response, and the
+96-node winning sub-arena of the four-client arbiter that its
+controller is read from.  Each run's maps are checked against a pinned
+checksum.  Run as a script; pass --repeat to stabilize numbers.
 
     python benchmarks/bench_ranked.py
 """
-
 import argparse
 import time
 
@@ -53,6 +55,19 @@ def arb2_resp2_expansion():
     return syn.expand_explicit(game).elgame
 
 
+def arb4_sub_arena():
+    """The winning sub-arena of the four-client arbiter, expanded from
+    its symbolic winning region (``synthesis.extract_controller``)."""
+    n = 4
+    mutex = " & ".join("!(g%d & g%d)" % (i, j)
+                       for i in range(n) for j in range(i + 1, n))
+    live = " & ".join("(G F r%d -> G F g%d)" % (i, i) for i in range(n))
+    game = syn.build_game(syn.problem_from_strings(
+        "G(%s)" % mutex, live, ["r%d" % i for i in range(n)],
+        ["g%d" % i for i in range(n)]))
+    return syn.expand_explicit(game, game.solution[0]).elgame
+
+
 class CountingBackend(strategy.RankBackend):
     """Rank backend that counts ``term`` requests."""
 
@@ -67,25 +82,34 @@ class CountingBackend(strategy.RankBackend):
 
 def counted_solve(game, tree, values):
     """``ranked_solve`` on a counting backend; returns the maps, the
-    ``term`` count and the number of distinct ``games.cpre`` targets."""
+    engine's stages and warm starts, the ``term`` count and the number
+    of distinct ``games.cpre`` targets."""
     backends = []
+    results = []
     targets = set()
 
     def make(*args):
         backends.append(CountingBackend(*args))
         return backends[-1]
 
+    def solve(*args, **kwargs):
+        results.append(plain_solve(*args, **kwargs))
+        return results[-1]
+
     def cpre(split, target):
         targets.add(target)
         return plain_cpre(split, target)
 
-    plain, plain_cpre = strategy.RankBackend, games.cpre
-    strategy.RankBackend, games.cpre = make, cpre
+    plain = (strategy.RankBackend, fixpoint.solve, games.cpre)
+    plain_solve, plain_cpre = plain[1:]
+    strategy.RankBackend, fixpoint.solve, games.cpre = make, solve, cpre
     try:
         maps = strategy.ranked_solve(game, tree, values)
     finally:
-        strategy.RankBackend, games.cpre = plain, plain_cpre
-    return maps, backends[0].terms, len(targets)
+        strategy.RankBackend, fixpoint.solve, games.cpre = plain
+    result, = results
+    return (maps, result.iterations, sum(result.warm_starts.values()),
+            backends[0].terms, len(targets))
 
 
 def as_maps(rings):
@@ -122,28 +146,35 @@ def checksum(maps):
     return acc
 
 
-# name, game, term requests, distinct cpre targets, cpre targets new to
-# the verdict's backend, checksum of the maps
+# name, game, stages, warm starts, term requests, distinct cpre targets,
+# cpre targets new to the verdict's backend, checksum of the maps
 WORKLOADS = [
-    ("streett k=3, n=60", streett_n60, 888, 23, 11, 703282992019209369),
-    ("parity c=8, n=60", parity_n60, 388, 8, 3, 1737994696147291185),
-    ("even Muller c=4, n=60", muller_n60, 564, 78, 42, 941050132391191298),
-    ("arb2-resp2 expansion, n=121", arb2_resp2_expansion, 134, 23, 10,
+    ("streett k=3, n=60", streett_n60, 436, 150, 468, 12, 0,
+     703282992019209369),
+    ("parity c=8, n=60", parity_n60, 128, 46, 124, 4, 0, 1737994696147291185),
+    ("even Muller c=4, n=60", muller_n60, 479, 72, 612, 36, 0,
+     941050132391191298),
+    ("arb2-resp2 expansion, n=121", arb2_resp2_expansion, 91, 16, 95, 11, 0,
      316887415309540599),
+    ("arb4 winning sub-arena, n=96", arb4_sub_arena, 4633, 1992, 5208, 105, 40,
+     1200085238005888728),
 ]
 
 
 def run(repeat):
-    print("%-30s %6s %6s %10s %6s %10s" % (
-        "workload", "terms", "cpre", "best", "new", "shared"))
-    for name, make, want_terms, want_targets, want_new, expected in WORKLOADS:
+    print("%-30s %6s %6s %6s %6s %10s %6s %10s" % (
+        "workload", "stages", "warm", "terms", "cpre", "best", "new", "shared"))
+    for (name, make, want_stages, want_warm, want_terms, want_targets, want_new,
+         expected) in WORKLOADS:
         game = make()
         tree = ZielonkaTree(game.objective, game.table)
         values = fixpoint.solve_game(game, tree)[2].values
-        maps, terms, targets = counted_solve(game, tree, values)
-        assert (terms, targets) == (want_terms, want_targets), (
-            "%s asked %d terms on %d cpre targets, expected %d and %d" % (
-                name, terms, targets, want_terms, want_targets))
+        maps, stages, warm, terms, targets = counted_solve(game, tree, values)
+        counts = (stages, warm, terms, targets)
+        want = (want_stages, want_warm, want_terms, want_targets)
+        assert counts == want, (
+            "%s: stages, warm starts, terms and cpre targets %r, expected %r"
+            % (name, counts, want))
         maps, new = shared_solve(game, tree, fixpoint.solve_game(game, tree)[2])
         assert new == want_new, (
             "%s asked %d cpre targets new to the verdict, expected %d" % (
@@ -163,8 +194,8 @@ def run(repeat):
             strategy.ranked_rings(verdict.backend, tree, verdict.values)
             elapsed = time.perf_counter() - start
             shared = elapsed if shared is None else min(shared, elapsed)
-        print("%-30s %6d %6d %9.4fs %6d %9.4fs" % (
-            name, terms, targets, best, new, shared))
+        print("%-30s %6d %6d %6d %6d %9.4fs %6d %9.4fs" % (
+            name, stages, warm, terms, targets, best, new, shared))
 
 
 def main():

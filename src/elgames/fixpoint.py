@@ -24,16 +24,17 @@ Those inputs, the union of the leaf's ancestor terms, are rebuilt only
 from the outermost anchor whose value changed since the leaf's last
 run: each leaf keeps the running unions of its terms with the anchor
 values they read, as semi-naive evaluation keeps what has not changed
-(Bancilhon and Ramakrishnan, SIGMOD 1986).  On the set backends a run
-whose inputs are dominated by a stored run's (inside them at a greatest
-fixpoint, containing them at a least one) starts from that run's result
-instead of from top or bottom, as in Long, Browne, Clarke, Jha and
-Marrero (CAV 1994).  A backend may also
-solve a leaf's own equation in one call (``leaf``); the signature
-backend does, ring by ring over this module's explicit set backend, and
-the set backends leave it to Kleene stages.  A solve's result keeps the
-backend that produced it, so the signature solve of a strategy runs on
-the verdict's own color sets, guards and ``cpre`` memo.
+(Bancilhon and Ramakrishnan, SIGMOD 1986).  Every backend orders its
+values (``subset``: inclusion of node sets, or the progress-measure
+order of signature maps), and a run whose inputs are dominated by a
+stored run's (below them at a greatest fixpoint, above them at a least
+one) starts from that run's result instead of from top or bottom, as in
+Long, Browne, Clarke, Jha and Marrero (CAV 1994).  A backend may also
+solve a least-fixpoint leaf's own equation in one call (``leaf``); the
+signature backend does, in Dijkstra order over this module's explicit
+set backend, and the set backends leave it to Kleene stages.  A solve's
+result keeps the backend that produced it, so the signature solve of a
+strategy runs on the verdict's own color sets, guards and ``cpre`` memo.
 """
 
 from dataclasses import dataclass, field
@@ -240,12 +241,13 @@ def solve(system, backend, max_stages=None):
     """Solve by nested Kleene iteration; returns all stabilized values.
 
     The backend supplies the values: ``bottom(s)``, ``top(s)``,
-    ``union(a, b, s)``, ``intersect(a, b, s)`` and ``term(s, term,
+    ``union(a, b, s)``, ``intersect(a, b, s)``, ``term(s, term,
     value)``, the value of one attraction term of leaf ``s`` given its
-    anchor's value.  Values are compared with ``==``, so each backend's
-    values must be canonical.  A vertex's fixpoint depends only on
-    its inputs: the union of its ancestor terms at a leaf, the tuple of
-    its ancestors' values at an internal vertex.
+    anchor's value, and ``subset(a, b)``, the order the other operations
+    are monotone in (``a`` below ``b``).  Values are compared with
+    ``==``, so each backend's values must be canonical.  A vertex's
+    fixpoint depends only on its inputs: the union of its ancestor terms
+    at a leaf, the tuple of its ancestors' values at an internal vertex.
 
     A leaf with more than one ancestor keeps, for each ancestor term but
     its parent's, the anchor value that term read and the union of the
@@ -259,26 +261,27 @@ def solve(system, backend, max_stages=None):
 
     Each vertex keeps the inputs and result of its last runs, as many as
     it has ancestors plus one.  A leaf run whose inputs equal one of
-    theirs returns that run's result without a stage.  A backend with
-    ``subset(a, b)`` (``a`` inside ``b``) also warm-starts: a
-    greatest-fixpoint run whose every input is inside the matching input
-    of a stored run starts from that run's result instead of from top,
-    and a least-fixpoint run whose every input contains the stored one
-    starts from it instead of from bottom.  By monotonicity the stored
-    result lies on the iteration's side of the new fixpoint, so the
-    iteration reaches the same value in fewer stages.  An internal
+    theirs returns that run's result without a stage.  Other runs
+    warm-start: a greatest-fixpoint run whose every input is below the
+    matching input of a stored run starts from that run's result instead
+    of from top, and a least-fixpoint run whose every input is above the
+    stored one starts from it instead of from bottom.  The stored result
+    is a fixpoint of a dominating (dominated) right-hand side, so by
+    monotonicity it lies on the iteration's side of the new fixpoint,
+    and the iteration reaches the same value in fewer stages.  An internal
     vertex always runs at least one stage, so its descendants' values
     come from its final context.  (Its inputs never repeat anyway:
     every enclosing iteration is strictly monotone, so each run sees a
     new tuple.)
 
-    A backend with a ``leaf(s, own, fixed, lfp)`` method solves each
-    leaf run in that one call, which counts as one stage: it returns
-    the least (``lfp``) or greatest fixpoint of
-    ``X = fixed | term(s, own, X)``, ``fixed`` being the union of the
-    ancestor terms.  ``max_stages`` bounds the stages of each
-    variable's iteration; past it the solve raises
-    :class:`StageLimitError`.
+    A backend with a ``leaf(s, own, fixed)`` method solves each
+    least-fixpoint leaf run that the stored runs do not answer in that
+    one call, which counts as one stage, without looking for a warm
+    start: it returns the least fixpoint of ``X = fixed | term(s, own,
+    X)``, ``fixed`` being the union of the ancestor terms.
+    Greatest-fixpoint leaves run as Kleene stages.  ``max_stages``
+    bounds the stages of each variable's iteration; past it the solve
+    raises :class:`StageLimitError`.
     """
     equations = {eq.vertex: eq for eq in system.equations}
     # leaf -> (ancestor terms but the parent's, the parent's term or
@@ -286,7 +289,7 @@ def solve(system, backend, max_stages=None):
     split = {eq.vertex: (eq.terms[:-2], eq.terms[-2:-1], eq.terms[-1])
              for eq in system.equations if eq.op == "attract"}
     leaf = getattr(backend, "leaf", None)
-    subset = getattr(backend, "subset", None)
+    subset = backend.subset
     values = {}
     # vertex -> (inputs, result) of its last len(ancestors) + 1 runs,
     # newest first
@@ -323,18 +326,19 @@ def solve(system, backend, max_stages=None):
         else:
             inputs = tuple(ls.values())
         runs = recent.get(s, ())
+        one_pass = attract and eq.lfp and leaf is not None
         x = None
         for prev, result in runs:
             if attract and prev == inputs:
                 values[s] = result
                 return result
-            if x is None and subset is not None:
+            if x is None and not one_pass:
                 lo, hi = (prev, inputs) if eq.lfp else (inputs, prev)
                 if subset(lo, hi) if attract else all(map(subset, lo, hi)):
                     x = result
-        if attract and leaf is not None:
+        if one_pass:
             total_iterations += 1
-            x = values[s] = leaf(s, own, inputs, eq.lfp)
+            x = values[s] = leaf(s, own, inputs)
             recent[s] = ((inputs, x),) + runs[:len(ls)]
             return x
         if x is None:
@@ -364,8 +368,7 @@ def solve(system, backend, max_stages=None):
             if max_stages is not None and stages > max_stages:
                 raise StageLimitError(
                     "variable X%d did not stabilize within %d stages" % (s, max_stages))
-        if attract or subset is not None:
-            recent[s] = ((inputs, x),) + runs[:len(ls)]
+        recent[s] = ((inputs, x),) + runs[:len(ls)]
         values[s] = x
         return x
 

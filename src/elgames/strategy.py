@@ -13,8 +13,11 @@ of node masks, one per signature, as in the progress measures of
 Jurdzinski (STACS 2000) and the nested rings of Piterman and Pnueli
 (LICS 2006); the backend computes them with the explicit set backend's
 guard and memoized ``cpre``, applied to cumulative masks ring by ring,
-and solves each leaf run in one pass.  A greatest fixpoint starts from
-zeros over the verdict solve's set of its vertex, not over every node.
+and solves each least-fixpoint leaf run in one pass.  It orders maps as
+progress measures, so the solver warm-starts ring runs from stored ones
+as it does node-set runs.  A greatest fixpoint starts from a stored
+run's rings or from zeros over the verdict solve's set of its vertex,
+not over every node.
 Signature descent is what guarantees progress; an arbitrary member of a
 least-fixpoint union, or of a greatest fixpoint nested inside one,
 would allow stalling or resetting the enclosing fixpoint's progress.
@@ -107,8 +110,9 @@ class RankBackend:
     ``cpre``'s rule is the min/max rule over successors.  So the
     backend's only graph operation is the set backend's memoized
     ``term`` (:class:`ExplicitBackend`, ``sets``), applied ring by
-    ring.  ``leaf`` solves a leaf's own equation in one call with the
-    same rule.
+    ring.  ``leaf`` solves a least-fixpoint leaf's own equation in one
+    call with the same rule; greatest-fixpoint leaves run as Kleene
+    stages, warm-started in the order of ``subset``.
     """
 
     def __init__(self, sets, tree, values):
@@ -176,61 +180,46 @@ class RankBackend:
                 out.append((sig + pad, new))
         return tuple(out)
 
-    def leaf(self, s, own, fixed, lfp):
-        """Rings of leaf ``s``: the fixpoint of ``fixed`` united with its
-        own term, in one pass.  The terms of a leaf partition the color
-        sets, so no node of ``fixed`` is in the own guard.
+    def subset(self, a, b):
+        """``a`` below ``b`` in the progress-measure order: every node of
+        ``a`` is in ``b`` with a signature at most its own, so each ring
+        of ``a`` lies inside ``b``'s cumulative mask at its signature,
+        checked in one merge pass.  Compared values belong to one
+        vertex, so their signatures have one length.  Most calls
+        compare a stored value with itself."""
+        if a is b:
+            return True
+        reach = i = 0
+        for sig, mask in a:
+            while i < len(b) and b[i][0] <= sig:
+                reach |= b[i][1]
+                i += 1
+            if mask & ~reach:
+                return False
+        return True
 
-        A least fixpoint pops the least pending signature, as Dijkstra's
+    def leaf(self, s, own, fixed):
+        """Rings of least-fixpoint leaf ``s``: the least fixpoint of
+        ``fixed`` united with its own term, in one pass.  The terms of a
+        leaf partition the color sets, so no node of ``fixed`` is in the
+        own guard.  It pops the least pending signature, as Dijkstra's
         order would, places its nodes not placed yet, and attracts the
-        own term of all placed nodes at that signature bumped.  In a
-        greatest fixpoint a node's signature is at most ``c`` iff it is
-        in nu Z. {fixed <= c} | term(own, Z).  That set is taken for all
-        of ``fixed``, then the rings of ``fixed`` are dropped highest
-        first, each nu restarting from the last: a drop's lost nodes get
-        its signature, and the nodes left get zeros."""
+        own term of all placed nodes at that signature bumped."""
         term = self.sets.term
         out = []
-        if lfp:
-            placed = 0
-            pending = dict(fixed)
-            while pending:
-                sig = min(pending)
-                new = pending.pop(sig) & ~placed
-                if not new:
-                    continue
-                placed |= new
-                out.append((sig, new))
-                more = term(s, own, placed) & ~placed
-                if more:
-                    up = sig[:-1] + (sig[-1] + 1,)
-                    pending[up] = pending.get(up, 0) | more
-            return tuple(out)
-
-        def nu(keep, z):
-            while True:
-                smaller = keep | term(s, own, z)
-                if smaller == z:
-                    return z
-                z = smaller
-
-        zeros = (0,) * self.tree.lfp_depth[s]
-        keep = 0
-        for _, mask in fixed:
-            keep |= mask
-        # The first step from the full mask: on a total arena its cpre
-        # is every node, so the own term is the own guard.
-        z = nu(keep, keep | self.sets.guard(*own[1:]))
-        for sig, mask in reversed(fixed):
-            if sig == zeros:
-                break
-            keep &= ~mask
-            smaller = nu(keep, z)
-            out.append((sig, z & ~smaller))
-            z = smaller
-        if z:
-            out.append((zeros, z))
-        out.reverse()
+        placed = 0
+        pending = dict(fixed)
+        while pending:
+            sig = min(pending)
+            new = pending.pop(sig) & ~placed
+            if not new:
+                continue
+            placed |= new
+            out.append((sig, new))
+            more = term(s, own, placed) & ~placed
+            if more:
+                up = sig[:-1] + (sig[-1] + 1,)
+                pending[up] = pending.get(up, 0) | more
         return tuple(out)
 
 
@@ -256,10 +245,10 @@ def ranked_rings(sets, tree, values):
     least fixpoint's progress, which is the certified-strategy property
     the extractor needs.  They come from the solver's own nested
     recursion, with the same per-variable stage bound as a verdict solve.
-    Greatest fixpoints start from zeros over ``values``, which lies
-    between their fixpoint and the all-nodes map; descent from there
-    ends at the same maps in no more stages, and only least-fixpoint
-    stages enter signatures.
+    Greatest fixpoints start from a stored run's rings or from zeros
+    over ``values``, which both lie between their fixpoint and the
+    all-nodes map; descent from there ends at the same maps in no more
+    stages, and only least-fixpoint stages enter signatures.
     """
     backend = RankBackend(sets, tree, values)
     return fixpoint.solve(build_equations(tree), backend,

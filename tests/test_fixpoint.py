@@ -283,17 +283,20 @@ def test_leaf_memo_skips_repeated_leaf_runs():
 def test_leaf_memo_window_holds_each_leafs_recent_runs(monkeypatch):
     # A leaf run's result depends only on the union of its ancestor terms,
     # and each leaf remembers its last len(terms) runs: no leaf is run
-    # again on the input of one of them.
-    game = streett_n60()
+    # again on the input of one of them.  The rank backend's one-pass
+    # ``leaf`` runs at least-fixpoint leaves, which the README expansion
+    # has three of.
+    game = readme_expansion()
     tree = ZielonkaTree(game.objective, game.table)
     window = {eq.vertex: len(eq.terms) for eq in build_equations(tree).equations
-              if eq.op == "attract"}
+              if eq.op == "attract" and eq.lfp}
+    assert window
     calls = []
 
     class Recording(strategy.RankBackend):
-        def leaf(self, s, own, fixed, lfp):
+        def leaf(self, s, own, fixed):
             calls.append((s, fixed))
-            return super().leaf(s, own, fixed, lfp)
+            return super().leaf(s, own, fixed)
 
     monkeypatch.setattr(strategy, "RankBackend", Recording)
     maps = strategy.ranked_solve(game, tree, solve_game(game, tree)[2].values)
@@ -389,11 +392,14 @@ def test_solve_game_calls_games_cpre_and_splits_owners_once(monkeypatch):
 
 def test_extract_reuses_the_verdicts_owner_split_and_cpre_memo(monkeypatch):
     # The certificate's ranked solve runs on the verdict's set backend: no
-    # second owner split, and no ``games.cpre`` target asked twice across
-    # the verdict and the certificate.
+    # second owner split, its terms read ``cpre`` targets the verdict's
+    # memo already holds, and ``games.cpre`` is called only on the others,
+    # once each.
     targets = []
     splits = []
+    read = []
     cpre, owner_split = games.cpre, games.owner_split
+    term = ExplicitBackend.term
 
     def counting_cpre(split, target):
         targets.append(target)
@@ -403,16 +409,22 @@ def test_extract_reuses_the_verdicts_owner_split_and_cpre_memo(monkeypatch):
         splits.append(arena)
         return owner_split(arena, *args)
 
+    def reading_term(self, s, t, value):
+        read.append(value)
+        return term(self, s, t, value)
+
     monkeypatch.setattr(games, "cpre", counting_cpre)
     monkeypatch.setattr(games, "owner_split", counting_split)
     game = streett_n60()
     win, tree, result = solve_game(game)
     verdict = set(targets)
     del targets[:]
+    monkeypatch.setattr(ExplicitBackend, "term", reading_term)
     strat = extract(game, tree, result)
     assert splits == [game.arena]
-    assert len(targets) == len(set(targets)) > 0
-    assert not verdict & set(targets)
+    assert verdict & set(read)
+    assert len(targets) == len(set(targets))
+    assert set(targets) == set(read) - verdict
     assert verify(game, strat, win).ok
 
 
@@ -498,22 +510,42 @@ def arb2_resp2_expansion():
 
 
 class ColdExplicit(ExplicitBackend):
-    """Explicit backend without ``subset``: no run is warm-started."""
-    subset = None
+    """Explicit backend whose order never holds: no run is warm-started."""
+
+    def subset(self, a, b):
+        return False
 
 
 class ColdSymbolic(syn.SymbolicBackend):
-    subset = None
+    def subset(self, a, b):
+        return False
+
+
+class ColdRank(strategy.RankBackend):
+    def subset(self, a, b):
+        return False
+
+
+def ranked_runs(game, tree, verdict, backend_cls):
+    """The ranked solve of ``strategy.ranked_rings`` on a backend of
+    class ``backend_cls`` over the verdict's set backend."""
+    backend = backend_cls(verdict.backend, tree, verdict.values)
+    return solve(build_equations(tree), backend, max_stages=game.arena.n + 1)
 
 
 def test_warm_starts_leave_every_vertex_value_unchanged():
     games = family_games() + [streett_n60(), readme_expansion(),
                               arb2_resp2_expansion()]
     for k, game in enumerate(games):
-        system = build_equations(ZielonkaTree(game.objective, game.table))
+        tree = ZielonkaTree(game.objective, game.table)
+        system = build_equations(tree)
         bound = game.arena.n + 1
         warm = solve(system, ExplicitBackend(game), max_stages=bound)
         cold = solve(system, ColdExplicit(game), max_stages=bound)
+        assert warm.values == cold.values, k
+        assert cold.warm_starts == {} and warm.iterations <= cold.iterations, k
+        warm = ranked_runs(game, tree, warm, strategy.RankBackend)
+        cold = ranked_runs(game, tree, cold, ColdRank)
         assert warm.values == cold.values, k
         assert cold.warm_starts == {} and warm.iterations <= cold.iterations, k
     game = arb2_game()
@@ -526,12 +558,15 @@ def test_warm_starts_leave_every_vertex_value_unchanged():
 def test_warm_starts_on_both_polarities():
     # Least-fixpoint runs start from a stored result whose inputs are
     # inside theirs, greatest-fixpoint runs from one whose inputs contain
-    # theirs; streett_n60() has both.
+    # theirs; streett_n60() has both, on node sets and on rank rings.
     game = streett_n60()
-    system = build_equations(ZielonkaTree(game.objective, game.table))
+    tree = ZielonkaTree(game.objective, game.table)
+    system = build_equations(tree)
     result = solve(system, ExplicitBackend(game), max_stages=game.arena.n + 1)
+    ranked = ranked_runs(game, tree, result, strategy.RankBackend)
     lfp = {eq.vertex: eq.lfp for eq in system.equations}
-    assert {lfp[s] for s, n in result.warm_starts.items() if n} == {True, False}
+    for solved in (result, ranked):
+        assert {lfp[s] for s, n in solved.warm_starts.items() if n} == {True, False}
 
 
 def test_arb3_symbolic_stage_count():
