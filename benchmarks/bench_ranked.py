@@ -149,14 +149,14 @@ def checksum(maps):
 # name, game, stages, warm starts, term requests, distinct cpre targets,
 # cpre targets new to the verdict's backend, checksum of the maps
 WORKLOADS = [
-    ("streett k=3, n=60", streett_n60, 436, 150, 468, 12, 0,
+    ("streett k=3, n=60", streett_n60, 416, 150, 448, 12, 0,
      703282992019209369),
-    ("parity c=8, n=60", parity_n60, 128, 46, 124, 4, 0, 1737994696147291185),
+    ("parity c=8, n=60", parity_n60, 114, 45, 110, 4, 0, 1737994696147291185),
     ("even Muller c=4, n=60", muller_n60, 479, 72, 612, 36, 0,
      941050132391191298),
     ("arb2-resp2 expansion, n=121", arb2_resp2_expansion, 91, 16, 95, 11, 0,
      316887415309540599),
-    ("arb4 winning sub-arena, n=96", arb4_sub_arena, 4633, 1992, 5208, 105, 40,
+    ("arb4 winning sub-arena, n=96", arb4_sub_arena, 3757, 1824, 4320, 65, 0,
      1200085238005888728),
 ]
 

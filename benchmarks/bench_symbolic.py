@@ -41,14 +41,14 @@ README = ("G(b|c) & G(a -> b | X X b)",
 
 # name, specification, stages, warm starts, cpre targets, satcount
 WORKLOADS = [
-    ("readme", README, 87, 18, 16, 10752),
-    ("arb2", arbiter(2), 143, 38, 12, 384),
-    ("arb2-resp2", arbiter(2, " & G(r0 -> X g0 | X X g0)"), 223, 55, 30, 39936),
+    ("readme", README, 86, 18, 16, 10752),
+    ("arb2", arbiter(2), 135, 38, 12, 384),
+    ("arb2-resp2", arbiter(2, " & G(r0 -> X g0 | X X g0)"), 186, 49, 30, 39936),
     ("arb2-next01", arbiter(2, " & G(r0 -> X g0) & G(r1 -> X g1)"),
-     155, 36, 27, 0),
-    ("arb3", arbiter(3), 1623, 618, 61, 4096),
-    ("arb4", arbiter(4), 23119, 10188, 442, 40960),
-    ("arb5", arbiter(5), 372283, 176850, 3314, 393216),
+     151, 36, 27, 0),
+    ("arb3", arbiter(3), 1308, 588, 55, 4096),
+    ("arb4", arbiter(4), 13023, 7272, 312, 40960),
+    ("arb5", arbiter(5), 137658, 87150, 2049, 393216),
 ]
 
 

@@ -17,19 +17,28 @@ signature maps the strategy module extracts moves from.
 The set backends memoize the controllable predecessor by target
 (explicit masks and diagram handles are both canonical).  Each stage
 of an outer variable runs the inner ones again, often on inputs close
-to those of an earlier run.  The solver keeps, per vertex, the inputs
-and result of its last few runs (as many as the vertex has ancestors
-plus one).  A leaf returns the stored result when its inputs repeat.
-Those inputs, the union of the leaf's ancestor terms, are rebuilt only
-from the outermost anchor whose value changed since the leaf's last
-run: each leaf keeps the running unions of its terms with the anchor
-values they read, as semi-naive evaluation keeps what has not changed
-(Bancilhon and Ramakrishnan, SIGMOD 1986).  Every backend orders its
-values (``subset``: inclusion of node sets, or the progress-measure
-order of signature maps), and a run whose inputs are dominated by a
-stored run's (below them at a greatest fixpoint, above them at a least
-one) starts from that run's result instead of from top or bottom, as in
-Long, Browne, Clarke, Jha and Marrero (CAV 1994).  A backend may also
+to those of an earlier run.  A leaf keeps the inputs and result of its
+last few runs (as many as it has ancestors plus one) and returns the
+stored result when its inputs repeat.  Those inputs, the union of the
+leaf's ancestor terms, are rebuilt only from the outermost anchor whose
+value changed since the leaf's last run: each leaf keeps the running
+unions of its terms with the anchor values they read, as semi-naive
+evaluation keeps what has not changed (Bancilhon and Ramakrishnan,
+SIGMOD 1986).  Runs also start from stored results, as Long, Browne,
+Clarke, Jha and Marrero (CAV 1994) start each inner iteration from the
+approximant stored at the same iteration indices.  A vertex's position
+is the tuple of the current stage indices of its opposite-polarity
+ancestors, and each vertex keeps the inputs and result of its last run
+at each position.  Between two runs at one position its same-polarity
+ancestors have moved in its own iteration's direction (up at a least
+fixpoint, down at a greatest one) and the opposite-polarity ones stand
+at the same stage index, so its inputs have mostly moved that way too
+and the stored result lies on the iteration's side of the new
+fixpoint.  Every backend orders its values (``subset``: inclusion of
+node sets, or the progress-measure order of signature maps), and a run
+starts from the stored result only when its inputs lie on that side of
+the stored ones (below them at a greatest fixpoint, above them at a
+least one); otherwise it starts from top or bottom.  A backend may also
 solve a least-fixpoint leaf's own equation in one call (``leaf``); the
 signature backend does, in Dijkstra order over this module's explicit
 set backend, and the set backends leave it to Kleene stages.  A solve's
@@ -226,8 +235,8 @@ class StageLimitError(RuntimeError):
 @dataclass
 class SolveResult:
     """Final variable values, the number of Kleene stages run, per
-    vertex the number of runs warm-started from a stored result, and the
-    backend the values were computed with."""
+    vertex the number of runs warm-started from the result stored at
+    their position, and the backend the values were computed with."""
     values: dict
     iterations: int = 0
     warm_starts: dict = field(default_factory=dict)
@@ -259,26 +268,38 @@ def solve(system, backend, max_stages=None):
     inside the parent's iteration, which is strictly monotone, so the
     parent's value never repeats.
 
-    Each vertex keeps the inputs and result of its last runs, as many as
-    it has ancestors plus one.  A leaf run whose inputs equal one of
-    theirs returns that run's result without a stage.  Other runs
-    warm-start: a greatest-fixpoint run whose every input is below the
-    matching input of a stored run starts from that run's result instead
-    of from top, and a least-fixpoint run whose every input is above the
-    stored one starts from it instead of from bottom.  The stored result
-    is a fixpoint of a dominating (dominated) right-hand side, so by
-    monotonicity it lies on the iteration's side of the new fixpoint,
-    and the iteration reaches the same value in fewer stages.  An internal
-    vertex always runs at least one stage, so its descendants' values
-    come from its final context.  (Its inputs never repeat anyway:
-    every enclosing iteration is strictly monotone, so each run sees a
-    new tuple.)
+    Each leaf keeps the inputs and result of its last runs, as many as
+    it has ancestors plus one, and a run whose inputs equal one of
+    theirs returns that run's result without a stage.  (An internal
+    vertex's inputs never repeat: every enclosing iteration is strictly
+    monotone, so each run sees a new tuple.)
+
+    A vertex's position is the tuple of the current stage indices of its
+    opposite-polarity ancestors, outermost first.  Zielonka trees
+    alternate polarity along every path, so those are its parent, its
+    great-grandparent and so on: a child of ``s`` has the position of
+    ``s``'s parent extended by ``s``'s stage.  Each vertex of depth two
+    or more keeps the inputs and result of its last run at each
+    position, and a run there tests that one stored run: a
+    greatest-fixpoint run whose every input is below the matching
+    stored input starts from the stored result instead of from top, and
+    a least-fixpoint run whose every input is above it starts from it
+    instead of from bottom.  The stored result is a fixpoint of a
+    dominating (dominated) right-hand side, so by monotonicity it lies
+    on the iteration's side of the new fixpoint, and the iteration
+    reaches the same value in fewer stages.  At one position the test
+    mostly holds (see the module docstring); when it fails, the run
+    starts from top or bottom.  The root runs once, so the positions of
+    the root and its children never repeat, and they keep no stored
+    runs.
+    An internal vertex always runs at least one stage, so its
+    descendants' values come from its final context.
 
     A backend with a ``leaf(s, own, fixed)`` method solves each
-    least-fixpoint leaf run that the stored runs do not answer in that
-    one call, which counts as one stage, without looking for a warm
-    start: it returns the least fixpoint of ``X = fixed | term(s, own,
-    X)``, ``fixed`` being the union of the ancestor terms.
+    least-fixpoint leaf run whose inputs are new in that one call, which
+    counts as one stage, without looking for a warm start: it returns
+    the least fixpoint of ``X = fixed | term(s, own, X)``, ``fixed``
+    being the union of the ancestor terms.
     Greatest-fixpoint leaves run as Kleene stages.  ``max_stages``
     bounds the stages of each variable's iteration; past it the solve
     raises :class:`StageLimitError`.
@@ -291,16 +312,21 @@ def solve(system, backend, max_stages=None):
     leaf = getattr(backend, "leaf", None)
     subset = backend.subset
     values = {}
-    # vertex -> (inputs, result) of its last len(ancestors) + 1 runs,
+    # leaf -> (inputs, result) of its last len(ancestors) + 1 runs,
     # newest first
     recent = {}
+    # (vertex, position) -> (inputs, result) of the vertex's last run
+    # there, for vertices of depth 2 or more
+    stored = {}
     # leaf -> [(anchor value read, union of ancestor terms 0..i)], for
     # each of its ancestor terms but the parent's
     prefixes = {}
     warm_starts = {}
     total_iterations = 0
 
-    def run(s, ls):
+    def run(s, ls, key, outer):
+        # ls: the ancestors' current values; key: the position of s;
+        # outer: the position of its parent
         nonlocal total_iterations
         eq = equations[s]
         attract = eq.op == "attract"
@@ -323,28 +349,29 @@ def solve(system, backend, max_stages=None):
             for term in parent:
                 inputs = backend.union(
                     inputs, backend.term(s, term, ls[term[0]]), s)
-        else:
-            inputs = tuple(ls.values())
-        runs = recent.get(s, ())
-        one_pass = attract and eq.lfp and leaf is not None
+            runs = recent.get(s, ())
+            for prev, result in runs:
+                if prev == inputs:
+                    values[s] = result
+                    return result
+            if eq.lfp and leaf is not None:
+                total_iterations += 1
+                x = values[s] = leaf(s, own, inputs)
+                recent[s] = ((inputs, x),) + runs[:len(ls)]
+                return x
         x = None
-        for prev, result in runs:
-            if attract and prev == inputs:
-                values[s] = result
-                return result
-            if x is None and not one_pass:
-                lo, hi = (prev, inputs) if eq.lfp else (inputs, prev)
+        deep = len(ls) > 1
+        if deep:
+            if not attract:
+                inputs = tuple(ls.values())
+            prev = stored.get((s, key))
+            if prev is not None:
+                lo, hi = (prev[0], inputs) if eq.lfp else (inputs, prev[0])
                 if subset(lo, hi) if attract else all(map(subset, lo, hi)):
-                    x = result
-        if one_pass:
-            total_iterations += 1
-            x = values[s] = leaf(s, own, inputs)
-            recent[s] = ((inputs, x),) + runs[:len(ls)]
-            return x
+                    x = prev[1]
+                    warm_starts[s] = warm_starts.get(s, 0) + 1
         if x is None:
             x = backend.bottom(s) if eq.lfp else backend.top(s)
-        else:
-            warm_starts[s] = warm_starts.get(s, 0) + 1
         stages = 0
         while True:
             w = x
@@ -353,14 +380,15 @@ def solve(system, backend, max_stages=None):
             else:
                 ls_here = dict(ls)
                 ls_here[s] = w
+                inner = outer + (stages,)
                 if eq.op == "union":
                     x = backend.bottom(s)
                     for t in eq.children:
-                        x = backend.union(x, run(t, ls_here), s)
+                        x = backend.union(x, run(t, ls_here, inner, key), s)
                 else:
                     x = backend.top(s)
                     for t in eq.children:
-                        x = backend.intersect(x, run(t, ls_here), s)
+                        x = backend.intersect(x, run(t, ls_here, inner, key), s)
             stages += 1
             total_iterations += 1
             if x == w:
@@ -368,11 +396,14 @@ def solve(system, backend, max_stages=None):
             if max_stages is not None and stages > max_stages:
                 raise StageLimitError(
                     "variable X%d did not stabilize within %d stages" % (s, max_stages))
-        recent[s] = ((inputs, x),) + runs[:len(ls)]
+        if deep:
+            stored[s, key] = (inputs, x)
+        if attract:
+            recent[s] = ((inputs, x),) + runs[:len(ls)]
         values[s] = x
         return x
 
-    run(system.tree.root, {})
+    run(system.tree.root, {}, (), ())
     return SolveResult(values, total_iterations, warm_starts, backend)
 
 

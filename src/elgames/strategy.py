@@ -185,8 +185,8 @@ class RankBackend:
         ``a`` is in ``b`` with a signature at most its own, so each ring
         of ``a`` lies inside ``b``'s cumulative mask at its signature,
         checked in one merge pass.  Compared values belong to one
-        vertex, so their signatures have one length.  Most calls
-        compare a stored value with itself."""
+        vertex, so their signatures have one length.  About half the
+        calls compare a stored value with itself."""
         if a is b:
             return True
         reach = i = 0

@@ -224,7 +224,7 @@ def streett_n60():
 # and warm starts; without warm starts it runs 5,540, the plain
 # recursion 10,390.  The plain ranked reference cannot finish within
 # this many (test_strategy.py).
-STREETT_N60_STAGES = 1802
+STREETT_N60_STAGES = 1380
 
 
 def test_stage_limit_raises_stage_limit_error():
@@ -248,8 +248,8 @@ ARB3 = ("G(!(g0 & g1) & !(g0 & g2) & !(g1 & g2))",
 
 # Kleene stages and warm-started runs of the symbolic solve of the
 # 3-client arbiter; without warm starts it runs 5,349 stages.
-ARB3_SYMBOLIC_STAGES = 1623
-ARB3_SYMBOLIC_WARM_STARTS = 618
+ARB3_SYMBOLIC_STAGES = 1308
+ARB3_SYMBOLIC_WARM_STARTS = 588
 
 
 def test_symbolic_stage_limit_raises_stage_limit_error():
@@ -533,9 +533,25 @@ def ranked_runs(game, tree, verdict, backend_cls):
     return solve(build_equations(tree), backend, max_stages=game.arena.n + 1)
 
 
+def deep_games():
+    """The parity (8 colours) and even Muller (4 colours) games of the
+    explicit-deep workload beside streett_n60(), and a Rabin (k=3) game
+    drawn the same way (n=60, seed 5)."""
+    factories = [
+        (8, lambda rng, t: el.parity(t, list("abcdefgh"))),
+        (4, lambda rng, t: el.even_cardinality_muller(t)),
+        (6, lambda rng, t: el.rabin(t, [("a", "b"), ("c", "d"), ("e", "f")])),
+    ]
+    return [random_game(5, 60, ncolors, density=0.15, objective_factory=factory)
+            for ncolors, factory in factories]
+
+
 def test_warm_starts_leave_every_vertex_value_unchanged():
-    games = family_games() + [streett_n60(), readme_expansion(),
-                              arb2_resp2_expansion()]
+    # A stored run is taken only when ``subset`` shows it on the
+    # iteration's side of the new fixpoint: warm and cold runs reach the
+    # same value at every vertex, on node sets, rank rings and diagrams.
+    games = family_games() + deep_games() + [
+        streett_n60(), readme_expansion(), arb2_resp2_expansion()]
     for k, game in enumerate(games):
         tree = ZielonkaTree(game.objective, game.table)
         system = build_equations(tree)
@@ -548,11 +564,12 @@ def test_warm_starts_leave_every_vertex_value_unchanged():
         cold = ranked_runs(game, tree, cold, ColdRank)
         assert warm.values == cold.values, k
         assert cold.warm_starts == {} and warm.iterations <= cold.iterations, k
-    game = arb2_game()
-    system = build_equations(ZielonkaTree(game.el_formula, game.color_table))
-    warm = solve(system, syn.SymbolicBackend(game))
-    cold = solve(system, ColdSymbolic(game))
-    assert warm.values == cold.values
+    for game in arb2_game(), syn.build_game(syn.problem_from_strings(*ARB3)):
+        system = build_equations(ZielonkaTree(game.el_formula, game.color_table))
+        warm = solve(system, syn.SymbolicBackend(game))
+        cold = solve(system, ColdSymbolic(game))
+        assert warm.values == cold.values
+        assert cold.warm_starts == {} and warm.iterations <= cold.iterations
 
 
 def test_warm_starts_on_both_polarities():

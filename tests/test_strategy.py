@@ -210,6 +210,11 @@ def test_ranked_solve_matches_plain_reference(monkeypatch):
     games += [random_game(7000 + i, 30, 4, density=0.12, objective_factory=factory)
               for factory in SMALL_FAMILIES for i in range(10)]
     games += [readme_expansion(), arb2_resp2_expansion()]
+    # A stored run taken at its position without its ``subset`` test
+    # leaves vertices 50-52 of this game's tree one node short, in the
+    # verdict and in the maps.
+    games += [random_game(3, 40, 4, density=0.15,
+                          objective_factory=SMALL_FAMILIES[-1])]
     polarities = set()
 
     class Counting(strategy.RankBackend):
@@ -232,7 +237,7 @@ def test_ranked_solve_matches_plain_reference(monkeypatch):
 # six greatest-fixpoint leaves included (it has no least-fixpoint leaf).
 # Greatest fixpoints start from the verdict's sets, not from every node,
 # or from a stored run's rings.
-STREETT_N60_RANKED_STAGES = 436
+STREETT_N60_RANKED_STAGES = 416
 
 
 def test_ranked_solve_stage_budget_on_repeated_inputs(monkeypatch):

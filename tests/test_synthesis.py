@@ -284,14 +284,14 @@ def test_winning_sub_arena_keeps_the_winning_full_nodes():
 
 
 # Stages of the arb3 expansion's explicit re-solve.
-ARB3_EXPANSION_STAGES = 2309
+ARB3_EXPANSION_STAGES = 1484
 
 
 def test_arb3_expansion_resolve_stage_count():
     from test_fixpoint import ARB3
     _, exp = arbiter_expansion(ARB3)
     _, _, result = solve_game(exp.elgame)
-    assert result.iterations <= ARB3_EXPANSION_STAGES
+    assert result.iterations == ARB3_EXPANSION_STAGES
 
 
 def test_cross_check_rejects_a_region_holding_on_the_empty_subset(monkeypatch):
