@@ -113,8 +113,11 @@ def counted_solve(game, tree, values):
 
 
 def as_maps(rings):
-    """Rings as ``ranked_solve``'s ``{vertex: {node: signature}}``."""
-    return {s: {v: sig for sig, mask in r for v in games.iter_nodes(mask)}
+    """Rings as ``ranked_solve``'s ``{vertex: {node: signature}}``: each
+    mask holds the nodes whose signature is at most its own, so the
+    lowest signature wins."""
+    return {s: {v: sig for sig, mask in reversed(r)
+                for v in games.iter_nodes(mask)}
             for s, r in rings.items()}
 
 

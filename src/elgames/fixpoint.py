@@ -13,7 +13,8 @@ The solver is plain nested Kleene iteration and is generic in a
 backend that supplies the values, so the same recursion runs on
 explicit node masks, on the integer node handles of a decision diagram
 (wrapped as assertions only outside the solve) and on the entry-rank
-signature maps the strategy module extracts moves from.
+signature maps the strategy module extracts moves from, kept as nested
+node masks, one per signature.
 The set backends memoize the controllable predecessor by target
 (explicit masks and diagram handles are both canonical).  Each stage
 of an outer variable runs the inner ones again, often on inputs close
@@ -147,13 +148,13 @@ class SetBackend:
         self._guards = {}
         self._pre = {}
 
-    def bottom(self, s):
+    def bottom(self):
         return self.empty
 
     def top(self, s):
         return self.full
 
-    def union(self, a, b, s):
+    def union(self, a, b):
         return a | b
 
     def intersect(self, a, b, s):
@@ -182,7 +183,7 @@ class SetBackend:
             escapes = self.empty
             for cid, nodes in enumerate(self.colors):
                 if not escape >> cid & 1:
-                    escapes = self.union(escapes, nodes, None)
+                    escapes = self.union(escapes, nodes)
             out = self.intersect(out, escapes, None)
         self._guards[key] = out
         return out
@@ -249,14 +250,17 @@ class SolveResult:
 def solve(system, backend, max_stages=None):
     """Solve by nested Kleene iteration; returns all stabilized values.
 
-    The backend supplies the values: ``bottom(s)``, ``top(s)``,
-    ``union(a, b, s)``, ``intersect(a, b, s)``, ``term(s, term,
-    value)``, the value of one attraction term of leaf ``s`` given its
-    anchor's value, and ``subset(a, b)``, the order the other operations
-    are monotone in (``a`` below ``b``).  Values are compared with
-    ``==``, so each backend's values must be canonical.  A vertex's
-    fixpoint depends only on its inputs: the union of its ancestor terms
-    at a leaf, the tuple of its ancestors' values at an internal vertex.
+    The backend supplies the values: ``bottom()``, ``top(s)``,
+    ``union(a, b)``, ``intersect(a, b, s)``, ``term(s, term, value)``,
+    the value of one attraction term of leaf ``s`` given its anchor's
+    value, and ``subset(a, b)``, the order the other operations are
+    monotone in (``a`` below ``b``).  Only ``top`` and ``intersect``
+    take the vertex ``s``: a signature map's top and the cut of an
+    intersection depend on the vertex's signature length.  Values are
+    compared with ``==``, so each backend's values must be canonical.  A
+    vertex's fixpoint depends only on its inputs: the union of its
+    ancestor terms at a leaf, the tuple of its ancestors' values at an
+    internal vertex.
 
     A leaf with more than one ancestor keeps, for each ancestor term but
     its parent's, the anchor value that term read and the union of the
@@ -332,7 +336,7 @@ def solve(system, backend, max_stages=None):
         attract = eq.op == "attract"
         if attract:
             older, parent, own = split[s]
-            inputs = backend.bottom(s)
+            inputs = backend.bottom()
             if older:
                 prefix = prefixes.setdefault(s, [])
                 kept = 0
@@ -344,11 +348,11 @@ def solve(system, backend, max_stages=None):
                 del prefix[kept:]
                 for term in older[kept:]:
                     value = ls[term[0]]
-                    inputs = backend.union(inputs, backend.term(s, term, value), s)
+                    inputs = backend.union(inputs, backend.term(s, term, value))
                     prefix.append((value, inputs))
             for term in parent:
                 inputs = backend.union(
-                    inputs, backend.term(s, term, ls[term[0]]), s)
+                    inputs, backend.term(s, term, ls[term[0]]))
             runs = recent.get(s, ())
             for prev, result in runs:
                 if prev == inputs:
@@ -371,20 +375,20 @@ def solve(system, backend, max_stages=None):
                     x = prev[1]
                     warm_starts[s] = warm_starts.get(s, 0) + 1
         if x is None:
-            x = backend.bottom(s) if eq.lfp else backend.top(s)
+            x = backend.bottom() if eq.lfp else backend.top(s)
         stages = 0
         while True:
             w = x
             if attract:
-                x = backend.union(inputs, backend.term(s, own, w), s)
+                x = backend.union(inputs, backend.term(s, own, w))
             else:
                 ls_here = dict(ls)
                 ls_here[s] = w
                 inner = outer + (stages,)
                 if eq.op == "union":
-                    x = backend.bottom(s)
+                    x = backend.bottom()
                     for t in eq.children:
-                        x = backend.union(x, run(t, ls_here, inner, key), s)
+                        x = backend.union(x, run(t, ls_here, inner, key))
                 else:
                     x = backend.top(s)
                     for t in eq.children:

@@ -8,12 +8,14 @@ to a successor in that variable's solution.  Successors are ordered by
 entry-rank signatures: one Kleene-stage component per least-fixpoint
 vertex enclosing the variable, outermost first, computed by the
 fixpoint solver itself with signature maps as its values
-(:class:`RankBackend`, :func:`ranked_rings`).  A map is a few rings
-of node masks, one per signature, as in the progress measures of
-Jurdzinski (STACS 2000) and the nested rings of Piterman and Pnueli
-(LICS 2006); the backend computes them with the explicit set backend's
-guard and memoized ``cpre``, applied to cumulative masks ring by ring,
-and solves each least-fixpoint leaf run in one pass.  It orders maps as
+(:class:`RankBackend`, :func:`ranked_rings`).  A map is a few rings,
+one per signature, each the mask of the nodes whose signature is at
+most its own: the progress measures of Jurdzinski (STACS 2000) kept as
+the nested rings of Piterman and Pnueli (LICS 2006) and the stored
+approximants of GR(1) synthesis (Bloem, Jobstmann, Piterman, Pnueli and
+Sa'ar, JCSS 2012).  The backend computes them with the explicit set
+backend's guard and memoized ``cpre``, applied to each ring's mask, and
+solves each least-fixpoint leaf run in one pass.  It orders maps as
 progress measures, so the solver warm-starts ring runs from stored ones
 as it does node-set runs.  A greatest fixpoint starts from a stored
 run's rings or from zeros over the verdict solve's set of its vertex,
@@ -29,7 +31,8 @@ the winning anchor by round-robin over its children.
 (``SolveResult.backend``), so the color sets, guards and ``cpre``
 results the verdict computed are reused, and it keeps the rings: a move
 is read off the first ring of the anchor's map that meets the node's
-successors, and a signature off the ring whose mask holds the node.
+successors, and a signature off the first ring whose mask holds the
+node.
 It builds moves and memory updates at the reachable (node, leaf) pairs
 only: it explores the product from each winning node's initial leaf,
 and strategy files list only those entries.
@@ -88,31 +91,32 @@ class ELStrategy:
 
 class RankBackend:
     """Entry-rank signature maps as values of the fixpoint engine, kept
-    as rings of node masks.
+    as rings of cumulative node masks.
 
     A signature has one component per losing (least-fixpoint) vertex on
     the path from the root, outermost first.  A value is the rings
-    ``((sig, mask), ...)`` of a map from nodes to signatures: signatures
-    strictly increasing, masks nonempty and disjoint.  Bottom is ``()``;
-    top gives the verdict's set of the vertex (``values``) zeros, which
-    bounds the greatest fixpoints, since each run's nodes lie inside the
-    vertex's verdict set.  A node inherits the signature of the witness
-    successor of its one-step attraction, the anchor's component bumped
-    when the anchor is a least fixpoint and zeros below it; universal
-    nodes take the worst successor, existential ones the best.  Union
-    keeps each node's best signature, intersection its worst over the
-    common nodes, cut to the vertex's length.
+    ``((sig, mask), ...)`` of a map from nodes to signatures, each mask
+    the nodes whose signature is at most ``sig``: signatures strictly
+    increasing, masks nonempty and strictly growing, so the first ring
+    whose mask holds a node carries its signature and the last mask is
+    the map's node set.  Bottom is ``()``; top gives the verdict's set
+    of the vertex (``values``) zeros, which bounds the greatest
+    fixpoints, since each run's nodes lie inside the vertex's verdict
+    set.  A node inherits the signature of the witness successor of its
+    one-step attraction, the anchor's component bumped when the anchor
+    is a least fixpoint and zeros below it; universal nodes take the
+    worst successor, existential ones the best.  Union keeps each node's
+    best signature, intersection its worst over the common nodes, cut to
+    the vertex's length.
 
-    Every operation reads the cumulative masks, the nodes whose
-    signature is at most a given one.  A node's derived signature is at
-    most the lift of ``sig`` iff it is in the term's guard and in the
-    controllable predecessor of the anchor's cumulative mask at ``sig``:
-    ``cpre``'s rule is the min/max rule over successors.  So the
-    backend's only graph operation is the set backend's memoized
-    ``term`` (:class:`ExplicitBackend`, ``sets``), applied ring by
-    ring.  ``leaf`` solves a least-fixpoint leaf's own equation in one
-    call with the same rule; greatest-fixpoint leaves run as Kleene
-    stages, warm-started in the order of ``subset``.
+    A node's derived signature is at most the lift of ``sig`` iff it is
+    in the term's guard and in the controllable predecessor of the
+    anchor's mask at ``sig``: ``cpre``'s rule is the min/max rule over
+    successors.  So the backend's only graph operation is the set
+    backend's memoized ``term`` (:class:`ExplicitBackend`, ``sets``),
+    applied ring by ring.  ``leaf`` solves a least-fixpoint leaf's own
+    equation in one call with the same rule; greatest-fixpoint leaves
+    run as Kleene stages, warm-started in the order of ``subset``.
     """
 
     def __init__(self, sets, tree, values):
@@ -120,14 +124,14 @@ class RankBackend:
         self.tree = tree
         self.values = values
 
-    def bottom(self, s):
+    def bottom(self):
         return ()
 
     def top(self, s):
         mask = self.values[s]
         return (((0,) * self.tree.lfp_depth[s], mask),) if mask else ()
 
-    def union(self, a, b, s):
+    def union(self, a, b):
         # No cut: unions are taken at leaves and at losing vertices, whose
         # children are winning and so share their signature length.
         if not b:
@@ -135,64 +139,65 @@ class RankBackend:
         if not a:
             return b
         out = []
-        placed = 0
+        acc = 0
         for sig, mask in sorted(a + b):
-            mask &= ~placed
-            if mask:
-                placed |= mask
+            mask |= acc
+            if mask != acc:
+                acc = mask
                 if out and out[-1][0] == sig:
-                    mask |= out.pop()[1]
+                    out.pop()
                 out.append((sig, mask))
         return tuple(out)
 
     def intersect(self, a, b, s):
+        # Cut to the vertex's length: the last mask of each prefix.
         plen = self.tree.lfp_depth[s]
-        a, b = _cut(a, plen), _cut(b, plen)
+        a = {sig[:plen]: mask for sig, mask in a}
+        b = {sig[:plen]: mask for sig, mask in b}
         out = []
-        ca = cb = placed = 0
+        ca = cb = last = 0
         for sig in sorted(a.keys() | b.keys()):
-            ca |= a.get(sig, 0)
-            cb |= b.get(sig, 0)
-            new = ca & cb & ~placed
-            if new:
-                placed |= new
-                out.append((sig, new))
+            ca = a.get(sig, ca)
+            cb = b.get(sig, cb)
+            both = ca & cb
+            if both != last:
+                last = both
+                out.append((sig, both))
         return tuple(out)
 
     def term(self, s, term, src):
         """Rings one attraction term of leaf ``s`` gives, reading the
-        anchor's rings ``src``: each ring places the term's nodes on the
-        cumulative mask that are not placed yet, at its signature lifted
-        to the leaf (bumped at a losing anchor, then zero-padded)."""
+        anchor's rings ``src``: the term of each ring's mask, kept where
+        it grows, at the ring's signature lifted to the leaf (bumped at a
+        losing anchor, then zero-padded)."""
         tree = self.tree
         anc = term[0]
         pad = (0,) * (tree.lfp_depth[s] - tree.lfp_depth[anc])
         bump = not tree.winning[anc]
         out = []
-        reach = placed = 0
+        last = 0
         for sig, mask in src:
-            reach |= mask
-            new = self.sets.term(s, term, reach) & ~placed
-            if new:
-                placed |= new
+            mask = self.sets.term(s, term, mask)
+            if mask != last:
+                last = mask
                 if bump:
                     sig = sig[:-1] + (sig[-1] + 1,)
-                out.append((sig + pad, new))
+                out.append((sig + pad, mask))
         return tuple(out)
 
     def subset(self, a, b):
         """``a`` below ``b`` in the progress-measure order: every node of
-        ``a`` is in ``b`` with a signature at most its own, so each ring
-        of ``a`` lies inside ``b``'s cumulative mask at its signature,
-        checked in one merge pass.  Compared values belong to one
-        vertex, so their signatures have one length.  About half the
-        calls compare a stored value with itself."""
+        ``a`` is in ``b`` with a signature at most its own, so each mask
+        of ``a`` lies inside ``b``'s mask at its signature, checked in
+        one merge pass.  Compared values belong to one vertex, so their
+        signatures have one length.  About half the calls compare a
+        stored value with itself."""
         if a is b:
             return True
         reach = i = 0
         for sig, mask in a:
             while i < len(b) and b[i][0] <= sig:
-                reach |= b[i][1]
+                reach = b[i][1]
                 i += 1
             if mask & ~reach:
                 return False
@@ -203,19 +208,19 @@ class RankBackend:
         ``fixed`` united with its own term, in one pass.  The terms of a
         leaf partition the color sets, so no node of ``fixed`` is in the
         own guard.  It pops the least pending signature, as Dijkstra's
-        order would, places its nodes not placed yet, and attracts the
-        own term of all placed nodes at that signature bumped."""
+        order would, places its nodes, and attracts the own term of all
+        placed nodes at that signature bumped."""
         term = self.sets.term
         out = []
         placed = 0
         pending = dict(fixed)
         while pending:
             sig = min(pending)
-            new = pending.pop(sig) & ~placed
-            if not new:
+            mask = pending.pop(sig) | placed
+            if mask == placed:
                 continue
-            placed |= new
-            out.append((sig, new))
+            placed = mask
+            out.append((sig, placed))
             more = term(s, own, placed) & ~placed
             if more:
                 up = sig[:-1] + (sig[-1] + 1,)
@@ -223,20 +228,10 @@ class RankBackend:
         return tuple(out)
 
 
-def _cut(rings, plen):
-    """Rings cut to signatures of length ``plen``, as a signature ->
-    mask dict in signature order (cutting keeps the order, so rings
-    that meet are adjacent)."""
-    out = {}
-    for sig, mask in rings:
-        sig = sig[:plen]
-        out[sig] = out.get(sig, 0) | mask
-    return out
-
-
 def ranked_rings(sets, tree, values):
-    """Entry-rank signature map of every tree vertex as rings
-    (:class:`RankBackend`), computed through the explicit set backend
+    """Entry-rank signature map of every tree vertex as rings of
+    cumulative masks (:class:`RankBackend`; the last mask is the map's
+    node set), computed through the explicit set backend
     ``sets``, given the verdict solve's node set of every vertex,
     ``values``.
 
@@ -257,9 +252,9 @@ def ranked_rings(sets, tree, values):
 
 def ranked_solve(game, tree, values):
     """:func:`ranked_rings` on a set backend of its own, as
-    ``{vertex: {node: signature}}``."""
+    ``{vertex: {node: signature}}``, each node at its first ring."""
     rings = ranked_rings(ExplicitBackend(game), tree, values)
-    return {s: {v: sig for sig, mask in r for v in iter_nodes(mask)}
+    return {s: {v: sig for sig, mask in reversed(r) for v in iter_nodes(mask)}
             for s, r in rings.items()}
 
 
@@ -272,10 +267,7 @@ class _Extractor:
         self.sets = result.backend
         self.rings = ranked_rings(self.sets, tree, result.values)
         for s, rings in self.rings.items():
-            members = 0
-            for _, mask in rings:
-                members |= mask
-            if members != result.values[s]:
+            if (rings[-1][1] if rings else 0) != result.values[s]:
                 raise AssertionError(
                     "ranked solve disagrees with the solver at X%d" % s)
 

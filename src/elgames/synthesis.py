@@ -217,7 +217,7 @@ class SymbolicBackend(SetBackend):
                          [a.handle for a in game.color_assertions])
         self.game = game
 
-    def union(self, a, b, s):
+    def union(self, a, b):
         return self._or(a, b)
 
     def intersect(self, a, b, s):

@@ -34,13 +34,13 @@ class SetBackend:
         self._guards = {}
         self._pre = {}
 
-    def bottom(self, s):
+    def bottom(self):
         return self.empty
 
     def top(self, s):
         return self.full
 
-    def union(self, a, b, s):
+    def union(self, a, b):
         return a | b
 
     def intersect(self, a, b, s):

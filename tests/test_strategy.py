@@ -1,5 +1,6 @@
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -281,12 +282,12 @@ def test_ranked_solve_asks_cpre_once_per_target(monkeypatch):
 
 def canonical(rings):
     """Rings with strictly increasing signatures of one length and
-    nonempty, disjoint masks."""
+    nonempty masks, each a proper superset of the one before."""
     seen = 0
     for _, mask in rings:
-        if not mask or mask & seen:
+        if mask == seen or mask & seen != seen:
             return False
-        seen |= mask
+        seen = mask
     sigs = [sig for sig, _ in rings]
     return all(len(a) == len(b) and a < b for a, b in zip(sigs, sigs[1:]))
 
@@ -305,8 +306,8 @@ def test_rank_backend_values_are_canonical():
             returned.append(super().leaf(s, own, fixed))
             return returned[-1]
 
-        def union(self, a, b, s):
-            returned.append(super().union(a, b, s))
+        def union(self, a, b):
+            returned.append(super().union(a, b))
             return returned[-1]
 
         def intersect(self, a, b, s):
@@ -323,6 +324,9 @@ def test_rank_backend_values_are_canonical():
         returned.extend(result.values.values())
         assert all(canonical(r) for r in returned), k
         returned.clear()
+        # The last mask of each final map is the verdict's set.
+        for s, rings in result.values.items():
+            assert (rings[-1][1] if rings else 0) == verdict.values[s], (k, s)
 
 
 def random_rank_pairs(rng, count):
@@ -365,6 +369,25 @@ def test_rank_subset_is_the_per_node_order():
         assert backend.subset(to_rings(a), to_rings(b)) == want, (a, b)
         outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def test_rank_union_and_intersect_are_per_node():
+    # ``union`` gives each node its least signature over both maps;
+    # ``intersect`` gives each node of both its greatest, cut to the
+    # vertex's signature length (here one shorter than the maps').
+    rng = random.Random(29)
+    for a, b in random_rank_pairs(rng, 3000):
+        sigs = list(a.values()) + list(b.values())
+        if not sigs:
+            continue
+        plen = len(sigs[0]) - 1
+        backend = RankBackend(None, SimpleNamespace(lfp_depth=[plen]), None)
+        ra, rb = to_rings(a), to_rings(b)
+        want = {v: min(a.get(v, sig), sig) for v, sig in b.items()}
+        want.update((v, sig) for v, sig in a.items() if v not in b)
+        assert backend.union(ra, rb) == to_rings(want), (a, b)
+        want = {v: max(a[v], b[v])[:plen] for v in a.keys() & b.keys()}
+        assert backend.intersect(ra, rb, 0) == to_rings(want), (a, b)
 
 
 def test_extractor_signatures_equal_the_ranked_maps():
@@ -432,12 +455,17 @@ def rank_backend(game, tree):
 
 
 def to_rings(rmap):
-    """A node -> signature map as rings: (signature, node mask) pairs in
-    signature order."""
+    """A node -> signature map as rings: (signature, mask of the nodes
+    whose signature is at most it) pairs in signature order."""
     rings = {}
     for v, sig in rmap.items():
         rings[sig] = rings.get(sig, 0) | 1 << v
-    return tuple(sorted(rings.items()))
+    out = []
+    acc = 0
+    for sig, mask in sorted(rings.items()):
+        acc |= mask
+        out.append((sig, acc))
+    return tuple(out)
 
 
 def test_rank_derive_matches_reference_terms():
