@@ -14,32 +14,31 @@ backend that supplies the values, so the same recursion runs on
 explicit node masks, on the integer node handles of a decision diagram
 (wrapped as assertions only outside the solve) and on the entry-rank
 signature maps the strategy module extracts moves from, kept as nested
-node masks, one per signature.
-The set backends memoize the controllable predecessor by target
-(explicit masks and diagram handles are both canonical).  Each stage
-of an outer variable runs the inner ones again, often on inputs close
-to those of an earlier run.  A leaf keeps the inputs and result of its
-last few runs (as many as it has ancestors plus one) and returns the
-stored result when its inputs repeat.  Those inputs, the union of the
-leaf's ancestor terms, are rebuilt only from the outermost anchor whose
-value changed since the leaf's last run: each leaf keeps the running
-unions of its terms with the anchor values they read, as semi-naive
-evaluation keeps what has not changed (Bancilhon and Ramakrishnan,
-SIGMOD 1986).  Runs also start from stored results, as Long, Browne,
-Clarke, Jha and Marrero (CAV 1994) start each inner iteration from the
-approximant stored at the same iteration indices.  A vertex's position
-is the tuple of the current stage indices of its opposite-polarity
-ancestors, and each vertex keeps the inputs and result of its last run
-at each position.  Between two runs at one position its same-polarity
-ancestors have moved in its own iteration's direction (up at a least
-fixpoint, down at a greatest one) and the opposite-polarity ones stand
-at the same stage index, so its inputs have mostly moved that way too
-and the stored result lies on the iteration's side of the new
-fixpoint.  Every backend orders its values (``subset``: inclusion of
-node sets, or the progress-measure order of signature maps), and a run
-starts from the stored result only when its inputs lie on that side of
-the stored ones (below them at a greatest fixpoint, above them at a
-least one); otherwise it starts from top or bottom.  A backend may also
+node masks, one per signature.  A solve compiles the equations once
+into a plan indexed by vertex, keeps its stores in lists indexed by
+vertex, and hands each run its ancestors' values as one tuple, root
+first.  The set backends memoize the controllable predecessor by
+target (explicit masks and diagram handles are both canonical).  Each
+stage of an outer variable runs the inner ones again, often on inputs
+close to those of an earlier run.  A leaf keeps the inputs and result
+of its last few runs (as many as it has ancestors plus one) and returns
+the stored result when its inputs repeat.  Those inputs, the union of
+the leaf's ancestor terms, are rebuilt only from the outermost anchor
+whose value changed since the leaf's last run: each leaf keeps the
+running unions of its terms with the anchor values they read, as
+semi-naive evaluation keeps what has not changed (Bancilhon and
+Ramakrishnan, SIGMOD 1986).  Runs also start from stored results, as
+Long, Browne, Clarke, Jha and Marrero (CAV 1994) start each inner
+iteration from the approximant stored at the same iteration indices.
+A vertex's position is the tuple of the current stage indices of its
+opposite-polarity ancestors, and each vertex keeps its last run at each
+position.  Its same-polarity ancestors have since moved in its own
+iteration's direction and the others stand still, so the stored result
+mostly lies on the iteration's side of the new fixpoint.  Every backend
+orders its values (``subset``: inclusion of node sets, or the
+progress-measure order of signature maps), and a run starts from the
+stored result only when that order shows its inputs on that side of the
+stored ones; otherwise it starts from top or bottom.  A backend may also
 solve a least-fixpoint leaf's own equation in one call (``leaf``); the
 signature backend does, in Dijkstra order over this module's explicit
 set backend, and the set backends leave it to Kleene stages.  A solve's
@@ -257,10 +256,14 @@ def solve(system, backend, max_stages=None):
     monotone in (``a`` below ``b``).  Only ``top`` and ``intersect``
     take the vertex ``s``: a signature map's top and the cut of an
     intersection depend on the vertex's signature length.  Values are
-    compared with ``==``, so each backend's values must be canonical.  A
-    vertex's fixpoint depends only on its inputs: the union of its
-    ancestor terms at a leaf, the tuple of its ancestors' values at an
-    internal vertex.
+    compared with ``==``, so each backend's values must be canonical.
+    The operations are looked up once per solve, ``bottom()`` taken once
+    and ``top(s)`` once per greatest-fixpoint vertex, into a plan and
+    stores indexed by vertex.  A run receives its ancestors' values as
+    one tuple, root first, and each stage hands its children that tuple
+    extended by its own value.  A vertex's fixpoint depends only on its
+    inputs: at a leaf the union of its ancestor terms, the i-th of which
+    reads the tuple's i-th value, and at an internal vertex the tuple.
 
     A leaf with more than one ancestor keeps, for each ancestor term but
     its parent's, the anchor value that term read and the union of the
@@ -283,21 +286,17 @@ def solve(system, backend, max_stages=None):
     alternate polarity along every path, so those are its parent, its
     great-grandparent and so on: a child of ``s`` has the position of
     ``s``'s parent extended by ``s``'s stage.  Each vertex of depth two
-    or more keeps the inputs and result of its last run at each
-    position, and a run there tests that one stored run: a
-    greatest-fixpoint run whose every input is below the matching
-    stored input starts from the stored result instead of from top, and
-    a least-fixpoint run whose every input is above it starts from it
-    instead of from bottom.  The stored result is a fixpoint of a
+    or more keeps a dict from position to the inputs and result of its
+    last run there (the root runs once, so the positions of the root and
+    its children never repeat).  A greatest-fixpoint run whose every
+    input is below the stored run's starts from its result instead of
+    from top, and a least-fixpoint run whose every input is above them
+    instead of from bottom: the stored result is a fixpoint of a
     dominating (dominated) right-hand side, so by monotonicity it lies
     on the iteration's side of the new fixpoint, and the iteration
-    reaches the same value in fewer stages.  At one position the test
-    mostly holds (see the module docstring); when it fails, the run
-    starts from top or bottom.  The root runs once, so the positions of
-    the root and its children never repeat, and they keep no stored
-    runs.
-    An internal vertex always runs at least one stage, so its
-    descendants' values come from its final context.
+    reaches the same value in fewer stages.  An internal vertex always
+    runs at least one stage, so its descendants' values come from its
+    final context.
 
     A backend with a ``leaf(s, own, fixed)`` method solves each
     least-fixpoint leaf run whose inputs are new in that one call, which
@@ -308,91 +307,91 @@ def solve(system, backend, max_stages=None):
     bounds the stages of each variable's iteration; past it the solve
     raises :class:`StageLimitError`.
     """
-    equations = {eq.vertex: eq for eq in system.equations}
-    # leaf -> (ancestor terms but the parent's, the parent's term or
-    # nothing, its own term)
-    split = {eq.vertex: (eq.terms[:-2], eq.terms[-2:-1], eq.terms[-1])
-             for eq in system.equations if eq.op == "attract"}
-    leaf = getattr(backend, "leaf", None)
+    union, intersect, term = backend.union, backend.intersect, backend.term
     subset = backend.subset
-    values = {}
-    # leaf -> (inputs, result) of its last len(ancestors) + 1 runs,
-    # newest first
-    recent = {}
-    # (vertex, position) -> (inputs, result) of the vertex's last run
-    # there, for vertices of depth 2 or more
-    stored = {}
-    # leaf -> [(anchor value read, union of ancestor terms 0..i)], for
-    # each of its ancestor terms but the parent's
-    prefixes = {}
-    warm_starts = {}
+    leaf = getattr(backend, "leaf", None)
+    bottom = backend.bottom()
+    # vertex -> (lfp, start value, children or None, ancestor terms but
+    # the parent's, the parent's term or None, own term or None)
+    plan = [None] * len(system.equations)
+    for eq in system.equations:
+        s, terms = eq.vertex, eq.terms
+        start = bottom if eq.lfp else backend.top(s)
+        if eq.op == "attract":
+            plan[s] = (eq.lfp, start, None, terms[:-2],
+                       terms[-2] if len(terms) > 1 else None, terms[-1])
+        else:
+            plan[s] = (eq.lfp, start, eq.children, (), None, None)
+    values = [None] * len(plan)
+    # per leaf, (inputs, result) of its last len(ancestors) + 1 runs,
+    # newest first, and [(anchor value read, union of ancestor terms
+    # 0..i)] for each of its ancestor terms but the parent's
+    recent = [()] * len(plan)
+    prefixes = [[] for _ in plan]
+    # per vertex of depth 2 or more, {position: its last (inputs, result)}
+    stored = [{} for _ in plan]
+    warm_starts = [0] * len(plan)
     total_iterations = 0
 
-    def run(s, ls, key, outer):
-        # ls: the ancestors' current values; key: the position of s;
+    def run(s, ctx, key, outer):
+        # ctx: the ancestors' values, root first; key: the position of s;
         # outer: the position of its parent
         nonlocal total_iterations
-        eq = equations[s]
-        attract = eq.op == "attract"
-        if attract:
-            older, parent, own = split[s]
-            inputs = backend.bottom()
+        lfp, start, children, older, parent, own = plan[s]
+        if children is None:
+            inputs = bottom
             if older:
-                prefix = prefixes.setdefault(s, [])
+                prefix = prefixes[s]
                 kept = 0
-                for term, (value, union) in zip(older, prefix):
-                    if ls[term[0]] is not value:
+                for value, acc in prefix:
+                    if ctx[kept] is not value:
                         break
-                    inputs = union
+                    inputs = acc
                     kept += 1
                 del prefix[kept:]
-                for term in older[kept:]:
-                    value = ls[term[0]]
-                    inputs = backend.union(inputs, backend.term(s, term, value))
+                for i in range(kept, len(older)):
+                    value = ctx[i]
+                    inputs = union(inputs, term(s, older[i], value))
                     prefix.append((value, inputs))
-            for term in parent:
-                inputs = backend.union(
-                    inputs, backend.term(s, term, ls[term[0]]))
-            runs = recent.get(s, ())
+            if parent is not None:
+                inputs = union(inputs, term(s, parent, ctx[-1]))
+            runs = recent[s]
             for prev, result in runs:
                 if prev == inputs:
                     values[s] = result
                     return result
-            if eq.lfp and leaf is not None:
+            if lfp and leaf is not None:
                 total_iterations += 1
                 x = values[s] = leaf(s, own, inputs)
-                recent[s] = ((inputs, x),) + runs[:len(ls)]
+                recent[s] = ((inputs, x),) + runs[:len(ctx)]
                 return x
-        x = None
-        deep = len(ls) > 1
+        else:
+            inputs = ctx
+        x = start
+        deep = len(ctx) > 1
         if deep:
-            if not attract:
-                inputs = tuple(ls.values())
-            prev = stored.get((s, key))
+            prev = stored[s].get(key)
             if prev is not None:
-                lo, hi = (prev[0], inputs) if eq.lfp else (inputs, prev[0])
-                if subset(lo, hi) if attract else all(map(subset, lo, hi)):
+                lo, hi = (prev[0], inputs) if lfp else (inputs, prev[0])
+                if (subset(lo, hi) if children is None
+                        else all(map(subset, lo, hi))):
                     x = prev[1]
-                    warm_starts[s] = warm_starts.get(s, 0) + 1
-        if x is None:
-            x = backend.bottom() if eq.lfp else backend.top(s)
+                    warm_starts[s] += 1
         stages = 0
         while True:
             w = x
-            if attract:
-                x = backend.union(inputs, backend.term(s, own, w))
+            if children is None:
+                x = union(inputs, term(s, own, w))
             else:
-                ls_here = dict(ls)
-                ls_here[s] = w
+                here = ctx + (w,)
                 inner = outer + (stages,)
-                if eq.op == "union":
-                    x = backend.bottom()
-                    for t in eq.children:
-                        x = backend.union(x, run(t, ls_here, inner, key))
+                x = start
+                if lfp:
+                    for t in children:
+                        x = union(x, run(t, here, inner, key))
                 else:
-                    x = backend.top(s)
-                    for t in eq.children:
-                        x = backend.intersect(x, run(t, ls_here, inner, key), s)
+                    for t in children:
+                        x = intersect(x, run(t, here, inner, key), s)
             stages += 1
             total_iterations += 1
             if x == w:
@@ -401,14 +400,15 @@ def solve(system, backend, max_stages=None):
                 raise StageLimitError(
                     "variable X%d did not stabilize within %d stages" % (s, max_stages))
         if deep:
-            stored[s, key] = (inputs, x)
-        if attract:
-            recent[s] = ((inputs, x),) + runs[:len(ls)]
+            stored[s][key] = (inputs, x)
+        if children is None:
+            recent[s] = ((inputs, x),) + runs[:len(ctx)]
         values[s] = x
         return x
 
-    run(system.tree.root, {}, (), ())
-    return SolveResult(values, total_iterations, warm_starts, backend)
+    run(system.tree.root, (), (), ())
+    return SolveResult(dict(enumerate(values)), total_iterations,
+                       {s: n for s, n in enumerate(warm_starts) if n}, backend)
 
 
 def solve_game(game, tree=None):

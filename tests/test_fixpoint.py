@@ -586,6 +586,39 @@ def test_warm_starts_on_both_polarities():
         assert {lfp[s] for s, n in solved.warm_starts.items() if n} == {True, False}
 
 
+class CountingTerms(ExplicitBackend):
+    """Explicit backend counting its ``term`` requests."""
+
+    def __init__(self, game):
+        super().__init__(game)
+        self.terms = 0
+
+    def term(self, s, term, value):
+        self.terms += 1
+        return super().term(s, term, value)
+
+
+# Verdict stages, warm-started runs, ``term`` requests and winning nodes
+# of the three explicit-deep base games: streett_n60() and the parity and
+# even-Muller games of deep_games().
+DEEP_VERDICT_COUNTS = [(STREETT_N60_STAGES, 625, 1476, 33),
+                       (471, 237, 471, 33), (1599, 437, 1997, 33)]
+
+
+def test_verdict_counts_on_the_deep_games():
+    # The engine's bookkeeping decides these counts: the position in the
+    # stored-run key, the length of each leaf's window of recent runs and
+    # the prefix unions each leaf run reuses.
+    for k, game in enumerate([streett_n60()] + deep_games()[:2]):
+        tree = ZielonkaTree(game.objective, game.table)
+        backend = CountingTerms(game)
+        result = solve(build_equations(tree), backend,
+                       max_stages=game.arena.n + 1)
+        counts = (result.iterations, sum(result.warm_starts.values()),
+                  backend.terms, bin(result.winning()).count("1"))
+        assert counts == DEEP_VERDICT_COUNTS[k], k
+
+
 def test_arb3_symbolic_stage_count():
     game = syn.build_game(syn.problem_from_strings(*ARB3))
     win, _, result = syn.solve_symbolic(game)
