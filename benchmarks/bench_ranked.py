@@ -2,16 +2,18 @@
 
 Each workload solves its game once for the verdict sets, then times
 ``ranked_solve`` (the engine run with entry-rank signature maps as
-values) from those sets.  A counting run reports the engine's Kleene
-stages (``stages``) and its runs warm-started from a stored run's rings
+values) from those sets on a set backend of its own
+(``fixpoint.ExplicitBackend``), its rings read as ``{vertex: {node:
+signature}}`` maps.  A counting run reports the engine's Kleene stages
+(``stages``) and its runs warm-started from a stored run's rings
 (``warm``), how many ancestor terms it asked the rank backend for
 (``term``) and how many distinct targets the backend's ``games.cpre``
 calls read (``cpre``); all four counts are pinned.  A second row runs
-the ranked solve as ``strategy.extract`` does, ``ranked_rings`` on the
-verdict solve's own set backend, and reports how many ``games.cpre``
-targets it asks that the verdict did not (``new``, pinned) and its time
-(``shared``).  The workloads are the three 60-node games of the
-end-to-end ``explicit-deep`` workload at its base seed (Streett k=3,
+the ranked solve as ``strategy.extract`` does, on the verdict solve's
+own set backend, and reports how many ``games.cpre`` targets it asks
+that the verdict did not (``new``, pinned) and its time (``shared``).
+The workloads are the three 60-node games of the end-to-end
+``explicit-deep`` workload at its base seed (Streett k=3,
 parity over 8 colours, even-cardinality Muller over 4 colours;
 ``random_game(5, 60, k, density=0.15)``), the 121-node explicit
 expansion of a two-client arbiter with a bounded response, and the
@@ -81,9 +83,10 @@ class CountingBackend(strategy.RankBackend):
 
 
 def counted_solve(game, tree, values):
-    """``ranked_solve`` on a counting backend; returns the maps, the
-    engine's stages and warm starts, the ``term`` count and the number
-    of distinct ``games.cpre`` targets."""
+    """``ranked_solve`` on a set backend of its own, through a counting
+    rank backend; returns the maps, the engine's stages and warm starts,
+    the ``term`` count and the number of distinct ``games.cpre``
+    targets."""
     backends = []
     results = []
     targets = set()
@@ -104,7 +107,8 @@ def counted_solve(game, tree, values):
     plain_solve, plain_cpre = plain[1:]
     strategy.RankBackend, fixpoint.solve, games.cpre = make, solve, cpre
     try:
-        maps = strategy.ranked_solve(game, tree, values)
+        maps = as_maps(strategy.ranked_solve(
+            fixpoint.ExplicitBackend(game), tree, values))
     finally:
         strategy.RankBackend, fixpoint.solve, games.cpre = plain
     result, = results
@@ -113,9 +117,9 @@ def counted_solve(game, tree, values):
 
 
 def as_maps(rings):
-    """Rings as ``ranked_solve``'s ``{vertex: {node: signature}}``: each
-    mask holds the nodes whose signature is at most its own, so the
-    lowest signature wins."""
+    """Rings as ``{vertex: {node: signature}}`` maps: each mask holds
+    the nodes whose signature is at most its own, so the lowest
+    signature wins."""
     return {s: {v: sig for sig, mask in reversed(r)
                 for v in games.iter_nodes(mask)}
             for s, r in rings.items()}
@@ -134,7 +138,7 @@ def shared_solve(game, tree, result):
     plain_cpre = games.cpre
     games.cpre = cpre
     try:
-        rings = strategy.ranked_rings(result.backend, tree, result.values)
+        rings = strategy.ranked_solve(result.backend, tree, result.values)
     finally:
         games.cpre = plain_cpre
     return as_maps(rings), len(targets)
@@ -186,7 +190,8 @@ def run(repeat):
         best = shared = None
         for _ in range(repeat):
             start = time.perf_counter()
-            maps = strategy.ranked_solve(game, tree, values)
+            maps = as_maps(strategy.ranked_solve(
+                fixpoint.ExplicitBackend(game), tree, values))
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
             result = checksum(maps)
@@ -194,7 +199,7 @@ def run(repeat):
                 name, result, expected)
             verdict = fixpoint.solve_game(game, tree)[2]
             start = time.perf_counter()
-            strategy.ranked_rings(verdict.backend, tree, verdict.values)
+            strategy.ranked_solve(verdict.backend, tree, verdict.values)
             elapsed = time.perf_counter() - start
             shared = elapsed if shared is None else min(shared, elapsed)
         print("%-30s %6d %6d %6d %6d %9.4fs %6d %9.4fs" % (

@@ -129,7 +129,7 @@ def cmd_synth(args):
             problem, with_controller=bool(args.controller),
             expand_check=args.expand_check)
     except syn.ExpansionMismatch as exc:
-        print("expand-check: DISAGREES (%s)" % exc)
+        print("%s: DISAGREES (%s)" % (exc.check, exc))
         return 1
     print("REALIZABLE" if result.realizable else "UNREALIZABLE")
     if args.expand_check:

@@ -202,9 +202,9 @@ class ExplicitBackend(SetBackend):
     """Set backend over integer node masks of an explicit game.
 
     Its color sets are one node mask per color of the game's table,
-    built in one pass over the arena's colors.  The owner-split
-    successor tables of ``games.cpre`` are built on the first ``cpre``
-    call and live as long as the backend.
+    built in one pass over the arena's colors, and the owner-split
+    successor tables of ``games.cpre`` are built with it and live as
+    long as the backend.
     """
 
     def __init__(self, game):
@@ -218,13 +218,10 @@ class ExplicitBackend(SetBackend):
             for cid in games.iter_nodes(mask):
                 colors[cid] |= nodes
         super().__init__(0, game.arena.full_mask, colors)
-        self.game = game
         self.arena = game.arena
-        self._split = None
+        self._split = games.owner_split(game.arena)
 
     def cpre(self, target):
-        if self._split is None:
-            self._split = games.owner_split(self.arena)
         return games.cpre(self._split, target)
 
 
@@ -246,7 +243,7 @@ class SolveResult:
         return self.values[0]
 
 
-def solve(system, backend, max_stages=None):
+def solve(system, backend, max_stages):
     """Solve by nested Kleene iteration; returns all stabilized values.
 
     The backend supplies the values: ``bottom()``, ``top(s)``,
@@ -304,8 +301,8 @@ def solve(system, backend, max_stages=None):
     the least fixpoint of ``X = fixed | term(s, own, X)``, ``fixed``
     being the union of the ancestor terms.
     Greatest-fixpoint leaves run as Kleene stages.  ``max_stages``
-    bounds the stages of each variable's iteration; past it the solve
-    raises :class:`StageLimitError`.
+    bounds the stages of each variable's iteration (callers pass the
+    node count plus one); past it the solve raises :class:`StageLimitError`.
     """
     union, intersect, term = backend.union, backend.intersect, backend.term
     subset = backend.subset
@@ -396,7 +393,7 @@ def solve(system, backend, max_stages=None):
             total_iterations += 1
             if x == w:
                 break
-            if max_stages is not None and stages > max_stages:
+            if stages > max_stages:
                 raise StageLimitError(
                     "variable X%d did not stabilize within %d stages" % (s, max_stages))
         if deep:

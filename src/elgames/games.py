@@ -74,20 +74,21 @@ def iter_nodes(mask):
         mask ^= low
 
 
-def owner_split(arena, player=EXISTENTIAL):
-    """``(node bit, successor mask)`` pairs of ``player``'s nodes and of
-    the opponent's, in node order: the tables :func:`cpre` runs over."""
+def owner_split(arena):
+    """``(node bit, successor mask)`` pairs of the existential nodes and
+    of the universal ones, in node order: the tables :func:`cpre` runs
+    over."""
     mine = []
     theirs = []
     bit = 1
     for owner, m in zip(arena.owner, arena.succ_mask):
-        (mine if owner == player else theirs).append((bit, m))
+        (mine if owner == EXISTENTIAL else theirs).append((bit, m))
         bit <<= 1
     return tuple(mine), tuple(theirs)
 
 
 def cpre(split, target):
-    """Nodes from which the player of ``split`` (see :func:`owner_split`)
+    """Nodes from which the existential player (see :func:`owner_split`)
     forces the next node into ``target``: its own nodes with a successor
     in ``target`` and the opponent's nodes with every successor in it."""
     mine, theirs = split

@@ -212,14 +212,17 @@ _BINARY = {
 _PREFIX = {"!": NotOp, "X": Next, "F": Finally, "G": Globally}
 
 
+def is_atom(name):
+    """Whether ``name`` can be an atomic proposition of a formula."""
+    return syntax.is_identifier(name) and name not in _KEYWORDS
+
+
 def _atom(tok, pos, take):
     if tok == "true":
         return LTL_TRUE
     if tok == "false":
         return LTL_FALSE
-    if syntax.is_identifier(tok) and tok not in _KEYWORDS:
-        return Ap(tok)
-    return None
+    return Ap(tok) if is_atom(tok) else None
 
 
 def parse_ltl(text):
@@ -482,23 +485,24 @@ class SymbolicSafetyAutomaton:
 MAX_SUBSET_VARS = 64
 
 
-def determinize_symbolic(nfa, letters=None, max_states=MAX_SUBSET_VARS):
+def determinize_symbolic(nfa, letters):
     """Subset construction as assertions; one state variable per NFA state.
 
-    A fresh manager is laid out with the state variables ``v0``, ``v1``,
-    ... and their primed partners first, interleaved, then ``letters``
-    (default: the automaton's APs; synthesis passes its inputs and then
-    its outputs), each with a partner, in block "letter".
+    A fresh manager is laid out with the state variables ``@0``, ``@1``,
+    ... (names no atom can take) and their primed partners first,
+    interleaved, then ``letters`` (synthesis passes its inputs and then
+    its outputs), each with a partner, in block "letter".  Past
+    ``MAX_SUBSET_VARS`` automaton states it raises :class:`LTLError`.
     """
-    if len(nfa) > max_states:
+    if len(nfa) > MAX_SUBSET_VARS:
         raise LTLError("variable budget exceeded: %d automaton states > %d"
-                       % (len(nfa), max_states))
+                       % (len(nfa), MAX_SUBSET_VARS))
     manager = Manager()
-    for i in range(len(nfa)):
-        manager.declare_pair("v%d" % i, "v%d'" % i, "state")
-    for name in nfa.ap if letters is None else letters:
+    state_vars = tuple("@%d" % i for i in range(len(nfa)))
+    for name in state_vars:
+        manager.declare_pair(name, name + "'", "state")
+    for name in letters:
         manager.declare_pair(name, name + "'", "letter")
-    state_vars = tuple("v%d" % i for i in range(len(nfa)))
 
     theta0 = manager.cube({name: (i == nfa.initial)
                            for i, name in enumerate(state_vars)})

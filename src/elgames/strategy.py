@@ -8,7 +8,7 @@ to a successor in that variable's solution.  Successors are ordered by
 entry-rank signatures: one Kleene-stage component per least-fixpoint
 vertex enclosing the variable, outermost first, computed by the
 fixpoint solver itself with signature maps as its values
-(:class:`RankBackend`, :func:`ranked_rings`).  A map is a few rings,
+(:class:`RankBackend`, :func:`ranked_solve`).  A map is a few rings,
 one per signature, each the mask of the nodes whose signature is at
 most its own: the progress measures of Jurdzinski (STACS 2000) kept as
 the nested rings of Piterman and Pnueli (LICS 2006) and the stored
@@ -27,9 +27,10 @@ The memory then descends from the anchor to a new leaf, steered at
 losing vertices by the admitting child of the node being entered and at
 the winning anchor by round-robin over its children.
 
-``extract`` runs that solve on the verdict's own set backend
+``extract`` and ``synthesis.extract_controller`` run that solve,
+:func:`ranked_solve`, once each, on the verdict's own set backend
 (``SolveResult.backend``), so the color sets, guards and ``cpre``
-results the verdict computed are reused, and it keeps the rings: a move
+results the verdict computed are reused, and keep the rings: a move
 is read off the first ring of the anchor's map that meets the node's
 successors, and a signature off the first ring whose mask holds the
 node.
@@ -47,7 +48,7 @@ objective's own truth table, not the strategy or the Zielonka tree.
 from dataclasses import dataclass
 
 from . import el, fixpoint
-from .fixpoint import ExplicitBackend, build_equations
+from .fixpoint import build_equations
 from .games import EXISTENTIAL, iter_nodes
 
 
@@ -228,7 +229,7 @@ class RankBackend:
         return tuple(out)
 
 
-def ranked_rings(sets, tree, values):
+def ranked_solve(sets, tree, values):
     """Entry-rank signature map of every tree vertex as rings of
     cumulative masks (:class:`RankBackend`; the last mask is the map's
     node set), computed through the explicit set backend
@@ -250,14 +251,6 @@ def ranked_rings(sets, tree, values):
                           max_stages=sets.arena.n + 1).values
 
 
-def ranked_solve(game, tree, values):
-    """:func:`ranked_rings` on a set backend of its own, as
-    ``{vertex: {node: signature}}``, each node at its first ring."""
-    rings = ranked_rings(ExplicitBackend(game), tree, values)
-    return {s: {v: sig for sig, mask in reversed(r) for v in iter_nodes(mask)}
-            for s, r in rings.items()}
-
-
 class _Extractor:
     def __init__(self, game, tree, result):
         self.game = game
@@ -265,7 +258,7 @@ class _Extractor:
         self.tree = tree
         self.values = result.values
         self.sets = result.backend
-        self.rings = ranked_rings(self.sets, tree, result.values)
+        self.rings = ranked_solve(self.sets, tree, result.values)
         for s, rings in self.rings.items():
             if (rings[-1][1] if rings else 0) != result.values[s]:
                 raise AssertionError(

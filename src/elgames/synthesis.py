@@ -49,7 +49,11 @@ class NotELFragment(SynthesisError):
 
 
 class ExpansionMismatch(AssertionError):
-    """The symbolic and the explicit solve disagree on a full node."""
+    """``check`` found the symbolic and the explicit solve disagreeing."""
+
+    def __init__(self, check, message):
+        super().__init__(message)
+        self.check = check
 
 
 @dataclass
@@ -64,10 +68,14 @@ class SynthesisProblem:
         self.outputs = tuple(self.outputs)
         if not self.inputs or not self.outputs:
             raise SynthesisError("inputs and outputs must both be nonempty")
-        if set(self.inputs) & set(self.outputs):
-            raise SynthesisError("inputs and outputs must be disjoint")
+        names = self.inputs + self.outputs
+        bad = [n for i, n in enumerate(names)
+               if n in names[:i] or not ltl.is_atom(n)]
+        if bad:
+            raise SynthesisError("repeated or invalid signal names: %s"
+                                 % ", ".join(bad))
         mentioned = ltl.atoms(self.safety) | ltl.atoms(self.liveness)
-        extra = mentioned - set(self.inputs) - set(self.outputs)
+        extra = mentioned - set(names)
         if extra:
             raise SynthesisError("atoms outside the declared alphabet: %s"
                                  % ", ".join(sorted(extra)))
@@ -373,13 +381,14 @@ def cross_check_symbolic_vs_explicit(game, win):
         symbolic = game.holds(win, bits, letter)
         explicit = bool(ewin >> vid & 1)
         if symbolic != explicit:
-            raise ExpansionMismatch(
+            raise ExpansionMismatch("expand-check", (
                 "winner mismatch at subset=%x letter=%s: symbolic=%s explicit=%s"
-                % (bits, sorted(letter), symbolic, explicit))
+                % (bits, sorted(letter), symbolic, explicit)))
     m = game.manager
     nonempty = m.disj(m.var(v) for v in game.state_vars)
     if not (win & ~nonempty).is_false():
-        raise ExpansionMismatch("the symbolic region holds on the empty subset")
+        raise ExpansionMismatch(
+            "expand-check", "the symbolic region holds on the empty subset")
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +458,9 @@ def extract_controller(game):
     arena = exp.elgame.arena
     ewin, _, eresult = solve_game(exp.elgame, tree)
     if ewin != arena.full_mask:
-        raise ExpansionMismatch(
+        raise ExpansionMismatch("sub-arena check", (
             "the explicit solve of the winning sub-arena loses %d of its %d nodes"
-            % (bin(arena.full_mask & ~ewin).count("1"), arena.n))
+            % (bin(arena.full_mask & ~ewin).count("1"), arena.n)))
     ex = _Extractor(exp.elgame, tree, eresult)
 
     states = []
@@ -520,7 +529,6 @@ class SynthesisResult:
     win: object
     tree: object
     controller: object = None
-    losing_region: object = None
 
 
 def solve_synthesis(problem, with_controller=True, expand_check=False):
@@ -529,6 +537,6 @@ def solve_synthesis(problem, with_controller=True, expand_check=False):
     if expand_check:
         cross_check_symbolic_vs_explicit(game, win)
     if not is_won(game, win):
-        return SynthesisResult(False, game, win, tree, losing_region=~win)
+        return SynthesisResult(False, game, win, tree)
     controller = extract_controller(game) if with_controller else None
     return SynthesisResult(True, game, win, tree, controller=controller)

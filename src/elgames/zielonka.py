@@ -64,10 +64,6 @@ class ZielonkaTree:
     def root(self):
         return 0
 
-    @property
-    def min_leaf(self):
-        return self.leaves[0]
-
     def is_leaf(self, v):
         return not self.children[v]
 

@@ -17,9 +17,11 @@ import re
 
 from elgames import ltl
 from elgames.fixpoint import solve_game
-from elgames.strategy import _Extractor, ranked_solve
+from elgames.strategy import _Extractor
 from elgames.synthesis import (MealyController, SynthesisError,
                                expand_explicit)
+
+from ranked_reference import ranked_maps
 
 
 def extract_controller_full(game):
@@ -27,7 +29,7 @@ def extract_controller_full(game):
     exp = expand_explicit(game)
     ewin, etree, eresult = solve_game(exp.elgame)
     ex = _Extractor(exp.elgame, etree, eresult)
-    root_map = ranked_solve(exp.elgame, etree, eresult.values)[etree.root]
+    root_map = ranked_maps(exp.elgame, etree, eresult.values)[etree.root]
 
     states = []
     state_index = {}

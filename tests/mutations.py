@@ -18,7 +18,7 @@ def with_redirected_move(ex, strategy, v, m, new_w):
     try:
         update[(v, m, new_w)] = ex.descend(new_w, *ex.position(v, m))
     except (KeyError, AssertionError):
-        update[(v, m, new_w)] = ex.tree.min_leaf
+        update[(v, m, new_w)] = ex.tree.leaves[0]
     ex.close(move, update, [(v, m)])
     return ELStrategy(ex.game, ex.tree, strategy.win_mask,
                       dict(strategy.initial), move, update)

@@ -1,14 +1,27 @@
 """Plain entry-rank signature solve, kept as a reference for the tests.
 
-``ranked_solve_reference`` is ``strategy.ranked_solve`` without its
-last-input memos: every leaf run derives its ancestor terms and iterates
-its own term from scratch.  ``equation_errors`` re-evaluates each
-vertex's equation once against a family of final maps, without any
-memo, and names the vertices whose map would change.
+``ranked_maps`` runs ``strategy.ranked_solve`` on a set backend of its
+own and reads its rings as ``{vertex: {node: signature}}`` maps.
+``ranked_solve_reference`` computes the same maps without the engine's
+memos: every leaf run derives its ancestor terms and iterates its own
+term from scratch.  ``equation_errors`` re-evaluates each vertex's
+equation once against a family of final maps, without any memo, and
+names the vertices whose map would change.
 """
 
+from elgames import strategy
 from elgames.fixpoint import ExplicitBackend, build_equations
 from elgames.games import EXISTENTIAL, iter_nodes
+
+
+def ranked_maps(game, tree, values):
+    """``strategy.ranked_solve`` on a set backend of its own, given the
+    verdict's node set of every vertex, as ``{vertex: {node:
+    signature}}``: each node at its first ring, so at its lowest
+    signature."""
+    rings = strategy.ranked_solve(ExplicitBackend(game), tree, values)
+    return {s: {v: sig for sig, mask in reversed(r) for v in iter_nodes(mask)}
+            for s, r in rings.items()}
 
 
 class _Terms:
@@ -88,7 +101,7 @@ def _min_merge(cur, new):
 
 
 def ranked_solve_reference(game, tree, max_rounds=10**7):
-    """Same maps as ``strategy.ranked_solve``, computed without memos."""
+    """Same maps as :func:`ranked_maps`, computed without memos."""
     terms = _Terms(game, tree)
     arena = game.arena
     final = {}

@@ -275,7 +275,7 @@ def test_criterion7_determinization():
                             "on 500 lassos"):
         nfa = ltl.nfa_from_safety(ltl.check_safety(
             ltl.parse_ltl("G(b | c) & G(a -> b | X X b)")))
-        dsa = ltl.determinize_symbolic(nfa)
+        dsa = ltl.determinize_symbolic(nfa, nfa.ap)
         assert reachable_subset_count(dsa) == 9
 
         rng = random.Random(77)
@@ -287,7 +287,7 @@ def test_criterion7_determinization():
             nfa = ltl.nfa_from_safety(nnf)
             if len(nfa) > 8:
                 continue
-            dsa = ltl.determinize_symbolic(nfa)
+            dsa = ltl.determinize_symbolic(nfa, nfa.ap)
             for _ in range(3):
                 prefix, loop = random_lasso(rng, names, 5)
                 direct = eval_ltl_lasso(phi, prefix, loop)

@@ -237,6 +237,60 @@ def test_synth_expand_check_reports_a_mismatch(monkeypatch, capsys):
     assert "REALIZABLE" not in out
 
 
+def test_synth_controller_names_the_failed_sub_arena_check(
+        monkeypatch, tmp_path, capsys):
+    # Without --expand-check, a region whose winning sub-arena the
+    # explicit solve loses fails the controller extraction's own check,
+    # and the report names that check.
+    solve_symbolic = cli.syn.solve_symbolic
+
+    def everything(game):
+        _, tree, result = solve_symbolic(game)
+        m = game.manager
+        return m.disj(m.var(v) for v in game.state_vars), tree, result
+
+    monkeypatch.setattr(cli.syn, "solve_symbolic", everything)
+    ctrl = tmp_path / "out.mealy"
+    assert main(["synth", "--safety", "true", "--el", "G F a", "--inputs", "a",
+                 "--outputs", "b", "--controller", str(ctrl)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("sub-arena check: DISAGREES (the explicit solve of "
+                          "the winning sub-arena loses ")
+    assert "REALIZABLE" not in out and "expand-check" not in out
+    assert not ctrl.exists()
+
+
+def test_synth_signals_named_like_automaton_state_variables(tmp_path, capsys):
+    # The automaton's state variables have names no atom can take, so
+    # signals may be called v0 and v1.
+    ctrl = str(tmp_path / "out.mealy")
+    assert main(["synth", "--safety", "G(v0 -> X v1)",
+                 "--el", "G F v0 -> G F v1", "--inputs", "v0",
+                 "--outputs", "v1", "--controller", ctrl,
+                 "--expand-check"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["REALIZABLE", "expand-check: agrees"]
+    assert open(ctrl).read().startswith("mealy 1\ninputs v0\noutputs v1\n")
+
+
+@pytest.mark.parametrize("inputs, outputs, bad", [
+    ("a", "v0,v0", "v0"),
+    ("x", "x", "x"),
+    ("z'", "z", "z'"),
+    ("1q", "b", "1q"),
+    ("a", "@0", "@0"),
+    ("a", "G", "G"),
+])
+def test_synth_rejects_repeated_or_invalid_signal_names(inputs, outputs, bad,
+                                                        capsys):
+    # An input error (exit 3), not a diagram error's traceback (exit 1),
+    # and no signal that no formula could mention.
+    assert main(["synth", "--safety", "true", "--el", "true",
+                 "--inputs", inputs, "--outputs", outputs]) == 3
+    assert capsys.readouterr().err.strip() == \
+        "error: repeated or invalid signal names: %s" % bad
+
+
 def test_corpus_deterministic_and_green(capsys):
     assert main(["corpus", "--seed", "7", "--count", "40"]) == 0
     first = capsys.readouterr().out

@@ -14,7 +14,7 @@ from elgames.oracles import solve_el_via_reduction
 from elgames.strategy import extract, verify
 from elgames.zielonka import ZielonkaTree
 
-from ranked_reference import ranked_solve_reference
+from ranked_reference import ranked_maps, ranked_solve_reference
 from symbolic_reference import SymbolicBackend as ReferenceBackend
 from test_el import example_objective, ABCD
 from test_synthesis import (RUNNING_LIVENESS, RUNNING_SAFETY, random_games,
@@ -252,6 +252,12 @@ ARB3_SYMBOLIC_STAGES = 1308
 ARB3_SYMBOLIC_WARM_STARTS = 588
 
 
+def symbolic_bound(game):
+    """The stage bound of ``syn.solve_symbolic``: the number of symbolic
+    nodes plus one."""
+    return 2 ** (len(game.state_vars) + len(game.ap)) + 1
+
+
 def test_symbolic_stage_limit_raises_stage_limit_error():
     game = arb2_game()
     tree = ZielonkaTree(game.el_formula, game.color_table)
@@ -263,14 +269,14 @@ def test_solve_symbolic_bounds_stages_by_symbolic_nodes(monkeypatch):
     game = arb2_game()
     bounds = []
 
-    def recording(system, backend, max_stages=None):
+    def recording(system, backend, max_stages):
         bounds.append(max_stages)
         return solve(system, backend, max_stages=max_stages)
 
     monkeypatch.setattr(syn, "solve", recording)
     win, _, _ = syn.solve_symbolic(game)
     assert syn.is_won(game, win)
-    assert bounds == [2 ** (len(game.state_vars) + len(game.ap)) + 1]
+    assert bounds == [symbolic_bound(game)]
 
 
 def test_leaf_memo_skips_repeated_leaf_runs():
@@ -299,7 +305,7 @@ def test_leaf_memo_window_holds_each_leafs_recent_runs(monkeypatch):
             return super().leaf(s, own, fixed)
 
     monkeypatch.setattr(strategy, "RankBackend", Recording)
-    maps = strategy.ranked_solve(game, tree, solve_game(game, tree)[2].values)
+    maps = ranked_maps(game, tree, solve_game(game, tree)[2].values)
     assert maps == ranked_solve_reference(game, tree)
     runs = {s: [] for s in window}
     for s, fixed in calls:
@@ -432,7 +438,8 @@ def test_symbolic_cpre_memo_asks_each_handle_once():
     game = arb2_game()
     tree = ZielonkaTree(game.el_formula, game.color_table)
     backend = counting(syn.SymbolicBackend, lambda handle: handle)(game)
-    result = solve(build_equations(tree), backend)
+    result = solve(build_equations(tree), backend,
+                   max_stages=symbolic_bound(game))
     assert len(backend.targets) == len(set(backend.targets)) > 1
     assert syn.is_won(game, Assertion(game.manager, result.winning()))
 
@@ -527,7 +534,7 @@ class ColdRank(strategy.RankBackend):
 
 
 def ranked_runs(game, tree, verdict, backend_cls):
-    """The ranked solve of ``strategy.ranked_rings`` on a backend of
+    """The ranked solve of ``strategy.ranked_solve`` on a backend of
     class ``backend_cls`` over the verdict's set backend."""
     backend = backend_cls(verdict.backend, tree, verdict.values)
     return solve(build_equations(tree), backend, max_stages=game.arena.n + 1)
@@ -566,8 +573,9 @@ def test_warm_starts_leave_every_vertex_value_unchanged():
         assert cold.warm_starts == {} and warm.iterations <= cold.iterations, k
     for game in arb2_game(), syn.build_game(syn.problem_from_strings(*ARB3)):
         system = build_equations(ZielonkaTree(game.el_formula, game.color_table))
-        warm = solve(system, syn.SymbolicBackend(game))
-        cold = solve(system, ColdSymbolic(game))
+        bound = symbolic_bound(game)
+        warm = solve(system, syn.SymbolicBackend(game), max_stages=bound)
+        cold = solve(system, ColdSymbolic(game), max_stages=bound)
         assert warm.values == cold.values
         assert cold.warm_starts == {} and warm.iterations <= cold.iterations
 
@@ -648,7 +656,8 @@ def test_symbolic_solve_matches_the_assertion_reference():
               for (trial, game), _ in zip(randoms, range(60))]
     for name, game in named:
         _, tree, result = syn.solve_symbolic(game)
-        ref = solve(build_equations(tree), ReferenceBackend(game))
+        ref = solve(build_equations(tree), ReferenceBackend(game),
+                    max_stages=symbolic_bound(game))
         assert result.values.keys() == ref.values.keys(), name
         for s, value in ref.values.items():
             assert result.values[s] == value, (name, s)

@@ -90,7 +90,7 @@ def test_safety_check_accepts_a_negated_compound_antecedent():
         nnf = check_safety(phi)
         assert nnf == to_nnf(phi)
         nfa = nfa_from_safety(nnf)
-        dsa = determinize_symbolic(nfa)
+        dsa = determinize_symbolic(nfa, nfa.ap)
         for _ in range(40):
             prefix, loop = random_lasso(rng, ["a", "b", "c"], 4)
             assert eval_ltl_lasso(phi, prefix, loop) \
@@ -152,7 +152,7 @@ def test_tableau_single_state_for_globally_atom():
 
 def test_empty_language_formula_dies():
     nfa = nfa_from_safety(check_safety(parse_ltl("X X false")))
-    dsa = determinize_symbolic(nfa)
+    dsa = determinize_symbolic(nfa, nfa.ap)
     assert not dsa_accepts_lasso(dsa, [], [frozenset()])
     assert not nfa_accepts_lasso(nfa, [], [frozenset()])
     assert not eval_ltl_lasso(parse_ltl("X X false"), [], [frozenset()])
@@ -160,9 +160,10 @@ def test_empty_language_formula_dies():
 
 def test_determinization_theta0_is_exactly_initial_cube():
     nfa = nfa_from_safety(check_safety(parse_ltl(EX_SAFETY_CORE)))
-    dsa = determinize_symbolic(nfa)
+    dsa = determinize_symbolic(nfa, nfa.ap)
     m = dsa.manager
-    expected = m.cube({"v0": True, "v1": False, "v2": False, "v3": False})
+    assert nfa.initial == 0
+    expected = m.cube({v: i == 0 for i, v in enumerate(dsa.state_vars)})
     assert dsa.theta0 == expected
 
 
@@ -172,7 +173,7 @@ def test_transition_assertion_matches_displayed_form():
     # by which obligations they track (nothing / b next / b now / both),
     # since discovery order need not match the drawn numbering.
     nfa = nfa_from_safety(check_safety(parse_ltl(EX_SAFETY_CORE)))
-    dsa = determinize_symbolic(nfa)
+    dsa = determinize_symbolic(nfa, nfa.ap)
     m = dsa.manager
 
     def locate(b_now, b_next):
@@ -185,8 +186,8 @@ def test_transition_assertion_matches_displayed_form():
 
     s1, s2, s3, s4 = (locate(False, False), locate(False, True),
                       locate(True, False), locate(True, True))
-    v = {i: m.var("v%d" % i) for i in (s1, s2, s3, s4)}
-    vp = {i: m.var("v%d'" % i) for i in (s1, s2, s3, s4)}
+    v = {i: m.var(dsa.state_vars[i]) for i in (s1, s2, s3, s4)}
+    vp = {i: m.var(dsa.state_vars[i] + "'") for i in (s1, s2, s3, s4)}
     a, b = m.var("a"), m.var("b")
     expected = (
         vp[s1].iff((v[s1] & (~a | b)) | (v[s3] & b))
@@ -200,13 +201,15 @@ def test_transition_assertion_matches_displayed_form():
 def test_reachable_subsets_of_full_example_is_nine():
     nfa = nfa_from_safety(check_safety(parse_ltl(EX_SAFETY)))
     assert len(nfa) == 4
-    dsa = determinize_symbolic(nfa)
+    dsa = determinize_symbolic(nfa, nfa.ap)
     assert reachable_subset_count(dsa) == 9
 
 
 def test_determinization_lays_letters_out_in_the_given_order():
     nfa = nfa_from_safety(check_safety(parse_ltl("G(a -> X b)")))
-    assert determinize_symbolic(nfa).manager.names[-4:] == ["a", "a'", "b", "b'"]
+    assert nfa.ap == ("a", "b")
+    m = determinize_symbolic(nfa, nfa.ap).manager
+    assert m.names[2 * len(nfa):] == ["a", "a'", "b", "b'"]
     # letters the automaton does not read get variables too
     m = determinize_symbolic(nfa, ("b", "d", "a")).manager
     assert m.names[2 * len(nfa):] == ["b", "b'", "d", "d'", "a", "a'"]
@@ -237,13 +240,14 @@ def test_automaton_does_not_depend_on_the_hash_seed():
 
 
 def test_reachable_subsets_of_globally_atom_is_one():
-    dsa = determinize_symbolic(nfa_from_safety(check_safety(parse_ltl("G b"))))
+    nfa = nfa_from_safety(check_safety(parse_ltl("G b")))
+    dsa = determinize_symbolic(nfa, nfa.ap)
     assert reachable_subset_count(dsa) == 1
 
 
 def test_determinism_of_transition_assertion():
     nfa = nfa_from_safety(check_safety(parse_ltl(EX_SAFETY)))
-    dsa = determinize_symbolic(nfa)
+    dsa = determinize_symbolic(nfa, nfa.ap)
     m = dsa.manager
     for bits in range(1, 16):
         for letter_bits in range(8):
@@ -291,7 +295,7 @@ def test_language_agreement_on_random_lassos():
         nfa = nfa_from_safety(nnf)
         if len(nfa) > 8:
             continue
-        dsa = determinize_symbolic(nfa)
+        dsa = determinize_symbolic(nfa, nfa.ap)
         for _ in range(4):
             prefix, loop = random_lasso(rng, names, 4)
             direct = eval_ltl_lasso(phi, prefix, loop)
@@ -312,10 +316,11 @@ def test_atoms_collection():
     assert atoms(parse_ltl(EX_SAFETY)) == {"a", "b", "c"}
 
 
-def test_determinization_budget():
+def test_determinization_budget(monkeypatch):
     nfa = nfa_from_safety(check_safety(parse_ltl(EX_SAFETY)))
-    with pytest.raises(ltl.LTLError):
-        determinize_symbolic(nfa, max_states=2)
+    monkeypatch.setattr(ltl, "MAX_SUBSET_VARS", 2)
+    with pytest.raises(ltl.LTLError, match="variable budget exceeded"):
+        determinize_symbolic(nfa, nfa.ap)
 
 
 def test_prop_assert_matches_letter_semantics_and_rejects_temporal():

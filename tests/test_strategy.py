@@ -5,21 +5,23 @@ from types import SimpleNamespace
 import pytest
 
 from elgames import el, fixpoint, strategy
+from elgames import synthesis as syn
 from elgames.fixpoint import solve_game
 from elgames.fixpoint import build_equations
 from elgames.games import Arena, ELGame, EXISTENTIAL, UNIVERSAL, cpre, random_game
 from elgames.strategy import (ELStrategy, RankBackend, _Extractor, extract,
-                              ranked_solve, verify)
+                              verify)
 from elgames.zielonka import ZielonkaTree
 from elgames.games import iter_nodes
 
 from el_reference import evaluate
 from mutations import with_redirected_move
-from ranked_reference import _Terms, equation_errors, ranked_solve_reference
+from ranked_reference import (_Terms, equation_errors, ranked_maps,
+                              ranked_solve_reference)
 from verify_reference import (extract_reference, replay_lasso,
                               strategy_from_text, verify_reference)
 from zielonka_reference import max_tree_size
-from test_fixpoint import (STREETT_N60_STAGES, arb2_expansion,
+from test_fixpoint import (ARB2, STREETT_N60_STAGES, arb2_expansion,
                            arb2_resp2_expansion, family_games, ranked_runs,
                            readme_expansion, streett3, streett_n60)
 
@@ -192,7 +194,7 @@ def verdict_values(game, tree):
 
 
 def ranked(game, tree):
-    return ranked_solve(game, tree, verdict_values(game, tree))
+    return ranked_maps(game, tree, verdict_values(game, tree))
 
 
 # Four-colour parity, 2-pair Streett and Rabin, and even-cardinality
@@ -255,7 +257,7 @@ def test_ranked_solve_stage_budget_on_repeated_inputs(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(fixpoint, "solve", recording)
-    ranked_solve(game, tree, values)
+    ranked_maps(game, tree, values)
     assert len(results) == 1
     assert results[0].iterations == STREETT_N60_RANKED_STAGES
 
@@ -276,7 +278,7 @@ def test_ranked_solve_asks_cpre_once_per_target(monkeypatch):
         return cpre(split, target)
 
     monkeypatch.setattr("elgames.games.cpre", counting)
-    ranked_solve(game, tree, values)
+    ranked_maps(game, tree, values)
     assert len(targets) == len(set(targets)) == STREETT_N60_RANKED_TARGETS
 
 
@@ -407,16 +409,39 @@ def test_rank_union_and_intersect_are_per_node():
         assert backend.intersect(ra, rb, 0) == to_rings(want), (a, b)
 
 
+def test_extraction_runs_the_ranked_solve_once_through_the_module(monkeypatch):
+    # The benchmark's trace times the ranked solve by wrapping the module
+    # attribute ``strategy.ranked_solve``: strategy and controller
+    # extraction each call it through the module, once, on the verdict's
+    # own set backend.
+    calls = []
+    original = strategy.ranked_solve
+
+    def traced(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(strategy, "ranked_solve", traced)
+    game = streett_n60()
+    win, tree, result = solved(game)
+    assert verify(game, extract(game, tree, result), win).ok
+    assert [args[0] for args in calls] == [result.backend]
+    del calls[:]
+    sgame = syn.build_game(syn.problem_from_strings(*ARB2))
+    assert len(syn.extract_controller(sgame)) > 0
+    assert len(calls) == 1
+
+
 def test_extractor_signatures_equal_the_ranked_maps():
     # The extractor reads signatures off the rings it solved on the
-    # verdict's backend; ranked_solve's maps come from a backend of their
+    # verdict's backend; ranked_maps' maps come from a backend of their
     # own.  Both must give every (vertex, node) the same signature or none.
     games = [streett_n60()] + family_games()
     games += [random_game(900 + i, 20, 4, formula_depth=4) for i in range(40)]
     for k, game in enumerate(games):
         _, tree, result = solved(game)
         ex = _Extractor(game, tree, result)
-        maps = ranked_solve(game, tree, result.values)
+        maps = ranked_maps(game, tree, result.values)
         for s in range(len(tree)):
             for v in range(game.arena.n):
                 assert ex.signature(s, v) == maps[s].get(v), (k, s, v)

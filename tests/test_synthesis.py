@@ -470,7 +470,7 @@ def test_forced_unrealizable_variant():
     prob = syn.problem_from_strings("G(b | c) & G !b", "G F b", ["a"], ["b", "c"])
     res = syn.solve_synthesis(prob)
     assert not res.realizable
-    assert res.losing_region is not None
+    assert (res.game.theta & ~res.win) == res.game.theta
     # every initial-subset node is losing: theta & win is empty
     assert (res.game.theta & res.win).is_false()
 

@@ -15,9 +15,10 @@ cannot hide behind the reference that checks it.
 
 from elgames import el
 from elgames.games import EXISTENTIAL, iter_nodes
-from elgames.strategy import ELStrategy, _Extractor, ranked_solve
+from elgames.strategy import ELStrategy, _Extractor
 
 from el_reference import evaluate
+from ranked_reference import ranked_maps
 
 
 class StrategyError(ValueError):
@@ -26,8 +27,8 @@ class StrategyError(ValueError):
 
 def pick_move_reference(ex, ranked, v, m):
     """``_Extractor.pick_move`` ordering successors by lifted signatures,
-    read from the ``{node: signature}`` maps of ``strategy.ranked_solve``
-    rather than from the extractor's rings."""
+    read from the ``{node: signature}`` maps of ``ranked_maps`` rather
+    than from the extractor's rings."""
     tree = ex.tree
     s = tree.anchor(m, ex.arena.colors[v])
     src = ranked[s]
@@ -50,7 +51,7 @@ def pick_move_reference(ex, ranked, v, m):
 def extract_reference(game, tree, result):
     """Strategy with entries at every pair of ``values[m] & win``."""
     ex = _Extractor(game, tree, result)
-    ranked = ranked_solve(game, tree, result.values)
+    ranked = ranked_maps(game, tree, result.values)
     arena = game.arena
     win = result.values[tree.root]
     initial = {v: ex.descend(v, tree.root) for v in iter_nodes(win)}

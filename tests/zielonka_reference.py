@@ -124,7 +124,7 @@ def fair_induced_walk(tree, lasso):
     topmost vertex visited infinitely often and its winning flag.
     """
     counters = [0] * len(tree)
-    leaf = tree.min_leaf
+    leaf = tree.leaves[0]
     for v in tree.ancestors(leaf)[:-1]:
         counters[v] = tree.children[v].index(tree.child_towards(v, leaf)) + 1
 
