@@ -3,14 +3,16 @@
 Each workload builds the symbolic game of one synthesis specification
 and times ``solve_symbolic`` on it: the nested Kleene iteration of
 ``fixpoint.solve`` over the diagram core's node handles, with its leaf
-memo, warm starts and memoized ``symbolic_cpre``.  Every run starts from
+memo, warm starts, memo of ancestors' ``cpre`` images and memoized
+``symbolic_cpre``.  Every run starts from
 a freshly built game, so no diagram memo is shared between runs.  The
 specifications are those of the end-to-end ``synth-arbiter`` workload
 (the README example; the two-client arbiter alone, with a bounded
 response and with next-step grants; the three-client arbiter) and the
 four- and five-client arbiters.  Each run's Kleene stages, warm-started
-runs, distinct ``symbolic_cpre`` targets and the number of assignments
-of every declared variable in the winning region are pinned.  The
+runs, runs answered from the memo of ancestors' ``cpre`` images, distinct
+``symbolic_cpre`` targets and the number of assignments of every
+declared variable in the winning region are pinned.  The
 diagram core's node count and memo entries (all of its memos, which
 live as long as the game's manager) after the last run are printed,
 not pinned, so the memory the memos keep shows.  Run as a script; pass
@@ -39,16 +41,18 @@ def arbiter(n, extra=""):
 README = ("G(b|c) & G(a -> b | X X b)",
           "(G F a -> G F b) & ((F G !a | F G !(b&c)) & G F c)", ["a"], ["b", "c"])
 
-# name, specification, stages, warm starts, cpre targets, satcount
+# name, specification, stages, warm starts, memo hits, cpre targets,
+# satcount
 WORKLOADS = [
-    ("readme", README, 86, 18, 16, 10752),
-    ("arb2", arbiter(2), 135, 38, 12, 384),
-    ("arb2-resp2", arbiter(2, " & G(r0 -> X g0 | X X g0)"), 186, 49, 30, 39936),
+    ("readme", README, 67, 13, 6, 16, 10752),
+    ("arb2", arbiter(2), 85, 16, 10, 12, 384),
+    ("arb2-resp2", arbiter(2, " & G(r0 -> X g0 | X X g0)"),
+     126, 24, 12, 31, 39936),
     ("arb2-next01", arbiter(2, " & G(r0 -> X g0) & G(r1 -> X g1)"),
-     151, 36, 27, 0),
-    ("arb3", arbiter(3), 1308, 588, 55, 4096),
-    ("arb4", arbiter(4), 13023, 7272, 312, 40960),
-    ("arb5", arbiter(5), 137658, 87150, 2049, 393216),
+     111, 20, 12, 27, 0),
+    ("arb3", arbiter(3), 561, 156, 105, 55, 4096),
+    ("arb4", arbiter(4), 3979, 1316, 924, 312, 40960),
+    ("arb5", arbiter(5), 31163, 11350, 8195, 2049, 393216),
 ]
 
 
@@ -73,10 +77,10 @@ def solve_counting(game):
 
 
 def run(repeat):
-    print("%-12s %7s %6s %7s %8s %10s %7s %8s" % (
-        "spec", "stages", "warm", "targets", "satcount", "best", "nodes",
-        "memo"))
-    for name, spec, stages, warm, targets, satcount in WORKLOADS:
+    print("%-12s %7s %6s %6s %7s %8s %10s %7s %8s" % (
+        "spec", "stages", "warm", "hits", "targets", "satcount", "best",
+        "nodes", "memo"))
+    for name, spec, stages, warm, hits, targets, satcount in WORKLOADS:
         problem = syn.problem_from_strings(*spec)
         best = None
         for _ in range(repeat):
@@ -84,12 +88,13 @@ def run(repeat):
             elapsed, win, result, asked = solve_counting(game)
             best = elapsed if best is None else min(best, elapsed)
             m = game.manager
-            got = (result.iterations, sum(result.warm_starts.values()), asked,
+            got = (result.iterations, sum(result.warm_starts.values()),
+                   sum(result.memo_hits.values()), asked,
                    m.core.satcount(win.handle, range(len(m.names))))
-            want = (stages, warm, targets, satcount)
-            assert got == want, "%s gave (stages, warm starts, targets, " \
-                "satcount) %r, expected %r" % (name, got, want)
-        print("%-12s %7d %6d %7d %8d %9.4fs %7d %8d" % (
+            want = (stages, warm, hits, targets, satcount)
+            assert got == want, "%s gave (stages, warm starts, memo hits, " \
+                "targets, satcount) %r, expected %r" % (name, got, want)
+        print("%-12s %7d %6d %6d %7d %8d %9.4fs %7d %8d" % (
             (name,) + want + (best, m.core.node_count(), m.core.memo_entries())))
 
 

@@ -27,7 +27,13 @@ the leaf's ancestor terms, are rebuilt only from the outermost anchor
 whose value changed since the leaf's last run: each leaf keeps the
 running unions of its terms with the anchor values they read, as
 semi-naive evaluation keeps what has not changed (Bancilhon and
-Ramakrishnan, SIGMOD 1986).  Runs also start from stored results, as
+Ramakrishnan, SIGMOD 1986).  Ancestor variables occur only under the
+controllable predecessor, so a subtree's fixpoints are a function of
+its ancestors' ``cpre`` images, not of their values: with a backend
+that gives those images (``image``), each internal vertex but the root
+keeps a memo from that tuple of images to its result, and a run whose
+images repeat returns the stored result without running its subtree.
+Runs also start from stored results, as
 Long, Browne, Clarke, Jha and Marrero (CAV 1994) start each inner
 iteration from the approximant stored at the same iteration indices.
 A vertex's position is the tuple of the current stage indices of its
@@ -187,7 +193,18 @@ class SetBackend:
         self._guards[key] = out
         return out
 
+    def image(self, value):
+        """The controllable predecessor of ``value``, from the memo
+        ``term`` reads: what the terms that anchor at ``value`` see of
+        it."""
+        pre = self._pre.get(value)
+        if pre is None:
+            pre = self._pre[value] = self.cpre(value)
+        return pre
+
     def term(self, s, term, value):
+        # reads the ``cpre`` memo inline, not through ``image``: one more
+        # call per term slows the explicit backend measurably
         key = term[1:]
         guard = self._guards.get(key)
         if guard is None:
@@ -233,10 +250,13 @@ class StageLimitError(RuntimeError):
 class SolveResult:
     """Final variable values, the number of Kleene stages run, per
     vertex the number of runs warm-started from the result stored at
-    their position, and the backend the values were computed with."""
+    their position and the number of runs answered from the memo of
+    its ancestors' ``cpre`` images, and the backend the values were
+    computed with."""
     values: dict
     iterations: int = 0
     warm_starts: dict = field(default_factory=dict)
+    memo_hits: dict = field(default_factory=dict)
     backend: object = None
 
     def winning(self):
@@ -274,9 +294,39 @@ def solve(system, backend, max_stages):
 
     Each leaf keeps the inputs and result of its last runs, as many as
     it has ancestors plus one, and a run whose inputs equal one of
-    theirs returns that run's result without a stage.  (An internal
-    vertex's inputs never repeat: every enclosing iteration is strictly
-    monotone, so each run sees a new tuple.)
+    theirs returns that run's result without a stage.
+
+    An internal vertex's tuple of values never repeats, since every
+    enclosing iteration is strictly monotone, but a subtree reads its
+    ancestors' values only through the terms of its leaves, which read
+    ``cpre`` of them: the fixpoints of the subtree are a function of
+    the ancestors' ``cpre`` images.  A backend with an ``image(value)``
+    method, the image its terms read, gives every internal vertex but
+    the root (which runs once) a memo from ``tuple(map(image, ctx))``
+    to the result of its run.  A run whose key is in the memo returns
+    the stored result without a stage and counts as a memo hit; every
+    other run stores its result once it completes, and the memo keeps
+    every entry for the whole solve.  A hit leaves the subtree's values
+    as they are, and those are the stored run's:
+
+    - The key of ``s`` extends the key of its parent ``p``, so the
+      stored run of ``s`` ran inside a run of ``p`` with ``p``'s
+      present key.  Had that been an earlier run of ``p``, that run
+      completed and stored the key, and the present run of ``p`` would
+      have been a hit on entry (``p`` is not the root, which runs once).
+      So the stored run of ``s`` ran at an earlier stage of the present
+      run of ``p``.
+    - Those stages move strictly one way and ``cpre`` is monotone, so
+      every stage between that one and the present one had the same
+      image of ``p``'s value, hence the same key at ``s``: each was a
+      hit, and nothing wrote the subtree in between.
+    - The stored run left each vertex of the subtree at its fixpoint
+      in that run's final context, a function of images equal to the
+      present ones, which a run of ``s`` would reach again.
+
+    A memo that forgot entries would break the first step and would
+    have to restore the subtree's values on a hit.  A backend without
+    ``image`` keeps no such memo; the signature backend has none.
 
     A vertex's position is the tuple of the current stage indices of its
     opposite-polarity ancestors, outermost first.  Zielonka trees
@@ -291,9 +341,9 @@ def solve(system, backend, max_stages):
     instead of from bottom: the stored result is a fixpoint of a
     dominating (dominated) right-hand side, so by monotonicity it lies
     on the iteration's side of the new fixpoint, and the iteration
-    reaches the same value in fewer stages.  An internal vertex always
-    runs at least one stage, so its descendants' values come from its
-    final context.
+    reaches the same value in fewer stages.  An internal vertex that is
+    not a memo hit runs at least one stage, so its descendants' values
+    come from its final context.
 
     A backend with a ``leaf(s, own, fixed)`` method solves each
     least-fixpoint leaf run whose inputs are new in that one call, which
@@ -307,18 +357,20 @@ def solve(system, backend, max_stages):
     union, intersect, term = backend.union, backend.intersect, backend.term
     subset = backend.subset
     leaf = getattr(backend, "leaf", None)
+    image = getattr(backend, "image", None)
     bottom = backend.bottom()
     # vertex -> (lfp, start value, children or None, ancestor terms but
-    # the parent's, the parent's term or None, own term or None)
+    # the parent's, the parent's term or None, own term or None, and at an
+    # internal vertex its memo {images of ctx: result}, else None)
     plan = [None] * len(system.equations)
     for eq in system.equations:
         s, terms = eq.vertex, eq.terms
         start = bottom if eq.lfp else backend.top(s)
         if eq.op == "attract":
             plan[s] = (eq.lfp, start, None, terms[:-2],
-                       terms[-2] if len(terms) > 1 else None, terms[-1])
+                       terms[-2] if len(terms) > 1 else None, terms[-1], None)
         else:
-            plan[s] = (eq.lfp, start, eq.children, (), None, None)
+            plan[s] = (eq.lfp, start, eq.children, (), None, None, {})
     values = [None] * len(plan)
     # per leaf, (inputs, result) of its last len(ancestors) + 1 runs,
     # newest first, and [(anchor value read, union of ancestor terms
@@ -328,13 +380,14 @@ def solve(system, backend, max_stages):
     # per vertex of depth 2 or more, {position: its last (inputs, result)}
     stored = [{} for _ in plan]
     warm_starts = [0] * len(plan)
+    memo_hits = {}
     total_iterations = 0
 
     def run(s, ctx, key, outer):
         # ctx: the ancestors' values, root first; key: the position of s;
         # outer: the position of its parent
         nonlocal total_iterations
-        lfp, start, children, older, parent, own = plan[s]
+        lfp, start, children, older, parent, own, memo = plan[s]
         if children is None:
             inputs = bottom
             if older:
@@ -364,6 +417,13 @@ def solve(system, backend, max_stages):
                 return x
         else:
             inputs = ctx
+            if image is not None and ctx:
+                images = tuple(map(image, ctx))
+                x = memo.get(images)
+                if x is not None:
+                    memo_hits[s] = memo_hits.get(s, 0) + 1
+                    values[s] = x
+                    return x
         x = start
         deep = len(ctx) > 1
         if deep:
@@ -400,12 +460,15 @@ def solve(system, backend, max_stages):
             stored[s][key] = (inputs, x)
         if children is None:
             recent[s] = ((inputs, x),) + runs[:len(ctx)]
+        elif image is not None and ctx:
+            memo[images] = x
         values[s] = x
         return x
 
     run(system.tree.root, (), (), ())
     return SolveResult(dict(enumerate(values)), total_iterations,
-                       {s: n for s, n in enumerate(warm_starts) if n}, backend)
+                       {s: n for s, n in enumerate(warm_starts) if n},
+                       memo_hits, backend)
 
 
 def solve_game(game, tree=None):

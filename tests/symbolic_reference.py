@@ -64,6 +64,14 @@ class SetBackend:
                 escapes = escapes | nodes
         return out & escapes
 
+    def image(self, value):
+        """The controllable predecessor of ``value``, memoized by target
+        as ``term`` reads it."""
+        pre = self._pre.get(value)
+        if pre is None:
+            pre = self._pre[value] = self.cpre(value)
+        return pre
+
     def term(self, s, term, value):
         key = term[1:]
         guard = self._guards.get(key)

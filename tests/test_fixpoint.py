@@ -220,11 +220,12 @@ def streett_n60():
     return random_game(5, 60, 6, density=0.15, objective_factory=streett3)
 
 
-# Kleene stages of the verdict solve on streett_n60() with the leaf memo
-# and warm starts; without warm starts it runs 5,540, the plain
-# recursion 10,390.  The plain ranked reference cannot finish within
-# this many (test_strategy.py).
-STREETT_N60_STAGES = 1380
+# Kleene stages of the verdict solve on streett_n60() with the leaf memo,
+# warm starts and the memo of ancestors' ``cpre`` images; without warm
+# starts it runs 1,755, without both 5,540, the plain recursion 10,390.
+# The plain ranked reference cannot finish within this many
+# (test_strategy.py).
+STREETT_N60_STAGES = 907
 
 
 def test_stage_limit_raises_stage_limit_error():
@@ -246,10 +247,12 @@ ARB3 = ("G(!(g0 & g1) & !(g0 & g2) & !(g1 & g2))",
         "(G F r0 -> G F g0) & (G F r1 -> G F g1) & (G F r2 -> G F g2)",
         ["r0", "r1", "r2"], ["g0", "g1", "g2"])
 
-# Kleene stages and warm-started runs of the symbolic solve of the
-# 3-client arbiter; without warm starts it runs 5,349 stages.
-ARB3_SYMBOLIC_STAGES = 1308
-ARB3_SYMBOLIC_WARM_STARTS = 588
+# Kleene stages, warm-started runs and image-memo hits of the symbolic
+# solve of the 3-client arbiter; without warm starts it runs 1,353
+# stages, without the image memo as well 5,349.
+ARB3_SYMBOLIC_STAGES = 561
+ARB3_SYMBOLIC_WARM_STARTS = 156
+ARB3_SYMBOLIC_MEMO_HITS = 105
 
 
 def symbolic_bound(game):
@@ -594,6 +597,69 @@ def test_warm_starts_on_both_polarities():
         assert {lfp[s] for s, n in solved.warm_starts.items() if n} == {True, False}
 
 
+class NoImageExplicit(ExplicitBackend):
+    """Explicit backend without ``image``: the engine keeps no memo of
+    ancestors' ``cpre`` images and runs every subtree."""
+    image = None
+
+
+class NoImageSymbolic(syn.SymbolicBackend):
+    image = None
+
+
+ARB4 = ("G(!(g0 & g1) & !(g0 & g2) & !(g0 & g3) & !(g1 & g2) & !(g1 & g3)"
+        " & !(g2 & g3))",
+        "(G F r0 -> G F g0) & (G F r1 -> G F g1) & (G F r2 -> G F g2)"
+        " & (G F r3 -> G F g3)",
+        ["r0", "r1", "r2", "r3"], ["g0", "g1", "g2", "g3"])
+
+
+def seeded_family_games():
+    """150 seeded games, n = 20, 40 and 60, drawn in turn from the
+    families of ``FAMILIES`` and random formulas over 4 colours."""
+    families = [(ncolors, factory) for _, ncolors, factory in FAMILIES]
+    families.append((4, None))
+    out = []
+    for i in range(150):
+        ncolors, factory = families[i % 5]
+        out.append(random_game(10000 + i, (20, 40, 60)[i // 5 % 3], ncolors,
+                               density=0.15, objective_factory=factory))
+    return out
+
+
+def test_subtree_memo_leaves_every_vertex_value_unchanged():
+    # A run of an internal vertex whose ancestors' ``cpre`` images repeat
+    # returns the stored result and leaves its subtree's values as the
+    # stored run wrote them: every vertex ends at the value of the solve
+    # that runs every subtree.  Covered: the explicit-deep base games, the
+    # two n=200 games of ``e2ebench/run.py --roadmap``, 150 seeded games
+    # and the symbolic 3- and 4-client arbiters.
+    roadmap = [random_game(5, 200, 6, density=0.05, objective_factory=streett3),
+               random_game(5, 200, 8, density=0.05, objective_factory=lambda
+                           rng, t: el.parity(t, list("abcdefgh")))]
+    deep = [streett_n60()] + deep_games()[:2] + roadmap
+    hit = 0
+    for k, game in enumerate(deep + seeded_family_games()):
+        system = build_equations(ZielonkaTree(game.objective, game.table))
+        bound = game.arena.n + 1
+        memo = solve(system, ExplicitBackend(game), max_stages=bound)
+        plain = solve(system, NoImageExplicit(game), max_stages=bound)
+        assert memo.values == plain.values, k
+        assert plain.memo_hits == {}, k
+        assert memo.memo_hits or k >= len(deep), k
+        hit += bool(memo.memo_hits)
+    assert hit > len(deep)
+    for spec in ARB3, ARB4:
+        game = syn.build_game(syn.problem_from_strings(*spec))
+        system = build_equations(ZielonkaTree(game.el_formula, game.color_table))
+        bound = symbolic_bound(game)
+        memo = solve(system, syn.SymbolicBackend(game), max_stages=bound)
+        plain = solve(system, NoImageSymbolic(game), max_stages=bound)
+        assert memo.values == plain.values
+        assert memo.memo_hits and plain.memo_hits == {}
+        assert memo.iterations < plain.iterations
+
+
 class CountingTerms(ExplicitBackend):
     """Explicit backend counting its ``term`` requests."""
 
@@ -606,24 +672,24 @@ class CountingTerms(ExplicitBackend):
         return super().term(s, term, value)
 
 
-# Verdict stages, warm-started runs, ``term`` requests and winning nodes
-# of the three explicit-deep base games: streett_n60() and the parity and
-# even-Muller games of deep_games().
-DEEP_VERDICT_COUNTS = [(STREETT_N60_STAGES, 625, 1476, 33),
-                       (471, 237, 471, 33), (1599, 437, 1997, 33)]
+# Verdict stages, warm-started runs, image-memo hits, ``term`` requests
+# and winning nodes of the three explicit-deep base games: streett_n60()
+# and the parity and even-Muller games of deep_games().
+DEEP_VERDICT_COUNTS = [(STREETT_N60_STAGES, 281, 75, 887, 33),
+                       (333, 110, 50, 283, 33), (1268, 289, 73, 1463, 33)]
 
 
 def test_verdict_counts_on_the_deep_games():
     # The engine's bookkeeping decides these counts: the position in the
-    # stored-run key, the length of each leaf's window of recent runs and
-    # the prefix unions each leaf run reuses.
+    # stored-run key, the length of each leaf's window of recent runs, the
+    # prefix unions each leaf run reuses and the image memo's keys.
     for k, game in enumerate([streett_n60()] + deep_games()[:2]):
         tree = ZielonkaTree(game.objective, game.table)
         backend = CountingTerms(game)
         result = solve(build_equations(tree), backend,
                        max_stages=game.arena.n + 1)
         counts = (result.iterations, sum(result.warm_starts.values()),
-                  backend.terms, bin(result.winning()).count("1"))
+                  sum(result.memo_hits.values()), backend.terms, bin(result.winning()).count("1"))
         assert counts == DEEP_VERDICT_COUNTS[k], k
 
 
@@ -633,6 +699,7 @@ def test_arb3_symbolic_stage_count():
     assert syn.is_won(game, win)
     assert result.iterations == ARB3_SYMBOLIC_STAGES
     assert sum(result.warm_starts.values()) == ARB3_SYMBOLIC_WARM_STARTS
+    assert sum(result.memo_hits.values()) == ARB3_SYMBOLIC_MEMO_HITS
 
 
 # The fixed specifications of the end-to-end synth-arbiter workload.
@@ -648,7 +715,7 @@ REFERENCE_SPECS = {
 def test_symbolic_solve_matches_the_assertion_reference():
     # The handle backend reaches the values of the backend over wrapped
     # assertions, vertex for vertex, in the same stages and with the
-    # same warm starts.
+    # same warm starts and image-memo hits.
     named = [(name, syn.build_game(syn.problem_from_strings(*spec)))
              for name, spec in REFERENCE_SPECS.items()]
     randoms = random_games(random.Random(31415))
@@ -663,3 +730,4 @@ def test_symbolic_solve_matches_the_assertion_reference():
             assert result.values[s] == value, (name, s)
         assert result.iterations == ref.iterations, name
         assert result.warm_starts == ref.warm_starts, name
+        assert result.memo_hits == ref.memo_hits, name

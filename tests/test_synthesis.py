@@ -284,7 +284,7 @@ def test_winning_sub_arena_keeps_the_winning_full_nodes():
 
 
 # Stages of the arb3 expansion's explicit re-solve.
-ARB3_EXPANSION_STAGES = 1484
+ARB3_EXPANSION_STAGES = 665
 
 
 def test_arb3_expansion_resolve_stage_count():
