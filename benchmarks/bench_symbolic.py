@@ -2,15 +2,16 @@
 
 Each workload builds the symbolic game of one synthesis specification
 and times ``solve_symbolic`` on it: the nested Kleene iteration of
-``fixpoint.solve`` over the diagram core's node handles, with its leaf
-memo, warm starts, memo of ancestors' ``cpre`` images and memoized
-``symbolic_cpre``.  Every run starts from
-a freshly built game, so no diagram memo is shared between runs.  The
+``fixpoint.solve`` over the diagram core's node handles, with its
+per-vertex memo (a leaf's inputs or an internal vertex's ancestor
+``cpre`` images), warm starts and memoized ``symbolic_cpre``.  Every run
+starts from a freshly built game, so no diagram memo is shared between
+runs.  The
 specifications are those of the end-to-end ``synth-arbiter`` workload
 (the README example; the two-client arbiter alone, with a bounded
 response and with next-step grants; the three-client arbiter) and the
 four- and five-client arbiters.  Each run's Kleene stages, warm-started
-runs, runs answered from the memo of ancestors' ``cpre`` images, distinct
+runs, runs answered from the memo (leaf and subtree hits), distinct
 ``symbolic_cpre`` targets and the number of assignments of every
 declared variable in the winning region are pinned.  The
 diagram core's node count and memo entries (all of its memos, which
@@ -44,15 +45,15 @@ README = ("G(b|c) & G(a -> b | X X b)",
 # name, specification, stages, warm starts, memo hits, cpre targets,
 # satcount
 WORKLOADS = [
-    ("readme", README, 67, 13, 6, 16, 10752),
-    ("arb2", arbiter(2), 85, 16, 10, 12, 384),
+    ("readme", README, 67, 13, 14, 16, 10752),
+    ("arb2", arbiter(2), 85, 16, 28, 12, 384),
     ("arb2-resp2", arbiter(2, " & G(r0 -> X g0 | X X g0)"),
-     126, 24, 12, 31, 39936),
+     126, 24, 31, 31, 39936),
     ("arb2-next01", arbiter(2, " & G(r0 -> X g0) & G(r1 -> X g1)"),
-     111, 20, 12, 27, 0),
-    ("arb3", arbiter(3), 561, 156, 105, 55, 4096),
-    ("arb4", arbiter(4), 3979, 1316, 924, 312, 40960),
-    ("arb5", arbiter(5), 31163, 11350, 8195, 2049, 393216),
+     111, 20, 24, 27, 0),
+    ("arb3", arbiter(3), 561, 156, 201, 55, 4096),
+    ("arb4", arbiter(4), 3979, 1316, 1524, 312, 40960),
+    ("arb5", arbiter(5), 31163, 11350, 12515, 2049, 393216),
 ]
 
 

@@ -52,15 +52,6 @@ class Core:
         flat = (self._ite_memo, self._and_memo, self._or_memo, self._not_memo)
         return sum(map(len, flat)) + sum(map(len, self._walk_memos.values()))
 
-    def level_of(self, f):
-        return self._level[f]
-
-    def low(self, f):
-        return self._lo[f]
-
-    def high(self, f):
-        return self._hi[f]
-
     def mk(self, level, lo, hi):
         if lo == hi:
             return lo
@@ -218,7 +209,10 @@ class Core:
             memo[node] = out
             return out
 
-        return go(f)
+        try:
+            return go(f)
+        finally:
+            del go   # go refers to itself: free it by reference count
 
     def rename(self, f, perm):
         """Substitute each level of ``f`` by its image under ``perm``,
@@ -246,7 +240,10 @@ class Core:
             memo[node] = out
             return out
 
-        return go(f)
+        try:
+            return go(f)
+        finally:
+            del go
 
     def support(self, f):
         seen = set()

@@ -20,20 +20,20 @@ vertex, and hands each run its ancestors' values as one tuple, root
 first.  The set backends memoize the controllable predecessor by
 target (explicit masks and diagram handles are both canonical).  Each
 stage of an outer variable runs the inner ones again, often on inputs
-close to those of an earlier run.  A leaf keeps the inputs and result
-of its last few runs (as many as it has ancestors plus one) and returns
-the stored result when its inputs repeat.  Those inputs, the union of
-the leaf's ancestor terms, are rebuilt only from the outermost anchor
-whose value changed since the leaf's last run: each leaf keeps the
-running unions of its terms with the anchor values they read, as
-semi-naive evaluation keeps what has not changed (Bancilhon and
-Ramakrishnan, SIGMOD 1986).  Ancestor variables occur only under the
-controllable predecessor, so a subtree's fixpoints are a function of
-its ancestors' ``cpre`` images, not of their values: with a backend
-that gives those images (``image``), each internal vertex but the root
-keeps a memo from that tuple of images to its result, and a run whose
-images repeat returns the stored result without running its subtree.
-Runs also start from stored results, as
+equal to those of an earlier run, so a vertex below the root keeps one
+lossless memo for the whole solve, and a run whose key is stored
+returns the stored result without a stage.  A leaf's key is its
+inputs, the union
+of its ancestor terms, rebuilt only from the outermost anchor whose
+value changed since the leaf's last run: each leaf keeps the running
+unions of its terms with the anchor values they read, as semi-naive
+evaluation keeps what has not changed (Bancilhon and Ramakrishnan,
+SIGMOD 1986).  Ancestor variables occur only under the controllable
+predecessor, so a subtree's fixpoints are a function of its ancestors'
+``cpre`` images, not of their values: with a backend that gives those
+images (``image``), an internal vertex's key is that tuple of images,
+and a hit skips the whole subtree; without one, only leaves keep a
+memo.  Runs also start from stored results, as
 Long, Browne, Clarke, Jha and Marrero (CAV 1994) start each inner
 iteration from the approximant stored at the same iteration indices.
 A vertex's position is the tuple of the current stage indices of its
@@ -250,9 +250,9 @@ class StageLimitError(RuntimeError):
 class SolveResult:
     """Final variable values, the number of Kleene stages run, per
     vertex the number of runs warm-started from the result stored at
-    their position and the number of runs answered from the memo of
-    its ancestors' ``cpre`` images, and the backend the values were
-    computed with."""
+    their position and the number of runs answered from its memo (a
+    leaf's inputs or an internal vertex's ancestor ``cpre`` images), and
+    the backend the values were computed with."""
     values: dict
     iterations: int = 0
     warm_starts: dict = field(default_factory=dict)
@@ -292,22 +292,22 @@ def solve(system, backend, max_stages):
     inside the parent's iteration, which is strictly monotone, so the
     parent's value never repeats.
 
-    Each leaf keeps the inputs and result of its last runs, as many as
-    it has ancestors plus one, and a run whose inputs equal one of
-    theirs returns that run's result without a stage.
-
-    An internal vertex's tuple of values never repeats, since every
-    enclosing iteration is strictly monotone, but a subtree reads its
-    ancestors' values only through the terms of its leaves, which read
-    ``cpre`` of them: the fixpoints of the subtree are a function of
-    the ancestors' ``cpre`` images.  A backend with an ``image(value)``
-    method, the image its terms read, gives every internal vertex but
-    the root (which runs once) a memo from ``tuple(map(image, ctx))``
-    to the result of its run.  A run whose key is in the memo returns
-    the stored result without a stage and counts as a memo hit; every
-    other run stores its result once it completes, and the memo keeps
-    every entry for the whole solve.  A hit leaves the subtree's values
-    as they are, and those are the stored run's:
+    Each leaf, and each internal vertex but the root (which runs once),
+    keeps one memo in its plan entry from a key to the result of its
+    run.  A leaf's key is its inputs.  An internal vertex's tuple of
+    values never repeats, since every enclosing iteration is strictly
+    monotone, but a subtree reads its ancestors' values only through the
+    terms of its leaves, which read ``cpre`` of them: the fixpoints of
+    the subtree are a function of the ancestors' ``cpre`` images.  So
+    with a backend that has an ``image(value)`` method, the image its
+    terms read, an internal vertex's key is ``tuple(map(image, ctx))``;
+    without one, internal vertices keep no memo (the signature backend
+    has none).  A run whose key is in the memo returns the stored result
+    without a stage and counts as a memo hit; every other run stores its
+    result once it completes, and the memo keeps every entry for the
+    whole solve.  A leaf has no subtree; a hit at an internal vertex
+    leaves the subtree's values as they are, and those are the stored
+    run's:
 
     - The key of ``s`` extends the key of its parent ``p``, so the
       stored run of ``s`` ran inside a run of ``p`` with ``p``'s
@@ -325,8 +325,7 @@ def solve(system, backend, max_stages):
       present ones, which a run of ``s`` would reach again.
 
     A memo that forgot entries would break the first step and would
-    have to restore the subtree's values on a hit.  A backend without
-    ``image`` keeps no such memo; the signature backend has none.
+    have to restore the subtree's values on a hit.
 
     A vertex's position is the tuple of the current stage indices of its
     opposite-polarity ancestors, outermost first.  Zielonka trees
@@ -346,10 +345,11 @@ def solve(system, backend, max_stages):
     come from its final context.
 
     A backend with a ``leaf(s, own, fixed)`` method solves each
-    least-fixpoint leaf run whose inputs are new in that one call, which
-    counts as one stage, without looking for a warm start: it returns
-    the least fixpoint of ``X = fixed | term(s, own, X)``, ``fixed``
-    being the union of the ancestor terms.
+    least-fixpoint leaf run whose inputs are not in its memo in that one
+    call, which counts as one stage and stores into the memo, without
+    looking for a warm start: it returns the least fixpoint of
+    ``X = fixed | term(s, own, X)``, ``fixed`` being the union of the
+    ancestor terms.
     Greatest-fixpoint leaves run as Kleene stages.  ``max_stages``
     bounds the stages of each variable's iteration (callers pass the
     node count plus one); past it the solve raises :class:`StageLimitError`.
@@ -359,23 +359,25 @@ def solve(system, backend, max_stages):
     leaf = getattr(backend, "leaf", None)
     image = getattr(backend, "image", None)
     bottom = backend.bottom()
+    root = system.tree.root
     # vertex -> (lfp, start value, children or None, ancestor terms but
-    # the parent's, the parent's term or None, own term or None, and at an
-    # internal vertex its memo {images of ctx: result}, else None)
+    # the parent's, the parent's term or None, own term or None, and its
+    # memo {a leaf's inputs or an internal vertex's images of ctx:
+    # result}, None at an internal root and at every internal vertex
+    # without ``image``)
     plan = [None] * len(system.equations)
     for eq in system.equations:
         s, terms = eq.vertex, eq.terms
         start = bottom if eq.lfp else backend.top(s)
         if eq.op == "attract":
             plan[s] = (eq.lfp, start, None, terms[:-2],
-                       terms[-2] if len(terms) > 1 else None, terms[-1], None)
+                       terms[-2] if len(terms) > 1 else None, terms[-1], {})
         else:
-            plan[s] = (eq.lfp, start, eq.children, (), None, None, {})
+            plan[s] = (eq.lfp, start, eq.children, (), None, None,
+                       None if image is None or s == root else {})
     values = [None] * len(plan)
-    # per leaf, (inputs, result) of its last len(ancestors) + 1 runs,
-    # newest first, and [(anchor value read, union of ancestor terms
-    # 0..i)] for each of its ancestor terms but the parent's
-    recent = [()] * len(plan)
+    # per leaf, [(anchor value read, union of ancestor terms 0..i)] for
+    # each of its ancestor terms but the parent's
     prefixes = [[] for _ in plan]
     # per vertex of depth 2 or more, {position: its last (inputs, result)}
     stored = [{} for _ in plan]
@@ -405,25 +407,21 @@ def solve(system, backend, max_stages):
                     prefix.append((value, inputs))
             if parent is not None:
                 inputs = union(inputs, term(s, parent, ctx[-1]))
-            runs = recent[s]
-            for prev, result in runs:
-                if prev == inputs:
-                    values[s] = result
-                    return result
-            if lfp and leaf is not None:
-                total_iterations += 1
-                x = values[s] = leaf(s, own, inputs)
-                recent[s] = ((inputs, x),) + runs[:len(ctx)]
-                return x
+            seen = inputs
         else:
             inputs = ctx
-            if image is not None and ctx:
-                images = tuple(map(image, ctx))
-                x = memo.get(images)
-                if x is not None:
-                    memo_hits[s] = memo_hits.get(s, 0) + 1
-                    values[s] = x
-                    return x
+            if memo is not None:
+                seen = tuple(map(image, ctx))
+        if memo is not None:
+            x = memo.get(seen)
+            if x is not None:
+                memo_hits[s] = memo_hits.get(s, 0) + 1
+                values[s] = x
+                return x
+            if children is None and lfp and leaf is not None:
+                total_iterations += 1
+                x = values[s] = memo[seen] = leaf(s, own, inputs)
+                return x
         x = start
         deep = len(ctx) > 1
         if deep:
@@ -458,14 +456,12 @@ def solve(system, backend, max_stages):
                     "variable X%d did not stabilize within %d stages" % (s, max_stages))
         if deep:
             stored[s][key] = (inputs, x)
-        if children is None:
-            recent[s] = ((inputs, x),) + runs[:len(ctx)]
-        elif image is not None and ctx:
-            memo[images] = x
+        if memo is not None:
+            memo[seen] = x
         values[s] = x
         return x
 
-    run(system.tree.root, (), (), ())
+    run(root, (), (), ())
     return SolveResult(dict(enumerate(values)), total_iterations,
                        {s: n for s, n in enumerate(warm_starts) if n},
                        memo_hits, backend)

@@ -326,10 +326,6 @@ class SafetyNFA:
     def __len__(self):
         return len(self.states)
 
-    def successors(self, state_id, letter):
-        return sorted({t for c, t in self.transitions[state_id]
-                       if eval_propositional(c, letter)})
-
 
 def _normalize_state(formulas):
     """Flatten conjunctions; None marks an inconsistent (dead) state."""

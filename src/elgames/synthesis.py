@@ -406,22 +406,14 @@ class MealyController:
     def __len__(self):
         return len(self.states)
 
-    def _steps(self, input_sets):
-        """(input, output, state) of each step against the given input
-        sequence."""
-        state = None
+    def run(self, input_sets):
+        """Letters produced against the given input sequence."""
+        letters = []
         for step, inp in enumerate(input_sets):
             inp = frozenset(inp)
             out, state = self.init[inp] if step == 0 else self.trans[(state, inp)]
-            yield inp, out, state
-
-    def run(self, input_sets):
-        """Letters produced against the given input sequence."""
-        return [inp | out for inp, out, _ in self._steps(input_sets)]
-
-    def state_trace(self, input_sets):
-        """States entered against the given input sequence."""
-        return [state for _, _, state in self._steps(input_sets)]
+            letters.append(inp | out)
+        return letters
 
     def to_text(self):
         def cube(names, chosen):

@@ -94,12 +94,6 @@ class ZielonkaTree:
             v = self.parent[v]
         return v
 
-    def vertex_with_label(self, mask):
-        for v, lab in enumerate(self.label):
-            if lab == mask:
-                return v
-        raise KeyError("no vertex labeled %s" % self.table.format_mask(mask))
-
     def format_text(self):
         lines = []
         for v in range(len(self)):

@@ -24,6 +24,16 @@ from elgames.synthesis import (MealyController, SynthesisError,
 from ranked_reference import ranked_maps
 
 
+def state_trace(ctrl, input_sets):
+    """States a controller enters against the given input sequence."""
+    trace = []
+    for step, inp in enumerate(input_sets):
+        inp = frozenset(inp)
+        _, state = ctrl.init[inp] if step == 0 else ctrl.trans[(state, inp)]
+        trace.append(state)
+    return trace
+
+
 def extract_controller_full(game):
     """The controller and the expansion's tree."""
     exp = expand_explicit(game)

@@ -1,14 +1,21 @@
 """Reference checks for the safety-LTL layer, kept out of the library.
 
-Subset reachability of the symbolic determinization, and exact truth of
-a formula, of the tableau automaton and of its determinization on
-ultimately periodic words; the language-agreement tests compare these
-three.
+The tableau automaton's successor relation, subset reachability of the
+symbolic determinization, and exact truth of a formula, of the tableau
+automaton and of its determinization on ultimately periodic words; the
+language-agreement tests compare these three.
 """
 
 from elgames.ltl import (Ap, AndOp, Finally, Fls, Globally, Implies,
                          LTLError, Next, NotOp, OrOp, Release, Tru, Until,
                          eval_propositional, is_propositional)
+
+
+def successors(nfa, state_id, letter):
+    """Targets of the tableau automaton's transitions from ``state_id``
+    whose constraint the letter satisfies."""
+    return sorted({t for c, t in nfa.transitions[state_id]
+                   if eval_propositional(c, letter)})
 
 
 def reachable_subsets(dsa):
@@ -115,7 +122,7 @@ def nfa_accepts_lasso(nfa, prefix, loop):
     edges = {}
     while queue:
         s, p = queue.pop()
-        targets = [(t, nxt(p)) for t in nfa.successors(s, letters[p])]
+        targets = [(t, nxt(p)) for t in successors(nfa, s, letters[p])]
         edges[(s, p)] = targets
         for node in targets:
             if node not in reachable:

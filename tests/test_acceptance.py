@@ -24,14 +24,16 @@ from elgames.dd import Manager
 from elgames.fixpoint import build_equations
 from elgames.zielonka import ZielonkaTree
 
+from controller_reference import state_trace
 from el_reference import evaluate
 from test_el import example_objective, ABCD
-from test_dd import _random_ops
+from test_dd import _random_ops, node_of
 from test_ltl import random_safety_formula, random_lasso
 from ttable import TTManager
 from ltl_reference import (dsa_accepts_lasso, eval_ltl_lasso,
                            nfa_accepts_lasso, reachable_subset_count)
-from zielonka_reference import LassoPlay, fair_induced_walk, max_tree_size
+from zielonka_reference import (LassoPlay, fair_induced_walk, max_tree_size,
+                                vertex_with_label)
 
 
 @contextmanager
@@ -85,7 +87,7 @@ def test_criterion1_golden_trees():
             m(): (False, set()),
         }
         for label, (winning, kids) in expected.items():
-            v = tree.vertex_with_label(label)
+            v = vertex_with_label(tree, label)
             assert tree.winning[v] == winning
             assert {tree.label[c] for c in tree.children[v]} == kids
 
@@ -175,7 +177,7 @@ def test_criterion3_equation_system_instantiation():
         m = ABCD.mask
 
         def v(*names):
-            return tree.vertex_with_label(m(*names))
+            return vertex_with_label(tree, m(*names))
 
         eqs = {eq.vertex: eq for eq in system.equations}
         assert eqs[v("a", "b", "c", "d")].lfp
@@ -319,7 +321,7 @@ def test_criterion8_end_to_end_synthesis():
             for letter in letters:
                 bits = dsa.step_bits(bits, letter)
                 assert bits != 0, trial
-            trace = ctrl.state_trace(inputs)
+            trace = state_trace(ctrl, inputs)
             seen = {}
             for step, state in enumerate(trace):
                 key = (state, step % len(base))
@@ -404,9 +406,8 @@ def _bdd_bits(m, a, nvars):
     def go(f):
         if f in memo:
             return memo[f]
-        level = core.level_of(f)
-        out = (masks[level] & go(core.high(f))) | \
-            (~masks[level] & full & go(core.low(f)))
+        level, lo, hi = node_of(core, f)
+        out = (masks[level] & go(hi)) | (~masks[level] & full & go(lo))
         memo[f] = out
         return out
 

@@ -249,15 +249,20 @@ def test_canonicity_tracks_truth_table_equality():
         assert (a.handle == b.handle) == (ta.bits == tb.bits)
 
 
+def node_of(core, handle):
+    """(level, low, high) of a node in the core's store."""
+    return core._level[handle], core._lo[handle], core._hi[handle]
+
+
 def _store_errors(core):
     """Violations of the reduced, hash-consed node store."""
     errors = []
     triples = {}
     for handle in range(2, core.node_count()):
-        level, lo, hi = core.level_of(handle), core.low(handle), core.high(handle)
+        level, lo, hi = node_of(core, handle)
         if lo == hi:
             errors.append("node %d is redundant" % handle)
-        if not (level < core.level_of(lo) and level < core.level_of(hi)):
+        if not (level < core._level[lo] and level < core._level[hi]):
             errors.append("node %d is not above its children" % handle)
         if (level, lo, hi) in triples:
             errors.append("nodes %d and %d are equal" % (triples[level, lo, hi], handle))

@@ -19,6 +19,7 @@ from symbolic_reference import SymbolicBackend as ReferenceBackend
 from test_el import example_objective, ABCD
 from test_synthesis import (RUNNING_LIVENESS, RUNNING_SAFETY, random_games,
                             running_problem)
+from zielonka_reference import vertex_with_label
 
 
 def guard_accepts(term, colors):
@@ -67,7 +68,7 @@ def test_branching_objective_equations_match_displayed_system():
     m = ABCD.mask
 
     def v(*names):
-        return tree.vertex_with_label(m(*names))
+        return vertex_with_label(tree, m(*names))
 
     def eq(*names):
         return system.equations[v(*names)]
@@ -220,9 +221,9 @@ def streett_n60():
     return random_game(5, 60, 6, density=0.15, objective_factory=streett3)
 
 
-# Kleene stages of the verdict solve on streett_n60() with the leaf memo,
-# warm starts and the memo of ancestors' ``cpre`` images; without warm
-# starts it runs 1,755, without both 5,540, the plain recursion 10,390.
+# Kleene stages of the verdict solve on streett_n60() with the per-vertex
+# memo and warm starts; without warm starts it runs 1,755, without warm
+# starts and the internal vertices' memo 5,088, the plain recursion 10,390.
 # The plain ranked reference cannot finish within this many
 # (test_strategy.py).
 STREETT_N60_STAGES = 907
@@ -247,12 +248,12 @@ ARB3 = ("G(!(g0 & g1) & !(g0 & g2) & !(g1 & g2))",
         "(G F r0 -> G F g0) & (G F r1 -> G F g1) & (G F r2 -> G F g2)",
         ["r0", "r1", "r2"], ["g0", "g1", "g2"])
 
-# Kleene stages, warm-started runs and image-memo hits of the symbolic
-# solve of the 3-client arbiter; without warm starts it runs 1,353
-# stages, without the image memo as well 5,349.
+# Kleene stages, warm-started runs and memo hits (leaf and subtree) of
+# the symbolic solve of the 3-client arbiter; without warm starts it runs
+# 1,353 stages, without the internal vertices' memo as well 4,869.
 ARB3_SYMBOLIC_STAGES = 561
 ARB3_SYMBOLIC_WARM_STARTS = 156
-ARB3_SYMBOLIC_MEMO_HITS = 105
+ARB3_SYMBOLIC_MEMO_HITS = 201
 
 
 def symbolic_bound(game):
@@ -289,17 +290,38 @@ def test_leaf_memo_skips_repeated_leaf_runs():
     assert win == solve_el_via_reduction(game, tree)
 
 
-def test_leaf_memo_window_holds_each_leafs_recent_runs(monkeypatch):
+class KleeneLeaf(ExplicitBackend):
+    """Explicit backend whose ``leaf`` records each least-fixpoint leaf
+    run's inputs and solves its equation by Kleene stages."""
+
+    def __init__(self, game):
+        super().__init__(game)
+        self.calls = []
+
+    def leaf(self, s, own, fixed):
+        self.calls.append((s, fixed))
+        x = fixed
+        while True:
+            y = fixed | self.term(s, own, x)
+            if y == x:
+                return x
+            x = y
+
+
+def test_leaf_never_runs_twice_on_equal_inputs(monkeypatch):
     # A leaf run's result depends only on the union of its ancestor terms,
-    # and each leaf remembers its last len(terms) runs: no leaf is run
-    # again on the input of one of them.  The rank backend's one-pass
-    # ``leaf`` runs at least-fixpoint leaves, which the README expansion
-    # has three of.
+    # and each leaf's memo keeps every run of the solve: no leaf is run
+    # again on the input of any earlier run.  ``leaf`` runs at
+    # least-fixpoint leaves: the rank backend's one pass on the README
+    # expansion, which has three, and a recording Kleene solve on the
+    # Rabin game of deep_games(), whose leaves repeat inputs from more
+    # than len(terms) runs back (160 runs on 149 distinct inputs if each
+    # leaf kept only its last len(terms) runs).
     game = readme_expansion()
     tree = ZielonkaTree(game.objective, game.table)
-    window = {eq.vertex: len(eq.terms) for eq in build_equations(tree).equations
-              if eq.op == "attract" and eq.lfp}
-    assert window
+    lfp_leaves = [eq.vertex for eq in build_equations(tree).equations
+                  if eq.op == "attract" and eq.lfp]
+    assert lfp_leaves
     calls = []
 
     class Recording(strategy.RankBackend):
@@ -310,11 +332,14 @@ def test_leaf_memo_window_holds_each_leafs_recent_runs(monkeypatch):
     monkeypatch.setattr(strategy, "RankBackend", Recording)
     maps = ranked_maps(game, tree, solve_game(game, tree)[2].values)
     assert maps == ranked_solve_reference(game, tree)
-    runs = {s: [] for s in window}
-    for s, fixed in calls:
-        assert fixed not in runs[s][-window[s]:], s
-        runs[s].append(fixed)
-    assert len(calls) > len(window)   # some leaves ran more than once
+    assert len(set(calls)) == len(calls)
+    assert len(calls) > len(lfp_leaves)   # some leaves ran more than once
+    game = deep_games()[2]
+    tree = ZielonkaTree(game.objective, game.table)
+    backend = KleeneLeaf(game)
+    result = solve(build_equations(tree), backend, max_stages=game.arena.n + 1)
+    assert result.values == solve_game(game, tree)[2].values
+    assert len(set(backend.calls)) == len(backend.calls) == 149
 
 
 # SHA-256 of ``repr(sorted(values.items()))`` of the verdict solve on
@@ -627,37 +652,61 @@ def seeded_family_games():
     return out
 
 
+def roadmap_games():
+    """The Streett and parity games of ``e2ebench/run.py --roadmap``
+    (n=200, density 0.05, seed 5)."""
+    return [random_game(5, 200, 6, density=0.05, objective_factory=streett3),
+            random_game(5, 200, 8, density=0.05, objective_factory=lambda
+                        rng, t: el.parity(t, list("abcdefgh")))]
+
+
+def subtree_hits(tree, result):
+    """The memo hits of a solve at internal vertices."""
+    return {s: n for s, n in result.memo_hits.items() if not tree.is_leaf(s)}
+
+
 def test_subtree_memo_leaves_every_vertex_value_unchanged():
     # A run of an internal vertex whose ancestors' ``cpre`` images repeat
     # returns the stored result and leaves its subtree's values as the
     # stored run wrote them: every vertex ends at the value of the solve
-    # that runs every subtree.  Covered: the explicit-deep base games, the
-    # two n=200 games of ``e2ebench/run.py --roadmap``, 150 seeded games
-    # and the symbolic 3- and 4-client arbiters.
-    roadmap = [random_game(5, 200, 6, density=0.05, objective_factory=streett3),
-               random_game(5, 200, 8, density=0.05, objective_factory=lambda
-                           rng, t: el.parity(t, list("abcdefgh")))]
-    deep = [streett_n60()] + deep_games()[:2] + roadmap
+    # that runs every subtree.  Without ``image`` only leaves hit.
+    # Covered: the explicit-deep base games, the two n=200 games of
+    # ``e2ebench/run.py --roadmap``, 150 seeded games and the symbolic 3-
+    # and 4-client arbiters.
+    deep = [streett_n60()] + deep_games()[:2] + roadmap_games()
     hit = 0
     for k, game in enumerate(deep + seeded_family_games()):
-        system = build_equations(ZielonkaTree(game.objective, game.table))
+        tree = ZielonkaTree(game.objective, game.table)
+        system = build_equations(tree)
         bound = game.arena.n + 1
         memo = solve(system, ExplicitBackend(game), max_stages=bound)
         plain = solve(system, NoImageExplicit(game), max_stages=bound)
         assert memo.values == plain.values, k
-        assert plain.memo_hits == {}, k
-        assert memo.memo_hits or k >= len(deep), k
-        hit += bool(memo.memo_hits)
+        assert subtree_hits(tree, plain) == {}, k
+        assert subtree_hits(tree, memo) or k >= len(deep), k
+        hit += bool(subtree_hits(tree, memo))
     assert hit > len(deep)
     for spec in ARB3, ARB4:
         game = syn.build_game(syn.problem_from_strings(*spec))
-        system = build_equations(ZielonkaTree(game.el_formula, game.color_table))
+        tree = ZielonkaTree(game.el_formula, game.color_table)
+        system = build_equations(tree)
         bound = symbolic_bound(game)
         memo = solve(system, syn.SymbolicBackend(game), max_stages=bound)
         plain = solve(system, NoImageSymbolic(game), max_stages=bound)
         assert memo.values == plain.values
-        assert memo.memo_hits and plain.memo_hits == {}
+        assert subtree_hits(tree, memo) and subtree_hits(tree, plain) == {}
         assert memo.iterations < plain.iterations
+
+
+# Verdict stages of the two ``--roadmap`` games.  Some of their leaf runs
+# repeat the inputs of a run more than len(terms) runs back of the same
+# leaf; answered from the memo, those save 4 and 5 stages.
+ROADMAP_VERDICT_STAGES = [1275, 571]
+
+
+def test_roadmap_verdict_stage_counts():
+    assert [solve_game(game)[2].iterations
+            for game in roadmap_games()] == ROADMAP_VERDICT_STAGES
 
 
 class CountingTerms(ExplicitBackend):
@@ -672,17 +721,17 @@ class CountingTerms(ExplicitBackend):
         return super().term(s, term, value)
 
 
-# Verdict stages, warm-started runs, image-memo hits, ``term`` requests
-# and winning nodes of the three explicit-deep base games: streett_n60()
-# and the parity and even-Muller games of deep_games().
-DEEP_VERDICT_COUNTS = [(STREETT_N60_STAGES, 281, 75, 887, 33),
-                       (333, 110, 50, 283, 33), (1268, 289, 73, 1463, 33)]
+# Verdict stages, warm-started runs, memo hits (leaf and subtree), ``term``
+# requests and winning nodes of the three explicit-deep base games:
+# streett_n60() and the parity and even-Muller games of deep_games().
+DEEP_VERDICT_COUNTS = [(STREETT_N60_STAGES, 281, 317, 887, 33),
+                       (333, 110, 119, 283, 33), (1268, 289, 307, 1463, 33)]
 
 
 def test_verdict_counts_on_the_deep_games():
     # The engine's bookkeeping decides these counts: the position in the
-    # stored-run key, the length of each leaf's window of recent runs, the
-    # prefix unions each leaf run reuses and the image memo's keys.
+    # stored-run key, the prefix unions each leaf run reuses and the keys
+    # of each vertex's memo.
     for k, game in enumerate([streett_n60()] + deep_games()[:2]):
         tree = ZielonkaTree(game.objective, game.table)
         backend = CountingTerms(game)
@@ -715,7 +764,7 @@ REFERENCE_SPECS = {
 def test_symbolic_solve_matches_the_assertion_reference():
     # The handle backend reaches the values of the backend over wrapped
     # assertions, vertex for vertex, in the same stages and with the
-    # same warm starts and image-memo hits.
+    # same warm starts and memo hits.
     named = [(name, syn.build_game(syn.problem_from_strings(*spec)))
              for name, spec in REFERENCE_SPECS.items()]
     randoms = random_games(random.Random(31415))

@@ -9,7 +9,8 @@ from elgames.ltl import (Ap, AndOp, Finally, Globally, Implies, Next, NotOp,
                          to_nnf)
 
 from ltl_reference import (dsa_accepts_lasso, eval_ltl_lasso,
-                           nfa_accepts_lasso, reachable_subset_count)
+                           nfa_accepts_lasso, reachable_subset_count,
+                           successors)
 
 A, B, C = Ap("a"), Ap("b"), Ap("c")
 
@@ -130,8 +131,8 @@ def subset_language_equal(n1, n2):
         if bool(s1) != bool(s2):
             return False
         for letter in letters:
-            t1 = frozenset(t for s in s1 for t in n1.successors(s, letter))
-            t2 = frozenset(t for s in s2 for t in n2.successors(s, letter))
+            t1 = frozenset(t for s in s1 for t in successors(n1, s, letter))
+            t2 = frozenset(t for s in s2 for t in successors(n2, s, letter))
             if (t1, t2) not in seen:
                 seen.add((t1, t2))
                 queue.append((t1, t2))

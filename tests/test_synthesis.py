@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import random
 
@@ -14,6 +15,7 @@ from elgames.oracles import solve_el_via_reduction
 from elgames.strategy import losing_cycle
 from elgames.zielonka import ZielonkaTree
 
+from controller_reference import state_trace
 from el_reference import evaluate
 
 
@@ -24,6 +26,22 @@ RUNNING_LIVENESS = "(G F a -> G F b) & ((F G !a | F G !(b & c)) & G F c)"
 def running_problem():
     return syn.problem_from_strings(
         RUNNING_SAFETY, RUNNING_LIVENESS, ["a"], ["b", "c"])
+
+
+def test_symbolic_solve_leaves_no_diagram_walk_in_cycles():
+    # The quantifier and rename walks are recursive closures that refer to
+    # themselves; each call frees its own by reference count, so the
+    # cyclic collector finds none of them after a solve.
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        syn.solve_symbolic(syn.build_game(running_problem()))
+        gc.collect()
+        names = [getattr(obj, "__name__", None) for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert "go" not in names
 
 
 def letter_manager(*names):
@@ -524,7 +542,7 @@ def test_controller_simulation_random_environments():
             assert bits != 0
         # liveness on the detected lasso: once (state, loop position)
         # repeats, the letters in between recur forever
-        trace = ctrl.state_trace(inputs)
+        trace = state_trace(ctrl, inputs)
         seen = {}
         for step in range(prefix_len, len(inputs)):
             key = (trace[step], (step - prefix_len) % loop_len)

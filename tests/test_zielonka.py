@@ -12,8 +12,8 @@ from elgames.zielonka import ZielonkaTree
 from el_reference import evaluate
 from test_el import example_objective, ABCD
 from zielonka_reference import (LassoPlay, fair_induced_walk, max_tree_size,
-                               reference_tree,
-                                tree_invariant_errors)
+                               reference_tree, tree_invariant_errors,
+                               vertex_with_label)
 
 
 def buchi_tree():
@@ -78,7 +78,7 @@ def test_branching_objective_tree_matches_known_shape():
     m = ABCD.mask
 
     def v(*names):
-        return tree.vertex_with_label(m(*names))
+        return vertex_with_label(tree, m(*names))
 
     root = v("a", "b", "c", "d")
     assert root == tree.root and not tree.winning[root]
@@ -167,9 +167,9 @@ def tree_ok(tree):
 def test_anchor_examples_on_branching_tree():
     tree = ZielonkaTree(example_objective(), ABCD)
     m = ABCD.mask
-    leaf = tree.vertex_with_label(0)
+    leaf = vertex_with_label(tree, 0)
     assert tree.anchor(leaf, m("d")) == tree.root
-    assert tree.anchor(leaf, m("c")) == tree.vertex_with_label(m("c"))
+    assert tree.anchor(leaf, m("c")) == vertex_with_label(tree, m("c"))
     assert tree.anchor(leaf, 0) == leaf
 
 

@@ -13,6 +13,14 @@ from elgames import el
 from el_reference import evaluate
 
 
+def vertex_with_label(tree, mask):
+    """The tree's vertex labelled ``mask``."""
+    for v, lab in enumerate(tree.label):
+        if lab == mask:
+            return v
+    raise KeyError("no vertex labeled %s" % tree.table.format_mask(mask))
+
+
 def tree_invariant_errors(tree):
     """Structural invariant violations of a built tree (empty if sound)."""
     errors = []
