@@ -2,11 +2,12 @@
 
 Workloads exercise the hot paths of the symbolic pipeline: if-then-else
 chains, relational image under quantification and partner renaming,
-universal-over-existential quantification as in the synthesis game's
-controllable predecessor, and model counting.  Each run's result is
-checked against a pinned value: the node count after the counter's
-reachability, the XOR of the battery's model counts, the composition's
-final model count and the model count of the alternation's safe set.
+universal-over-existential quantification of a relational product
+whose relation reads the primed letters, and model counting.  Each
+run's result is checked against a pinned value: the node count after
+the counter's reachability, the XOR of the battery's model counts, the
+composition's final model count and the model count of the
+alternation's safe set.
 Run as a script; pass --repeat to stabilize numbers.
 
     python benchmarks/bench_bddcore.py
@@ -99,10 +100,11 @@ def relation_composition(bits, rounds):
 
 def quantifier_alternation(nstate, nletters, seed):
     """Greatest safe set of a seeded game: ``safe`` shrinks to
-    ``safe & forall i'. exists o', s'. R & rename(safe)``, the shape of
-    ``synthesis.symbolic_cpre``, until it is stable (9 rounds here).
-    ``R`` sets each next state bit to a random formula of the current
-    state and the primed letters."""
+    ``safe & forall i'. exists o', s'. R & rename(safe)``, the full
+    relational product, until it is stable (9 rounds here).  ``R`` sets
+    each next state bit to a random formula of the current state and the
+    primed letters, so the letter quantifiers cannot move onto the
+    renamed set as ``synthesis.symbolic_cpre`` moves them."""
     rng = random.Random(seed)
     m = Manager()
     state = ["s%d" % i for i in range(nstate)]

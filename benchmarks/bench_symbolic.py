@@ -12,12 +12,13 @@ specifications are those of the end-to-end ``synth-arbiter`` workload
 response and with next-step grants; the three-client arbiter) and the
 four- and five-client arbiters.  Each run's Kleene stages, warm-started
 runs, runs answered from the memo (leaf and subtree hits), distinct
-``symbolic_cpre`` targets and the number of assignments of every
-declared variable in the winning region are pinned.  The
-diagram core's node count and memo entries (all of its memos, which
-live as long as the game's manager) after the last run are printed,
-not pinned, so the memory the memos keep shows.  Run as a script; pass
---repeat to stabilize numbers.
+``symbolic_cpre`` targets, the number of assignments of every
+declared variable in the winning region and the diagram core's node
+count after the run are pinned; node counts do not depend on the hash
+seed.  The core's memo entries (all of its memos, which live as long
+as the game's manager) after the last run are printed, not pinned, so
+the memory the memos keep shows.  Run as a script; pass --repeat to
+stabilize numbers.
 
     python benchmarks/bench_symbolic.py
 """
@@ -43,17 +44,17 @@ README = ("G(b|c) & G(a -> b | X X b)",
           "(G F a -> G F b) & ((F G !a | F G !(b&c)) & G F c)", ["a"], ["b", "c"])
 
 # name, specification, stages, warm starts, memo hits, cpre targets,
-# satcount
+# satcount, DD nodes
 WORKLOADS = [
-    ("readme", README, 67, 13, 14, 16, 10752),
-    ("arb2", arbiter(2), 85, 16, 28, 12, 384),
+    ("readme", README, 67, 13, 14, 16, 10752, 349),
+    ("arb2", arbiter(2), 85, 16, 28, 12, 384, 112),
     ("arb2-resp2", arbiter(2, " & G(r0 -> X g0 | X X g0)"),
-     126, 24, 31, 31, 39936),
+     126, 24, 31, 31, 39936, 489),
     ("arb2-next01", arbiter(2, " & G(r0 -> X g0) & G(r1 -> X g1)"),
-     111, 20, 24, 27, 0),
-    ("arb3", arbiter(3), 561, 156, 201, 55, 4096),
-    ("arb4", arbiter(4), 3979, 1316, 1524, 312, 40960),
-    ("arb5", arbiter(5), 31163, 11350, 12515, 2049, 393216),
+     111, 20, 24, 27, 0, 385),
+    ("arb3", arbiter(3), 561, 156, 201, 55, 4096, 685),
+    ("arb4", arbiter(4), 3979, 1316, 1524, 312, 40960, 4530),
+    ("arb5", arbiter(5), 31163, 11350, 12515, 2049, 393216, 33714),
 ]
 
 
@@ -81,7 +82,7 @@ def run(repeat):
     print("%-12s %7s %6s %6s %7s %8s %10s %7s %8s" % (
         "spec", "stages", "warm", "hits", "targets", "satcount", "best",
         "nodes", "memo"))
-    for name, spec, stages, warm, hits, targets, satcount in WORKLOADS:
+    for name, spec, stages, warm, hits, targets, satcount, nodes in WORKLOADS:
         problem = syn.problem_from_strings(*spec)
         best = None
         for _ in range(repeat):
@@ -91,12 +92,14 @@ def run(repeat):
             m = game.manager
             got = (result.iterations, sum(result.warm_starts.values()),
                    sum(result.memo_hits.values()), asked,
-                   m.core.satcount(win.handle, range(len(m.names))))
-            want = (stages, warm, hits, targets, satcount)
+                   m.core.satcount(win.handle, range(len(m.names))),
+                   m.core.node_count())
+            want = (stages, warm, hits, targets, satcount, nodes)
             assert got == want, "%s gave (stages, warm starts, memo hits, " \
-                "targets, satcount) %r, expected %r" % (name, got, want)
+                "targets, satcount, nodes) %r, expected %r" % (name, got, want)
         print("%-12s %7d %6d %6d %7d %8d %9.4fs %7d %8d" % (
-            (name,) + want + (best, m.core.node_count(), m.core.memo_entries())))
+            name, stages, warm, hits, targets, satcount, best, nodes,
+            m.core.memo_entries()))
 
 
 def main():

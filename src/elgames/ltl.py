@@ -458,7 +458,8 @@ class SymbolicSafetyAutomaton:
     state_vars: tuple      # variable name per NFA state
     ap: tuple              # atomic proposition names (unprimed manager vars)
     theta0: object         # Assertion: exactly-initial cube
-    trans: object          # Assertion over (V, V', AP)
+    trans: object          # Assertion over (V, V', AP): no primed letter,
+                           # at most one V' per (V, AP)
     rhs: tuple             # per state: Assertion giving the next-step bit
     nfa: SafetyNFA
 
@@ -489,6 +490,12 @@ def determinize_symbolic(nfa, letters):
     interleaved, then ``letters`` (synthesis passes its inputs and then
     its outputs), each with a partner, in block "letter".  Past
     ``MAX_SUBSET_VARS`` automaton states it raises :class:`LTLError`.
+
+    The transition relation is ``nonempty(V) & AND_q (q' <-> rhs_q(V, AP))``.
+    It mentions no primed letter and is functional in ``V'``: each
+    nonempty subset and letter have exactly one next subset, and the
+    empty subset has none.  ``synthesis.symbolic_cpre`` relies on both
+    to quantify the next letter on the target alone.
     """
     if len(nfa) > MAX_SUBSET_VARS:
         raise LTLError("variable budget exceeded: %d automaton states > %d"

@@ -8,8 +8,9 @@ transition assertion) and the environment choosing inputs.  The
 liveness part maps each distinct letter assertion under GF / FG to a
 color, and the game is solved by the generic fixpoint solver over the
 diagram core's node handles, with the one-step controllable predecessor
-quantifying primed inputs universally and primed outputs and subset
-variables existentially.  The solve wraps handles as assertions only
+taken letter first: outputs existentially and inputs universally on the
+target, then the next subset existentially on its conjunction with the
+transition relation.  The solve wraps handles as assertions only
 around that predecessor and on its final values.
 
 Controllers are extracted from the explicit expansion of the symbolic
@@ -165,12 +166,14 @@ class SymbolicGameStructure:
 
     @cached_property
     def _cpre_levels(self):
-        """Levels ``symbolic_cpre`` quantifies: the primed inputs
-        (universally) and the primed outputs and subset variables
-        (existentially)."""
+        """Levels ``symbolic_cpre`` quantifies, letter first: the
+        outputs (existentially), then the inputs (universally) of the
+        target, then the primed subset variables (existentially) of
+        its conjunction with ``rho``."""
         m = self.manager
-        return (frozenset(m.level(n + "'") for n in self.inputs),
-                frozenset(m.level(n + "'") for n in self.outputs + self.state_vars))
+        return (frozenset(m.level(n) for n in self.outputs),
+                frozenset(m.level(n) for n in self.inputs),
+                frozenset(m.level(n + "'") for n in self.state_vars))
 
     def holds(self, assertion, bits, letter):
         """Truth of an assertion at one subset (bit mask over
@@ -201,12 +204,22 @@ def build_game(problem):
 
 def symbolic_cpre(game, target):
     """Nodes where every next input admits outputs and a subset step
-    keeping the successor in the target."""
+    keeping the successor in the target.
+
+    The relational product ``forall i'. exists o', s'. rho & T(s', i', o')``
+    is taken letter first.  ``rho`` mentions no primed letter and gives
+    each (subset, letter) at most one next subset (see
+    ``ltl.determinize_symbolic``), so ``exists o'`` moves onto the
+    target and the unique ``s'`` commutes with ``forall i'``:
+    ``cpre(T) = exists s'. rho & W(s')`` with ``W = forall i. exists o. T``,
+    a diagram over the subset variables alone, renamed to their
+    partners."""
     m = game.manager
     core = m.core
-    inputs, rest = game._cpre_levels
-    inner = core.and_(game.rho.handle, m.rename_partners(target).handle)
-    return Assertion(m, core.forall(core.exists(inner, rest), inputs))
+    outputs, inputs, primed = game._cpre_levels
+    win = Assertion(m, core.forall(core.exists(target.handle, outputs), inputs))
+    step = core.and_(game.rho.handle, m.rename_partners(win).handle)
+    return Assertion(m, core.exists(step, primed))
 
 
 class SymbolicBackend(SetBackend):
@@ -405,15 +418,6 @@ class MealyController:
 
     def __len__(self):
         return len(self.states)
-
-    def run(self, input_sets):
-        """Letters produced against the given input sequence."""
-        letters = []
-        for step, inp in enumerate(input_sets):
-            inp = frozenset(inp)
-            out, state = self.init[inp] if step == 0 else self.trans[(state, inp)]
-            letters.append(inp | out)
-        return letters
 
     def to_text(self):
         def cube(names, chosen):

@@ -11,6 +11,9 @@ the tree's vertex numbers: ``shift`` is the number of vertices the
 expansion's tree has in excess of the liveness tree (1 when φ holds on
 every colour, so φ ∧ Fin(_stuck) gains a losing root; 0 otherwise), and
 every anchor of the reference is that much higher.
+
+``letter_trace`` and ``state_trace`` run a controller against an input
+sequence, for the simulation tests; the library never runs one.
 """
 
 import re
@@ -22,6 +25,16 @@ from elgames.synthesis import (MealyController, SynthesisError,
                                expand_explicit)
 
 from ranked_reference import ranked_maps
+
+
+def letter_trace(ctrl, input_sets):
+    """Letters a controller produces against the given input sequence."""
+    letters = []
+    for step, inp in enumerate(input_sets):
+        inp = frozenset(inp)
+        out, state = ctrl.init[inp] if step == 0 else ctrl.trans[(state, inp)]
+        letters.append(inp | out)
+    return letters
 
 
 def state_trace(ctrl, input_sets):

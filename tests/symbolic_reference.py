@@ -8,6 +8,11 @@ intersection and comparison goes through the ``Assertion`` operators.
 ``SymbolicBackend`` joins them.  The library's backend computes on the
 diagram core's integer handles instead and must reach the same values
 in the same stages.
+
+``symbolic_cpre`` is the textbook relational product: ``rho`` conjoined
+with the whole renamed target, then the primed letter and subset
+variables quantified.  It is the reference that the library's
+letter-first ``synthesis.symbolic_cpre`` must equal handle for handle.
 """
 
 
@@ -85,7 +90,7 @@ class SetBackend:
 
 def symbolic_cpre(game, target):
     """Nodes where every next input admits outputs and a subset step
-    keeping the successor in the target."""
+    keeping the successor in the target, as one relational product."""
     m = game.manager
     primed = m.rename_partners(target)
     inner = game.rho & primed

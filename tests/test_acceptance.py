@@ -24,7 +24,7 @@ from elgames.dd import Manager
 from elgames.fixpoint import build_equations
 from elgames.zielonka import ZielonkaTree
 
-from controller_reference import state_trace
+from controller_reference import letter_trace, state_trace
 from el_reference import evaluate
 from test_el import example_objective, ABCD
 from test_dd import _random_ops, node_of
@@ -316,7 +316,7 @@ def test_criterion8_end_to_end_synthesis():
             base = [frozenset(n for n in game.inputs if rng.random() < 0.5)
                     for _ in range(rng.randint(1, 6))]
             inputs = [base[i % len(base)] for i in range(200)]
-            letters = ctrl.run(inputs)
+            letters = letter_trace(ctrl, inputs)
             bits = dsa.initial_bits()
             for letter in letters:
                 bits = dsa.step_bits(bits, letter)

@@ -15,8 +15,9 @@ from elgames.oracles import solve_el_via_reduction
 from elgames.strategy import losing_cycle
 from elgames.zielonka import ZielonkaTree
 
-from controller_reference import state_trace
+from controller_reference import letter_trace, state_trace
 from el_reference import evaluate
+from symbolic_reference import symbolic_cpre as reference_cpre
 
 
 RUNNING_SAFETY = "G(b | c) & G(a -> b | X X b)"
@@ -171,12 +172,74 @@ def test_symbolic_cpre_matches_explicit_on_random_targets():
             assert got == ok, kind
 
 
+def symbolic_games():
+    """``(name, game)`` for the synth-arbiter specifications, arb4 and 30
+    random specifications."""
+    from test_fixpoint import ARB4, REFERENCE_SPECS
+    specs = dict(REFERENCE_SPECS, arb4=ARB4)
+    games = [(name, syn.build_game(syn.problem_from_strings(*spec)))
+             for name, spec in specs.items()]
+    return games + [("random %d" % trial, game) for (trial, game), _
+                    in zip(random_games(random.Random(27)), range(30))]
+
+
+def random_targets(game, rng, count):
+    """Disjunctions of four random three-literal cubes over the subset
+    and letter variables."""
+    m = game.manager
+    names = game.state_vars + game.ap
+    return [m.disj(m.cube({n: rng.random() < 0.5
+                           for n in rng.sample(names, min(3, len(names)))})
+                   for _ in range(4))
+            for _ in range(count)]
+
+
+def test_symbolic_cpre_equals_the_relational_product_on_every_solve_target(
+        monkeypatch):
+    # The letter-first cpre returns the handle of the textbook relational
+    # product on every target the symbolic solve asks for, and on random
+    # targets: the solves' targets seldom tell the order of the letter
+    # quantifiers apart.
+    cpre = syn.symbolic_cpre
+    asked = []
+
+    def recording(game, target):
+        asked.append(target)
+        return cpre(game, target)
+
+    monkeypatch.setattr(syn, "symbolic_cpre", recording)
+    rng = random.Random(5)
+    for name, game in symbolic_games():
+        asked.clear()
+        syn.solve_symbolic(game)
+        assert asked, name
+        for target in asked + random_targets(game, rng, 10):
+            assert cpre(game, target) == reference_cpre(game, target), name
+
+
+def test_rho_has_no_primed_letter_and_one_next_subset():
+    # The invariants symbolic_cpre relies on: rho never mentions a primed
+    # letter, and it gives each (nonempty subset, letter) exactly one
+    # next subset, so no primed subset variable can take both values.
+    for name, game in symbolic_games():
+        m = game.manager
+        primed = [v + "'" for v in game.state_vars]
+        support = set(m.support_names(game.rho))
+        assert not support & {n + "'" for n in game.ap}, name
+        nonempty = m.disj(m.var(v) for v in game.state_vars)
+        assert m.exists(primed, game.rho) == nonempty, name
+        for v in primed:
+            high = m.exists(primed, game.rho & m.var(v))
+            low = m.exists(primed, game.rho & ~m.var(v))
+            assert (high & low).is_false(), (name, v)
+
+
 def test_running_example_realizable_with_verified_controller():
     res = syn.solve_synthesis(running_problem(), expand_check=True)
     assert res.realizable
     ctrl = res.controller
     # the controller prefers {c} whenever possible once settled
-    letters = ctrl.run([frozenset()] * 8)
+    letters = letter_trace(ctrl, [frozenset()] * 8)
     assert all(l == frozenset(["c"]) for l in letters[1:])
     # safety holds and the liveness colors of the steady loop satisfy
     # the objective
@@ -503,7 +566,7 @@ def test_always_output_b_realizable():
     prob = syn.problem_from_strings("true", "G F a -> G F b", ["a"], ["b"])
     res = syn.solve_synthesis(prob, expand_check=True)
     assert res.realizable
-    letters = res.controller.run([frozenset(["a"])] * 6)
+    letters = letter_trace(res.controller, [frozenset(["a"])] * 6)
     union_colors = 0
     for letter in letters:
         union_colors |= res.game.letter_colors(letter)
@@ -534,7 +597,7 @@ def test_controller_simulation_random_environments():
                 inputs.append(seq[step])
             else:
                 inputs.append(seq[prefix_len + (step - prefix_len) % loop_len])
-        letters = ctrl.run(inputs)
+        letters = letter_trace(ctrl, inputs)
         # safety: the tracked subset never dies
         bits = dsa.initial_bits()
         for letter in letters:
@@ -741,7 +804,7 @@ def test_random_specifications_cross_check_and_verify():
             inputs = [frozenset(n for n in game.inputs if rng.random() < 0.5)
                       for _ in range(40)]
             bits = game.dsa.initial_bits()
-            for letter in ctrl.run(inputs):
+            for letter in letter_trace(ctrl, inputs):
                 bits = game.dsa.step_bits(bits, letter)
                 assert bits != 0, trial
     assert verified >= 10
