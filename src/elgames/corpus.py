@@ -7,7 +7,6 @@ run through the exact verifier.  Deterministic for a fixed seed.
 """
 
 import random
-from dataclasses import dataclass, field
 
 from .fixpoint import solve_game
 from .games import dual_game, random_game
@@ -15,15 +14,17 @@ from .oracles import solve_el_via_reduction
 from .strategy import extract, verify
 
 
-@dataclass
 class CorpusReport:
-    count: int = 0
-    oracle_agree: int = 0
-    dual_ok: int = 0
-    strategies_checked: int = 0
-    strategies_ok: int = 0
-    max_memory: int = 0
-    failures: list = field(default_factory=list)
+
+    def __init__(self, count=0, oracle_agree=0, dual_ok=0, strategies_checked=0,
+                 strategies_ok=0, max_memory=0, failures=None):
+        self.count = count
+        self.oracle_agree = oracle_agree
+        self.dual_ok = dual_ok
+        self.strategies_checked = strategies_checked
+        self.strategies_ok = strategies_ok
+        self.max_memory = max_memory
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self):

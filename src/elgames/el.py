@@ -7,8 +7,6 @@ desugared during parsing; it is not an AST node.  Colors are interned
 in a :class:`ColorTable` and color sets are dense bit masks over it.
 """
 
-from dataclasses import dataclass
-
 from . import syntax
 
 MAX_COLORS = 30
@@ -109,7 +107,7 @@ def subsets_of(mask):
     return out
 
 
-class ELFormula:
+class ELFormula(syntax.Node):
     """Base class of objective AST nodes."""
 
     __slots__ = ()
@@ -124,40 +122,28 @@ class ELFormula:
         return Not(self)
 
 
-@dataclass(frozen=True)
 class TrueFormula(ELFormula):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FalseFormula(ELFormula):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Inf(ELFormula):
     __slots__ = ("color",)
-    color: int
 
 
-@dataclass(frozen=True)
 class Not(ELFormula):
     __slots__ = ("arg",)
-    arg: ELFormula
 
 
-@dataclass(frozen=True)
 class And(ELFormula):
     __slots__ = ("left", "right")
-    left: ELFormula
-    right: ELFormula
 
 
-@dataclass(frozen=True)
 class Or(ELFormula):
     __slots__ = ("left", "right")
-    left: ELFormula
-    right: ELFormula
 
 
 TRUE = TrueFormula()
@@ -175,8 +161,9 @@ def truth_table(phi, ncolors):
 
     One iterative post-order pass of big-int operations on
     ``2**ncolors``-bit ints, so a formula of any depth is safe.  Nodes
-    are memoized by ``id``, not by value: hashing a frozen dataclass
-    recurses once per level.
+    are memoized by ``id``, not by value: a shared subtree is one
+    object, and comparing equal but distinct subtrees by value recurses
+    once per level.
     """
     if ncolors > MAX_TABLE_COLORS:
         raise ELError("color budget exceeded: %d > %d" % (ncolors, MAX_TABLE_COLORS))

@@ -52,12 +52,9 @@ result keeps the backend that produced it, so the signature solve of a
 strategy runs on the verdict's own color sets, guards and ``cpre`` memo.
 """
 
-from dataclasses import dataclass, field
-
 from . import games
 
 
-@dataclass(frozen=True)
 class Equation:
     """Right-hand side for one tree vertex.
 
@@ -67,17 +64,20 @@ class Equation:
     matches when its colors are inside the subset mask and, if an
     escape mask is given, not inside it.
     """
-    vertex: int
-    lfp: bool
-    op: str
-    children: tuple = ()
-    terms: tuple = ()
+
+    def __init__(self, vertex, lfp, op, children=(), terms=()):
+        self.vertex = vertex
+        self.lfp = lfp
+        self.op = op
+        self.children = children
+        self.terms = terms
 
 
-@dataclass
 class EquationSystem:
-    tree: object
-    equations: list = field(default_factory=list)
+
+    def __init__(self, tree, equations=None):
+        self.tree = tree
+        self.equations = [] if equations is None else equations
 
 
 def build_equations(tree):
@@ -246,18 +246,20 @@ class StageLimitError(RuntimeError):
     """A variable did not stabilize within the solve's stage bound."""
 
 
-@dataclass
 class SolveResult:
     """Final variable values, the number of Kleene stages run, per
     vertex the number of runs warm-started from the result stored at
     their position and the number of runs answered from its memo (a
     leaf's inputs or an internal vertex's ancestor ``cpre`` images), and
     the backend the values were computed with."""
-    values: dict
-    iterations: int = 0
-    warm_starts: dict = field(default_factory=dict)
-    memo_hits: dict = field(default_factory=dict)
-    backend: object = None
+
+    def __init__(self, values, iterations=0, warm_starts=None, memo_hits=None,
+                 backend=None):
+        self.values = values
+        self.iterations = iterations
+        self.warm_starts = {} if warm_starts is None else warm_starts
+        self.memo_hits = {} if memo_hits is None else memo_hits
+        self.backend = backend
 
     def winning(self):
         return self.values[0]

@@ -17,8 +17,6 @@ the tracked subset is nonempty (a run dies when it empties).  The
 subset space is never enumerated.
 """
 
-from dataclasses import dataclass
-
 from . import syntax
 from .dd import Manager
 
@@ -40,83 +38,56 @@ class NotSafetyError(LTLError):
         self.offending = offending
 
 
-class LTLFormula:
+class LTLFormula(syntax.Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Tru(LTLFormula):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Fls(LTLFormula):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Ap(LTLFormula):
     __slots__ = ("name",)
-    name: str
 
 
-@dataclass(frozen=True)
 class NotOp(LTLFormula):
     __slots__ = ("arg",)
-    arg: LTLFormula
 
 
-@dataclass(frozen=True)
 class AndOp(LTLFormula):
     __slots__ = ("left", "right")
-    left: LTLFormula
-    right: LTLFormula
 
 
-@dataclass(frozen=True)
 class OrOp(LTLFormula):
     __slots__ = ("left", "right")
-    left: LTLFormula
-    right: LTLFormula
 
 
-@dataclass(frozen=True)
 class Implies(LTLFormula):
     __slots__ = ("left", "right")
-    left: LTLFormula
-    right: LTLFormula
 
 
-@dataclass(frozen=True)
 class Next(LTLFormula):
     __slots__ = ("arg",)
-    arg: LTLFormula
 
 
-@dataclass(frozen=True)
 class Finally(LTLFormula):
     __slots__ = ("arg",)
-    arg: LTLFormula
 
 
-@dataclass(frozen=True)
 class Globally(LTLFormula):
     __slots__ = ("arg",)
-    arg: LTLFormula
 
 
-@dataclass(frozen=True)
 class Until(LTLFormula):
     __slots__ = ("left", "right")
-    left: LTLFormula
-    right: LTLFormula
 
 
-@dataclass(frozen=True)
 class Release(LTLFormula):
     __slots__ = ("left", "right")
-    left: LTLFormula
-    right: LTLFormula
 
 
 LTL_TRUE = Tru()
@@ -225,11 +196,30 @@ def _atom(tok, pos, take):
     return Ap(tok) if is_atom(tok) else None
 
 
+# Deepest formula tree ``parse_ltl`` accepts, in nodes from the root to
+# a leaf.  Normalization, the tableau and ``repr`` recurse once per
+# level, and a left-folded chain such as ``a & a & ... & a`` is one
+# parser level (``syntax.MAX_NESTING``) but one tree level per operand.
+MAX_DEPTH = 400
+
+
 def parse_ltl(text):
     """Parse LTL: ``!``, ``X``, ``F``, ``G`` bind tightest, then the
     right-associative ``U`` and ``R``, then ``&``, ``|`` and the
-    right-associative ``->``."""
-    return syntax.parse(text, _BINARY, _PREFIX, _atom, LTLSyntaxError)
+    right-associative ``->``.  A tree deeper than ``MAX_DEPTH`` levels
+    raises :class:`LTLError`."""
+    phi = syntax.parse(text, _BINARY, _PREFIX, _atom, LTLSyntaxError)
+    stack = [(phi, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise LTLError("formula too deep: over %d levels" % MAX_DEPTH)
+        if isinstance(node, (NotOp, Next, Finally, Globally)):
+            stack.append((node.arg, depth + 1))
+        elif isinstance(node, (AndOp, OrOp, Implies, Until, Release)):
+            stack.append((node.left, depth + 1))
+            stack.append((node.right, depth + 1))
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +337,8 @@ def _normalize_state(formulas):
 
 def _expand(state):
     """Branches (constraint list, next obligation set) of one state."""
-    # canonical order: the automaton must not depend on PYTHONHASHSEED
+    # canonical order: the automaton must not depend on PYTHONHASHSEED;
+    # it is the order of syntax.Node's repr, which must stay as it is
     branches = [([], [], sorted(state, key=repr))]  # (constraints, next, todo)
     done = []
     while branches:
@@ -452,16 +443,17 @@ def nfa_from_safety(nnf):
 # Symbolic determinization.
 
 
-@dataclass
 class SymbolicSafetyAutomaton:
-    manager: Manager
-    state_vars: tuple      # variable name per NFA state
-    ap: tuple              # atomic proposition names (unprimed manager vars)
-    theta0: object         # Assertion: exactly-initial cube
-    trans: object          # Assertion over (V, V', AP): no primed letter,
-                           # at most one V' per (V, AP)
-    rhs: tuple             # per state: Assertion giving the next-step bit
-    nfa: SafetyNFA
+
+    def __init__(self, manager, state_vars, ap, theta0, trans, rhs, nfa):
+        self.manager = manager        # the Manager of every assertion here
+        self.state_vars = state_vars  # variable name per NFA state
+        self.ap = ap                  # atomic proposition names (unprimed vars)
+        self.theta0 = theta0          # Assertion: exactly-initial cube
+        self.trans = trans            # Assertion over (V, V', AP): no primed
+                                      # letter, at most one V' per (V, AP)
+        self.rhs = rhs                # per state: Assertion of the next-step bit
+        self.nfa = nfa                # the SafetyNFA
 
     def initial_bits(self):
         return 1 << self.nfa.initial

@@ -45,8 +45,6 @@ ATVA 2019).  That search reads only an adjacency, colors and the
 objective's own truth table, not the strategy or the Zielonka tree.
 """
 
-from dataclasses import dataclass
-
 from . import el, fixpoint
 from .fixpoint import build_equations
 from .games import EXISTENTIAL, iter_nodes
@@ -388,12 +386,13 @@ def extract(game, tree, result):
     return ELStrategy(game, tree, win, initial, move, update)
 
 
-@dataclass
 class VerifyResult:
-    ok: bool
-    reason: str = ""
-    prefix: tuple = ()
-    loop: tuple = ()
+
+    def __init__(self, ok, reason="", prefix=(), loop=()):
+        self.ok = ok
+        self.reason = reason
+        self.prefix = prefix
+        self.loop = loop
 
     def __bool__(self):
         return self.ok

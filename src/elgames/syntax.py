@@ -1,11 +1,18 @@
-"""Tokens and one precedence parser for the objective and LTL syntaxes.
+"""Tokens, one precedence parser and one syntax-node base for the
+objective and LTL syntaxes.
 
 Both languages share identifiers, parentheses, ``!``, ``&``, ``|`` and
 ``->``; each is a grammar table over :func:`parse`, a precedence-climbing
-parser (Pratt, "Top Down Operator Precedence", POPL 1973).
+parser (Pratt, "Top Down Operator Precedence", POPL 1973).  Both
+grammars' trees are built of :class:`Node` subclasses: immutable, equal
+by class and fields, hashed once at construction, and shown by ``repr``
+as ``Class(field=value, ...)``.  That ``repr`` is part of the contract:
+the LTL tableau orders obligations and tells branches apart by it, so the
+automaton's state numbering depends on it byte for byte.
 """
 
 import re
+from operator import attrgetter
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _IDENT_RE = re.compile(_IDENT)
@@ -92,3 +99,76 @@ def parse(text, binary, prefix, atom, error):
     if tok is not None:
         raise error("trailing input %r" % tok, pos)
     return phi
+
+
+class Node:
+    """Immutable syntax node whose fields are its class's ``__slots__``.
+
+    Fields are set once, by position, and neither assigned nor deleted
+    afterwards.  Two nodes are equal when their classes and fields are
+    equal.  The hash is ``hash(fields)``, taken once when the node is
+    built; its children's hashes are stored by then, so hashing a tree
+    of any depth does not recurse.  ``repr`` gives
+    ``Class(field=value, ...)`` (see the module docstring for why it
+    must stay as it is).  Each subclass gets an ``__init__`` of its own
+    arity, at most two fields, a field getter and a precomputed ``repr``
+    format.
+    """
+
+    __slots__ = ("_hash",)
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        if len(fields) > 2:
+            raise TypeError("a syntax node has at most two fields")
+        cls._fields = fields
+        cls._format = "%s(%s)" % (cls.__qualname__,
+                                  ", ".join("%s=%%r" % f for f in fields))
+        setters = [getattr(cls, f).__set__ for f in fields]
+        if not fields:
+            cls._values = staticmethod(lambda node: ())
+
+            def __init__(self):
+                _set_hash(self, hash(()))
+        elif len(fields) == 1:
+            get, (set0,) = attrgetter(fields[0]), setters
+            cls._values = staticmethod(lambda node: (get(node),))
+
+            def __init__(self, first):
+                set0(self, first)
+                _set_hash(self, hash((first,)))
+        else:
+            cls._values = staticmethod(attrgetter(*fields))
+            set0, set1 = setters
+
+            def __init__(self, first, second):
+                set0(self, first)
+                set1(self, second)
+                _set_hash(self, hash((first, second)))
+        cls.__init__ = __init__
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign %r: syntax nodes are immutable"
+                             % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete %r: syntax nodes are immutable"
+                             % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # equal nodes have equal hashes, so most unequal pairs stop here
+        return (self._hash == other._hash
+                and self._values(self) == other._values(other))
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return self._format % self._values(self)
+
+
+_set_hash = Node._hash.__set__

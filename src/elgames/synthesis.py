@@ -27,10 +27,10 @@ losing sink, is the cross-check's oracle.
 """
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import el, ltl
+# Manager is unused here, but e2ebench/tracing.py patches synthesis.Manager.
 from .dd import Assertion, Manager
 from .fixpoint import SetBackend, build_equations, solve, solve_game
 from .games import Arena, ELGame, EXISTENTIAL, UNIVERSAL
@@ -57,16 +57,13 @@ class ExpansionMismatch(AssertionError):
         self.check = check
 
 
-@dataclass
 class SynthesisProblem:
-    safety: ltl.LTLFormula
-    liveness: ltl.LTLFormula
-    inputs: tuple
-    outputs: tuple
 
-    def __post_init__(self):
-        self.inputs = tuple(self.inputs)
-        self.outputs = tuple(self.outputs)
+    def __init__(self, safety, liveness, inputs, outputs):
+        self.safety = safety        # ltl.LTLFormula
+        self.liveness = liveness    # ltl.LTLFormula
+        self.inputs = tuple(inputs)
+        self.outputs = tuple(outputs)
         if not self.inputs or not self.outputs:
             raise SynthesisError("inputs and outputs must both be nonempty")
         names = self.inputs + self.outputs
@@ -142,18 +139,21 @@ def colors_of(liveness, manager):
     return formula, el.ColorTable(names), tuple(assertions)
 
 
-@dataclass
 class SymbolicGameStructure:
-    manager: Manager
-    dsa: object
-    inputs: tuple
-    outputs: tuple
-    state_vars: tuple
-    theta: object              # Assertion over the subset variables
-    rho: object                # Assertion over (V, V', AP)
-    el_formula: object         # objective over the color table
-    color_table: object
-    color_assertions: tuple    # per color: Assertion over the letter block
+
+    def __init__(self, manager, dsa, inputs, outputs, state_vars, theta, rho,
+                 el_formula, color_table, color_assertions):
+        self.manager = manager
+        self.dsa = dsa                # ltl.SymbolicSafetyAutomaton
+        self.inputs = inputs
+        self.outputs = outputs
+        self.state_vars = state_vars
+        self.theta = theta            # Assertion over the subset variables
+        self.rho = rho                # Assertion over (V, V', AP)
+        self.el_formula = el_formula  # objective over the color table
+        self.color_table = color_table
+        # per color: Assertion over the letter block
+        self.color_assertions = color_assertions
 
     @property
     def ap(self):
@@ -294,13 +294,14 @@ def is_won(game, win):
 DEAD_COLOR = "_stuck"
 
 
-@dataclass
 class ExplicitExpansion:
-    elgame: ELGame
-    kinds: list                # per node: ("full", subset, letter),
-                               # ("mid", next subset, inp) or ("sink",)
-    index: dict                # kind tuple -> node id
-    initial_subset: int
+
+    def __init__(self, elgame, kinds, index, initial_subset):
+        self.elgame = elgame
+        self.kinds = kinds    # per node: ("full", subset, letter),
+                              # ("mid", next subset, inp) or ("sink",)
+        self.index = index    # kind tuple -> node id
+        self.initial_subset = initial_subset
 
     def next_subset(self, vid):
         """Subset after a full node's letter that keeps it nonempty, read
@@ -408,13 +409,14 @@ def cross_check_symbolic_vs_explicit(game, win):
 # Controller extraction.
 
 
-@dataclass
 class MealyController:
-    inputs: tuple
-    outputs: tuple
-    states: list               # per id: (subset bits, anchor vertex, slot)
-    init: dict                 # input frozenset -> (output frozenset, state id)
-    trans: dict                # (state id, input frozenset) -> (output, state id)
+
+    def __init__(self, inputs, outputs, states, init, trans):
+        self.inputs = inputs
+        self.outputs = outputs
+        self.states = states  # per id: (subset bits, anchor vertex, slot)
+        self.init = init      # input frozenset -> (output frozenset, state id)
+        self.trans = trans    # (state id, input frozenset) -> (output, state id)
 
     def __len__(self):
         return len(self.states)
@@ -518,13 +520,14 @@ def extract_controller(game):
 # Top-level driver.
 
 
-@dataclass
 class SynthesisResult:
-    realizable: bool
-    game: SymbolicGameStructure
-    win: object
-    tree: object
-    controller: object = None
+
+    def __init__(self, realizable, game, win, tree, controller=None):
+        self.realizable = realizable
+        self.game = game              # SymbolicGameStructure
+        self.win = win
+        self.tree = tree
+        self.controller = controller
 
 
 def solve_synthesis(problem, with_controller=True, expand_check=False):

@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -81,6 +84,29 @@ def test_long_flat_chain_builds_its_tree(capsys):
     assert "2 vertices, 1 leaves, height 1" in capsys.readouterr().out
 
 
+def _chain(n, conjunct="(r -> g)"):
+    return " & ".join([conjunct] * n)
+
+
+def test_long_ltl_chain_synthesizes_up_to_the_depth_bound(capsys):
+    # A left-folded chain is one parser level but one tree level per
+    # conjunct; normalization, the tableau and repr recurse once per
+    # level, so trees deeper than ltl.MAX_DEPTH are input errors.
+    too_deep = "error: formula too deep: over 400 levels\n"
+    # G, then 397 nested conjunctions over (r -> g): 400 levels.
+    for n in (300, 398):
+        assert main(["synth", "--safety", "G(%s)" % _chain(n), "--el", "G F g",
+                     "--inputs", "r", "--outputs", "g"]) == 0
+        assert capsys.readouterr().out.strip() == "REALIZABLE"
+    for n in (399, 2000):
+        assert main(["synth", "--safety", "G(%s)" % _chain(n), "--el", "G F g",
+                     "--inputs", "r", "--outputs", "g"]) == 3
+        assert capsys.readouterr().err == too_deep
+    assert main(["synth", "--safety", "G(r -> g)", "--el", _chain(2000, "G F g"),
+                 "--inputs", "r", "--outputs", "g"]) == 3
+    assert capsys.readouterr().err == too_deep
+
+
 def test_ztree_colors_skip_keywords_after_inf(capsys):
     # "Inf Fin" names no color; the parser reports where one is missing.
     assert main(["ztree", "--el", "Inf Fin a"]) == 3
@@ -105,6 +131,18 @@ def test_solve_with_verify_and_oracle(game_file, capsys, tmp_path):
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_library_imports_without_dataclasses():
+    # Every CLI call pays the library's cold import, and generating the
+    # dataclass methods took most of it.  ``-S`` keeps modules that
+    # site-packages import at start-up out of the fresh interpreter.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, elgames.cli; print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_readme_game_block_is_the_example_file():

@@ -24,6 +24,32 @@ def test_parse_atoms_and_sugar():
     assert el.parse_formula("Inf a -> Inf b", table) == Or(Not(Inf(0)), Inf(1))
 
 
+def test_nodes_are_immutable_values_with_a_pinned_repr():
+    phi = And(Inf(0), Not(Inf(1)))
+    assert repr(phi) == "And(left=Inf(color=0), right=Not(arg=Inf(color=1)))"
+    assert repr(Or(TRUE, el.FALSE)) == "Or(left=TrueFormula(), right=FalseFormula())"
+    assert hash(phi) == hash((Inf(0), Not(Inf(1))))
+    assert hash(Inf(3)) == hash((3,)) and hash(TRUE) == hash(())
+    assert phi == And(Inf(0), Not(Inf(1))) and len({phi, Inf(0) & ~Inf(1)}) == 1
+    assert And(Inf(0), Inf(1)) != Or(Inf(0), Inf(1))
+    assert And(Inf(0), Inf(1)) != And(Inf(1), Inf(0))
+    with pytest.raises(AttributeError):
+        phi.left = Inf(2)
+    with pytest.raises(AttributeError):
+        del phi.right
+    for build, args in [(And, (Inf(0),)), (Inf, (0, 1)), (Not, ()), (el.TrueFormula, (1,))]:
+        with pytest.raises(TypeError):
+            build(*args)
+
+
+def test_hashing_a_deep_chain_does_not_recurse():
+    phi = Inf(0)
+    for _ in range(5000):
+        phi = Or(phi, Inf(0))
+    assert hash(phi) == hash((phi.left, Inf(0)))
+    assert phi in {phi} and phi != Or(phi.left, Inf(1))
+
+
 def test_parse_unknown_color():
     table = el.ColorTable("ab")
     with pytest.raises(el.UnknownColorError):

@@ -56,7 +56,7 @@ def test_save_load_round_trip():
 def test_deep_objective_saves_and_loads_back():
     # 1,000 ``Inf a`` joined by ``&`` are 1,000 formula levels deep.  The
     # saved texts and truth tables are compared, not the formulas:
-    # dataclass equality recurses once per level.
+    # node equality recurses once per level.
     table = el.ColorTable(["a"])
     objective = el.parse_formula(" & ".join(["Inf a"] * 1000), table)
     game = ELGame(Arena([EXISTENTIAL], [[0]], [table.mask("a")]), table, objective)

@@ -25,6 +25,36 @@ def test_parse_shapes():
     assert parse_ltl("!a & b") == AndOp(NotOp(A), B)
 
 
+def test_nodes_are_immutable_values_with_a_pinned_repr():
+    # The tableau orders obligations by repr, so its form is pinned.
+    phi = AndOp(A, NotOp(B))
+    assert repr(phi) == "AndOp(left=Ap(name='a'), right=NotOp(arg=Ap(name='b')))"
+    assert repr(Until(Next(A), Release(B, ltl.LTL_FALSE))) == (
+        "Until(left=Next(arg=Ap(name='a')), "
+        "right=Release(left=Ap(name='b'), right=Fls()))")
+    assert repr(ltl.LTL_TRUE) == "Tru()"
+    assert hash(phi) == hash((A, NotOp(B)))
+    assert hash(A) == hash(("a",)) and hash(ltl.LTL_TRUE) == hash(())
+    assert phi == AndOp(Ap("a"), NotOp(Ap("b"))) and len({phi, AndOp(A, NotOp(B))}) == 1
+    assert AndOp(A, B) != OrOp(A, B) and Globally(A) != Finally(A)
+    assert AndOp(A, B) != AndOp(B, A)
+    with pytest.raises(AttributeError):
+        phi.left = B
+    with pytest.raises(AttributeError):
+        del phi.right
+    for build, args in [(AndOp, (A,)), (NotOp, (A, B)), (ltl.Tru, (A,)), (Ap, ())]:
+        with pytest.raises(TypeError):
+            build(*args)
+
+
+def test_hashing_a_deep_chain_does_not_recurse():
+    phi = A
+    for _ in range(5000):
+        phi = AndOp(phi, A)
+    assert hash(phi) == hash((phi.left, A))
+    assert phi in {phi} and phi != AndOp(phi.left, B)
+
+
 def test_parse_errors():
     with pytest.raises(ltl.LTLSyntaxError):
         parse_ltl("G (a")
