@@ -9,12 +9,16 @@ starts from a freshly built game, so no diagram memo is shared between
 runs.  The
 specifications are those of the end-to-end ``synth-arbiter`` workload
 (the README example; the two-client arbiter alone, with a bounded
-response and with next-step grants; the three-client arbiter) and the
-four- and five-client arbiters.  Each run's Kleene stages, warm-started
-runs, runs answered from the memo (leaf and subtree hits), distinct
-``symbolic_cpre`` targets, the number of assignments of every
-declared variable in the winning region and the diagram core's node
-count after the run are pinned; node counts do not depend on the hash
+response and with next-step grants; the three-client arbiter), two
+arbiters whose every client has a bounded response, which give the
+safety automaton 27 and 16 states (the two-client one with grants
+within three steps is realizable, the three-client one within two
+steps is not), and the four- and five-client arbiters.  Each run's
+Kleene stages, warm-started runs, runs answered from the memo (leaf
+and subtree hits), distinct ``symbolic_cpre`` targets, the number of
+assignments of every declared variable (the subset and letter
+variables) in the winning region and the diagram core's node count
+after the run are pinned; node counts do not depend on the hash
 seed.  The core's memo entries (all of its memos, which live as long
 as the game's manager) after the last run are printed, not pinned, so
 the memory the memos keep shows.  Run as a script; pass --repeat to
@@ -40,21 +44,32 @@ def arbiter(n, extra=""):
             ["g%d" % i for i in range(n)])
 
 
+def response(n, within):
+    """Every client's request granted within ``within`` steps:
+    ``G(r_i -> X g_i | X X g_i | ...)``."""
+    return "".join(" & G(r%d -> %s)" % (i, " | ".join(
+        "X " * k + "g%d" % i for k in range(1, within + 1)))
+        for i in range(n))
+
+
 README = ("G(b|c) & G(a -> b | X X b)",
           "(G F a -> G F b) & ((F G !a | F G !(b&c)) & G F c)", ["a"], ["b", "c"])
 
 # name, specification, stages, warm starts, memo hits, cpre targets,
 # satcount, DD nodes
 WORKLOADS = [
-    ("readme", README, 67, 13, 14, 16, 10752, 349),
-    ("arb2", arbiter(2), 85, 16, 28, 12, 384, 112),
+    ("readme", README, 67, 13, 14, 16, 84, 180),
+    ("arb2", arbiter(2), 85, 16, 28, 12, 12, 99),
     ("arb2-resp2", arbiter(2, " & G(r0 -> X g0 | X X g0)"),
-     126, 24, 31, 31, 39936, 489),
+     126, 24, 31, 31, 156, 311),
     ("arb2-next01", arbiter(2, " & G(r0 -> X g0) & G(r1 -> X g1)"),
-     111, 20, 24, 27, 0, 385),
-    ("arb3", arbiter(3), 561, 156, 201, 55, 4096, 685),
-    ("arb4", arbiter(4), 3979, 1316, 1524, 312, 40960, 4530),
-    ("arb5", arbiter(5), 31163, 11350, 12515, 2049, 393216, 33714),
+     111, 20, 24, 27, 0, 259),
+    ("arb3", arbiter(3), 561, 156, 201, 55, 32, 669),
+    ("arb2-resp3", arbiter(2, response(2, 3)),
+     219, 46, 42, 62, 1609560064, 19236),
+    ("arb3-resp2", arbiter(3, response(3, 2)), 663, 162, 186, 120, 0, 38455),
+    ("arb4", arbiter(4), 3979, 1316, 1524, 312, 80, 4512),
+    ("arb5", arbiter(5), 31163, 11350, 12515, 2049, 192, 33693),
 ]
 
 
@@ -79,7 +94,7 @@ def solve_counting(game):
 
 
 def run(repeat):
-    print("%-12s %7s %6s %6s %7s %8s %10s %7s %8s" % (
+    print("%-12s %7s %6s %6s %7s %10s %10s %7s %8s" % (
         "spec", "stages", "warm", "hits", "targets", "satcount", "best",
         "nodes", "memo"))
     for name, spec, stages, warm, hits, targets, satcount, nodes in WORKLOADS:
@@ -97,7 +112,7 @@ def run(repeat):
             want = (stages, warm, hits, targets, satcount, nodes)
             assert got == want, "%s gave (stages, warm starts, memo hits, " \
                 "targets, satcount, nodes) %r, expected %r" % (name, got, want)
-        print("%-12s %7d %6d %6d %7d %8d %9.4fs %7d %8d" % (
+        print("%-12s %7d %6d %6d %7d %10d %9.4fs %7d %8d" % (
             name, stages, warm, hits, targets, satcount, best, nodes,
             m.core.memo_entries()))
 

@@ -16,10 +16,11 @@ one walk: it joins a quantified node's cofactors with ``or_`` or
 join's absorbing constant, and returns a node as it is once its level
 is past the last quantified one.  Its memo persists per quantifier and
 level set, since the symbolic solve quantifies the same level sets of
-changing relations.  ``rename`` builds a node with ``mk`` when its new
-level lies above both renamed children, and through ``ite`` otherwise;
-its memo persists per permutation, and a level that the permutation
-does not map raises.
+changing targets.  ``compose`` substitutes a function for each variable
+in one walk: it builds a node with ``mk`` when the node's image is a
+positive literal above both composed children, and through ``ite``
+otherwise; its memo persists per substitution vector, and a level that
+the vector does not map raises.
 """
 
 TERMINAL_LEVEL = 1 << 30
@@ -42,13 +43,13 @@ class Core:
         self._and_memo = {}
         self._or_memo = {}
         self._not_memo = {}
-        self._walk_memos = {}   # by (absorbing, level set) or permutation
+        self._walk_memos = {}   # by (absorbing, level set) or vector
 
     def node_count(self):
         return len(self._level)
 
     def memo_entries(self):
-        """Entries in all memos, the quantifiers' and rename's included."""
+        """Entries in all memos, the quantifiers' and compose's included."""
         flat = (self._ite_memo, self._and_memo, self._or_memo, self._not_memo)
         return sum(map(len, flat)) + sum(map(len, self._walk_memos.values()))
 
@@ -214,14 +215,15 @@ class Core:
         finally:
             del go   # go refers to itself: free it by reference count
 
-    def rename(self, f, perm):
-        """Substitute each level of ``f`` by its image under ``perm``,
-        which must map every one of them (``KeyError`` names the first
-        it meets that it does not).  Safe for any permutation: a node
-        whose new level lies above both renamed children is built
-        directly, any other through ite.  The memo is kept per
-        permutation."""
-        memo = self._walk_memos.setdefault(frozenset(perm.items()), {})
+    def compose(self, f, vector):
+        """Substitute, at once, the function ``vector[l]`` (a handle)
+        for the variable at each level ``l`` of ``f``; ``vector`` must
+        map every one of them (``KeyError`` names the first it meets
+        that it does not).  A node whose image is a positive literal
+        above both composed children is built directly, any other
+        through ``ite(image, high, low)``.  The memo is kept per
+        vector."""
+        memo = self._walk_memos.setdefault(frozenset(vector.items()), {})
         level, lo, hi = self._level, self._lo, self._hi
 
         def go(node):
@@ -230,13 +232,15 @@ class Core:
             found = memo.get(node)
             if found is not None:
                 return found
-            target = perm[level[node]]
+            image = vector[level[node]]
             new_lo = go(lo[node])
             new_hi = go(hi[node])
-            if target < level[new_lo] and target < level[new_hi]:
-                out = self.mk(target, new_lo, new_hi)
+            at = level[image]
+            if (lo[image] == 0 and hi[image] == 1
+                    and at < level[new_lo] and at < level[new_hi]):
+                out = self.mk(at, new_lo, new_hi)
             else:
-                out = self.ite(self.var_node(target), new_hi, new_lo)
+                out = self.ite(image, new_hi, new_lo)
             memo[node] = out
             return out
 

@@ -81,7 +81,8 @@ class Manager:
 
     Variables are declared once, in order; the declaration order is the
     diagram order.  ``declare_pair`` adds a variable and its primed
-    partner at adjacent levels, which keeps transition relations small.
+    partner at adjacent levels and stores the literal vector that swaps
+    them, which ``rename_partners`` composes.
     """
 
     def __init__(self):
@@ -89,7 +90,7 @@ class Manager:
         self.names = []
         self._levels = {}
         self._blocks = {}
-        self._partner = {}
+        self._swap = {}   # level -> handle of its partner's literal
 
     # -- declarations
 
@@ -106,8 +107,8 @@ class Manager:
         self.declare(name, block)
         self.declare(primed, primed_block if primed_block is not None else block + "'")
         a, b = self._levels[name], self._levels[primed]
-        self._partner[a] = b
-        self._partner[b] = a
+        self._swap[a] = self.core.var_node(b)
+        self._swap[b] = self.core.var_node(a)
 
     def level(self, name):
         try:
@@ -167,9 +168,10 @@ class Manager:
         return Assertion(self, self.core.forall(a.handle, self._level_set(what)))
 
     def rename_partners(self, a):
-        """Swap every variable with its primed partner."""
+        """Swap every variable with its primed partner: one ``compose``
+        over the literal vector that ``declare_pair`` stores."""
         try:
-            return Assertion(self, self.core.rename(a.handle, self._partner))
+            return Assertion(self, self.core.compose(a.handle, self._swap))
         except KeyError as missing:
             raise BddError("variable %r has no partner"
                            % self.names[missing.args[0]]) from None

@@ -12,9 +12,9 @@ deferred promise is only taken where its trigger holds).
 
 Determinization is the subset construction expressed symbolically: one
 Boolean state variable per automaton state, an exactly-initial cube,
-and a transition assertion of biconditionals plus the requirement that
-the tracked subset is nonempty (a run dies when it empties).  The
-subset space is never enumerated.
+one transition function per state variable (its next-step bit), and
+the requirement that the tracked subset is nonempty (a run dies when
+it empties).  The subset space is never enumerated.
 """
 
 from . import syntax
@@ -445,13 +445,12 @@ def nfa_from_safety(nnf):
 
 class SymbolicSafetyAutomaton:
 
-    def __init__(self, manager, state_vars, ap, theta0, trans, rhs, nfa):
+    def __init__(self, manager, state_vars, ap, theta0, nonempty, rhs, nfa):
         self.manager = manager        # the Manager of every assertion here
         self.state_vars = state_vars  # variable name per NFA state
-        self.ap = ap                  # atomic proposition names (unprimed vars)
+        self.ap = ap                  # atomic proposition names
         self.theta0 = theta0          # Assertion: exactly-initial cube
-        self.trans = trans            # Assertion over (V, V', AP): no primed
-                                      # letter, at most one V' per (V, AP)
+        self.nonempty = nonempty      # Assertion: some state variable holds
         self.rhs = rhs                # per state: Assertion of the next-step bit
         self.nfa = nfa                # the SafetyNFA
 
@@ -478,16 +477,15 @@ def determinize_symbolic(nfa, letters):
     """Subset construction as assertions; one state variable per NFA state.
 
     A fresh manager is laid out with the state variables ``@0``, ``@1``,
-    ... (names no atom can take) and their primed partners first,
-    interleaved, then ``letters`` (synthesis passes its inputs and then
-    its outputs), each with a partner, in block "letter".  Past
+    ... (names no atom can take) in block "state", then ``letters``
+    (synthesis passes its inputs and then its outputs) in block
+    "letter"; no variable has a primed partner.  Past
     ``MAX_SUBSET_VARS`` automaton states it raises :class:`LTLError`.
 
-    The transition relation is ``nonempty(V) & AND_q (q' <-> rhs_q(V, AP))``.
-    It mentions no primed letter and is functional in ``V'``: each
-    nonempty subset and letter have exactly one next subset, and the
-    empty subset has none.  ``synthesis.symbolic_cpre`` relies on both
-    to quantify the next letter on the target alone.
+    Each nonempty subset and letter have exactly one next subset, whose
+    bit ``q`` is ``rhs[q](V, AP)``; the empty subset has none.
+    ``synthesis.symbolic_cpre`` composes a target with ``rhs`` and
+    conjoins ``nonempty``, with no transition relation.
     """
     if len(nfa) > MAX_SUBSET_VARS:
         raise LTLError("variable budget exceeded: %d automaton states > %d"
@@ -495,9 +493,9 @@ def determinize_symbolic(nfa, letters):
     manager = Manager()
     state_vars = tuple("@%d" % i for i in range(len(nfa)))
     for name in state_vars:
-        manager.declare_pair(name, name + "'", "state")
+        manager.declare(name, "state")
     for name in letters:
-        manager.declare_pair(name, name + "'", "letter")
+        manager.declare(name, "letter")
 
     theta0 = manager.cube({name: (i == nfa.initial)
                            for i, name in enumerate(state_vars)})
@@ -511,9 +509,5 @@ def determinize_symbolic(nfa, letters):
                                            & prop_assert(manager, constraint))
         rhs.append(incoming)
     nonempty = manager.disj(manager.var(v) for v in state_vars)
-    trans = nonempty
-    for q in range(len(nfa)):
-        primed = manager.var(state_vars[q] + "'")
-        trans = trans & primed.iff(rhs[q])
     return SymbolicSafetyAutomaton(manager, state_vars, nfa.ap, theta0,
-                                   trans, tuple(rhs), nfa)
+                                   nonempty, tuple(rhs), nfa)

@@ -3,15 +3,15 @@ liveness condition over infinite-occurrence of letter predicates.
 
 The safety part becomes a deterministic symbolic safety automaton; its
 subset variables join the letter variables as the game state, with the
-system choosing outputs and next subsets (the latter forced by the
-transition assertion) and the environment choosing inputs.  The
-liveness part maps each distinct letter assertion under GF / FG to a
-color, and the game is solved by the generic fixpoint solver over the
+system choosing outputs and next subsets (the latter fixed by the
+automaton's transition functions) and the environment choosing inputs.
+The liveness part maps each distinct letter assertion under GF / FG to
+a color, and the game is solved by the generic fixpoint solver over the
 diagram core's node handles, with the one-step controllable predecessor
 taken letter first: outputs existentially and inputs universally on the
-target, then the next subset existentially on its conjunction with the
-transition relation.  The solve wraps handles as assertions only
-around that predecessor and on its final values.
+target, then the transition functions composed into the result.  The
+solve wraps handles as assertions only around that predecessor and on
+its final values.
 
 Controllers are extracted from the explicit expansion of the symbolic
 winning region, solved on the symbolic solve's objective and tree (the
@@ -141,7 +141,7 @@ def colors_of(liveness, manager):
 
 class SymbolicGameStructure:
 
-    def __init__(self, manager, dsa, inputs, outputs, state_vars, theta, rho,
+    def __init__(self, manager, dsa, inputs, outputs, state_vars, theta,
                  el_formula, color_table, color_assertions):
         self.manager = manager
         self.dsa = dsa                # ltl.SymbolicSafetyAutomaton
@@ -149,7 +149,6 @@ class SymbolicGameStructure:
         self.outputs = outputs
         self.state_vars = state_vars
         self.theta = theta            # Assertion over the subset variables
-        self.rho = rho                # Assertion over (V, V', AP)
         self.el_formula = el_formula  # objective over the color table
         self.color_table = color_table
         # per color: Assertion over the letter block
@@ -165,15 +164,16 @@ class SymbolicGameStructure:
         return solve_symbolic(self)
 
     @cached_property
-    def _cpre_levels(self):
-        """Levels ``symbolic_cpre`` quantifies, letter first: the
-        outputs (existentially), then the inputs (universally) of the
-        target, then the primed subset variables (existentially) of
-        its conjunction with ``rho``."""
+    def _cpre_operands(self):
+        """What ``symbolic_cpre`` quantifies and composes: the output
+        levels (existentially), the input levels (universally), and the
+        vector from each subset variable's level to its transition
+        function's handle."""
         m = self.manager
         return (frozenset(m.level(n) for n in self.outputs),
                 frozenset(m.level(n) for n in self.inputs),
-                frozenset(m.level(n + "'") for n in self.state_vars))
+                {m.level(v): rhs.handle
+                 for v, rhs in zip(self.state_vars, self.dsa.rhs)})
 
     def holds(self, assertion, bits, letter):
         """Truth of an assertion at one subset (bit mask over
@@ -198,7 +198,7 @@ def build_game(problem):
     return SymbolicGameStructure(
         manager=m, dsa=dsa, inputs=problem.inputs, outputs=problem.outputs,
         state_vars=dsa.state_vars, theta=dsa.theta0,
-        rho=dsa.trans, el_formula=formula, color_table=table,
+        el_formula=formula, color_table=table,
         color_assertions=assertions)
 
 
@@ -206,20 +206,17 @@ def symbolic_cpre(game, target):
     """Nodes where every next input admits outputs and a subset step
     keeping the successor in the target.
 
-    The relational product ``forall i'. exists o', s'. rho & T(s', i', o')``
-    is taken letter first.  ``rho`` mentions no primed letter and gives
-    each (subset, letter) at most one next subset (see
-    ``ltl.determinize_symbolic``), so ``exists o'`` moves onto the
-    target and the unique ``s'`` commutes with ``forall i'``:
-    ``cpre(T) = exists s'. rho & W(s')`` with ``W = forall i. exists o. T``,
-    a diagram over the subset variables alone, renamed to their
-    partners."""
-    m = game.manager
-    core = m.core
-    outputs, inputs, primed = game._cpre_levels
-    win = Assertion(m, core.forall(core.exists(target.handle, outputs), inputs))
-    step = core.and_(game.rho.handle, m.rename_partners(win).handle)
-    return Assertion(m, core.exists(step, primed))
+    Each nonempty subset and letter have exactly one next subset, bit
+    ``q`` of which is ``rhs_q`` (see ``ltl.determinize_symbolic``), and
+    the step reads no next letter.  So the letter is quantified on the
+    target first, ``W = forall i. exists o. T``, a diagram over the
+    subset variables alone, and
+    ``cpre(T) = nonempty & W[s_q := rhs_q]``, one vector composition."""
+    core = game.manager.core
+    outputs, inputs, step = game._cpre_operands
+    win = core.forall(core.exists(target.handle, outputs), inputs)
+    return Assertion(game.manager, core.and_(game.dsa.nonempty.handle,
+                                             core.compose(win, step)))
 
 
 class SymbolicBackend(SetBackend):
@@ -398,9 +395,7 @@ def cross_check_symbolic_vs_explicit(game, win):
             raise ExpansionMismatch("expand-check", (
                 "winner mismatch at subset=%x letter=%s: symbolic=%s explicit=%s"
                 % (bits, sorted(letter), symbolic, explicit)))
-    m = game.manager
-    nonempty = m.disj(m.var(v) for v in game.state_vars)
-    if not (win & ~nonempty).is_false():
+    if not (win & ~game.dsa.nonempty).is_false():
         raise ExpansionMismatch(
             "expand-check", "the symbolic region holds on the empty subset")
 

@@ -1,11 +1,13 @@
 """Reference checks for the safety-LTL layer, kept out of the library.
 
-The tableau automaton's successor relation, subset reachability of the
-symbolic determinization, and exact truth of a formula, of the tableau
-automaton and of its determinization on ultimately periodic words; the
-language-agreement tests compare these three.
+The tableau automaton's successor relation, the symbolic
+determinization's transition relation and subset reachability, and
+exact truth of a formula, of the tableau automaton and of its
+determinization on ultimately periodic words; the language-agreement
+tests compare these three.
 """
 
+from elgames.dd import Assertion, BddError
 from elgames.ltl import (Ap, AndOp, Finally, Fls, Globally, Implies,
                          LTLError, Next, NotOp, OrOp, Release, Tru, Until,
                          eval_propositional, is_propositional)
@@ -18,16 +20,45 @@ def successors(nfa, state_id, letter):
                    if eval_propositional(c, letter)})
 
 
-def reachable_subsets(dsa):
-    """Assertion over the state block: subsets reachable from the start."""
+def primed(m, names, block):
+    """Vector from the level of each of ``names`` to the literal of its
+    primed copy, as ``Core.compose`` takes it.  The copies are declared
+    on ``m`` in ``block`` on first use, below the levels it had."""
+    vector = {}
+    for name in names:
+        try:
+            m.level(name + "'")
+        except BddError:
+            m.declare(name + "'", block)
+        vector[m.level(name)] = m.var(name + "'").handle
+    return vector
+
+
+def relation(dsa):
+    """The subset construction's transition relation
+    ``nonempty(V) & AND_q (q' <-> rhs_q(V, AP))``, over primed copies
+    of the state variables (block "state'") that the library does not
+    declare."""
     m = dsa.manager
-    letters = list(dsa.ap)
-    unprimed = list(dsa.state_vars) + letters
+    primed(m, dsa.state_vars, "state'")
+    rho = dsa.nonempty
+    for name, rhs in zip(dsa.state_vars, dsa.rhs):
+        rho = rho & m.var(name + "'").iff(rhs)
+    return rho
+
+
+def reachable_subsets(dsa):
+    """Assertion over the state block: subsets reachable from the start,
+    by images under ``relation(dsa)``."""
+    m = dsa.manager
+    rho = relation(dsa)
+    unprimed = list(dsa.state_vars) + list(dsa.ap)
+    back = {m.level(v + "'"): m.var(v).handle for v in dsa.state_vars}
     reach = dsa.theta0
     frontier = dsa.theta0
     while True:
-        image = m.exists(unprimed, dsa.trans & frontier)
-        image = m.rename_partners(image)
+        image = m.exists(unprimed, rho & frontier)
+        image = Assertion(m, m.core.compose(image.handle, back))
         grown = reach | image
         if grown == reach:
             return reach
@@ -37,10 +68,8 @@ def reachable_subsets(dsa):
 
 def reachable_subset_count(dsa):
     """Number of reachable nonempty subsets of the determinization."""
-    m = dsa.manager
     reach = reachable_subsets(dsa)
-    nonempty = m.disj(m.var(v) for v in dsa.state_vars)
-    return m.count_sat(reach & nonempty, "state")
+    return dsa.manager.count_sat(reach & dsa.nonempty, "state")
 
 
 def eval_ltl_lasso(phi, prefix, loop):

@@ -9,11 +9,19 @@ intersection and comparison goes through the ``Assertion`` operators.
 diagram core's integer handles instead and must reach the same values
 in the same stages.
 
-``symbolic_cpre`` is the textbook relational product: ``rho`` conjoined
-with the whole renamed target, then the primed letter and subset
-variables quantified.  It is the reference that the library's
-letter-first ``synthesis.symbolic_cpre`` must equal handle for handle.
+``symbolic_cpre`` is the textbook relational product over primed
+copies of the subset and letter variables, which it declares on the
+game's manager below the library's levels: the transition relation
+``ltl_reference.relation`` conjoined with the whole renamed target,
+then the primed letter and subset variables quantified.  It is the
+reference that the library's ``synthesis.symbolic_cpre``, which
+composes the transition functions into the target, must equal handle
+for handle.
 """
+
+from elgames.dd import Assertion
+
+from ltl_reference import primed, relation
 
 
 class SetBackend:
@@ -92,8 +100,10 @@ def symbolic_cpre(game, target):
     """Nodes where every next input admits outputs and a subset step
     keeping the successor in the target, as one relational product."""
     m = game.manager
-    primed = m.rename_partners(target)
-    inner = game.rho & primed
+    rho = relation(game.dsa)
+    vector = primed(m, game.state_vars, "state'")
+    vector.update(primed(m, game.ap, "letter'"))
+    inner = rho & Assertion(m, m.core.compose(target.handle, vector))
     primed_inputs = [n + "'" for n in game.inputs]
     primed_rest = ([n + "'" for n in game.outputs]
                    + [n + "'" for n in game.state_vars])

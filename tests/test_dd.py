@@ -334,8 +334,41 @@ def test_core_rename_matches_truth_tables_under_any_permutation():
         perms = [dict(zip(levels, shuffled)),
                  dict(zip(levels, reversed(levels)))]
         for perm in perms:
-            got = dd.Assertion(m, m.core.rename(a.handle, perm))
-            assert_same_semantics(m, got, tt, tt.rename(ta, perm), names)
+            # a permutation is composition with a vector of literals
+            vector = {l: m.core.var_node(p) for l, p in perm.items()}
+            got = dd.Assertion(m, m.core.compose(a.handle, vector))
+            want = tt.compose(ta, {l: tt.var(names[p]) for l, p in perm.items()})
+            assert_same_semantics(m, got, tt, want, names)
+        assert _store_errors(m.core) == []
+
+
+def test_core_compose_matches_truth_tables_with_any_images():
+    """Images that are not literals: constants, negated literals and
+    random functions over every level, the composed ones included; a
+    level missing from the vector raises ``KeyError``.  One manager per
+    round, so the per-vector memo serves several assertions."""
+    rng = random.Random(1989)
+    for round_no in range(60):
+        names = ["v%d" % i for i in range(rng.randint(2, 6))]
+        m, tt = _twins(names)
+        vector, tt_images = {}, {}
+        for level in range(len(names)):
+            if rng.random() < 0.7:
+                image, tt_images[level] = _same_random_ops(rng, m, tt, names, 2)
+                vector[level] = image.handle
+        for _ in range(3):
+            a, ta = _same_random_ops(rng, m, tt, names, 4)
+            support = {m.level(n) for n in m.support_names(a)}
+            if not support <= set(vector):
+                with pytest.raises(KeyError):
+                    m.core.compose(a.handle, vector)
+                # map the missing levels to themselves, and compose again
+                vector = {**{l: m.core.var_node(l) for l in support}, **vector}
+                tt_images = {**{l: tt.var(names[l]) for l in support},
+                             **tt_images}
+            got = dd.Assertion(m, m.core.compose(a.handle, vector))
+            want = tt.compose(ta, tt_images)
+            assert_same_semantics(m, got, tt, want, names)
         assert _store_errors(m.core) == []
 
 

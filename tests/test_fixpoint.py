@@ -473,8 +473,8 @@ def test_symbolic_cpre_memo_asks_each_handle_once():
 
 
 def test_solve_symbolic_makes_no_support_walk(monkeypatch):
-    """Renaming targets to their primed partners is the rename walk
-    alone: no support walk per ``symbolic_cpre`` call."""
+    """Composing the transition functions into a target is the compose
+    walk alone: no support walk per ``symbolic_cpre`` call."""
     game = arb2_game()
     core, levels = game.manager.core, range(len(game.manager.names))
 
@@ -485,7 +485,7 @@ def test_solve_symbolic_makes_no_support_walk(monkeypatch):
     win, _, _ = syn.solve_symbolic(game)
     assert syn.is_won(game, win)
     # the winning region's size pinned by benchmarks/bench_symbolic.py
-    assert core.satcount(win.handle, levels) == 384
+    assert core.satcount(win.handle, levels) == 12
 
 
 FAMILIES = [

@@ -10,7 +10,7 @@ from elgames.ltl import (Ap, AndOp, Finally, Globally, Implies, Next, NotOp,
 
 from ltl_reference import (dsa_accepts_lasso, eval_ltl_lasso,
                            nfa_accepts_lasso, reachable_subset_count,
-                           successors)
+                           relation, successors)
 
 A, B, C = Ap("a"), Ap("b"), Ap("c")
 
@@ -199,8 +199,8 @@ def test_determinization_theta0_is_exactly_initial_cube():
 
 
 def test_transition_assertion_matches_displayed_form():
-    # For the automaton of G(a -> b | XXb): the four biconditionals over
-    # (v, v', a, b) plus the nonemptiness disjunct.  States are located
+    # For the automaton of G(a -> b | XXb): the four next-step bits over
+    # (v, a, b) plus the nonemptiness disjunct.  States are located
     # by which obligations they track (nothing / b next / b now / both),
     # since discovery order need not match the drawn numbering.
     nfa = nfa_from_safety(check_safety(parse_ltl(EX_SAFETY_CORE)))
@@ -218,15 +218,15 @@ def test_transition_assertion_matches_displayed_form():
     s1, s2, s3, s4 = (locate(False, False), locate(False, True),
                       locate(True, False), locate(True, True))
     v = {i: m.var(dsa.state_vars[i]) for i in (s1, s2, s3, s4)}
-    vp = {i: m.var(dsa.state_vars[i] + "'") for i in (s1, s2, s3, s4)}
     a, b = m.var("a"), m.var("b")
-    expected = (
-        vp[s1].iff((v[s1] & (~a | b)) | (v[s3] & b))
-        & vp[s2].iff((v[s1] & a) | (v[s3] & (a & b)))
-        & vp[s3].iff((v[s2] & (~a | b)) | (v[s4] & b))
-        & vp[s4].iff((v[s2] & a) | (v[s4] & (a & b)))
-        & (v[s1] | v[s2] | v[s3] | v[s4]))
-    assert dsa.trans == expected
+    expected = {
+        s1: (v[s1] & (~a | b)) | (v[s3] & b),
+        s2: (v[s1] & a) | (v[s3] & (a & b)),
+        s3: (v[s2] & (~a | b)) | (v[s4] & b),
+        s4: (v[s2] & a) | (v[s4] & (a & b)),
+    }
+    assert {q: dsa.rhs[q] for q in expected} == expected
+    assert dsa.nonempty == v[s1] | v[s2] | v[s3] | v[s4]
 
 
 def test_reachable_subsets_of_full_example_is_nine():
@@ -240,10 +240,10 @@ def test_determinization_lays_letters_out_in_the_given_order():
     nfa = nfa_from_safety(check_safety(parse_ltl("G(a -> X b)")))
     assert nfa.ap == ("a", "b")
     m = determinize_symbolic(nfa, nfa.ap).manager
-    assert m.names[2 * len(nfa):] == ["a", "a'", "b", "b'"]
+    assert m.names[len(nfa):] == ["a", "b"]
     # letters the automaton does not read get variables too
     m = determinize_symbolic(nfa, ("b", "d", "a")).manager
-    assert m.names[2 * len(nfa):] == ["b", "b'", "d", "d'", "a", "a'"]
+    assert m.names[len(nfa):] == ["b", "d", "a"]
 
 
 def test_automaton_does_not_depend_on_the_hash_seed():
@@ -280,6 +280,7 @@ def test_determinism_of_transition_assertion():
     nfa = nfa_from_safety(check_safety(parse_ltl(EX_SAFETY)))
     dsa = determinize_symbolic(nfa, nfa.ap)
     m = dsa.manager
+    rho = relation(dsa)
     for bits in range(1, 16):
         for letter_bits in range(8):
             letter = {"a": bool(letter_bits & 1), "b": bool(letter_bits & 2),
@@ -289,7 +290,7 @@ def test_determinism_of_transition_assertion():
                 cube[name] = bool(bits >> i & 1)
             cube.update(letter)
             ctx = m.cube(cube)
-            assert m.count_sat(dsa.trans & ctx, "state'") == 1
+            assert m.count_sat(rho & ctx, "state'") == 1
 
 
 def random_safety_formula(rng, names, depth):

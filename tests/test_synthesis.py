@@ -17,6 +17,7 @@ from elgames.zielonka import ZielonkaTree
 
 from controller_reference import letter_trace, state_trace
 from el_reference import evaluate
+from ltl_reference import relation
 from symbolic_reference import symbolic_cpre as reference_cpre
 
 
@@ -30,7 +31,7 @@ def running_problem():
 
 
 def test_symbolic_solve_leaves_no_diagram_walk_in_cycles():
-    # The quantifier and rename walks are recursive closures that refer to
+    # The quantifier and compose walks are recursive closures that refer to
     # themselves; each call frees its own by reference count, so the
     # cyclic collector finds none of them after a solve.
     gc.collect()
@@ -132,11 +133,11 @@ def test_symbolic_cpre_extremes():
     m = game.manager
     assert syn.symbolic_cpre(game, m.false) == m.false
     responsive = syn.symbolic_cpre(game, m.true)
-    primed_inputs = [n + "'" for n in game.inputs]
-    primed_rest = [n + "'" for n in game.outputs] + \
-        [n + "'" for n in game.state_vars]
-    expected = m.forall(primed_inputs, m.exists(primed_rest, game.rho))
-    assert responsive == expected
+    # the relation reads no primed letter, so only its next subset is
+    # quantified; a step exists exactly from the nonempty subsets
+    primed_subsets = [n + "'" for n in game.state_vars]
+    expected = m.exists(primed_subsets, relation(game.dsa))
+    assert responsive == expected == game.dsa.nonempty
 
 
 def test_symbolic_cpre_matches_explicit_on_random_targets():
@@ -218,20 +219,46 @@ def test_symbolic_cpre_equals_the_relational_product_on_every_solve_target(
 
 
 def test_rho_has_no_primed_letter_and_one_next_subset():
-    # The invariants symbolic_cpre relies on: rho never mentions a primed
-    # letter, and it gives each (nonempty subset, letter) exactly one
-    # next subset, so no primed subset variable can take both values.
+    # The invariants that let symbolic_cpre compose the transition
+    # functions in place of a relational product: the reference relation
+    # built from them never mentions a primed letter, and it gives each
+    # (nonempty subset, letter) exactly one next subset, so no primed
+    # subset variable can take both values.
     for name, game in symbolic_games():
         m = game.manager
+        rho = relation(game.dsa)
         primed = [v + "'" for v in game.state_vars]
-        support = set(m.support_names(game.rho))
-        assert not support & {n + "'" for n in game.ap}, name
-        nonempty = m.disj(m.var(v) for v in game.state_vars)
-        assert m.exists(primed, game.rho) == nonempty, name
+        support = set(m.support_names(rho))
+        assert support <= set(game.state_vars + game.ap + tuple(primed)), name
+        assert m.exists(primed, rho) == game.dsa.nonempty, name
         for v in primed:
-            high = m.exists(primed, game.rho & m.var(v))
-            low = m.exists(primed, game.rho & ~m.var(v))
+            high = m.exists(primed, rho & m.var(v))
+            low = m.exists(primed, rho & ~m.var(v))
             assert (high & low).is_false(), (name, v)
+
+
+def test_synthesis_manager_declares_no_primed_variable():
+    # The game state is the subset and the letter, and nothing else: no
+    # primed partner, so no relation over one, is declared.
+    for name, game in symbolic_games():
+        assert game.manager.names == list(game.state_vars + game.ap), name
+
+
+def test_bounded_response_arbiter_solves_in_a_small_diagram():
+    # arb2-resp3: 27 subset variables.  A transition relation over
+    # primed copies of them took 1.48 million DD nodes on its own;
+    # composing the transition functions instead, build and solve take
+    # about 19,000.
+    from test_fixpoint import ARB2
+    safety, live, inputs, outputs = ARB2
+    resp = "".join(" & G(r%d -> X g%d | X X g%d | X X X g%d)" % ((i,) * 4)
+                   for i in range(2))
+    game = syn.build_game(syn.problem_from_strings(
+        safety + resp, live, inputs, outputs))
+    assert len(game.state_vars) == 27
+    win, _, _ = game.solution
+    assert syn.is_won(game, win)
+    assert game.manager.core.node_count() < 50000
 
 
 def test_running_example_realizable_with_verified_controller():

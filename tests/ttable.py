@@ -162,24 +162,25 @@ class TTManager:
         return ~self.exists(what, ~a)
 
     def rename_partners(self, a):
-        perm = {}
+        vector = {}
         for level in self._support_levels(a.bits):
             if level not in self._partner:
                 raise TTError("variable %r has no partner" % self.names[level])
-            perm[level] = self._partner[level]
-        return self.rename(a, perm)
+            vector[level] = self.var(self.names[self._partner[level]])
+        return self.compose(a, vector)
 
-    def rename(self, a, perm):
-        """Substitute the variable at level ``perm[l]`` for the one at
-        each level ``l`` in ``perm``."""
+    def compose(self, a, vector):
+        """Substitute, at once, the assertion ``vector[l]`` for the
+        variable at each level ``l`` in ``vector``."""
         total = 1 << len(self.names)
         bits = 0
         for i in range(total):
-            j = 0
-            for level in range(len(self.names)):
-                src = perm.get(level, level)
-                if i >> src & 1:
+            j = i
+            for level, g in vector.items():
+                if g.bits >> i & 1:
                     j |= 1 << level
+                else:
+                    j &= ~(1 << level)
             if a.bits >> j & 1:
                 bits |= 1 << i
         return TTAssertion(self, bits)
