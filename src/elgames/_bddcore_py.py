@@ -21,6 +21,11 @@ in one walk: it builds a node with ``mk`` when the node's image is a
 positive literal above both composed children, and through ``ite``
 otherwise; its memo persists per substitution vector, and a level that
 the vector does not map raises.
+
+``eval`` reads an assignment as a **point**: one int whose bit ``l`` is
+the value of the variable at level ``l``, so evaluating is one walk from
+the root to a terminal that tests one bit per node.  Points may be wider
+than a machine word; Python ints grow.
 """
 
 TERMINAL_LEVEL = 1 << 30
@@ -310,8 +315,11 @@ class Core:
                 node = self._hi[node]
         return out
 
-    def eval(self, f, values):
+    def eval(self, f, point):
+        """Truth of ``f`` at ``point``, whose bit ``l`` is the value of
+        the variable at level ``l``."""
+        level, lo, hi = self._level, self._lo, self._hi
         node = f
         while node > 1:
-            node = self._hi[node] if values[self._level[node]] else self._lo[node]
+            node = hi[node] if point >> level[node] & 1 else lo[node]
         return node == 1

@@ -201,9 +201,15 @@ class Manager:
         partial = self.core.pick(self._project(a, levels))
         return {self.names[lv]: partial.get(lv, False) for lv in levels}
 
+    def point(self, names):
+        """The point where exactly ``names`` are true, the form in which
+        ``Core.eval`` takes an assignment: the int with bit ``level(n)``
+        set for each of them."""
+        return sum(1 << lv for lv in {self.level(n) for n in names})
+
     def eval(self, a, values):
-        """Truth of the assertion under a complete name -> bool mapping."""
-        by_level = [False] * len(self.names)
-        for name, val in values.items():
-            by_level[self.level(name)] = bool(val)
-        return self.core.eval(a.handle, by_level)
+        """Truth of the assertion at the point of the names that the
+        name -> bool mapping ``values`` sets true; others are false."""
+        self.point(values)  # rejects an unknown name, even one set false
+        return self.core.eval(a.handle,
+                              self.point(n for n, v in values.items() if v))

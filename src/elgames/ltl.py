@@ -457,17 +457,19 @@ class SymbolicSafetyAutomaton:
     def initial_bits(self):
         return 1 << self.nfa.initial
 
+    def step_point(self, point):
+        """Next subset at a point (see ``dd.Manager.point``), a subset's
+        bits joined with a letter's point: bit ``q`` is ``rhs[q]`` there;
+        0 is the dead subset."""
+        evaluate = self.manager.core.eval
+        return sum(1 << q for q, rhs in enumerate(self.rhs)
+                   if evaluate(rhs.handle, point))
+
     def step_bits(self, bits, letter):
-        """Deterministic subset step under one letter; 0 is the dead subset."""
-        values = {name: bool(bits >> i & 1)
-                  for i, name in enumerate(self.state_vars)}
-        for name in self.ap:
-            values[name] = name in letter
-        out = 0
-        for q, rhs in enumerate(self.rhs):
-            if self.manager.eval(rhs, values):
-                out |= 1 << q
-        return out
+        """Deterministic subset step under one letter (set of true
+        names; names outside ``ap`` are ignored); 0 is the dead subset."""
+        return self.step_point(
+            bits | self.manager.point(n for n in self.ap if n in letter))
 
 
 MAX_SUBSET_VARS = 64
@@ -479,7 +481,10 @@ def determinize_symbolic(nfa, letters):
     A fresh manager is laid out with the state variables ``@0``, ``@1``,
     ... (names no atom can take) in block "state", then ``letters``
     (synthesis passes its inputs and then its outputs) in block
-    "letter"; no variable has a primed partner.  Past
+    "letter"; no variable has a primed partner.  State variable ``q``
+    sits at level ``q``, so a subset's bits are already its point (see
+    ``dd.Manager.point``), and a (subset, letter) pair's point is the
+    subset's bits joined with the letter's point.  Past
     ``MAX_SUBSET_VARS`` automaton states it raises :class:`LTLError`.
 
     Each nonempty subset and letter have exactly one next subset, whose

@@ -107,8 +107,8 @@ class Node:
     Fields are set once, by position, and neither assigned nor deleted
     afterwards.  Two nodes are equal when their classes and fields are
     equal.  The hash is ``hash(fields)``, taken once when the node is
-    built; its children's hashes are stored by then, so hashing a tree
-    of any depth does not recurse.  ``repr`` gives
+    built; its children's hashes are stored by then, so neither hashing
+    nor comparing trees of any depth recurses.  ``repr`` gives
     ``Class(field=value, ...)`` (see the module docstring for why it
     must stay as it is).  Each subclass gets an ``__init__`` of its own
     arity, at most two fields, a field getter and a precomputed ``repr``
@@ -158,11 +158,27 @@ class Node:
                              % name)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         # equal nodes have equal hashes, so most unequal pairs stop here
-        return (self._hash == other._hash
-                and self._values(self) == other._values(other))
+        if other._hash != self._hash:
+            return False
+        # the rest compare field by field on a stack, not by recursion
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            for x, y in zip(a._values(a), b._values(b)):
+                if x is y:
+                    continue
+                if isinstance(x, Node):
+                    if y.__class__ is not x.__class__ or y._hash != x._hash:
+                        return False
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __hash__(self):
         return self._hash

@@ -177,16 +177,24 @@ class SymbolicGameStructure:
 
     def holds(self, assertion, bits, letter):
         """Truth of an assertion at one subset (bit mask over
-        ``state_vars``) and letter (set of true APs)."""
-        values = dict.fromkeys(letter, True)
-        values.update((v, True) for i, v in enumerate(self.state_vars)
-                      if bits >> i & 1)
-        return self.manager.eval(assertion, values)
+        ``state_vars``, also its point) and letter (set of true APs)."""
+        return self.manager.core.eval(assertion.handle,
+                                      bits | self.manager.point(letter))
+
+    def letter_points(self):
+        """Letter -> its ``dd.Manager.point``, in ``ltl.letters(ap)`` order."""
+        return {letter: self.manager.point(letter)
+                for letter in ltl.letters(self.ap)}
+
+    def colors_at(self, point):
+        """Color mask at a point; only its letter bits matter."""
+        evaluate = self.manager.core.eval
+        return sum(1 << cid for cid, a in enumerate(self.color_assertions)
+                   if evaluate(a.handle, point))
 
     def letter_colors(self, letter):
         """Color mask of one letter (set of true APs)."""
-        return sum(1 << cid for cid, a in enumerate(self.color_assertions)
-                   if self.holds(a, 0, letter))
+        return self.colors_at(self.manager.point(letter))
 
 
 def build_game(problem):
@@ -322,7 +330,9 @@ def expand_explicit(game, win=None):
     winning region ``win``, only the full nodes inside it are built: a
     total arena with the game's own colours and objective.  Otherwise a
     full node whose letter empties its subset moves to the sink, node 0,
-    whose fresh colour may occur only finitely often."""
+    whose fresh colour may occur only finitely often.  Each (subset,
+    letter) pair is evaluated at one point, the subset's bits joined
+    with the letter's point."""
     dsa = game.dsa
     table, objective = game.color_table, game.el_formula
     init_bits = dsa.initial_bits()
@@ -352,21 +362,23 @@ def expand_explicit(game, win=None):
             queue.append(vid)
         return vid
 
-    letter_colors = {letter: game.letter_colors(letter)
-                     for letter in ltl.letters(game.ap)}
+    points = game.letter_points()
+    letter_colors = {letter: game.colors_at(p) for letter, p in points.items()}
+    evaluate = game.manager.core.eval
+    region = None if win is None else win.handle
 
     def full(bits, letter):
-        if win is not None and not game.holds(win, bits, letter):
+        if region is not None and not evaluate(region, bits | points[letter]):
             return None
         return intern(("full", bits, letter), UNIVERSAL, letter_colors[letter])
 
-    for letter in letter_colors:
+    for letter in points:
         full(init_bits, letter)
     for vid in queue:              # grows as intern meets new nodes
         # label: a full node's letter, an intermediate node's input
         tag, bits, label = kinds[vid]
         if tag == "full":
-            nxt = dsa.step_bits(bits, label)
+            nxt = dsa.step_point(bits | points[label])
             succ[vid] = [intern(("mid", nxt, inp), EXISTENTIAL, 0)
                          for inp in inputs] if nxt else sink
         else:
@@ -385,11 +397,13 @@ def cross_check_symbolic_vs_explicit(game, win):
     to its sink); raises ``ExpansionMismatch`` on a difference."""
     exp = expand_explicit(game)
     ewin, _, _ = solve_game(exp.elgame)
+    points = game.letter_points()
+    evaluate = game.manager.core.eval
     for vid, kind in enumerate(exp.kinds):
         if kind[0] != "full":
             continue
         _, bits, letter = kind
-        symbolic = game.holds(win, bits, letter)
+        symbolic = evaluate(win.handle, bits | points[letter])
         explicit = bool(ewin >> vid & 1)
         if symbolic != explicit:
             raise ExpansionMismatch("expand-check", (
@@ -466,13 +480,14 @@ def extract_controller(game):
             states.append(key)
         return state_index[key]
 
+    inputs = list(ltl.letters(game.inputs))
+    outputs = list(ltl.letters(game.outputs))
     init = {}
     queue = []
-    for inp in ltl.letters(game.inputs):
+    for inp in inputs:
         best = None
-        for out in ltl.letters(game.outputs):
-            letter = frozenset(inp | out)
-            vid = exp.index.get(("full", exp.initial_subset, letter))
+        for out in outputs:
+            vid = exp.index.get(("full", exp.initial_subset, inp | out))
             if vid is None:
                 continue
             sig = ex.signature(tree.root, vid)
@@ -486,7 +501,7 @@ def extract_controller(game):
         leaf = ex.descend(vid, tree.root)
         anchor, slot = ex.position(vid, leaf)
         q = intern(exp.next_subset(vid), anchor, slot)
-        init[frozenset(inp)] = (frozenset(out), q)
+        init[inp] = (out, q)
         queue.append(q)
 
     trans = {}
@@ -497,14 +512,14 @@ def extract_controller(game):
             continue
         done.add(q)
         bits, anchor, slot = states[q]
-        for inp in ltl.letters(game.inputs):
+        for inp in inputs:
             mid = exp.index[("mid", bits, inp)]
             leaf = ex.descend(mid, anchor, slot)
             w = ex.pick_move(mid, leaf)
             out = exp.kinds[w][2] - inp
             anchor2, slot2 = ex.position(w, leaf)
             q2 = intern(exp.next_subset(w), anchor2, slot2)
-            trans[(q, frozenset(inp))] = (out, q2)
+            trans[(q, inp)] = (out, q2)
             if q2 not in done:
                 queue.append(q2)
     return MealyController(tuple(game.inputs), tuple(game.outputs),

@@ -5,6 +5,11 @@ determinization's transition relation and subset reachability, and
 exact truth of a formula, of the tableau automaton and of its
 determinization on ultimately periodic words; the language-agreement
 tests compare these three.
+
+``eval_names``, ``step_bits``, ``holds`` and ``letter_colors`` evaluate
+diagrams on a name -> bool dict, resolving each node's variable by name;
+the library, which evaluates on points (one int per assignment, see
+``dd.Manager.point``), must agree with them.
 """
 
 from elgames.dd import Assertion, BddError
@@ -32,6 +37,47 @@ def primed(m, names, block):
             m.declare(name + "'", block)
         vector[m.level(name)] = m.var(name + "'").handle
     return vector
+
+
+def eval_names(m, a, values):
+    """Truth of ``a`` under a name -> bool dict, looking up the name of
+    each node's variable; the dict must name every variable met."""
+    core = m.core
+    node = a.handle
+    while node > 1:
+        name = m.names[core._level[node]]
+        node = core._hi[node] if values[name] else core._lo[node]
+    return node == 1
+
+
+def assignment(m, state_vars, bits, letter):
+    """Name -> bool dict of every variable of ``m``: the state variables
+    as the bits of ``bits``, the names in ``letter`` true, others false."""
+    values = dict.fromkeys(m.names, False)
+    values.update((v, bool(bits >> i & 1)) for i, v in enumerate(state_vars))
+    values.update((name, True) for name in letter)
+    return values
+
+
+def step_bits(dsa, bits, letter):
+    """``dsa.step_bits`` by names: the next subset's bit ``q`` is
+    ``rhs[q]`` under the subset and the letter's atoms in ``dsa.ap``."""
+    values = assignment(dsa.manager, dsa.state_vars, bits,
+                        [n for n in dsa.ap if n in letter])
+    return sum(1 << q for q, rhs in enumerate(dsa.rhs)
+               if eval_names(dsa.manager, rhs, values))
+
+
+def holds(game, assertion, bits, letter):
+    """``game.holds`` by names."""
+    return eval_names(game.manager, assertion,
+                      assignment(game.manager, game.state_vars, bits, letter))
+
+
+def letter_colors(game, letter):
+    """``game.letter_colors`` by names."""
+    return sum(1 << cid for cid, a in enumerate(game.color_assertions)
+               if holds(game, a, 0, letter))
 
 
 def relation(dsa):

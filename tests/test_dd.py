@@ -176,9 +176,14 @@ def _random_ops(rng, m, names, depth):
 
 
 def assert_same_semantics(m, a, tt, ta, names):
+    """``Manager.eval`` on name dicts and ``Core.eval`` on their points
+    agree with the truth table on every assignment of ``names``."""
     for i in range(1 << len(names)):
         values = {n: bool(i >> k & 1) for k, n in enumerate(names)}
-        assert m.eval(a, values) == tt.eval(ta, values), values
+        want = tt.eval(ta, values)
+        assert m.eval(a, values) == want, values
+        point = m.point(n for n in names if values[n])
+        assert m.core.eval(a.handle, point) == want, values
 
 
 @pytest.mark.parametrize("seed", [2024, 2025])
@@ -206,6 +211,42 @@ def test_differential_against_truth_tables(seed):
         if not a.is_false():
             w = m.pick_witness(a, "main")
             assert m.eval(a, w) and tt.eval(ta, w)
+
+
+def test_points_wider_than_a_machine_word():
+    # 64 padding variables put the tested ones at levels 64-69, so their
+    # points are big ints; set padding bits change no value
+    rng = random.Random(64)
+    names = ["v%d" % i for i in range(6)]
+    m = Manager()
+    for i in range(64):
+        m.declare("pad%d" % i, "pad")
+    tt = TTManager()
+    for name in names:
+        m.declare(name, "main")
+        tt.declare(name, "main")
+    assert m.point(["v0"]) == 1 << 64 and m.point([]) == 0
+    for _ in range(40):
+        rng_state = rng.getstate()
+        a = _random_ops(rng, m, names, 4)
+        rng.setstate(rng_state)
+        ta = _random_ops(rng, tt, names, 4)
+        assert_same_semantics(m, a, tt, ta, names)
+        noise = rng.getrandbits(64)
+        for i in range(1 << len(names)):
+            values = {n: bool(i >> k & 1) for k, n in enumerate(names)}
+            assert m.core.eval(a.handle, noise | i << 64) == tt.eval(ta, values)
+
+
+def test_eval_and_point_reject_unknown_names():
+    m = small_manager()
+    x = m.var("x")
+    assert m.eval(x, {"x": True}) and not m.eval(x, {})
+    for values in ({"x": True, "nope": True}, {"x": True, "nope": False}):
+        with pytest.raises(BddError, match="nope"):
+            m.eval(x, values)
+    with pytest.raises(BddError, match="nope"):
+        m.point(["x", "nope"])
 
 
 def test_differential_rename_against_truth_tables():

@@ -24,6 +24,25 @@ def test_parse_atoms_and_sugar():
     assert el.parse_formula("Inf a -> Inf b", table) == Or(Not(Inf(0)), Inf(1))
 
 
+def test_comparing_deep_trees_does_not_recurse():
+    text = " & ".join(["Inf a"] * 1000)
+    assert el.parse_formula(text, ABCD) == el.parse_formula(text, ABCD)
+
+    def chain(leaf, depth=5000):
+        phi = leaf
+        for _ in range(depth):
+            phi = And(phi, Inf(0))
+        return phi
+
+    assert chain(Inf(1)) == chain(Inf(1))
+    assert chain(Inf(1)) != chain(Inf(2))
+    # hash(-1) == hash(-2), so these chains hash alike at every level and
+    # only the deepest leaf tells them apart
+    assert hash(chain(Inf(-1))) == hash(chain(Inf(-2)))
+    assert chain(Inf(-1)) != chain(Inf(-2))
+    assert not chain(Inf(-1)) == chain(Inf(-2))
+
+
 def test_nodes_are_immutable_values_with_a_pinned_repr():
     phi = And(Inf(0), Not(Inf(1)))
     assert repr(phi) == "And(left=Inf(color=0), right=Not(arg=Inf(color=1)))"

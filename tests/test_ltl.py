@@ -246,6 +246,23 @@ def test_determinization_lays_letters_out_in_the_given_order():
     assert m.names[len(nfa):] == ["b", "d", "a"]
 
 
+def test_a_subsets_bits_are_its_point():
+    # State variable q sits at level q, below every letter variable, so a
+    # subset's bits are its point and a letter's point lies above them.
+    nfa = nfa_from_safety(check_safety(parse_ltl(EX_SAFETY)))
+    dsa = determinize_symbolic(nfa, ("c", "a", "b"))
+    m = dsa.manager
+    assert [m.level(v) for v in dsa.state_vars] == list(range(len(nfa)))
+    for bits in range(1 << len(nfa)):
+        assert m.point(v for i, v in enumerate(dsa.state_vars)
+                       if bits >> i & 1) == bits
+    assert m.point(["c", "b"]) == 0b101 << len(nfa)
+    for bits in range(1, 1 << len(nfa)):
+        for letter in ltl.letters("abc"):
+            assert dsa.step_bits(bits, letter) == \
+                dsa.step_point(bits | m.point(letter))
+
+
 def test_automaton_does_not_depend_on_the_hash_seed():
     # The tableau expands each state's obligations in a canonical order,
     # so the built game is the same diagram under every PYTHONHASHSEED.

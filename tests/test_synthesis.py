@@ -17,6 +17,7 @@ from elgames.zielonka import ZielonkaTree
 
 from controller_reference import letter_trace, state_trace
 from el_reference import evaluate
+import ltl_reference
 from ltl_reference import relation
 from symbolic_reference import symbolic_cpre as reference_cpre
 
@@ -244,17 +245,24 @@ def test_synthesis_manager_declares_no_primed_variable():
         assert game.manager.names == list(game.state_vars + game.ap), name
 
 
+@functools.lru_cache(maxsize=None)
+def arb2_resp3_game():
+    """Game of the two-client arbiter whose clients are granted within
+    three steps."""
+    from test_fixpoint import ARB2
+    safety, live, inputs, outputs = ARB2
+    resp = "".join(" & G(r%d -> X g%d | X X g%d | X X X g%d)" % ((i,) * 4)
+                   for i in range(2))
+    return syn.build_game(syn.problem_from_strings(
+        safety + resp, live, inputs, outputs))
+
+
 def test_bounded_response_arbiter_solves_in_a_small_diagram():
     # arb2-resp3: 27 subset variables.  A transition relation over
     # primed copies of them took 1.48 million DD nodes on its own;
     # composing the transition functions instead, build and solve take
     # about 19,000.
-    from test_fixpoint import ARB2
-    safety, live, inputs, outputs = ARB2
-    resp = "".join(" & G(r%d -> X g%d | X X g%d | X X X g%d)" % ((i,) * 4)
-                   for i in range(2))
-    game = syn.build_game(syn.problem_from_strings(
-        safety + resp, live, inputs, outputs))
+    game = arb2_resp3_game()
     assert len(game.state_vars) == 27
     win, _, _ = game.solution
     assert syn.is_won(game, win)
@@ -389,6 +397,99 @@ def test_winning_sub_arena_keeps_the_winning_full_nodes():
     # and the sub-arena's solve on the liveness tree wins every node
     ewin, _, _ = solve_game(sub.elgame, tree)
     assert ewin == arena.full_mask
+
+
+def assert_points_match_names(game, win):
+    """``step_bits``, ``step_point``, ``holds`` and ``letter_colors``
+    equal the name-dict reference on every reachable (subset, letter)."""
+    dsa, m = game.dsa, game.manager
+    letters = list(ltl.letters(game.ap))
+    for letter in letters:
+        assert game.letter_colors(letter) == \
+            ltl_reference.letter_colors(game, letter)
+    reached = [dsa.initial_bits()]
+    for bits in reached:
+        for letter in letters:
+            nxt = ltl_reference.step_bits(dsa, bits, letter)
+            assert dsa.step_bits(bits, letter) == nxt
+            assert dsa.step_point(bits | m.point(letter)) == nxt
+            assert game.holds(win, bits, letter) == \
+                ltl_reference.holds(game, win, bits, letter)
+            if nxt and nxt not in reached:
+                reached.append(nxt)
+    return len(reached)
+
+
+def test_point_evaluation_equals_the_name_reference():
+    reached = {name: assert_points_match_names(
+        pinned_synthesis(name).game, pinned_synthesis(name).win)
+        for name in ("readme", "arb2-resp2")}
+    game = arb2_resp3_game()
+    reached["arb2-resp3"] = assert_points_match_names(game, game.solution[0])
+    assert reached == {"readme": 9, "arb2-resp2": 6, "arb2-resp3": 126}
+    games = random_games(random.Random(2718))
+    for _ in range(30):
+        _, game = next(games)
+        assert_points_match_names(game, game.solution[0])
+
+
+def test_expansion_resolves_each_name_once_per_letter(monkeypatch):
+    # Expansion evaluates on points: it resolves names only to build one
+    # point per letter, never per node.
+    from test_fixpoint import ARB3
+    game = syn.build_game(syn.problem_from_strings(*ARB3))
+    win, _, _ = game.solution
+    calls = []
+    level = Manager.level
+
+    def counting(self, name):
+        calls.append(name)
+        return level(self, name)
+
+    monkeypatch.setattr(Manager, "level", counting)
+    for region in (win, None):
+        calls.clear()
+        exp = syn.expand_explicit(game, region)
+        assert 0 < len(calls) <= (1 << len(game.ap)) * len(game.ap)
+        assert len(calls) < exp.elgame.arena.n * len(game.ap)
+
+
+def expansion_digest(exp):
+    """SHA-256 of an expansion's structure: every node's kind (letters as
+    sorted names), moves and colour mask, in node order."""
+    arena = exp.elgame.arena
+    lines = []
+    for vid, kind in enumerate(exp.kinds):
+        shown = [kind[0]]
+        if len(kind) == 3:
+            shown += ["%x" % kind[1], ",".join(sorted(kind[2]))]
+        shown += [",".join(map(str, arena.succ[vid])), "%x" % arena.colors[vid]]
+        lines.append(" ".join(shown))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# Digests of the winning sub-arena and the full expansion of each spec,
+# the same as when expansion evaluated diagrams on name dicts;
+# benchmarks/bench_expand.py pins their prefixes and those of larger specs.
+EXPANSION_DIGESTS = {
+    "readme": (
+        "dd75b3ebaf5dfbfe0a2c810714c52fecde94d89f883ffe0d98c3fafe5158ea3f",
+        "409065281e19571f08df214c150e7d94070c2fa71cec58ed1a05cdf764c80e62"),
+    "arb2-resp2": (
+        "c5dea5291a9d18422ef97e017f71e4e58076b6de32c09f1e2223155e03038ad4",
+        "2ff576e924fc9d949107abe7bf2277ab4c658a78c63771ee0e9dd42fabdf8a22"),
+    "arb3": (
+        "b43c9ffad62901461ccee3356603d89ad88f15fad2f6886072dc741b834d6f2a",
+        "f2dfa88f092b11f6efa0b66ed28c6555cf0c62e05252382f427929cbf07d9dae"),
+}
+
+
+def test_expansions_match_their_pinned_digests():
+    for name, digests in EXPANSION_DIGESTS.items():
+        res = pinned_synthesis(name)
+        got = tuple(expansion_digest(syn.expand_explicit(res.game, region))
+                    for region in (res.win, None))
+        assert got == digests, name
 
 
 # Stages of the arb3 expansion's explicit re-solve.
