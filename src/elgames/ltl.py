@@ -10,6 +10,11 @@ Implications with a propositional antecedent are expanded by cases on
 the antecedent, which keeps the automaton in the natural shape (a
 deferred promise is only taken where its trigger holds).
 
+A letter constraint has one semantics, its diagram (``prop_assert``):
+the tableau keeps a branch iff the diagram of its constraint is not
+false, so it tries no letters, and determinization builds the
+transition functions from the same diagrams.
+
 Determinization is the subset construction expressed symbolically: one
 Boolean state variable per automaton state, an exactly-initial cube,
 one transition function per state variable (its next-step bit), and
@@ -117,28 +122,6 @@ def is_propositional(phi):
     if isinstance(phi, (AndOp, OrOp, Implies)):
         return is_propositional(phi.left) and is_propositional(phi.right)
     return False
-
-
-def eval_propositional(phi, letter):
-    """Truth of a temporal-free formula on one letter (set of true APs)."""
-    if isinstance(phi, Tru):
-        return True
-    if isinstance(phi, Fls):
-        return False
-    if isinstance(phi, Ap):
-        return phi.name in letter
-    if isinstance(phi, NotOp):
-        return not eval_propositional(phi.arg, letter)
-    if isinstance(phi, AndOp):
-        return eval_propositional(phi.left, letter) and \
-            eval_propositional(phi.right, letter)
-    if isinstance(phi, OrOp):
-        return eval_propositional(phi.left, letter) or \
-            eval_propositional(phi.right, letter)
-    if isinstance(phi, Implies):
-        return (not eval_propositional(phi.left, letter)) or \
-            eval_propositional(phi.right, letter)
-    raise LTLError("not propositional: %r" % (phi,))
 
 
 def letters(names):
@@ -383,12 +366,19 @@ def _constraint_formula(constraints):
 
 
 def nfa_from_safety(nnf):
-    """Tableau automaton for a safety-fragment formula in NNF."""
+    """Tableau automaton for a safety-fragment formula in NNF.
+
+    A branch is kept iff its letter constraint is satisfiable, which is
+    read off its diagram on a manager over the formula's atoms (a
+    reduced diagram is unsatisfiable iff it is the false terminal)."""
     ap = atoms(nnf)
     initial = _normalize_state([nnf])
     if initial is None:
         # inconsistent right away: a single dead initial state
         return SafetyNFA([frozenset([LTL_FALSE])], 0, [[]], ap)
+    manager = Manager()
+    for name in sorted(ap):
+        manager.declare(name, "letter")
     index = {initial: 0}
     states = [initial]
     transitions = [None]
@@ -402,8 +392,7 @@ def nfa_from_safety(nnf):
             if target is None:
                 continue
             constraint = _constraint_formula(constraints)
-            if not any(eval_propositional(constraint, letter)
-                       for letter in letters(ap)):
+            if prop_assert(manager, constraint).is_false():
                 continue
             key = (repr(constraint), target)
             if key in seen_branches:
@@ -504,15 +493,11 @@ def determinize_symbolic(nfa, letters):
 
     theta0 = manager.cube({name: (i == nfa.initial)
                            for i, name in enumerate(state_vars)})
-    rhs = []
-    for q in range(len(nfa)):
-        incoming = manager.false
-        for p in range(len(nfa)):
-            for constraint, t in nfa.transitions[p]:
-                if t == q:
-                    incoming = incoming | (manager.var(state_vars[p])
-                                           & prop_assert(manager, constraint))
-        rhs.append(incoming)
+    rhs = [manager.false] * len(nfa)
+    for p, out in enumerate(nfa.transitions):
+        for constraint, t in out:
+            rhs[t] = rhs[t] | (manager.var(state_vars[p])
+                               & prop_assert(manager, constraint))
     nonempty = manager.disj(manager.var(v) for v in state_vars)
     return SymbolicSafetyAutomaton(manager, state_vars, nfa.ap, theta0,
                                    nonempty, tuple(rhs), nfa)

@@ -175,12 +175,6 @@ class SymbolicGameStructure:
                 {m.level(v): rhs.handle
                  for v, rhs in zip(self.state_vars, self.dsa.rhs)})
 
-    def holds(self, assertion, bits, letter):
-        """Truth of an assertion at one subset (bit mask over
-        ``state_vars``, also its point) and letter (set of true APs)."""
-        return self.manager.core.eval(assertion.handle,
-                                      bits | self.manager.point(letter))
-
     def letter_points(self):
         """Letter -> its ``dd.Manager.point``, in ``ltl.letters(ap)`` order."""
         return {letter: self.manager.point(letter)

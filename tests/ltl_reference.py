@@ -6,6 +6,11 @@ exact truth of a formula, of the tableau automaton and of its
 determinization on ultimately periodic words; the language-agreement
 tests compare these three.
 
+``eval_propositional`` evaluates a letter constraint on one letter by
+its connectives.  The library's one propositional semantics is the
+diagram of ``ltl.prop_assert``, and the tableau keeps a branch iff that
+diagram is not false; both must agree with this evaluation.
+
 ``eval_names``, ``step_bits``, ``holds`` and ``letter_colors`` evaluate
 diagrams on a name -> bool dict, resolving each node's variable by name;
 the library, which evaluates on points (one int per assignment, see
@@ -15,7 +20,31 @@ the library, which evaluates on points (one int per assignment, see
 from elgames.dd import Assertion, BddError
 from elgames.ltl import (Ap, AndOp, Finally, Fls, Globally, Implies,
                          LTLError, Next, NotOp, OrOp, Release, Tru, Until,
-                         eval_propositional, is_propositional)
+                         is_propositional)
+
+
+def eval_propositional(phi, letter):
+    """Truth of a temporal-free formula on one letter (set of true APs),
+    by the formula's connectives; ``ltl.prop_assert``'s diagrams must
+    agree with it."""
+    if isinstance(phi, Tru):
+        return True
+    if isinstance(phi, Fls):
+        return False
+    if isinstance(phi, Ap):
+        return phi.name in letter
+    if isinstance(phi, NotOp):
+        return not eval_propositional(phi.arg, letter)
+    if isinstance(phi, AndOp):
+        return eval_propositional(phi.left, letter) and \
+            eval_propositional(phi.right, letter)
+    if isinstance(phi, OrOp):
+        return eval_propositional(phi.left, letter) or \
+            eval_propositional(phi.right, letter)
+    if isinstance(phi, Implies):
+        return (not eval_propositional(phi.left, letter)) or \
+            eval_propositional(phi.right, letter)
+    raise LTLError("not propositional: %r" % (phi,))
 
 
 def successors(nfa, state_id, letter):
@@ -69,7 +98,8 @@ def step_bits(dsa, bits, letter):
 
 
 def holds(game, assertion, bits, letter):
-    """``game.holds`` by names."""
+    """Truth of an assertion of ``game`` at a subset (bits over its
+    ``state_vars``) and a letter, by names."""
     return eval_names(game.manager, assertion,
                       assignment(game.manager, game.state_vars, bits, letter))
 

@@ -9,8 +9,8 @@ from elgames.ltl import (Ap, AndOp, Finally, Globally, Implies, Next, NotOp,
                          to_nnf)
 
 from ltl_reference import (dsa_accepts_lasso, eval_ltl_lasso,
-                           nfa_accepts_lasso, reachable_subset_count,
-                           relation, successors)
+                           eval_propositional, nfa_accepts_lasso,
+                           reachable_subset_count, relation, successors)
 
 A, B, C = Ap("a"), Ap("b"), Ap("c")
 
@@ -179,6 +179,51 @@ def test_tableau_single_state_for_globally_atom():
     nfa = nfa_from_safety(check_safety(parse_ltl("G b")))
     assert len(nfa) == 1
     assert nfa.transitions[0] == [(B, 0)]
+
+
+def test_tableau_enumerates_no_letters(monkeypatch):
+    # Branch satisfiability is read off a diagram, never by trying letters.
+    def no_letters(names):
+        raise AssertionError("the tableau enumerated letters")
+
+    monkeypatch.setattr(ltl, "letters", no_letters)
+    mutex3 = "G(!(g0 & g1) & !(g0 & g2) & !(g1 & g2))"
+    specs = [
+        (EX_SAFETY, 4, 12),
+        ("G(!(g0 & g1)) & G(r0 -> X g0 | X X g0)", 4, 12),
+        (mutex3 + "".join(" & G(r%d -> X g%d | X X g%d)" % (i, i, i)
+                          for i in range(3)), 16, 136),
+    ]
+    for text, states, transitions in specs:
+        nfa = nfa_from_safety(check_safety(parse_ltl(text)))
+        assert (len(nfa), sum(map(len, nfa.transitions))) == \
+            (states, transitions), text
+
+
+def test_tableau_of_a_wide_antecedent_is_immediate():
+    # 31 atoms: trying letters would take up to 2^31 on the trigger branch.
+    trigger = " & ".join("a%d" % i for i in range(30))
+    nfa = nfa_from_safety(check_safety(parse_ltl("G((%s) -> X b)" % trigger)))
+    assert len(nfa.ap) == 31
+    assert len(nfa) == 2
+    assert [len(out) for out in nfa.transitions] == [2, 2]
+
+
+def test_tableau_drops_a_branch_whose_constraints_contradict():
+    nfa = nfa_from_safety(check_safety(parse_ltl("G(a -> !a & X b)")))
+    assert nfa.transitions == [[(NotOp(A), 0)]]
+
+
+def test_every_tableau_transition_has_a_letter():
+    rng = random.Random(38)
+    names = ["a", "b", "c"]
+    for _ in range(150):
+        nfa = nfa_from_safety(check_safety(
+            random_safety_formula(rng, names, 3)))
+        for out in nfa.transitions:
+            for constraint, _ in out:
+                assert any(eval_propositional(constraint, letter)
+                           for letter in ltl.letters(names)), constraint
 
 
 def test_empty_language_formula_dies():
@@ -382,6 +427,6 @@ def test_prop_assert_matches_letter_semantics_and_rejects_temporal():
     for bits in range(8):
         letter = frozenset(n for i, n in enumerate("abc") if bits >> i & 1)
         values = {n: n in letter for n in "abc"}
-        assert m.eval(got, values) == ltl.eval_propositional(phi, letter)
+        assert m.eval(got, values) == eval_propositional(phi, letter)
     with pytest.raises(ltl.LTLError):
         ltl.prop_assert(m, parse_ltl("a & X b"))

@@ -387,9 +387,10 @@ def test_winning_sub_arena_keeps_the_winning_full_nodes():
     # its nodes are the full expansion's winning nodes ...
     assert sorted(sub.kinds) == sorted(
         kind for vid, kind in enumerate(full.kinds) if fwin >> vid & 1)
+    m = game.manager
     for vid, kind in enumerate(sub.kinds):
         if kind[0] == "full":
-            assert game.holds(win, kind[1], kind[2])
+            assert m.core.eval(win.handle, kind[1] | m.point(kind[2]))
         # ... with the full expansion's moves into winning nodes
         fvid = full.index[kind]
         assert [sub.kinds[w] for w in arena.succ[vid]] == [
@@ -400,8 +401,9 @@ def test_winning_sub_arena_keeps_the_winning_full_nodes():
 
 
 def assert_points_match_names(game, win):
-    """``step_bits``, ``step_point``, ``holds`` and ``letter_colors``
-    equal the name-dict reference on every reachable (subset, letter)."""
+    """``step_bits``, ``step_point``, ``letter_colors`` and ``win`` at a
+    point equal the name-dict reference on every reachable (subset,
+    letter)."""
     dsa, m = game.dsa, game.manager
     letters = list(ltl.letters(game.ap))
     for letter in letters:
@@ -413,7 +415,7 @@ def assert_points_match_names(game, win):
             nxt = ltl_reference.step_bits(dsa, bits, letter)
             assert dsa.step_bits(bits, letter) == nxt
             assert dsa.step_point(bits | m.point(letter)) == nxt
-            assert game.holds(win, bits, letter) == \
+            assert m.core.eval(win.handle, bits | m.point(letter)) == \
                 ltl_reference.holds(game, win, bits, letter)
             if nxt and nxt not in reached:
                 reached.append(nxt)
@@ -791,7 +793,7 @@ def test_expansion_projects_to_the_drawn_subset_arena():
     automaton (with the b|c conjunct restored on every transition), the
     arena the example draws with nine rectangles."""
     from test_ltl import paper_nfa
-    from elgames.ltl import eval_propositional, parse_ltl
+    eval_propositional = ltl_reference.eval_propositional
 
     game = syn.build_game(running_problem())
     dsa = game.dsa
