@@ -1,9 +1,10 @@
 """Benchmark of the decision-diagram core.
 
 Workloads exercise the hot paths of the symbolic pipeline: if-then-else
-chains, relational image under quantification and partner renaming,
-universal-over-existential quantification of a relational product
-whose relation reads the primed letters, and model counting.  Each
+chains, relational image under quantification and the swap of every
+variable with its primed copy (one ``Core.compose`` over a vector of
+literals), universal-over-existential quantification of a relational
+product whose relation reads the primed letters, and model counting.  Each
 run's result is checked against a pinned value: the node count after
 the counter's reachability, the XOR of the battery's model counts, the
 composition's final model count and the model count of the
@@ -17,14 +18,32 @@ import argparse
 import random
 import time
 
-from elgames.dd import Manager
+from elgames.dd import Assertion, Manager
+
+
+def declare_pairs(m, names):
+    """Declare each name and then its primed copy; the vector from each
+    of their levels to the other's literal, as ``Core.compose`` takes
+    it, swaps every pair."""
+    swap = {}
+    for name in names:
+        m.declare(name)
+        m.declare(name + "'")
+        a, b = m.level(name), m.level(name + "'")
+        swap[a], swap[b] = m.core.var_node(b), m.core.var_node(a)
+    return swap
+
+
+def swapped(m, a, swap):
+    """``a`` with every variable and its primed copy exchanged."""
+    return Assertion(m, m.core.compose(a.handle, swap))
 
 
 def counter_reachability(bits):
     """Breadth-first reachability of an n-bit counter with wraparound."""
     m = Manager()
-    for i in range(bits):
-        m.declare_pair("b%d" % i, "b%d'" % i, "state")
+    unprimed = ["b%d" % i for i in range(bits)]
+    swap = declare_pairs(m, unprimed)
     cur = [m.var("b%d" % i) for i in range(bits)]
     nxt = [m.var("b%d'" % i) for i in range(bits)]
     # v' = v + 1 with ripple carry
@@ -35,17 +54,16 @@ def counter_reachability(bits):
         carry = carry & cur[i]
     reach = m.cube({"b%d" % i: False for i in range(bits)})
     frontier = reach
-    unprimed = ["b%d" % i for i in range(bits)]
     steps = 0
     while True:
-        image = m.rename_partners(m.exists(unprimed, trans & frontier))
+        image = swapped(m, m.exists(unprimed, trans & frontier), swap)
         grown = reach | image
         if grown == reach:
             break
         frontier = grown & ~reach
         reach = grown
         steps += 1
-    count = m.count_sat(reach, "state")
+    count = m.count_sat(reach, unprimed)
     assert count == 1 << bits and steps == (1 << bits) - 1
     return m.core.node_count()
 
@@ -56,7 +74,7 @@ def random_op_battery(rounds, nvars, seed):
     m = Manager()
     names = ["x%d" % i for i in range(nvars)]
     for name in names:
-        m.declare(name, "main")
+        m.declare(name)
 
     def formula(depth):
         if depth == 0 or rng.random() < 0.25:
@@ -76,26 +94,25 @@ def random_op_battery(rounds, nvars, seed):
     for _ in range(rounds):
         f = formula(6)
         g = m.exists([n for n in names if rng.random() < 0.3], f)
-        acc ^= m.count_sat(g, "main")
+        acc ^= m.count_sat(g, names)
     return acc
 
 
 def relation_composition(bits, rounds):
     """Iterated image of a shifted-xor relation, quantifier heavy."""
     m = Manager()
-    for i in range(bits):
-        m.declare_pair("r%d" % i, "r%d'" % i, "state")
+    unprimed = ["r%d" % i for i in range(bits)]
+    swap = declare_pairs(m, unprimed)
     cur = [m.var("r%d" % i) for i in range(bits)]
     nxt = [m.var("r%d'" % i) for i in range(bits)]
     rel = m.true
     for i in range(bits):
         src = cur[(i + 1) % bits] ^ cur[(i + 7) % bits]
         rel = rel & nxt[i].iff(src ^ cur[i])
-    unprimed = ["r%d" % i for i in range(bits)]
     s = m.cube({"r%d" % i: i % 3 == 0 for i in range(bits)})
     for _ in range(rounds):
-        s = m.rename_partners(m.exists(unprimed, rel & s))
-    return m.count_sat(s, "state")
+        s = swapped(m, m.exists(unprimed, rel & s), swap)
+    return m.count_sat(s, unprimed)
 
 
 def quantifier_alternation(nstate, nletters, seed):
@@ -110,8 +127,7 @@ def quantifier_alternation(nstate, nletters, seed):
     state = ["s%d" % i for i in range(nstate)]
     inputs = ["i%d" % i for i in range(nletters)]
     outputs = ["o%d" % i for i in range(nletters)]
-    for name in state + inputs + outputs:
-        m.declare_pair(name, name + "'", "now")
+    swap = declare_pairs(m, state + inputs + outputs)
 
     def primed(names):
         return [n + "'" for n in names]
@@ -135,11 +151,11 @@ def quantifier_alternation(nstate, nletters, seed):
         rel = rel & m.var(name + "'").iff(formula(step, 3))
     safe = formula(state, 4) | formula(state, 4)
     while True:
-        moved = rel & m.rename_partners(safe)
+        moved = rel & swapped(m, safe, swap)
         pre = m.forall(primed(inputs), m.exists(primed(outputs + state), moved))
         shrunk = safe & pre
         if shrunk == safe:
-            return m.count_sat(safe, "now")
+            return m.count_sat(safe, state + inputs + outputs)
         safe = shrunk
 
 

@@ -42,8 +42,8 @@ def muller_c4():
 def arbiter_liveness(k):
     manager = Manager()
     for i in range(k):
-        manager.declare("r%d" % i, "letter")
-        manager.declare("g%d" % i, "letter")
+        manager.declare("r%d" % i)
+        manager.declare("g%d" % i)
     liveness = " & ".join("(G F r%d -> G F g%d)" % (i, i) for i in range(k))
     formula, table, _ = syn.colors_of(parse_ltl(liveness), manager)
     return formula, table

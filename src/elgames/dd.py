@@ -1,9 +1,9 @@
 """Symbolic assertions over named Boolean variables.
 
-A :class:`Manager` owns an ordered variable table (each variable tagged
-with a block and optionally paired with a primed partner) and wraps
-diagram handles in :class:`Assertion` values.  Handles are canonical,
-so ``==`` on assertions of one manager is semantic equality.
+A :class:`Manager` owns an ordered variable table and wraps diagram
+handles in :class:`Assertion` values; every set of variables it takes
+is a list of names.  Handles are canonical, so ``==`` on assertions of
+one manager is semantic equality.
 
 The diagram engine itself lives in the pure-Python core module
 ``elgames._bddcore_py``.
@@ -15,7 +15,7 @@ CORE_IMPL = _core_mod.IMPL_NAME
 
 
 class BddError(ValueError):
-    """Manager misuse: mixed managers, unknown names, bad blocks."""
+    """Manager misuse: mixed managers, unknown or repeated names."""
 
 
 class Assertion:
@@ -80,47 +80,28 @@ class Manager:
     """Variable table plus a diagram core.
 
     Variables are declared once, in order; the declaration order is the
-    diagram order.  ``declare_pair`` adds a variable and its primed
-    partner at adjacent levels and stores the literal vector that swaps
-    them, which ``rename_partners`` composes.
+    diagram order, and a variable's level is its place in ``names``.
     """
 
     def __init__(self):
         self.core = _core_mod.Core()
         self.names = []
         self._levels = {}
-        self._blocks = {}
-        self._swap = {}   # level -> handle of its partner's literal
 
     # -- declarations
 
-    def declare(self, name, block):
+    def declare(self, name):
         if name in self._levels:
             raise BddError("variable %r already declared" % name)
-        level = len(self.names)
+        self._levels[name] = len(self.names)
         self.names.append(name)
-        self._levels[name] = level
-        self._blocks.setdefault(block, []).append(level)
         return self.var(name)
-
-    def declare_pair(self, name, primed, block, primed_block=None):
-        self.declare(name, block)
-        self.declare(primed, primed_block if primed_block is not None else block + "'")
-        a, b = self._levels[name], self._levels[primed]
-        self._swap[a] = self.core.var_node(b)
-        self._swap[b] = self.core.var_node(a)
 
     def level(self, name):
         try:
             return self._levels[name]
         except KeyError:
             raise BddError("unknown variable %r" % name) from None
-
-    def block_levels(self, block):
-        try:
-            return tuple(self._blocks[block])
-        except KeyError:
-            raise BddError("unknown block %r" % block) from None
 
     # -- constants and atoms
 
@@ -156,25 +137,14 @@ class Manager:
             out = out | a
         return out
 
-    def _level_set(self, what):
-        if isinstance(what, str):
-            return self.block_levels(what)
-        return tuple(self.level(n) for n in what)
+    def _level_set(self, names):
+        return tuple(self.level(n) for n in names)
 
-    def exists(self, what, a):
-        return Assertion(self, self.core.exists(a.handle, self._level_set(what)))
+    def exists(self, names, a):
+        return Assertion(self, self.core.exists(a.handle, self._level_set(names)))
 
-    def forall(self, what, a):
-        return Assertion(self, self.core.forall(a.handle, self._level_set(what)))
-
-    def rename_partners(self, a):
-        """Swap every variable with its primed partner: one ``compose``
-        over the literal vector that ``declare_pair`` stores."""
-        try:
-            return Assertion(self, self.core.compose(a.handle, self._swap))
-        except KeyError as missing:
-            raise BddError("variable %r has no partner"
-                           % self.names[missing.args[0]]) from None
+    def forall(self, names, a):
+        return Assertion(self, self.core.forall(a.handle, self._level_set(names)))
 
     def support_names(self, a):
         return tuple(self.names[level] for level in self.core.support(a.handle))
@@ -186,18 +156,19 @@ class Manager:
         others = [lv for lv in range(len(self.names)) if lv not in inside]
         return self.core.exists(a.handle, others)
 
-    def count_sat(self, a, block):
-        """Satisfying assignments of the block's variables, after
+    def count_sat(self, a, names):
+        """Satisfying assignments of the named variables, after
         existentially abstracting everything else."""
-        levels = self.block_levels(block)
+        levels = self._level_set(names)
         return self.core.satcount(self._project(a, levels), levels)
 
-    def pick_witness(self, a, block):
-        """One block assignment (complete name -> bool dict) consistent
-        with the assertion; unconstrained variables default to False."""
+    def pick_witness(self, a, names):
+        """One assignment of the named variables (complete name -> bool
+        dict) consistent with the assertion; unconstrained variables
+        default to False."""
         if a.handle == 0:
             raise BddError("cannot pick a witness from an unsatisfiable assertion")
-        levels = self.block_levels(block)
+        levels = self._level_set(names)
         partial = self.core.pick(self._project(a, levels))
         return {self.names[lv]: partial.get(lv, False) for lv in levels}
 

@@ -13,13 +13,15 @@ deferred promise is only taken where its trigger holds).
 A letter constraint has one semantics, its diagram (``prop_assert``):
 the tableau keeps a branch iff the diagram of its constraint is not
 false, so it tries no letters, and determinization builds the
-transition functions from the same diagrams.
+transition functions from the same diagrams, on the same manager.
 
-Determinization is the subset construction expressed symbolically: one
-Boolean state variable per automaton state, an exactly-initial cube,
-one transition function per state variable (its next-step bit), and
-the requirement that the tracked subset is nonempty (a run dies when
-it empties).  The subset space is never enumerated.
+One manager serves a formula from tableau to game: the tableau declares
+the alphabet on it, letters first, and determinization appends the
+subset variables.  Determinization is the subset construction expressed
+symbolically: one Boolean state variable per automaton state, an
+exactly-initial cube, one transition function per state variable (its
+next-step bit), and the requirement that the tracked subset is nonempty
+(a run dies when it empties).  The subset space is never enumerated.
 """
 
 from . import syntax
@@ -288,13 +290,16 @@ def check_safety(phi):
 
 class SafetyNFA:
     """States are frozensets of obligations due now; transitions carry a
-    propositional constraint on the current letter."""
+    propositional constraint on the current letter.  ``manager``
+    declares the alphabet, and nothing else, when the automaton is
+    built."""
 
-    def __init__(self, states, initial, transitions, ap):
+    def __init__(self, states, initial, transitions, manager):
         self.states = states            # list of frozensets
         self.initial = initial          # state index
         self.transitions = transitions  # list per state of (constraint, target)
-        self.ap = tuple(sorted(ap))
+        self.manager = manager          # dd.Manager of the letter diagrams
+        self.ap = tuple(manager.names)  # the alphabet, in level order
 
     def __len__(self):
         return len(self.states)
@@ -365,20 +370,26 @@ def _constraint_formula(constraints):
     return out
 
 
-def nfa_from_safety(nnf):
-    """Tableau automaton for a safety-fragment formula in NNF.
+def nfa_from_safety(nnf, letters):
+    """Tableau automaton for a safety-fragment formula in NNF over the
+    alphabet ``letters``, which must cover the formula's atoms.
 
-    A branch is kept iff its letter constraint is satisfiable, which is
-    read off its diagram on a manager over the formula's atoms (a
-    reduced diagram is unsatisfiable iff it is the false terminal)."""
-    ap = atoms(nnf)
+    A fresh manager declares ``letters`` in order (synthesis passes its
+    inputs and then its outputs), and the automaton keeps it.  A branch
+    is kept iff its letter constraint is satisfiable, which is read off
+    its diagram on that manager (a reduced diagram is unsatisfiable iff
+    it is the false terminal)."""
+    missing = atoms(nnf).difference(letters)
+    if missing:
+        raise LTLError("atoms outside the alphabet: %s"
+                       % ", ".join(sorted(missing)))
+    manager = Manager()
+    for name in letters:
+        manager.declare(name)
     initial = _normalize_state([nnf])
     if initial is None:
         # inconsistent right away: a single dead initial state
-        return SafetyNFA([frozenset([LTL_FALSE])], 0, [[]], ap)
-    manager = Manager()
-    for name in sorted(ap):
-        manager.declare(name, "letter")
+        return SafetyNFA([frozenset([LTL_FALSE])], 0, [[]], manager)
     index = {initial: 0}
     states = [initial]
     transitions = [None]
@@ -425,7 +436,7 @@ def nfa_from_safety(nnf):
     for i in order:
         new_transitions.append([(c, remap[t]) for c, t in transitions[i]
                                 if t in alive])
-    return SafetyNFA(new_states, remap[0], new_transitions, ap)
+    return SafetyNFA(new_states, remap[0], new_transitions, manager)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +445,10 @@ def nfa_from_safety(nnf):
 
 class SymbolicSafetyAutomaton:
 
-    def __init__(self, manager, state_vars, ap, theta0, nonempty, rhs, nfa):
-        self.manager = manager        # the Manager of every assertion here
+    def __init__(self, state_vars, theta0, nonempty, rhs, nfa):
+        self.manager = nfa.manager    # the Manager of every assertion here
         self.state_vars = state_vars  # variable name per NFA state
-        self.ap = ap                  # atomic proposition names
+        self.ap = nfa.ap              # the alphabet, at levels 0..k-1
         self.theta0 = theta0          # Assertion: exactly-initial cube
         self.nonempty = nonempty      # Assertion: some state variable holds
         self.rhs = rhs                # per state: Assertion of the next-step bit
@@ -446,10 +457,15 @@ class SymbolicSafetyAutomaton:
     def initial_bits(self):
         return 1 << self.nfa.initial
 
+    def point(self, bits, letter_point):
+        """The point (see ``dd.Manager.point``) of a subset, given by its
+        bits, and a letter, given by its point: subset variable ``q``
+        sits at level ``k + q``, past the ``k`` letters."""
+        return bits << len(self.ap) | letter_point
+
     def step_point(self, point):
-        """Next subset at a point (see ``dd.Manager.point``), a subset's
-        bits joined with a letter's point: bit ``q`` is ``rhs[q]`` there;
-        0 is the dead subset."""
+        """Next subset's bits at a (subset, letter) point: bit ``q`` is
+        ``rhs[q]`` there; 0 is the dead subset."""
         evaluate = self.manager.core.eval
         return sum(1 << q for q, rhs in enumerate(self.rhs)
                    if evaluate(rhs.handle, point))
@@ -457,24 +473,24 @@ class SymbolicSafetyAutomaton:
     def step_bits(self, bits, letter):
         """Deterministic subset step under one letter (set of true
         names; names outside ``ap`` are ignored); 0 is the dead subset."""
-        return self.step_point(
-            bits | self.manager.point(n for n in self.ap if n in letter))
+        return self.step_point(self.point(
+            bits, self.manager.point(n for n in self.ap if n in letter)))
 
 
 MAX_SUBSET_VARS = 64
 
 
-def determinize_symbolic(nfa, letters):
+def determinize_symbolic(nfa):
     """Subset construction as assertions; one state variable per NFA state.
 
-    A fresh manager is laid out with the state variables ``@0``, ``@1``,
-    ... (names no atom can take) in block "state", then ``letters``
-    (synthesis passes its inputs and then its outputs) in block
-    "letter"; no variable has a primed partner.  State variable ``q``
-    sits at level ``q``, so a subset's bits are already its point (see
-    ``dd.Manager.point``), and a (subset, letter) pair's point is the
-    subset's bits joined with the letter's point.  Past
-    ``MAX_SUBSET_VARS`` automaton states it raises :class:`LTLError`.
+    The state variables ``@0``, ``@1``, ... (names no atom can take) are
+    appended to the automaton's manager, after its alphabet, so an
+    automaton is determinized once.  With ``k`` letters, the letters sit
+    at levels ``0..k-1`` and state variable ``q`` at level ``k + q``:
+    a (subset, letter) pair's point (see ``dd.Manager.point``) is the
+    subset's bits shifted up by ``k`` and joined with the letter's
+    point, ``SymbolicSafetyAutomaton.point``.  Past ``MAX_SUBSET_VARS``
+    automaton states it raises :class:`LTLError`.
 
     Each nonempty subset and letter have exactly one next subset, whose
     bit ``q`` is ``rhs[q](V, AP)``; the empty subset has none.
@@ -484,12 +500,10 @@ def determinize_symbolic(nfa, letters):
     if len(nfa) > MAX_SUBSET_VARS:
         raise LTLError("variable budget exceeded: %d automaton states > %d"
                        % (len(nfa), MAX_SUBSET_VARS))
-    manager = Manager()
+    manager = nfa.manager
     state_vars = tuple("@%d" % i for i in range(len(nfa)))
     for name in state_vars:
-        manager.declare(name, "state")
-    for name in letters:
-        manager.declare(name, "letter")
+        manager.declare(name)
 
     theta0 = manager.cube({name: (i == nfa.initial)
                            for i, name in enumerate(state_vars)})
@@ -499,5 +513,5 @@ def determinize_symbolic(nfa, letters):
             rhs[t] = rhs[t] | (manager.var(state_vars[p])
                                & prop_assert(manager, constraint))
     nonempty = manager.disj(manager.var(v) for v in state_vars)
-    return SymbolicSafetyAutomaton(manager, state_vars, nfa.ap, theta0,
-                                   nonempty, tuple(rhs), nfa)
+    return SymbolicSafetyAutomaton(state_vars, theta0, nonempty, tuple(rhs),
+                                   nfa)

@@ -1,8 +1,10 @@
 """Reactive synthesis for conjunctions of a safety formula and a
 liveness condition over infinite-occurrence of letter predicates.
 
-The safety part becomes a deterministic symbolic safety automaton; its
-subset variables join the letter variables as the game state, with the
+The safety part becomes a deterministic symbolic safety automaton on
+one manager per specification: the tableau declares the letters, inputs
+then outputs, and determinization appends the subset variables after
+them.  Subset and letter variables are the game state, with the
 system choosing outputs and next subsets (the latter fixed by the
 automaton's transition functions) and the environment choosing inputs.
 The liveness part maps each distinct letter assertion under GF / FG to
@@ -151,7 +153,7 @@ class SymbolicGameStructure:
         self.theta = theta            # Assertion over the subset variables
         self.el_formula = el_formula  # objective over the color table
         self.color_table = color_table
-        # per color: Assertion over the letter block
+        # per color: Assertion over the letter variables
         self.color_assertions = color_assertions
 
     @property
@@ -193,8 +195,8 @@ class SymbolicGameStructure:
 
 def build_game(problem):
     nnf = check_safety(problem.safety)
-    nfa = nfa_from_safety(nnf)
-    dsa = determinize_symbolic(nfa, problem.inputs + problem.outputs)
+    dsa = determinize_symbolic(
+        nfa_from_safety(nnf, problem.inputs + problem.outputs))
     m = dsa.manager
     formula, table, assertions = colors_of(problem.liveness, m)
     return SymbolicGameStructure(
@@ -227,7 +229,7 @@ class SymbolicBackend(SetBackend):
     node masks.  Handles are canonical, so equality, the ``cpre`` memo
     keys and the solver's identity checks are plain int operations.
     Its color sets are the handles of the color assertions over the
-    letter block.  Only ``cpre`` builds assertions: it wraps each
+    letter variables.  Only ``cpre`` builds assertions: it wraps each
     distinct target once for ``symbolic_cpre``."""
 
     def __init__(self, game):
@@ -325,8 +327,7 @@ def expand_explicit(game, win=None):
     total arena with the game's own colours and objective.  Otherwise a
     full node whose letter empties its subset moves to the sink, node 0,
     whose fresh colour may occur only finitely often.  Each (subset,
-    letter) pair is evaluated at one point, the subset's bits joined
-    with the letter's point."""
+    letter) pair is evaluated at one point, ``dsa.point``."""
     dsa = game.dsa
     table, objective = game.color_table, game.el_formula
     init_bits = dsa.initial_bits()
@@ -358,11 +359,12 @@ def expand_explicit(game, win=None):
 
     points = game.letter_points()
     letter_colors = {letter: game.colors_at(p) for letter, p in points.items()}
-    evaluate = game.manager.core.eval
+    evaluate, point_of = game.manager.core.eval, dsa.point
     region = None if win is None else win.handle
 
     def full(bits, letter):
-        if region is not None and not evaluate(region, bits | points[letter]):
+        if region is not None and \
+                not evaluate(region, point_of(bits, points[letter])):
             return None
         return intern(("full", bits, letter), UNIVERSAL, letter_colors[letter])
 
@@ -372,7 +374,7 @@ def expand_explicit(game, win=None):
         # label: a full node's letter, an intermediate node's input
         tag, bits, label = kinds[vid]
         if tag == "full":
-            nxt = dsa.step_point(bits | points[label])
+            nxt = dsa.step_point(point_of(bits, points[label]))
             succ[vid] = [intern(("mid", nxt, inp), EXISTENTIAL, 0)
                          for inp in inputs] if nxt else sink
         else:
@@ -397,7 +399,7 @@ def cross_check_symbolic_vs_explicit(game, win):
         if kind[0] != "full":
             continue
         _, bits, letter = kind
-        symbolic = evaluate(win.handle, bits | points[letter])
+        symbolic = evaluate(win.handle, game.dsa.point(bits, points[letter]))
         explicit = bool(ewin >> vid & 1)
         if symbolic != explicit:
             raise ExpansionMismatch("expand-check", (

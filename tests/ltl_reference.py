@@ -54,16 +54,16 @@ def successors(nfa, state_id, letter):
                    if eval_propositional(c, letter)})
 
 
-def primed(m, names, block):
+def primed(m, names):
     """Vector from the level of each of ``names`` to the literal of its
     primed copy, as ``Core.compose`` takes it.  The copies are declared
-    on ``m`` in ``block`` on first use, below the levels it had."""
+    on ``m`` on first use, below the levels it had."""
     vector = {}
     for name in names:
         try:
             m.level(name + "'")
         except BddError:
-            m.declare(name + "'", block)
+            m.declare(name + "'")
         vector[m.level(name)] = m.var(name + "'").handle
     return vector
 
@@ -113,10 +113,9 @@ def letter_colors(game, letter):
 def relation(dsa):
     """The subset construction's transition relation
     ``nonempty(V) & AND_q (q' <-> rhs_q(V, AP))``, over primed copies
-    of the state variables (block "state'") that the library does not
-    declare."""
+    of the state variables that the library does not declare."""
     m = dsa.manager
-    primed(m, dsa.state_vars, "state'")
+    primed(m, dsa.state_vars)
     rho = dsa.nonempty
     for name, rhs in zip(dsa.state_vars, dsa.rhs):
         rho = rho & m.var(name + "'").iff(rhs)
@@ -124,7 +123,7 @@ def relation(dsa):
 
 
 def reachable_subsets(dsa):
-    """Assertion over the state block: subsets reachable from the start,
+    """Assertion over the state variables: subsets reachable from the start,
     by images under ``relation(dsa)``."""
     m = dsa.manager
     rho = relation(dsa)
@@ -145,7 +144,7 @@ def reachable_subsets(dsa):
 def reachable_subset_count(dsa):
     """Number of reachable nonempty subsets of the determinization."""
     reach = reachable_subsets(dsa)
-    return dsa.manager.count_sat(reach & dsa.nonempty, "state")
+    return dsa.manager.count_sat(reach & dsa.nonempty, dsa.state_vars)
 
 
 def eval_ltl_lasso(phi, prefix, loop):

@@ -101,8 +101,8 @@ def symbolic_cpre(game, target):
     keeping the successor in the target, as one relational product."""
     m = game.manager
     rho = relation(game.dsa)
-    vector = primed(m, game.state_vars, "state'")
-    vector.update(primed(m, game.ap, "letter'"))
+    vector = primed(m, game.state_vars)
+    vector.update(primed(m, game.ap))
     inner = rho & Assertion(m, m.core.compose(target.handle, vector))
     primed_inputs = [n + "'" for n in game.inputs]
     primed_rest = ([n + "'" for n in game.outputs]
@@ -112,7 +112,7 @@ def symbolic_cpre(game, target):
 
 class SymbolicBackend(SetBackend):
     """Assertion-set backend for the generic fixpoint solver; its color
-    sets are the color assertions over the letter block."""
+    sets are the color assertions over the letter variables."""
 
     def __init__(self, game):
         super().__init__(game.manager.false, game.manager.true,

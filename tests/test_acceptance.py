@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from elgames import el, ltl
 from elgames import synthesis as syn
 from elgames.corpus import run_corpus
-from elgames.dd import Manager
+from elgames.dd import Assertion, Manager
 from elgames.fixpoint import build_equations
 from elgames.zielonka import ZielonkaTree
 
@@ -276,8 +276,8 @@ def test_criterion7_determinization():
     with criterion("7", 60, "nine reachable subsets; language agreement "
                             "on 500 lassos"):
         nfa = ltl.nfa_from_safety(ltl.check_safety(
-            ltl.parse_ltl("G(b | c) & G(a -> b | X X b)")))
-        dsa = ltl.determinize_symbolic(nfa, nfa.ap)
+            ltl.parse_ltl("G(b | c) & G(a -> b | X X b)")), ("a", "b", "c"))
+        dsa = ltl.determinize_symbolic(nfa)
         assert reachable_subset_count(dsa) == 9
 
         rng = random.Random(77)
@@ -286,10 +286,10 @@ def test_criterion7_determinization():
         while checked < 500:
             phi = random_safety_formula(rng, names, 3)
             nnf = ltl.check_safety(phi)
-            nfa = ltl.nfa_from_safety(nnf)
+            nfa = ltl.nfa_from_safety(nnf, sorted(ltl.atoms(nnf)))
             if len(nfa) > 8:
                 continue
-            dsa = ltl.determinize_symbolic(nfa, nfa.ap)
+            dsa = ltl.determinize_symbolic(nfa)
             for _ in range(3):
                 prefix, loop = random_lasso(rng, names, 5)
                 direct = eval_ltl_lasso(phi, prefix, loop)
@@ -360,20 +360,16 @@ def test_criterion9_backend_differential():
             if use_pairs:
                 npairs = rng.randint(1, 7)
                 names = []
-                m = Manager()
-                tt = TTManager()
                 for i in range(npairs):
-                    m.declare_pair("v%d" % i, "v%d'" % i, "main", "main")
-                    tt.declare_pair("v%d" % i, "v%d'" % i, "main", "main")
                     names += ["v%d" % i, "v%d'" % i]
             else:
                 nvars = rng.randint(2, 14)
                 names = ["v%d" % i for i in range(nvars)]
-                m = Manager()
-                tt = TTManager()
-                for name in names:
-                    m.declare(name, "main")
-                    tt.declare(name, "main")
+            m = Manager()
+            tt = TTManager()
+            for name in names:
+                m.declare(name)
+                tt.declare(name)
             state = rng.getstate()
             a = _random_ops(rng, m, names, 4)
             rng.setstate(state)
@@ -385,9 +381,16 @@ def test_criterion9_backend_differential():
             elif op < 0.6:
                 a, ta = m.forall(subset, a), tt.forall(subset, ta)
             elif use_pairs and op < 0.8:
-                a, ta = m.rename_partners(a), tt.rename_partners(ta)
+                # swap each variable with its primed partner, the level
+                # next to it, in one composition with literals
+                partner = {m.level(n): m.level(n) ^ 1
+                           for n in m.support_names(a)}
+                a = Assertion(m, m.core.compose(a.handle, {
+                    lv: m.core.var_node(p) for lv, p in partner.items()}))
+                ta = tt.compose(ta, {lv: tt.var(names[p])
+                                     for lv, p in partner.items()})
             assert _bdd_bits(m, a, len(names)) == ta.bits, round_no
-            assert m.count_sat(a, "main") == tt.count_sat(ta, "main")
+            assert m.count_sat(a, names) == tt.count_sat(ta, names)
 
 
 def _bdd_bits(m, a, nvars):

@@ -11,7 +11,7 @@ from ttable import TTManager
 def small_manager():
     m = Manager()
     for name in "xyzw":
-        m.declare(name, "main")
+        m.declare(name)
     return m
 
 
@@ -49,53 +49,61 @@ def test_quantification_one_point_and_dual():
     assert m.forall(["x"], a) == ~m.exists(["x"], ~a)
 
 
-def test_rename_partners_involution_and_example():
+def declare_pairs(twin, names):
+    """Declare each of ``names`` and then its primed copy on a manager or
+    its twin; the map from each of their levels to the other's."""
+    partner = {}
+    for name in names:
+        twin.declare(name)
+        twin.declare(name + "'")
+        a, b = twin.level(name), twin.level(name + "'")
+        partner[a], partner[b] = b, a
+    return partner
+
+
+def swap_vector(m, partner):
+    """The vector of literals, level to handle, that ``Core.compose``
+    takes to swap every variable with its partner."""
+    return {lv: m.core.var_node(p) for lv, p in partner.items()}
+
+
+def swapped(m, a, vector):
+    return dd.Assertion(m, m.core.compose(a.handle, vector))
+
+
+def tt_swapped(tt, a, partner):
+    return tt.compose(a, {lv: tt.var(tt.names[p])
+                          for lv, p in partner.items()})
+
+
+def test_second_compose_adds_no_node_and_no_memo_entry(monkeypatch):
     m = Manager()
-    m.declare_pair("x", "x'", "state")
-    m.declare_pair("y", "y'", "state")
-    x, yp = m.var("x"), m.var("y'")
-    a = x & yp
-    swapped = m.rename_partners(a)
-    assert swapped == m.var("x'") & m.var("y")
-    assert m.rename_partners(swapped) == a
-
-
-def test_rename_unpartnered_variable_rejected():
-    m = Manager()
-    m.declare_pair("x", "x'", "state")
-    m.declare("u", "aux")
-    with pytest.raises(BddError):
-        m.rename_partners(m.var("u"))
-
-
-def test_second_rename_partners_adds_no_node_and_no_memo_entry(monkeypatch):
-    m = Manager()
-    for name in "xyz":
-        m.declare_pair(name, name + "'", "state")
+    vector = swap_vector(m, declare_pairs(m, "xyz"))
     x, yp, z = m.var("x"), m.var("y'"), m.var("z")
     a = (x & yp) | (~x & ~z) | (m.var("x'") ^ m.var("z'"))
-    first = m.rename_partners(a)
+    first = swapped(m, a, vector)
     nodes, memo = m.core.node_count(), m.core.memo_entries()
 
     def build(*args):
-        raise AssertionError("the second rename built a node")
+        raise AssertionError("the second compose built a node")
 
-    # the rename memo outlives the call, so the second one builds nothing
+    # the memo of a vector outlives the call, so an equal vector's
+    # second composition builds nothing
     monkeypatch.setattr(m.core, "mk", build)
     monkeypatch.setattr(m.core, "ite", build)
-    assert m.rename_partners(a) == first
+    assert swapped(m, a, dict(vector)) == first
     assert (m.core.node_count(), m.core.memo_entries()) == (nodes, memo)
 
 
 def test_unpartnered_variable_below_partnered_ones_rejected():
-    """The rename walk meets the unpartnered ``u`` only after renaming
-    nodes above it; a later rename on the same manager still matches
-    the truth tables."""
+    """The swap vector maps the levels of ``x``, ``y`` and their primed
+    copies but not ``u``'s.  The compose walk meets ``u`` only after
+    composing nodes above it and raises ``KeyError``; a later compose
+    over the same vector still matches the truth tables."""
     m, tt = Manager(), TTManager()
     for twin in (m, tt):
-        twin.declare_pair("x", "x'", "state")
-        twin.declare_pair("y", "y'", "state")
-        twin.declare("u", "aux")
+        partner = declare_pairs(twin, "xy")
+        twin.declare("u")
     names = ["x", "x'", "y", "y'", "u"]
 
     def build(twin):
@@ -105,40 +113,42 @@ def test_unpartnered_variable_below_partnered_ones_rejected():
         return bad, good
 
     (bad, good), (_, tt_good) = build(m), build(tt)
-    with pytest.raises(BddError, match="'u' has no partner"):
-        m.rename_partners(bad)
-    assert_same_semantics(m, m.rename_partners(good), tt,
-                          tt.rename_partners(tt_good), names)
+    vector = swap_vector(m, partner)
+    with pytest.raises(KeyError):
+        swapped(m, bad, vector)
+    assert_same_semantics(m, swapped(m, good, vector), tt,
+                          tt_swapped(tt, tt_good, partner), names)
 
 
 def test_count_sat_cubes():
     m = small_manager()
-    assert m.count_sat(m.true, "main") == 16
-    assert m.count_sat(m.false, "main") == 0
+    assert m.count_sat(m.true, "xyzw") == 16
+    assert m.count_sat(m.false, "xyzw") == 0
     x = m.var("x")
-    assert m.count_sat(x, "main") == 8
+    assert m.count_sat(x, "xyzw") == 8
 
 
 def test_count_sat_over_sub_block():
     m = Manager()
-    m.declare("a", "in")
-    m.declare("b", "in")
-    m.declare("c", "out")
+    m.declare("a")
+    m.declare("b")
+    m.declare("c")
     a, c = m.var("a"), m.var("c")
-    # over the in-block, c is abstracted away
-    assert m.count_sat(a & c, "in") == 2
-    assert m.count_sat(a & ~a, "in") == 0
+    # over a and b, c is abstracted away
+    assert m.count_sat(a & c, ["a", "b"]) == 2
+    assert m.count_sat(a & ~a, ["a", "b"]) == 0
 
 
 def test_pick_witness_properties():
     m = small_manager()
     x, y = m.var("x"), m.var("y")
     a = x & ~y
-    w = m.pick_witness(a, "main")
+    w = m.pick_witness(a, "xyzw")
     assert set(w) == set("xyzw")
     assert m.eval(a, w)
+    assert m.pick_witness(a, ["y"]) == {"y": False}
     with pytest.raises(BddError):
-        m.pick_witness(m.false, "main")
+        m.pick_witness(m.false, "xyzw")
 
 
 def test_eval_matches_semantics():
@@ -195,8 +205,8 @@ def test_differential_against_truth_tables(seed):
         m = Manager()
         tt = TTManager()
         for name in names:
-            m.declare(name, "main")
-            tt.declare(name, "main")
+            m.declare(name)
+            tt.declare(name)
         rng_state = rng.getstate()
         a = _random_ops(rng, m, names, 4)
         rng.setstate(rng_state)
@@ -206,10 +216,11 @@ def test_differential_against_truth_tables(seed):
         subset = [n for n in names if rng.random() < 0.5]
         assert_same_semantics(m, m.exists(subset, a), tt, tt.exists(subset, ta), names)
         assert_same_semantics(m, m.forall(subset, a), tt, tt.forall(subset, ta), names)
-        assert m.count_sat(a, "main") == tt.count_sat(ta, "main")
+        assert m.count_sat(a, names) == tt.count_sat(ta, names)
+        assert m.count_sat(a, subset) == tt.count_sat(ta, subset)
         assert sorted(m.support_names(a)) == sorted(tt.support_names(ta))
         if not a.is_false():
-            w = m.pick_witness(a, "main")
+            w = m.pick_witness(a, names)
             assert m.eval(a, w) and tt.eval(ta, w)
 
 
@@ -220,11 +231,11 @@ def test_points_wider_than_a_machine_word():
     names = ["v%d" % i for i in range(6)]
     m = Manager()
     for i in range(64):
-        m.declare("pad%d" % i, "pad")
+        m.declare("pad%d" % i)
     tt = TTManager()
     for name in names:
-        m.declare(name, "main")
-        tt.declare(name, "main")
+        m.declare(name)
+        tt.declare(name)
     assert m.point(["v0"]) == 1 << 64 and m.point([]) == 0
     for _ in range(40):
         rng_state = rng.getstate()
@@ -250,22 +261,22 @@ def test_eval_and_point_reject_unknown_names():
 
 
 def test_differential_rename_against_truth_tables():
+    # a rename is a composition with a vector of literals
     rng = random.Random(77)
     for round_no in range(60):
         npairs = rng.randint(1, 4)
         m = Manager()
         tt = TTManager()
-        names = []
-        for i in range(npairs):
-            m.declare_pair("v%d" % i, "v%d'" % i, "state")
-            tt.declare_pair("v%d" % i, "v%d'" % i, "state")
-            names += ["v%d" % i, "v%d'" % i]
+        unprimed = ["v%d" % i for i in range(npairs)]
+        partner = declare_pairs(m, unprimed)
+        declare_pairs(tt, unprimed)
+        names = m.names
         rng_state = rng.getstate()
         a = _random_ops(rng, m, names, 4)
         rng.setstate(rng_state)
         ta = _random_ops(rng, tt, names, 4)
-        assert_same_semantics(m, m.rename_partners(a), tt,
-                              tt.rename_partners(ta), names)
+        assert_same_semantics(m, swapped(m, a, swap_vector(m, partner)), tt,
+                              tt_swapped(tt, ta, partner), names)
 
 
 def test_core_impl_reports_something():
@@ -279,8 +290,8 @@ def test_canonicity_tracks_truth_table_equality():
         m = Manager()
         tt = TTManager()
         for n in names:
-            m.declare(n, "main")
-            tt.declare(n, "main")
+            m.declare(n)
+            tt.declare(n)
         state = rng.getstate()
         a = _random_ops(rng, m, names, 4)
         b = _random_ops(rng, m, names, 4)
@@ -318,16 +329,15 @@ def test_store_stays_reduced_and_canonical_after_random_ops():
     for _ in range(40):
         npairs = rng.randint(1, 4)
         m = Manager()
-        names = []
-        for i in range(npairs):
-            m.declare_pair("v%d" % i, "v%d'" % i, "state")
-            names += ["v%d" % i, "v%d'" % i]
+        vector = swap_vector(m, declare_pairs(
+            m, ["v%d" % i for i in range(npairs)]))
+        names = m.names
         for _ in range(5):
             a = _random_ops(rng, m, names, 4)
             subset = [n for n in names if rng.random() < 0.4]
             m.exists(subset, a)
             m.forall(subset, a)
-            m.rename_partners(a)
+            swapped(m, a, vector)
         assert _store_errors(m.core) == []
 
 
@@ -351,8 +361,8 @@ def _twins(names):
     """A manager and its truth-table twin, declaring ``names``."""
     m, tt = Manager(), TTManager()
     for name in names:
-        m.declare(name, "main")
-        tt.declare(name, "main")
+        m.declare(name)
+        tt.declare(name)
     return m, tt
 
 

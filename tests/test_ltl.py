@@ -3,6 +3,7 @@ import random
 import pytest
 
 from elgames import ltl
+from elgames.dd import Manager
 from elgames.ltl import (Ap, AndOp, Finally, Globally, Implies, Next, NotOp,
                          OrOp, Release, Until, atoms, check_safety,
                          determinize_symbolic, nfa_from_safety, parse_ltl,
@@ -16,6 +17,14 @@ A, B, C = Ap("a"), Ap("b"), Ap("c")
 
 EX_SAFETY = "G(b | c) & G(a -> b | X X b)"
 EX_SAFETY_CORE = "G(a -> b | X X b)"
+
+
+def tableau(text, letters=None):
+    """Tableau automaton of a safety formula over ``letters``, by
+    default its atoms in sorted order."""
+    nnf = check_safety(parse_ltl(text))
+    return nfa_from_safety(nnf, sorted(atoms(nnf)) if letters is None
+                           else letters)
 
 
 def test_parse_shapes():
@@ -120,8 +129,8 @@ def test_safety_check_accepts_a_negated_compound_antecedent():
         phi = parse_ltl(text)
         nnf = check_safety(phi)
         assert nnf == to_nnf(phi)
-        nfa = nfa_from_safety(nnf)
-        dsa = determinize_symbolic(nfa, nfa.ap)
+        nfa = nfa_from_safety(nnf, sorted(atoms(nnf)))
+        dsa = determinize_symbolic(nfa)
         for _ in range(40):
             prefix, loop = random_lasso(rng, ["a", "b", "c"], 4)
             assert eval_ltl_lasso(phi, prefix, loop) \
@@ -145,8 +154,11 @@ def paper_nfa():
         [(parse_ltl("b"), 0), (parse_ltl("a & b"), 1)],
         [(parse_ltl("b"), 2), (parse_ltl("a & b"), 3)],
     ]
+    m = Manager()
+    for name in "ab":
+        m.declare(name)
     return ltl.SafetyNFA([frozenset([("paper", i)]) for i in range(4)], 0, t,
-                         {"a", "b"})
+                         m)
 
 
 def subset_language_equal(n1, n2):
@@ -170,13 +182,13 @@ def subset_language_equal(n1, n2):
 
 
 def test_tableau_matches_paper_automaton():
-    nfa = nfa_from_safety(check_safety(parse_ltl(EX_SAFETY_CORE)))
+    nfa = tableau(EX_SAFETY_CORE)
     assert len(nfa) == 4
     assert subset_language_equal(nfa, paper_nfa())
 
 
 def test_tableau_single_state_for_globally_atom():
-    nfa = nfa_from_safety(check_safety(parse_ltl("G b")))
+    nfa = tableau("G b")
     assert len(nfa) == 1
     assert nfa.transitions[0] == [(B, 0)]
 
@@ -195,7 +207,7 @@ def test_tableau_enumerates_no_letters(monkeypatch):
                           for i in range(3)), 16, 136),
     ]
     for text, states, transitions in specs:
-        nfa = nfa_from_safety(check_safety(parse_ltl(text)))
+        nfa = tableau(text)
         assert (len(nfa), sum(map(len, nfa.transitions))) == \
             (states, transitions), text
 
@@ -203,14 +215,14 @@ def test_tableau_enumerates_no_letters(monkeypatch):
 def test_tableau_of_a_wide_antecedent_is_immediate():
     # 31 atoms: trying letters would take up to 2^31 on the trigger branch.
     trigger = " & ".join("a%d" % i for i in range(30))
-    nfa = nfa_from_safety(check_safety(parse_ltl("G((%s) -> X b)" % trigger)))
+    nfa = tableau("G((%s) -> X b)" % trigger)
     assert len(nfa.ap) == 31
     assert len(nfa) == 2
     assert [len(out) for out in nfa.transitions] == [2, 2]
 
 
 def test_tableau_drops_a_branch_whose_constraints_contradict():
-    nfa = nfa_from_safety(check_safety(parse_ltl("G(a -> !a & X b)")))
+    nfa = tableau("G(a -> !a & X b)")
     assert nfa.transitions == [[(NotOp(A), 0)]]
 
 
@@ -218,8 +230,8 @@ def test_every_tableau_transition_has_a_letter():
     rng = random.Random(38)
     names = ["a", "b", "c"]
     for _ in range(150):
-        nfa = nfa_from_safety(check_safety(
-            random_safety_formula(rng, names, 3)))
+        nfa = nfa_from_safety(
+            check_safety(random_safety_formula(rng, names, 3)), names)
         for out in nfa.transitions:
             for constraint, _ in out:
                 assert any(eval_propositional(constraint, letter)
@@ -227,16 +239,16 @@ def test_every_tableau_transition_has_a_letter():
 
 
 def test_empty_language_formula_dies():
-    nfa = nfa_from_safety(check_safety(parse_ltl("X X false")))
-    dsa = determinize_symbolic(nfa, nfa.ap)
+    nfa = tableau("X X false")
+    dsa = determinize_symbolic(nfa)
     assert not dsa_accepts_lasso(dsa, [], [frozenset()])
     assert not nfa_accepts_lasso(nfa, [], [frozenset()])
     assert not eval_ltl_lasso(parse_ltl("X X false"), [], [frozenset()])
 
 
 def test_determinization_theta0_is_exactly_initial_cube():
-    nfa = nfa_from_safety(check_safety(parse_ltl(EX_SAFETY_CORE)))
-    dsa = determinize_symbolic(nfa, nfa.ap)
+    nfa = tableau(EX_SAFETY_CORE)
+    dsa = determinize_symbolic(nfa)
     m = dsa.manager
     assert nfa.initial == 0
     expected = m.cube({v: i == 0 for i, v in enumerate(dsa.state_vars)})
@@ -248,8 +260,8 @@ def test_transition_assertion_matches_displayed_form():
     # (v, a, b) plus the nonemptiness disjunct.  States are located
     # by which obligations they track (nothing / b next / b now / both),
     # since discovery order need not match the drawn numbering.
-    nfa = nfa_from_safety(check_safety(parse_ltl(EX_SAFETY_CORE)))
-    dsa = determinize_symbolic(nfa, nfa.ap)
+    nfa = tableau(EX_SAFETY_CORE)
+    dsa = determinize_symbolic(nfa)
     m = dsa.manager
 
     def locate(b_now, b_next):
@@ -275,37 +287,47 @@ def test_transition_assertion_matches_displayed_form():
 
 
 def test_reachable_subsets_of_full_example_is_nine():
-    nfa = nfa_from_safety(check_safety(parse_ltl(EX_SAFETY)))
+    nfa = tableau(EX_SAFETY)
     assert len(nfa) == 4
-    dsa = determinize_symbolic(nfa, nfa.ap)
+    dsa = determinize_symbolic(nfa)
     assert reachable_subset_count(dsa) == 9
 
 
 def test_determinization_lays_letters_out_in_the_given_order():
-    nfa = nfa_from_safety(check_safety(parse_ltl("G(a -> X b)")))
-    assert nfa.ap == ("a", "b")
-    m = determinize_symbolic(nfa, nfa.ap).manager
-    assert m.names[len(nfa):] == ["a", "b"]
+    nfa = tableau("G(a -> X b)")
+    assert nfa.ap == ("a", "b") and nfa.manager.names == ["a", "b"]
+    dsa = determinize_symbolic(nfa)
+    assert dsa.manager is nfa.manager
+    assert dsa.manager.names == ["a", "b"] + list(dsa.state_vars)
     # letters the automaton does not read get variables too
-    m = determinize_symbolic(nfa, ("b", "d", "a")).manager
-    assert m.names[len(nfa):] == ["b", "d", "a"]
+    nfa = tableau("G(a -> X b)", ("b", "d", "a"))
+    assert nfa.ap == ("b", "d", "a")
+    dsa = determinize_symbolic(nfa)
+    assert dsa.manager.names == ["b", "d", "a"] + list(dsa.state_vars)
+    # but the alphabet must cover the formula's atoms
+    with pytest.raises(ltl.LTLError, match="outside the alphabet: b$"):
+        tableau("G(a -> X b)", ("a", "d"))
 
 
-def test_a_subsets_bits_are_its_point():
-    # State variable q sits at level q, below every letter variable, so a
-    # subset's bits are its point and a letter's point lies above them.
-    nfa = nfa_from_safety(check_safety(parse_ltl(EX_SAFETY)))
-    dsa = determinize_symbolic(nfa, ("c", "a", "b"))
+def test_a_subsets_point_is_its_bits_past_the_letters():
+    # Letters sit at levels 0..k-1 and state variable q at level k + q,
+    # so a subset's point is its bits shifted past the letters, and a
+    # (subset, letter) point joins it with the letter's point.
+    nfa = tableau(EX_SAFETY, ("c", "a", "b"))
+    dsa = determinize_symbolic(nfa)
     m = dsa.manager
-    assert [m.level(v) for v in dsa.state_vars] == list(range(len(nfa)))
+    k = len(dsa.ap)
+    assert [m.level(v) for v in dsa.state_vars] == \
+        list(range(k, k + len(nfa)))
+    assert m.point(["c", "b"]) == 0b101
     for bits in range(1 << len(nfa)):
-        assert m.point(v for i, v in enumerate(dsa.state_vars)
-                       if bits >> i & 1) == bits
-    assert m.point(["c", "b"]) == 0b101 << len(nfa)
-    for bits in range(1, 1 << len(nfa)):
+        subset = [v for i, v in enumerate(dsa.state_vars) if bits >> i & 1]
+        assert m.point(subset) == bits << k
         for letter in ltl.letters("abc"):
-            assert dsa.step_bits(bits, letter) == \
-                dsa.step_point(bits | m.point(letter))
+            point = dsa.point(bits, m.point(letter))
+            assert point == m.point(subset + sorted(letter))
+            if bits:
+                assert dsa.step_bits(bits, letter) == dsa.step_point(point)
 
 
 def test_automaton_does_not_depend_on_the_hash_seed():
@@ -333,14 +355,14 @@ def test_automaton_does_not_depend_on_the_hash_seed():
 
 
 def test_reachable_subsets_of_globally_atom_is_one():
-    nfa = nfa_from_safety(check_safety(parse_ltl("G b")))
-    dsa = determinize_symbolic(nfa, nfa.ap)
+    nfa = tableau("G b")
+    dsa = determinize_symbolic(nfa)
     assert reachable_subset_count(dsa) == 1
 
 
 def test_determinism_of_transition_assertion():
-    nfa = nfa_from_safety(check_safety(parse_ltl(EX_SAFETY)))
-    dsa = determinize_symbolic(nfa, nfa.ap)
+    nfa = tableau(EX_SAFETY)
+    dsa = determinize_symbolic(nfa)
     m = dsa.manager
     rho = relation(dsa)
     for bits in range(1, 16):
@@ -352,7 +374,8 @@ def test_determinism_of_transition_assertion():
                 cube[name] = bool(bits >> i & 1)
             cube.update(letter)
             ctx = m.cube(cube)
-            assert m.count_sat(rho & ctx, "state'") == 1
+            assert m.count_sat(rho & ctx,
+                               [v + "'" for v in dsa.state_vars]) == 1
 
 
 def random_safety_formula(rng, names, depth):
@@ -386,10 +409,10 @@ def test_language_agreement_on_random_lassos():
     for _ in range(150):
         phi = random_safety_formula(rng, names, 3)
         nnf = check_safety(phi)
-        nfa = nfa_from_safety(nnf)
+        nfa = nfa_from_safety(nnf, sorted(atoms(nnf)))
         if len(nfa) > 8:
             continue
-        dsa = determinize_symbolic(nfa, nfa.ap)
+        dsa = determinize_symbolic(nfa)
         for _ in range(4):
             prefix, loop = random_lasso(rng, names, 4)
             direct = eval_ltl_lasso(phi, prefix, loop)
@@ -411,17 +434,16 @@ def test_atoms_collection():
 
 
 def test_determinization_budget(monkeypatch):
-    nfa = nfa_from_safety(check_safety(parse_ltl(EX_SAFETY)))
+    nfa = tableau(EX_SAFETY)
     monkeypatch.setattr(ltl, "MAX_SUBSET_VARS", 2)
     with pytest.raises(ltl.LTLError, match="variable budget exceeded"):
-        determinize_symbolic(nfa, nfa.ap)
+        determinize_symbolic(nfa)
 
 
 def test_prop_assert_matches_letter_semantics_and_rejects_temporal():
-    from elgames.dd import Manager
     m = Manager()
     for name in "abc":
-        m.declare(name, "letter")
+        m.declare(name)
     phi = parse_ltl("(a -> b) & !(c | false) | true & !a")
     got = ltl.prop_assert(m, phi)
     for bits in range(8):

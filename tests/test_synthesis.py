@@ -50,7 +50,7 @@ def test_symbolic_solve_leaves_no_diagram_walk_in_cycles():
 def letter_manager(*names):
     m = Manager()
     for name in names:
-        m.declare(name, "letter")
+        m.declare(name)
     return m
 
 
@@ -239,10 +239,38 @@ def test_rho_has_no_primed_letter_and_one_next_subset():
 
 
 def test_synthesis_manager_declares_no_primed_variable():
-    # The game state is the subset and the letter, and nothing else: no
-    # primed partner, so no relation over one, is declared.
+    # The game state is the letter and the subset, and nothing else: no
+    # primed partner, so no relation over one, is declared.  The letters
+    # come first, inputs then outputs, and the subset variables after
+    # them, so a subset's point is its bits shifted past the letters.
+    rng = random.Random(39)
     for name, game in symbolic_games():
-        assert game.manager.names == list(game.state_vars + game.ap), name
+        m, k = game.manager, len(game.ap)
+        assert m.names == list(game.ap) + list(game.state_vars), name
+        for _ in range(8):
+            bits = rng.getrandbits(len(game.state_vars))
+            letter = {n for n in game.ap if rng.random() < 0.5}
+            subset = [v for q, v in enumerate(game.state_vars)
+                      if bits >> q & 1]
+            point = game.dsa.point(bits, m.point(letter))
+            assert point == bits << k | m.point(letter) == \
+                m.point(subset + sorted(letter)), name
+
+
+def test_build_game_constructs_one_manager(monkeypatch):
+    # The tableau declares the letters on the specification's one
+    # manager, and determinization appends the subset variables to it.
+    made = []
+
+    def counting_manager():
+        made.append(Manager())
+        return made[-1]
+
+    monkeypatch.setattr(ltl, "Manager", counting_manager)
+    for problem in (running_problem(), arb3_resp2_problem()):
+        made.clear()
+        game = syn.build_game(problem)
+        assert len(made) == 1 and made[0] is game.manager
 
 
 @functools.lru_cache(maxsize=None)
@@ -257,16 +285,27 @@ def arb2_resp3_game():
         safety + resp, live, inputs, outputs))
 
 
+def arb3_resp2_problem():
+    """The three-client arbiter whose clients are granted within two
+    steps (16 subset variables, unrealizable)."""
+    from test_fixpoint import ARB3
+    safety, live, inputs, outputs = ARB3
+    resp = "".join(" & G(r%d -> X g%d | X X g%d)" % ((i,) * 3)
+                   for i in range(3))
+    return syn.problem_from_strings(safety + resp, live, inputs, outputs)
+
+
 def test_bounded_response_arbiter_solves_in_a_small_diagram():
-    # arb2-resp3: 27 subset variables.  A transition relation over
-    # primed copies of them took 1.48 million DD nodes on its own;
-    # composing the transition functions instead, build and solve take
-    # about 19,000.
-    game = arb2_resp3_game()
-    assert len(game.state_vars) == 27
-    win, _, _ = game.solution
-    assert syn.is_won(game, win)
-    assert game.manager.core.node_count() < 50000
+    # arb2-resp3 (27 subset variables) and arb3-resp2 (16): no relation
+    # over primed copies, and the letters declared first on the
+    # tableau's manager, keep build and solve near 3,300 and 2,350 nodes.
+    arb3_resp2 = syn.build_game(arb3_resp2_problem())
+    for game, size, realizable in ((arb2_resp3_game(), 27, True),
+                                   (arb3_resp2, 16, False)):
+        assert len(game.state_vars) == size
+        win, _, _ = game.solution
+        assert syn.is_won(game, win) == realizable
+        assert game.manager.core.node_count() < 5000
 
 
 def test_running_example_realizable_with_verified_controller():
@@ -390,7 +429,8 @@ def test_winning_sub_arena_keeps_the_winning_full_nodes():
     m = game.manager
     for vid, kind in enumerate(sub.kinds):
         if kind[0] == "full":
-            assert m.core.eval(win.handle, kind[1] | m.point(kind[2]))
+            assert m.core.eval(win.handle,
+                               game.dsa.point(kind[1], m.point(kind[2])))
         # ... with the full expansion's moves into winning nodes
         fvid = full.index[kind]
         assert [sub.kinds[w] for w in arena.succ[vid]] == [
@@ -414,8 +454,9 @@ def assert_points_match_names(game, win):
         for letter in letters:
             nxt = ltl_reference.step_bits(dsa, bits, letter)
             assert dsa.step_bits(bits, letter) == nxt
-            assert dsa.step_point(bits | m.point(letter)) == nxt
-            assert m.core.eval(win.handle, bits | m.point(letter)) == \
+            point = dsa.point(bits, m.point(letter))
+            assert dsa.step_point(point) == nxt
+            assert m.core.eval(win.handle, point) == \
                 ltl_reference.holds(game, win, bits, letter)
             if nxt and nxt not in reached:
                 reached.append(nxt)

@@ -66,42 +66,25 @@ class TTManager:
     def __init__(self):
         self.names = []
         self._levels = {}
-        self._blocks = {}
-        self._partner = {}
 
     @property
     def full(self):
         return (1 << (1 << len(self.names))) - 1
 
-    def declare(self, name, block):
+    def declare(self, name):
         if name in self._levels:
             raise TTError("variable %r already declared" % name)
         if len(self.names) >= MAX_VARS:
             raise TTError("truth tables support at most %d variables" % MAX_VARS)
-        level = len(self.names)
+        self._levels[name] = len(self.names)
         self.names.append(name)
-        self._levels[name] = level
-        self._blocks.setdefault(block, []).append(level)
         return self.var(name)
-
-    def declare_pair(self, name, primed, block, primed_block=None):
-        self.declare(name, block)
-        self.declare(primed, primed_block if primed_block is not None else block + "'")
-        a, b = self._levels[name], self._levels[primed]
-        self._partner[a] = b
-        self._partner[b] = a
 
     def level(self, name):
         try:
             return self._levels[name]
         except KeyError:
             raise TTError("unknown variable %r" % name) from None
-
-    def block_levels(self, block):
-        try:
-            return tuple(self._blocks[block])
-        except KeyError:
-            raise TTError("unknown block %r" % block) from None
 
     @property
     def true(self):
@@ -139,10 +122,8 @@ class TTManager:
             out = out | a
         return out
 
-    def _level_set(self, what):
-        if isinstance(what, str):
-            return self.block_levels(what)
-        return tuple(self.level(n) for n in what)
+    def _level_set(self, names):
+        return tuple(self.level(n) for n in names)
 
     def _exists_level(self, bits, level):
         mask = self._mask(level)
@@ -152,22 +133,14 @@ class TTManager:
         merged = off | (off << step) | on | (on >> step)
         return merged & self.full
 
-    def exists(self, what, a):
+    def exists(self, names, a):
         bits = a.bits
-        for level in self._level_set(what):
+        for level in self._level_set(names):
             bits = self._exists_level(bits, level)
         return TTAssertion(self, bits)
 
-    def forall(self, what, a):
-        return ~self.exists(what, ~a)
-
-    def rename_partners(self, a):
-        vector = {}
-        for level in self._support_levels(a.bits):
-            if level not in self._partner:
-                raise TTError("variable %r has no partner" % self.names[level])
-            vector[level] = self.var(self.names[self._partner[level]])
-        return self.compose(a, vector)
+    def forall(self, names, a):
+        return ~self.exists(names, ~a)
 
     def compose(self, a, vector):
         """Substitute, at once, the assertion ``vector[l]`` for the
@@ -199,21 +172,19 @@ class TTManager:
     def support_names(self, a):
         return tuple(self.names[level] for level in self._support_levels(a.bits))
 
-    def count_sat(self, a, block):
-        g = self.exists([n for n in self.names
-                         if self.level(n) not in set(self.block_levels(block))], a)
-        others = len(self.names) - len(self.block_levels(block))
-        # g is independent of the abstracted variables, so each block
-        # assignment contributes exactly 2^others table entries.
+    def count_sat(self, a, names):
+        g = self.exists([n for n in self.names if n not in names], a)
+        others = len(self.names) - len(self._level_set(names))
+        # g is independent of the abstracted variables, so each
+        # assignment of ``names`` contributes exactly 2^others entries.
         return bin(g.bits).count("1") // (1 << others)
 
-    def pick_witness(self, a, block):
+    def pick_witness(self, a, names):
         if a.bits == 0:
             raise TTError("cannot pick a witness from an unsatisfiable assertion")
-        g = self.exists([n for n in self.names
-                         if self.level(n) not in set(self.block_levels(block))], a)
+        g = self.exists([n for n in self.names if n not in names], a)
         i = (g.bits & -g.bits).bit_length() - 1
-        return {self.names[lv]: bool(i >> lv & 1) for lv in self.block_levels(block)}
+        return {n: bool(i >> self.level(n) & 1) for n in names}
 
     def eval(self, a, values):
         i = 0
