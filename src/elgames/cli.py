@@ -35,7 +35,11 @@ def _win_line(mask):
 
 def _read(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise games.GameFormatError(
+                "%s: not UTF-8 text: %s" % (path, exc)) from exc
 
 
 def _write(path, text):
@@ -147,6 +151,20 @@ def cmd_corpus(args):
     return 0 if report.ok else 1
 
 
+def _int_at_least(low):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (low, value))
+        return value
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="elgames",
@@ -196,9 +214,9 @@ def build_parser():
 
     p = sub.add_parser("corpus", help="random regression corpus")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-nodes", type=int, default=8)
-    p.add_argument("--max-colors", type=int, default=4)
+    p.add_argument("--count", type=_int_at_least(0), default=100)
+    p.add_argument("--max-nodes", type=_int_at_least(2), default=8)
+    p.add_argument("--max-colors", type=_int_at_least(1), default=4)
     p.set_defaults(func=cmd_corpus)
     return parser
 

@@ -9,10 +9,20 @@ one AND and one test.  A solve builds the tables once (``owner_split``)
 and drops them with its backend; arenas do not keep them.
 
 The module also provides the line-oriented game file format and a
-seeded random generator used by the regression corpus.
+seeded random generator used by the regression corpus.  A game file
+starts with ``elgame 1`` and has one ``colors`` line, one ``node <id>
+<E|A> [color...]`` line per node, ``edge <src> <dst> [<dst>...]`` lines
+and one ``objective`` line; ``#`` starts a comment.  ``save_game``
+writes one ``edge`` line per node, its successors in ``Arena.succ``
+order.  ``load_game`` also reads several ``edge`` lines for one source,
+such as files written one edge a line, joining them in file order and
+keeping the first of repeated successors.
 """
 
 import random
+from functools import reduce
+from itertools import chain
+from operator import or_
 
 from . import el
 
@@ -38,23 +48,32 @@ class Arena:
     def __init__(self, owner, succ, colors=None):
         self.n = len(owner)
         self.owner = tuple(owner)
-        self.succ = tuple(tuple(s) for s in succ)
+        self.succ = tuple(map(tuple, succ))
         self.colors = tuple(colors) if colors is not None else (0,) * self.n
         if len(self.succ) != self.n or len(self.colors) != self.n:
             raise GameError("owner/succ/colors lengths disagree")
-        succ_mask = []
+        n = self.n
+        if not (all(self.succ) and frozenset(range(n)).issuperset(
+                chain.from_iterable(self.succ))):
+            self._reject()
+        shift = (1).__lshift__
+        self.succ_mask = tuple([sum(map(shift, targets)) for targets in self.succ])
+        # Each mask has one bit per distinct successor, so the counts
+        # agree iff no node lists a successor twice.
+        if sum(map(len, self.succ)) != sum(map(int.bit_count, self.succ_mask)):
+            self._reject()
+
+    def _reject(self):
+        """Raise for the first node, in node order, without a successor,
+        with a duplicate edge or with an edge out of range."""
         for v, targets in enumerate(self.succ):
             if not targets:
                 raise GameError("node %d has no successor (arena must be total)" % v)
             if len(set(targets)) != len(targets):
                 raise GameError("duplicate edges out of node %d" % v)
-            m = 0
             for w in targets:
                 if not 0 <= w < self.n:
                     raise GameError("edge %d -> %d out of range" % (v, w))
-                m |= 1 << w
-            succ_mask.append(m)
-        self.succ_mask = tuple(succ_mask)
 
     @property
     def full_mask(self):
@@ -105,9 +124,9 @@ def cpre(split, target):
 class ELGame:
     def __init__(self, arena, table, objective):
         el.check_colors(objective, table)
-        for v in range(arena.n):
-            if arena.colors[v] & ~table.full_mask:
-                raise GameError("node %d colored outside the table" % v)
+        if reduce(or_, arena.colors, 0) & ~table.full_mask:
+            v = next(v for v, c in enumerate(arena.colors) if c & ~table.full_mask)
+            raise GameError("node %d colored outside the table" % v)
         self.arena = arena
         self.table = table
         self.objective = objective
@@ -145,60 +164,77 @@ def save_game(game):
         owner = "E" if arena.owner[v] == EXISTENTIAL else "A"
         names = game.table.names_of(arena.colors[v])
         lines.append(("node %d %s %s" % (v, owner, " ".join(names))).rstrip())
-    for v, w in arena.edges():
-        lines.append("edge %d %d" % (v, w))
+    for v, targets in enumerate(arena.succ):
+        lines.append("edge %d %s" % (v, " ".join(map(str, targets))))
     lines.append("objective %s" % el.format_formula(game.objective, game.table))
     return "\n".join(lines) + "\n"
 
 
 def load_game(text):
+    """The game of an ``elgame 1`` text (see the module docstring)."""
     table = None
     nodes = {}
-    edges = []
+    masks = {}       # colour names of a node line -> their mask
+    targets = {}     # source -> destinations of all its lines, in order
     objective_src = None
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if not header_seen:
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        parts = raw.split("#", 1)[0].split()
+        if parts:
             if parts != ["elgame", "1"]:
                 raise GameFormatError("expected header 'elgame 1'", lineno)
-            header_seen = True
+            break
+    for lineno, raw in lines:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        parts = raw.split()
+        if not parts:
             continue
         kind = parts[0]
-        if kind == "colors":
-            if table is not None:
-                raise GameFormatError("duplicate colors line", lineno)
+        if kind == "edge":
+            if len(parts) < 3:
+                raise GameFormatError(
+                    "expected 'edge <src> <dst> [<dst>...]'", lineno)
             try:
-                table = el.ColorTable(parts[1:])
-            except el.ELError as exc:
+                src = int(parts[1])
+                known = targets.get(src)
+                if known is None:
+                    known = targets[src] = []
+                # One destination, as in files written one edge a line,
+                # skips the slice and the map.
+                if len(parts) == 3:
+                    known.append(int(parts[2]))
+                else:
+                    known += map(int, parts[2:])
+            except ValueError as exc:
                 raise GameFormatError(str(exc), lineno) from exc
         elif kind == "node":
             if table is None:
                 raise GameFormatError("node before colors line", lineno)
             if len(parts) < 3 or parts[2] not in ("E", "A"):
                 raise GameFormatError("expected 'node <id> <E|A> [color...]'", lineno)
+            names = tuple(parts[3:])
             try:
                 vid = int(parts[1])
-                mask = table.mask(*parts[3:])
+                mask = masks.get(names)
+                if mask is None:
+                    mask = masks[names] = table.mask(*names)
             except (ValueError, el.ELError) as exc:
                 raise GameFormatError(str(exc), lineno) from exc
             if vid in nodes:
                 raise GameFormatError("duplicate node %d" % vid, lineno)
             nodes[vid] = (EXISTENTIAL if parts[2] == "E" else UNIVERSAL, mask)
-        elif kind == "edge":
-            if len(parts) != 3:
-                raise GameFormatError("expected 'edge <src> <dst>'", lineno)
+        elif kind == "colors":
+            if table is not None:
+                raise GameFormatError("duplicate colors line", lineno)
             try:
-                edges.append((int(parts[1]), int(parts[2]), lineno))
-            except ValueError as exc:
+                table = el.ColorTable(parts[1:])
+            except el.ELError as exc:
                 raise GameFormatError(str(exc), lineno) from exc
         elif kind == "objective":
             if objective_src is not None:
                 raise GameFormatError("duplicate objective line", lineno)
-            objective_src = (line[len("objective"):].strip(), lineno)
+            objective_src = (raw.strip()[len("objective"):].strip(), lineno)
         else:
             raise GameFormatError("unknown directive %r" % kind, lineno)
     if table is None:
@@ -208,17 +244,17 @@ def load_game(text):
     n = len(nodes)
     if sorted(nodes) != list(range(n)):
         raise GameFormatError("node ids must be consecutive from 0")
-    succ = [[] for _ in range(n)]
-    for src, dst, lineno in edges:
-        if not 0 <= src < n or not 0 <= dst < n:
-            raise GameFormatError("edge %d -> %d out of range" % (src, dst), lineno)
-        if dst not in succ[src]:
-            succ[src].append(dst)
+    if targets and (min(targets) < 0 or max(targets) >= n):
+        _raise_first_bad_edge(text, n)
+    succ = [tuple(dict.fromkeys(targets.get(v, ()))) for v in range(n)]
     owner = [nodes[v][0] for v in range(n)]
     colors = [nodes[v][1] for v in range(n)]
     try:
         arena = Arena(owner, succ, colors)
     except GameError as exc:
+        # An edge out of range is named first, with its line, as the
+        # arena's own check would name it without one.
+        _raise_first_bad_edge(text, n)
         raise GameFormatError(str(exc)) from exc
     src, lineno = objective_src
     try:
@@ -226,6 +262,20 @@ def load_game(text):
     except el.ELError as exc:
         raise GameFormatError(str(exc), lineno) from exc
     return ELGame(arena, table, objective)
+
+
+def _raise_first_bad_edge(text, n):
+    """Name the first edge of ``text``, in file order, with an end
+    outside ``range(n)``.  ``load_game`` checks ranges per source and
+    comes here, on an already parsed text, only to report one."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if parts[:1] == ["edge"]:
+            src = int(parts[1])
+            for dst in map(int, parts[2:]):
+                if not (0 <= src < n and 0 <= dst < n):
+                    raise GameFormatError(
+                        "edge %d -> %d out of range" % (src, dst), lineno)
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,37 @@ def test_format_error_exit_code(tmp_path, capsys):
     assert main(["solve", str(bad)]) == 3
 
 
+def test_game_file_not_utf8_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.elg"
+    bad.write_bytes(b"\xff\xfe")
+    for command in ("solve", "oracle", "reduce"):
+        assert main([command, str(bad)]) == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: not UTF-8 text" % bad), command
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--max-nodes", "0"], "--max-nodes: must be at least 2, got 0"),
+    (["--max-nodes", "1"], "--max-nodes: must be at least 2, got 1"),
+    (["--max-colors", "0"], "--max-colors: must be at least 1, got 0"),
+    (["--count", "-1"], "--count: must be at least 0, got -1"),
+    (["--count", "many"], "--count: invalid int value: 'many'"),
+])
+def test_corpus_rejects_bounds_it_cannot_draw_from(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["corpus"] + argv)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_corpus_accepts_the_smallest_bounds(capsys):
+    assert main(["corpus", "--count", "0"]) == 0
+    assert "corpus: 0 instances" in capsys.readouterr().out
+    assert main(["corpus", "--count", "5", "--max-nodes", "2",
+                 "--max-colors", "1"]) == 0
+    assert "5/5 agree" in capsys.readouterr().out
+
+
 def test_second_objective_line_exit_code(tmp_path, capsys):
     bad = tmp_path / "two.elg"
     bad.write_text("elgame 1\ncolors a\nnode 0 E a\nedge 0 0\n"

@@ -106,6 +106,123 @@ def test_comments_and_blank_lines_ignored():
     assert game.arena.colors == (1,)
 
 
+THREE_NODES = "elgame 1\ncolors a\nnode 0 E a\nnode 1 A\nnode 2 E\n"
+
+
+def test_edge_line_lists_several_destinations():
+    game = load_game(THREE_NODES + "edge 0 2 1\nedge 1 0\nedge 2 0 1 2\n"
+                     "objective Inf a\n")
+    assert game.arena.succ == ((2, 1), (0,), (0, 1, 2))
+    assert game.arena.succ_mask == (0b110, 0b001, 0b111)
+
+
+def test_edge_lines_of_one_source_join_in_file_order():
+    # Several lines for node 0, some with one destination, some with
+    # more, interleaved with the other sources' lines.
+    game = load_game(THREE_NODES + "edge 0 2\nedge 1 0 1\nedge 0 0 1\n"
+                     "edge 2 2\nedge 1 2\nobjective Inf a\n")
+    assert game.arena.succ == ((2, 0, 1), (0, 1, 2), (2,))
+
+
+def test_repeated_destinations_keep_their_first_place():
+    game = load_game(THREE_NODES + "edge 0 2 2 1 2\nedge 1 0\nedge 0 1 0 2\n"
+                     "edge 2 1\nedge 2 1 1\nobjective Inf a\n")
+    assert game.arena.succ == ((2, 1, 0), (0,), (1,))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("3", "edge 1 -> 3 out of range"),
+    ("-1", "edge 1 -> -1 out of range"),
+    ("x", "invalid literal for int() with base 10: 'x'"),
+])
+def test_bad_destination_mid_line_names_itself_and_its_line(bad, message):
+    text = THREE_NODES + "edge 0 1\nedge 1 0 %s 2\nedge 2 0\nobjective Inf a\n" % bad
+    with pytest.raises(games.GameFormatError) as err:
+        load_game(text)
+    assert str(err.value) == "line 7: " + message
+    assert err.value.line == 7
+
+
+def test_first_bad_edge_in_file_order_is_named():
+    # Node 0's bad edge comes first in node order, node 2's in the file;
+    # both come before the totality violation of node 1.
+    text = THREE_NODES + "edge 2 0 5\nedge 0 1 4\nobjective Inf a\n"
+    with pytest.raises(games.GameFormatError) as err:
+        load_game(text)
+    assert str(err.value) == "line 6: edge 2 -> 5 out of range"
+    text = THREE_NODES + "edge 0 1\nedge 3 0\nedge 2 0 9\nobjective Inf a\n"
+    with pytest.raises(games.GameFormatError) as err:
+        load_game(text)
+    assert str(err.value) == "line 7: edge 3 -> 0 out of range"
+
+
+@pytest.mark.parametrize("src", ["3", "-1"])
+def test_edge_from_outside_the_arena_is_rejected(src):
+    # Every node has its successors, so only the source is at fault.
+    text = THREE_NODES + "edge 0 1\nedge 1 0\nedge 2 0\nedge %s 0 1\nobjective Inf a\n" % src
+    with pytest.raises(games.GameFormatError) as err:
+        load_game(text)
+    assert str(err.value) == "line 9: edge %s -> 0 out of range" % src
+
+
+def test_edge_without_destination_is_rejected():
+    text = THREE_NODES + "edge 0 1\nedge 3\nobjective Inf a\n"
+    with pytest.raises(games.GameFormatError) as err:
+        load_game(text)
+    assert str(err.value) == "line 7: expected 'edge <src> <dst> [<dst>...]'"
+
+
+def one_edge_per_line(text):
+    """``text`` with every ``edge`` line split into one line per edge."""
+    out = []
+    for line in text.splitlines():
+        parts = line.split()
+        if parts[0] == "edge":
+            out += ["edge %s %s" % (parts[1], w) for w in parts[2:]]
+        else:
+            out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def test_one_edge_per_line_texts_load_as_their_saves():
+    for seed in range(20):
+        game = random_game(seed, 9, 3, density=0.4)
+        text = save_game(game)
+        assert sum(line.startswith("edge ") for line in text.splitlines()) == 9
+        old = one_edge_per_line(text)
+        assert old != text
+        a, b = load_game(text).arena, load_game(old).arena
+        assert (a.owner, a.succ, a.colors, a.succ_mask) == \
+            (b.owner, b.succ, b.colors, b.succ_mask) == \
+            (game.arena.owner, game.arena.succ, game.arena.colors,
+             game.arena.succ_mask)
+        assert save_game(load_game(old)) == text
+        assert save_game(load_game(text)) == text
+
+
+def test_arena_names_the_first_bad_node_with_its_first_fault():
+    # Per node: no successor, then a duplicate, then a range fault.
+    cases = [
+        ([[1, 1], [5], []], "duplicate edges out of node 0"),
+        ([[0], [5], []], "edge 1 -> 5 out of range"),
+        ([[0], [1], []], "node 2 has no successor (arena must be total)"),
+        ([[0], [1, 7, 1], [0]], "duplicate edges out of node 1"),
+        ([[0], [1, -1], [0]], "edge 1 -> -1 out of range"),
+    ]
+    for succ, message in cases:
+        with pytest.raises(games.GameError) as err:
+            Arena([EXISTENTIAL] * 3, succ)
+        assert str(err.value) == message
+
+
+def test_elgame_names_the_first_node_colored_outside_the_table():
+    table = el.ColorTable(["a", "b"])
+    arena = Arena([EXISTENTIAL] * 3, [[0], [1], [2]], [0b01, 0b110, 0b100])
+    with pytest.raises(games.GameError) as err:
+        ELGame(arena, table, el.buchi(table, "a"))
+    assert str(err.value) == "node 1 colored outside the table"
+
+
 def test_random_game_deterministic():
     a = save_game(random_game(7, 8, 4))
     b = save_game(random_game(7, 8, 4))
