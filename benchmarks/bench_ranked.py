@@ -30,6 +30,8 @@ from elgames import el, fixpoint, games, strategy
 from elgames import synthesis as syn
 from elgames.zielonka import ZielonkaTree
 
+from specs import arbiter
+
 CHECKSUM_MODULUS = (1 << 61) - 1
 
 
@@ -52,21 +54,14 @@ def muller_n60():
 
 def arb2_resp2_expansion():
     game = syn.build_game(syn.problem_from_strings(
-        "G(!(g0 & g1)) & G(r0 -> X g0 | X X g0)",
-        "(G F r0 -> G F g0) & (G F r1 -> G F g1)", ["r0", "r1"], ["g0", "g1"]))
+        *arbiter(2, " & G(r0 -> X g0 | X X g0)")))
     return syn.expand_explicit(game).elgame
 
 
 def arb4_sub_arena():
     """The winning sub-arena of the four-client arbiter, expanded from
     its symbolic winning region (``synthesis.extract_controller``)."""
-    n = 4
-    mutex = " & ".join("!(g%d & g%d)" % (i, j)
-                       for i in range(n) for j in range(i + 1, n))
-    live = " & ".join("(G F r%d -> G F g%d)" % (i, i) for i in range(n))
-    game = syn.build_game(syn.problem_from_strings(
-        "G(%s)" % mutex, live, ["r%d" % i for i in range(n)],
-        ["g%d" % i for i in range(n)]))
+    game = syn.build_game(syn.problem_from_strings(*arbiter(4)))
     return syn.expand_explicit(game, game.solution[0]).elgame
 
 

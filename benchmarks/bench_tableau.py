@@ -26,26 +26,11 @@ import time
 
 from elgames import ltl
 
-
-def arbiter(n, extra=""):
-    """Mutual exclusion of grants (plus ``extra``): the safety part of
-    the ``n``-client arbiter."""
-    return "G(%s)" % " & ".join("!(g%d & g%d)" % (i, j)
-                                for i in range(n)
-                                for j in range(i + 1, n)) + extra
+from specs import README, arbiter, response
 
 
-def response(n, within):
-    """Every client's request granted within ``within`` steps:
-    ``G(r_i -> X g_i | X X g_i | ...)``."""
-    return "".join(" & G(r%d -> %s)" % (i, " | ".join(
-        "X " * k + "g%d" % i for k in range(1, within + 1)))
-        for i in range(n))
-
-
-README = "G(b|c) & G(a -> b | X X b)"
-
-# name, safety formula, states, transitions, digest prefix
+# name, specification (its safety part is read), states, transitions,
+# digest prefix
 WORKLOADS = [
     ("readme", README, 4, 12, "dbba774d4895"),
     ("arb2", arbiter(2), 1, 1, "59a1baa9f960"),
@@ -83,7 +68,7 @@ def best_tableau(nnf, repeat):
 def run(repeat):
     print("%-12s %6s %6s %10s  %s" % ("spec", "states", "trans", "best",
                                        "digest"))
-    for name, safety, *want in WORKLOADS:
+    for name, (safety, *_), *want in WORKLOADS:
         nfa, best = best_tableau(ltl.check_safety(ltl.parse_ltl(safety)),
                                  repeat)
         got = [len(nfa), sum(map(len, nfa.transitions)),

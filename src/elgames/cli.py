@@ -151,8 +151,9 @@ def cmd_corpus(args):
     return 0 if report.ok else 1
 
 
-def _int_at_least(low):
-    """An argparse type: an integer no smaller than ``low``."""
+def _int_in(low, high):
+    """An argparse type: an integer from ``low`` to ``high`` (None: no
+    upper bound)."""
     def parse(text):
         try:
             value = int(text)
@@ -161,6 +162,9 @@ def _int_at_least(low):
         if value < low:
             raise argparse.ArgumentTypeError(
                 "must be at least %d, got %d" % (low, value))
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                "must be at most %d, got %d" % (high, value))
         return value
     return parse
 
@@ -214,9 +218,11 @@ def build_parser():
 
     p = sub.add_parser("corpus", help="random regression corpus")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=_int_at_least(0), default=100)
-    p.add_argument("--max-nodes", type=_int_at_least(2), default=8)
-    p.add_argument("--max-colors", type=_int_at_least(1), default=4)
+    p.add_argument("--count", type=_int_in(0, None), default=100)
+    p.add_argument("--max-nodes", type=_int_in(2, None), default=8)
+    # past el.MAX_TABLE_COLORS a draw's objective has no truth table
+    p.add_argument("--max-colors", type=_int_in(1, el.MAX_TABLE_COLORS),
+                   default=4)
     p.set_defaults(func=cmd_corpus)
     return parser
 

@@ -18,8 +18,8 @@ backend's guard and memoized ``cpre``, applied to each ring's mask, and
 solves each least-fixpoint leaf run in one pass.  It orders maps as
 progress measures, so the solver warm-starts ring runs from stored ones
 as it does node-set runs.  A greatest fixpoint starts from a stored
-run's rings or from zeros over the verdict solve's set of its vertex,
-not over every node.
+run's rings or from zeros over its vertex's bound: the verdict solve's
+set, or every node of an arena the root wins entirely.
 Signature descent is what guarantees progress; an arbitrary member of a
 least-fixpoint union, or of a greatest fixpoint nested inside one,
 would allow stalling or resetting the enclosing fixpoint's progress.
@@ -27,13 +27,12 @@ The memory then descends from the anchor to a new leaf, steered at
 losing vertices by the admitting child of the node being entered and at
 the winning anchor by round-robin over its children.
 
-``extract`` and ``synthesis.extract_controller`` run that solve,
-:func:`ranked_solve`, once each, on the verdict's own set backend
-(``SolveResult.backend``), so the color sets, guards and ``cpre``
-results the verdict computed are reused, and keep the rings: a move
-is read off the first ring of the anchor's map that meets the node's
-successors, and a signature off the first ring whose mask holds the
-node.
+``extract`` runs that solve, :func:`ranked_solve`, once, on the
+verdict's own set backend (``SolveResult.backend``), reusing its color
+sets, guards and ``cpre`` results; ``synthesis.extract_controller``
+runs it as its only explicit solve.  Both keep the rings: a move is
+read off the first ring of the anchor's map that meets the node's
+successors, and a signature off the first ring whose mask holds it.
 It builds moves and memory updates at the reachable (node, leaf) pairs
 only: it explores the product from each winning node's initial leaf,
 and strategy files list only those entries.
@@ -98,15 +97,15 @@ class RankBackend:
     the nodes whose signature is at most ``sig``: signatures strictly
     increasing, masks nonempty and strictly growing, so the first ring
     whose mask holds a node carries its signature and the last mask is
-    the map's node set.  Bottom is ``()``; top gives the verdict's set
-    of the vertex (``values``) zeros, which bounds the greatest
-    fixpoints, since each run's nodes lie inside the vertex's verdict
-    set.  A node inherits the signature of the witness successor of its
-    one-step attraction, the anchor's component bumped when the anchor
-    is a least fixpoint and zeros below it; universal nodes take the
-    worst successor, existential ones the best.  Union keeps each node's
-    best signature, intersection its worst over the common nodes, cut to
-    the vertex's length.
+    the map's node set.  Bottom is ``()``; top gives zeros to the
+    vertex's bound (``values``: the verdict's set, or every node of an
+    arena the root wins entirely), which holds each greatest-fixpoint
+    run's nodes.  A node inherits the signature of the witness successor
+    of its one-step attraction, the anchor's component bumped when the
+    anchor is a least fixpoint and zeros below it; universal nodes take
+    the worst successor, existential ones the best.  Union keeps each
+    node's best signature, intersection its worst over the common nodes,
+    cut to the vertex's length.
 
     A node's derived signature is at most the lift of ``sig`` iff it is
     in the term's guard and in the controllable predecessor of the
@@ -230,9 +229,9 @@ class RankBackend:
 def ranked_solve(sets, tree, values):
     """Entry-rank signature map of every tree vertex as rings of
     cumulative masks (:class:`RankBackend`; the last mask is the map's
-    node set), computed through the explicit set backend
-    ``sets``, given the verdict solve's node set of every vertex,
-    ``values``.
+    node set), computed through the explicit set backend ``sets`` within
+    a bound on every vertex's node set, ``values``: the verdict solve's
+    sets, or every node of an arena the root wins entirely.
 
     The maps are the least mutually consistent family, so moving along
     signature-minimal successors never lets a play reset an enclosing
@@ -250,17 +249,14 @@ def ranked_solve(sets, tree, values):
 
 
 class _Extractor:
-    def __init__(self, game, tree, result):
+    def __init__(self, game, tree, sets, values):
         self.game = game
         self.arena = game.arena
         self.tree = tree
-        self.values = result.values
-        self.sets = result.backend
-        self.rings = ranked_solve(self.sets, tree, result.values)
-        for s, rings in self.rings.items():
-            if (rings[-1][1] if rings else 0) != result.values[s]:
-                raise AssertionError(
-                    "ranked solve disagrees with the solver at X%d" % s)
+        self.sets = sets
+        self.rings = ranked_solve(sets, tree, values)
+        self.values = {s: rings[-1][1] if rings else 0
+                       for s, rings in self.rings.items()}
 
     def signature(self, s, v):
         """Signature of node ``v`` in vertex ``s``'s map, None when ``v``
@@ -377,7 +373,11 @@ class _Extractor:
 def extract(game, tree, result):
     """Winning strategy on the solved region (memory = tree leaves),
     with moves and updates at the reachable (node, leaf) pairs only."""
-    ex = _Extractor(game, tree, result)
+    ex = _Extractor(game, tree, result.backend, result.values)
+    for s, value in ex.values.items():
+        if value != result.values[s]:
+            raise AssertionError(
+                "ranked solve disagrees with the solver at X%d" % s)
     win = result.values[tree.root]
     initial = {v: ex.descend(v, tree.root) for v in iter_nodes(win)}
     move = {}

@@ -15,11 +15,11 @@ target, then the transition functions composed into the result.  The
 solve wraps handles as assertions only around that predecessor and on
 its final values.
 
-Controllers are extracted from the explicit expansion of the symbolic
-winning region, solved on the symbolic solve's objective and tree (the
-explicit solve must win every node of it).  Its intermediate nodes
-(the system's output choice) are keyed by the next subset and the
-input rather than by the full node they follow, so each is built once.
+Controllers are read off one ranked solve of the explicit expansion of
+the symbolic winning region, on the symbolic solve's tree, which must
+win every node of it.  Its intermediate nodes (the system's output
+choice) are keyed by the next subset and the input rather than by the
+full node they follow, so each is built once.
 Controller states pair a reachable subset with the position in the
 objective's tree where the last consumed letter anchored (vertex plus
 child slot, which seeds the round-robin through winning branches), and
@@ -31,7 +31,7 @@ losing sink, is the cross-check's oracle.
 import re
 from functools import cached_property
 
-from . import el, ltl
+from . import el, fixpoint, ltl
 # Manager is unused here, but e2ebench/tracing.py patches synthesis.Manager.
 from .dd import Assertion, Manager
 from .fixpoint import SetBackend, build_equations, solve, solve_game
@@ -448,8 +448,9 @@ class MealyController:
 
 
 def extract_controller(game):
-    """Winning controller from the certified explicit extraction on the
-    winning sub-arena of ``game.solution``, solved on its tree.
+    """Winning controller read off the ranked solve of the winning
+    sub-arena of ``game.solution`` on its tree, bounded by every node;
+    the root's map must hold them all (the sub-arena check).
 
     States are (reachable subset, anchor vertex, child slot): the anchor
     is where the last consumed letter attached in the objective tree and
@@ -459,12 +460,13 @@ def extract_controller(game):
     win, tree, _ = game.solution
     exp = expand_explicit(game, win)
     arena = exp.elgame.arena
-    ewin, _, eresult = solve_game(exp.elgame, tree)
-    if ewin != arena.full_mask:
+    ex = _Extractor(exp.elgame, tree, fixpoint.ExplicitBackend(exp.elgame),
+                    dict.fromkeys(range(len(tree)), arena.full_mask))
+    lost = arena.full_mask & ~ex.values[tree.root]
+    if lost:
         raise ExpansionMismatch("sub-arena check", (
             "the explicit solve of the winning sub-arena loses %d of its %d nodes"
-            % (bin(arena.full_mask & ~ewin).count("1"), arena.n)))
-    ex = _Extractor(exp.elgame, tree, eresult)
+            % (bin(lost).count("1"), arena.n)))
 
     states = []
     state_index = {}
@@ -479,7 +481,6 @@ def extract_controller(game):
     inputs = list(ltl.letters(game.inputs))
     outputs = list(ltl.letters(game.outputs))
     init = {}
-    queue = []
     for inp in inputs:
         best = None
         for out in outputs:
@@ -496,28 +497,17 @@ def extract_controller(game):
         _, out, vid = best
         leaf = ex.descend(vid, tree.root)
         anchor, slot = ex.position(vid, leaf)
-        q = intern(exp.next_subset(vid), anchor, slot)
-        init[inp] = (out, q)
-        queue.append(q)
+        init[inp] = (out, intern(exp.next_subset(vid), anchor, slot))
 
     trans = {}
-    done = set()
-    while queue:
-        q = queue.pop(0)
-        if q in done:
-            continue
-        done.add(q)
-        bits, anchor, slot = states[q]
+    for q, (bits, anchor, slot) in enumerate(states):  # grows in intern
         for inp in inputs:
             mid = exp.index[("mid", bits, inp)]
             leaf = ex.descend(mid, anchor, slot)
             w = ex.pick_move(mid, leaf)
             out = exp.kinds[w][2] - inp
             anchor2, slot2 = ex.position(w, leaf)
-            q2 = intern(exp.next_subset(w), anchor2, slot2)
-            trans[(q, inp)] = (out, q2)
-            if q2 not in done:
-                queue.append(q2)
+            trans[(q, inp)] = (out, intern(exp.next_subset(w), anchor2, slot2))
     return MealyController(tuple(game.inputs), tuple(game.outputs),
                            states, init, trans)
 

@@ -364,6 +364,7 @@ def test_game_file_not_utf8_exit_code(tmp_path, capsys):
     (["--max-colors", "0"], "--max-colors: must be at least 1, got 0"),
     (["--count", "-1"], "--count: must be at least 0, got -1"),
     (["--count", "many"], "--count: invalid int value: 'many'"),
+    (["--max-colors", "13"], "--max-colors: must be at most 12, got 13"),
 ])
 def test_corpus_rejects_bounds_it_cannot_draw_from(argv, message, capsys):
     with pytest.raises(SystemExit) as err:
@@ -378,6 +379,14 @@ def test_corpus_accepts_the_smallest_bounds(capsys):
     assert main(["corpus", "--count", "5", "--max-nodes", "2",
                  "--max-colors", "1"]) == 0
     assert "5/5 agree" in capsys.readouterr().out
+
+
+def test_corpus_accepts_the_largest_color_budget(capsys):
+    # el.MAX_TABLE_COLORS colours still have a truth table; one more
+    # is rejected by the parser above rather than by a draw's objective.
+    assert main(["corpus", "--count", "40", "--max-nodes", "6",
+                 "--max-colors", "12"]) == 0
+    assert "40/40 agree" in capsys.readouterr().out
 
 
 def test_second_objective_line_exit_code(tmp_path, capsys):

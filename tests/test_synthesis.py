@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from elgames import el, ltl
+from elgames import el, fixpoint, ltl, strategy
 from elgames import synthesis as syn
 from elgames.dd import Manager
-from elgames.fixpoint import solve_game
+from elgames.fixpoint import ExplicitBackend, build_equations, solve_game
 from elgames.games import Arena, ELGame, UNIVERSAL
 from elgames.ltl import parse_ltl
 from elgames.oracles import solve_el_via_reduction
@@ -326,11 +326,12 @@ def test_running_example_realizable_with_verified_controller():
 
 def test_expand_check_builds_and_solves_each_arena_once(monkeypatch):
     # The cross-check builds and solves the full expansion; the controller
-    # builds and solves the winning sub-arena on the symbolic solve's tree,
-    # which the game computes once for both.
+    # builds the winning sub-arena and runs one ranked solve on it, on the
+    # symbolic solve's tree, which the game computes once for both.  No
+    # verdict solve of the sub-arena comes before the ranked one.
     calls = []
     expand, solve = syn.expand_explicit, syn.solve_game
-    symbolic = syn.solve_symbolic
+    symbolic, ranked = syn.solve_symbolic, strategy.ranked_solve
 
     def counting_expand(game, win=None):
         calls.append("expand " + ("full" if win is None else "winning"))
@@ -345,13 +346,18 @@ def test_expand_check_builds_and_solves_each_arena_once(monkeypatch):
         calls.append("symbolic")
         return symbolic(game)
 
+    def counting_ranked(sets, tree, values):
+        calls.append("ranked")
+        return ranked(sets, tree, values)
+
     monkeypatch.setattr(syn, "expand_explicit", counting_expand)
     monkeypatch.setattr(syn, "solve_game", counting_solve)
     monkeypatch.setattr(syn, "solve_symbolic", counting_symbolic)
+    monkeypatch.setattr(strategy, "ranked_solve", counting_ranked)
     res = syn.solve_synthesis(running_problem(), expand_check=True)
     assert res.realizable
     assert calls == ["symbolic", "expand full", "solve full",
-                     "expand winning", "solve winning"]
+                     "expand winning", "ranked"]
     monkeypatch.undo()
     plain = syn.solve_synthesis(running_problem())
     assert res.controller.to_text() == plain.controller.to_text()
@@ -438,6 +444,37 @@ def test_winning_sub_arena_keeps_the_winning_full_nodes():
     # and the sub-arena's solve on the liveness tree wins every node
     ewin, _, _ = solve_game(sub.elgame, tree)
     assert ewin == arena.full_mask
+
+
+# Ranked stages on the winning sub-arena of each spec; bench_ranked.py
+# pins arb4's as well.
+SUB_ARENA_RANKED_STAGES = {"readme": 57, "arb2": 55, "arb2-resp2": 78,
+                           "arb3": 436, "arb4": 3757}
+
+
+def test_sub_arena_ranked_solve_needs_no_verdict_bound():
+    # extract_controller bounds the ranked solve of the winning sub-arena
+    # by every node, on a fresh set backend, rather than by a verdict
+    # solve's sets.  On these sub-arenas, which the root wins entirely,
+    # both bounds give the same maps in the same stages.
+    from test_fixpoint import ARB4
+    games = {name: pinned_synthesis(name).game
+             for name in ("readme", "arb2", "arb2-resp2", "arb3")}
+    games["arb4"] = syn.build_game(syn.problem_from_strings(*ARB4))
+    for name, game in games.items():
+        win, tree, _ = game.solution
+        sub = syn.expand_explicit(game, win).elgame
+        system, full = build_equations(tree), sub.arena.full_mask
+        verdict = solve_game(sub, tree)[2]
+        runs = [fixpoint.solve(system, strategy.RankBackend(sets, tree, values),
+                               max_stages=sub.arena.n + 1)
+                for sets, values in (
+                    (verdict.backend, verdict.values),
+                    (ExplicitBackend(sub), dict.fromkeys(range(len(tree)), full)))]
+        assert runs[0].values == runs[1].values, name
+        assert runs[1].values[tree.root][-1][1] == full, name
+        assert [run.iterations for run in runs] == \
+            [SUB_ARENA_RANKED_STAGES[name]] * 2, name
 
 
 def assert_points_match_names(game, win):
