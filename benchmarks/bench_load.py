@@ -11,7 +11,12 @@ script writes from it, as older files are.  Both must load to the same
 arenas and objectives, whose SHA-256 is pinned, and the line and byte
 counts of both forms are pinned, so a faster loader must read the same
 texts into the same games.  The time is that of loading all 600 texts
-of one form.  Run as a script; pass --repeat to stabilize numbers.
+of one form.  The loaded games carry few distinct objectives, which is
+the traffic ``fixpoint.compile_objective`` serves: the number of
+distinct (objective, colour table) keys among them is pinned, and so
+are the cache's misses and hits over one ``solve_game`` of each game
+from an empty cache.  Run as a script; pass --repeat to stabilize
+numbers.
 
     python benchmarks/bench_load.py
 """
@@ -21,7 +26,7 @@ import hashlib
 import random
 import time
 
-from elgames import el, games
+from elgames import el, fixpoint, games
 
 BASE_SEED = 5
 COUNT = 600
@@ -41,6 +46,10 @@ FAMILIES = [
 WANT_SAVED = (72990, 1362007)
 WANT_ONE_EDGE = (254747, 2787960)
 WANT_DIGEST = "7c609d217bfe"
+# distinct (objective, table) keys of the loaded games, and the misses
+# and hits of compile_objective over one solve of each from empty
+WANT_KEYS = 93
+WANT_TRAFFIC = (93, 507)
 
 
 def base_games():
@@ -112,6 +121,18 @@ def run(repeat):
         lines, nbytes = size(texts)
         print("%-14s %8d %9d %8.4fs %8.1fus" % (
             name, lines, nbytes, best, best / len(texts) * 1e6))
+    keys = len({(game.objective, game.table) for game in loaded})
+    assert keys == WANT_KEYS, "%d distinct objective keys, expected %d" % (
+        keys, WANT_KEYS)
+    fixpoint.compile_objective.cache_clear()
+    for game in loaded:
+        fixpoint.solve_game(game)
+    info = fixpoint.compile_objective.cache_info()
+    got = (info.misses, info.hits)
+    assert got == WANT_TRAFFIC, \
+        "compile_objective (misses, hits) %r, expected %r" % (got, WANT_TRAFFIC)
+    print("%d distinct objective keys; compile_objective misses %d, hits %d"
+          % ((keys,) + got))
 
 
 def main():

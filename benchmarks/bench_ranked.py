@@ -3,7 +3,8 @@
 Each workload solves its game once for the verdict sets, then times
 ``ranked_solve`` (the engine run with entry-rank signature maps as
 values) from those sets on a set backend of its own
-(``fixpoint.ExplicitBackend``), its rings read as ``{vertex: {node:
+(``fixpoint.ExplicitBackend``) and on the tree's equation system, built
+once outside the timer, as the verdict's is; its rings read as ``{vertex: {node:
 signature}}`` maps.  A counting run reports the engine's Kleene stages
 (``stages``) and its runs warm-started from a stored run's rings
 (``warm``), how many ancestor terms it asked the rank backend for
@@ -77,7 +78,7 @@ class CountingBackend(strategy.RankBackend):
         return super().term(s, term, src)
 
 
-def counted_solve(game, tree, values):
+def counted_solve(game, system, values):
     """``ranked_solve`` on a set backend of its own, through a counting
     rank backend; returns the maps, the engine's stages and warm starts,
     the ``term`` count and the number of distinct ``games.cpre``
@@ -103,7 +104,7 @@ def counted_solve(game, tree, values):
     strategy.RankBackend, fixpoint.solve, games.cpre = make, solve, cpre
     try:
         maps = as_maps(strategy.ranked_solve(
-            fixpoint.ExplicitBackend(game), tree, values))
+            fixpoint.ExplicitBackend(game), system, values))
     finally:
         strategy.RankBackend, fixpoint.solve, games.cpre = plain
     result, = results
@@ -120,7 +121,7 @@ def as_maps(rings):
             for s, r in rings.items()}
 
 
-def shared_solve(game, tree, result):
+def shared_solve(game, result):
     """The extractor's ranked solve on the verdict's backend; returns the
     maps and the number of ``games.cpre`` targets the verdict had not
     asked (the backend's memo answers the others without a call)."""
@@ -133,7 +134,8 @@ def shared_solve(game, tree, result):
     plain_cpre = games.cpre
     games.cpre = cpre
     try:
-        rings = strategy.ranked_solve(result.backend, tree, result.values)
+        rings = strategy.ranked_solve(result.backend, result.system,
+                                      result.values)
     finally:
         games.cpre = plain_cpre
     return as_maps(rings), len(targets)
@@ -170,14 +172,15 @@ def run(repeat):
          expected) in WORKLOADS:
         game = make()
         tree = ZielonkaTree(game.objective, game.table)
+        system = fixpoint.build_equations(tree)
         values = fixpoint.solve_game(game, tree)[2].values
-        maps, stages, warm, terms, targets = counted_solve(game, tree, values)
+        maps, stages, warm, terms, targets = counted_solve(game, system, values)
         counts = (stages, warm, terms, targets)
         want = (want_stages, want_warm, want_terms, want_targets)
         assert counts == want, (
             "%s: stages, warm starts, terms and cpre targets %r, expected %r"
             % (name, counts, want))
-        maps, new = shared_solve(game, tree, fixpoint.solve_game(game, tree)[2])
+        maps, new = shared_solve(game, fixpoint.solve_game(game, tree)[2])
         assert new == want_new, (
             "%s asked %d cpre targets new to the verdict, expected %d" % (
                 name, new, want_new))
@@ -186,7 +189,7 @@ def run(repeat):
         for _ in range(repeat):
             start = time.perf_counter()
             maps = as_maps(strategy.ranked_solve(
-                fixpoint.ExplicitBackend(game), tree, values))
+                fixpoint.ExplicitBackend(game), system, values))
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
             result = checksum(maps)
@@ -194,7 +197,8 @@ def run(repeat):
                 name, result, expected)
             verdict = fixpoint.solve_game(game, tree)[2]
             start = time.perf_counter()
-            strategy.ranked_solve(verdict.backend, tree, verdict.values)
+            strategy.ranked_solve(verdict.backend, verdict.system,
+                                  verdict.values)
             elapsed = time.perf_counter() - start
             shared = elapsed if shared is None else min(shared, elapsed)
         print("%-30s %6d %6d %6d %6d %9.4fs %6d %9.4fs" % (

@@ -48,11 +48,23 @@ stored ones; otherwise it starts from top or bottom.  A backend may also
 solve a least-fixpoint leaf's own equation in one call (``leaf``); the
 signature backend does, in Dijkstra order over this module's explicit
 set backend, and the set backends leave it to Kleene stages.  A solve's
-result keeps the backend that produced it, so the signature solve of a
-strategy runs on the verdict's own color sets, guards and ``cpre`` memo.
+result keeps the backend that produced it and the equation system it
+solved, so the signature solve of a strategy runs on the verdict's own
+color sets, guards, ``cpre`` memo and equations.
+
+A game's tree and equations depend on its objective and color table
+alone, never on its arena, so :func:`compile_objective` builds them once
+per (objective, table) pair for the whole process: ``solve_game`` and
+the symbolic solve of synthesis read them from there, and every game
+with an equal objective over an equal table shares one tree and one
+system.  Sharing is safe because nothing writes to either once built:
+solves keep their values, memos and warm-start stores in their own
+lists and backends, and a tree or system is only read.
 """
 
-from . import games
+from functools import lru_cache
+
+from . import games, zielonka
 
 
 class Equation:
@@ -98,6 +110,21 @@ def build_equations(tree):
                     terms.append((anc, tree.label[anc], tree.label[child]))
             equations.append(Equation(s, lfp, "attract", terms=tuple(terms)))
     return EquationSystem(tree, equations)
+
+
+@lru_cache(maxsize=256)
+def compile_objective(objective, table):
+    """The Zielonka tree of ``objective`` over ``table`` and its equation
+    system, built once per (objective, table) pair and then shared.
+
+    Both key parts compare and hash by value: formulas by class and
+    fields, tables by their color names in order.  The cache keeps the
+    256 most recently used pairs.  A pair whose tree is refused (past
+    ``el.MAX_TABLE_COLORS`` colors) raises on every call, as nothing is
+    stored for it.  A miss builds through the module attributes
+    ``zielonka.ZielonkaTree`` and ``build_equations``."""
+    tree = zielonka.ZielonkaTree(objective, table)
+    return tree, build_equations(tree)
 
 
 def format_equations(system):
@@ -250,16 +277,18 @@ class SolveResult:
     """Final variable values, the number of Kleene stages run, per
     vertex the number of runs warm-started from the result stored at
     their position and the number of runs answered from its memo (a
-    leaf's inputs or an internal vertex's ancestor ``cpre`` images), and
-    the backend the values were computed with."""
+    leaf's inputs or an internal vertex's ancestor ``cpre`` images), the
+    backend the values were computed with and the equation system
+    solved."""
 
     def __init__(self, values, iterations=0, warm_starts=None, memo_hits=None,
-                 backend=None):
+                 backend=None, system=None):
         self.values = values
         self.iterations = iterations
         self.warm_starts = {} if warm_starts is None else warm_starts
         self.memo_hits = {} if memo_hits is None else memo_hits
         self.backend = backend
+        self.system = system
 
     def winning(self):
         return self.values[0]
@@ -466,14 +495,16 @@ def solve(system, backend, max_stages):
     run(root, (), (), ())
     return SolveResult(dict(enumerate(values)), total_iterations,
                        {s: n for s, n in enumerate(warm_starts) if n},
-                       memo_hits, backend)
+                       memo_hits, backend, system)
 
 
 def solve_game(game, tree=None):
-    """Winning region of an explicit game; returns (mask, tree, result)."""
-    from .zielonka import ZielonkaTree
+    """Winning region of an explicit game; returns (mask, tree, result).
+    Without a ``tree`` the tree and equations come from
+    :func:`compile_objective`; a given tree gets its own equations."""
     if tree is None:
-        tree = ZielonkaTree(game.objective, game.table)
-    system = build_equations(tree)
+        tree, system = compile_objective(game.objective, game.table)
+    else:
+        system = build_equations(tree)
     result = solve(system, ExplicitBackend(game), max_stages=game.arena.n + 1)
     return result.winning(), tree, result

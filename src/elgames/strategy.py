@@ -28,11 +28,16 @@ losing vertices by the admitting child of the node being entered and at
 the winning anchor by round-robin over its children.
 
 ``extract`` runs that solve, :func:`ranked_solve`, once, on the
-verdict's own set backend (``SolveResult.backend``), reusing its color
-sets, guards and ``cpre`` results; ``synthesis.extract_controller``
-runs it as its only explicit solve.  Both keep the rings: a move is
-read off the first ring of the anchor's map that meets the node's
-successors, and a signature off the first ring whose mask holds it.
+verdict's own set backend (``SolveResult.backend``) and equation system
+(``SolveResult.system``), reusing its color sets, guards and ``cpre``
+results and building no equations; ``synthesis.extract_controller``
+runs it as its only explicit solve, on the symbolic solve's system.
+The tree and system are the ones ``fixpoint.compile_objective`` shares
+between every game with an equal objective and color table; the ranked
+solve only reads them, and keeps its maps in its own result.  Both
+callers keep the rings: a move is read off the first ring of the
+anchor's map that meets the node's successors, and a signature off the
+first ring whose mask holds it.
 It builds moves and memory updates at the reachable (node, leaf) pairs
 only: it explores the product from each winning node's initial leaf,
 and strategy files list only those entries.
@@ -42,9 +47,16 @@ strategy (universal moves left free) and checks its cycles with
 :func:`losing_cycle`, SCC-first (Emerson & Lei 1987; Baier et al.,
 ATVA 2019).  That search reads only an adjacency, colors and the
 objective's own truth table, not the strategy or the Zielonka tree.
+The table comes from a per-objective cache built from the formula
+alone (:func:`_objective_table`), so a wrong or shared tree cannot make
+a losing strategy pass.
 """
 
+from functools import lru_cache
+
 from . import el, fixpoint
+# build_equations is unused here, but e2ebench/tracing.py patches
+# strategy.build_equations.
 from .fixpoint import build_equations
 from .games import EXISTENTIAL, iter_nodes
 
@@ -226,12 +238,12 @@ class RankBackend:
         return tuple(out)
 
 
-def ranked_solve(sets, tree, values):
-    """Entry-rank signature map of every tree vertex as rings of
-    cumulative masks (:class:`RankBackend`; the last mask is the map's
-    node set), computed through the explicit set backend ``sets`` within
-    a bound on every vertex's node set, ``values``: the verdict solve's
-    sets, or every node of an arena the root wins entirely.
+def ranked_solve(sets, system, values):
+    """Entry-rank signature map of every vertex of ``system``'s tree as
+    rings of cumulative masks (:class:`RankBackend`; the last mask is the
+    map's node set), computed through the explicit set backend ``sets``
+    within a bound on every vertex's node set, ``values``: the verdict
+    solve's sets, or every node of an arena the root wins entirely.
 
     The maps are the least mutually consistent family, so moving along
     signature-minimal successors never lets a play reset an enclosing
@@ -243,18 +255,18 @@ def ranked_solve(sets, tree, values):
     all-nodes map; descent from there ends at the same maps in no more
     stages, and only least-fixpoint stages enter signatures.
     """
-    backend = RankBackend(sets, tree, values)
-    return fixpoint.solve(build_equations(tree), backend,
+    backend = RankBackend(sets, system.tree, values)
+    return fixpoint.solve(system, backend,
                           max_stages=sets.arena.n + 1).values
 
 
 class _Extractor:
-    def __init__(self, game, tree, sets, values):
+    def __init__(self, game, system, sets, values):
         self.game = game
         self.arena = game.arena
-        self.tree = tree
+        self.tree = system.tree
         self.sets = sets
-        self.rings = ranked_solve(sets, tree, values)
+        self.rings = ranked_solve(sets, system, values)
         self.values = {s: rings[-1][1] if rings else 0
                        for s, rings in self.rings.items()}
 
@@ -373,7 +385,7 @@ class _Extractor:
 def extract(game, tree, result):
     """Winning strategy on the solved region (memory = tree leaves),
     with moves and updates at the reachable (node, leaf) pairs only."""
-    ex = _Extractor(game, tree, result.backend, result.values)
+    ex = _Extractor(game, result.system, result.backend, result.values)
     for s, value in ex.values.items():
         if value != result.values[s]:
             raise AssertionError(
@@ -471,9 +483,9 @@ def verify(game, strategy, claimed):
     pairs of ``claimed`` (:func:`_product`); moves and updates are
     needed at the reachable pairs only.  Its cycles are then checked by
     :func:`losing_cycle`, and a losing one fails with a lasso through
-    every state of its component.  The cycle check builds its own truth
-    table of the objective rather than reading the Zielonka tree's, so
-    that a wrong tree cannot make a losing strategy pass.
+    every state of its component.  The cycle check reads its own truth
+    table of the objective rather than the Zielonka tree's, so that a
+    wrong tree cannot make a losing strategy pass.
     """
     states, adj, parent, failure = _product(game, strategy, claimed)
     if failure is not None:
@@ -505,15 +517,12 @@ def losing_cycle(adj, colors, phi):
     Unions shrink strictly, so the search ends.
 
     ``phi`` is evaluated through its truth table over the colors it
-    mentions (:func:`el.truth_table`), built from ``phi`` alone; a union
-    is looked up with the other colors cut off, and the maximal
+    mentions (:func:`_objective_table`), built from ``phi`` alone; a
+    union is looked up with the other colors cut off, and the maximal
     falsifying subsets are those of the cut union
     (:func:`el.maximal_flipped`) with the other colors put back.
     """
-    used = 0
-    for cid in el.colors_mentioned(phi):
-        used |= 1 << cid
-    truth = el.truth_table(phi, used.bit_length())
+    used, truth = _objective_table(phi)
     falsifying = {}   # color union -> its maximal falsifying subsets
     work = [(range(len(adj)), -1)]
     while work:
@@ -536,32 +545,51 @@ def losing_cycle(adj, colors, phi):
     return None
 
 
+@lru_cache(maxsize=256)
+def _objective_table(phi):
+    """``(used, truth)``: the mask of the colors ``phi`` mentions and its
+    truth table over colors ``0..used.bit_length()-1``
+    (:func:`el.truth_table`), built from ``phi`` alone once per objective
+    (formulas compare and hash by value).  The cache keeps the 256 most
+    recently used objectives."""
+    used = 0
+    for cid in el.colors_mentioned(phi):
+        used |= 1 << cid
+    return used, el.truth_table(phi, used.bit_length())
+
+
 def _sccs(adj, members):
     """Iterative Tarjan over ``adj`` restricted to the set ``members``;
-    yields, as node sets, the components that hold a cycle."""
-    index = {}
-    low = {}
+    yields, as node sets, the components that hold a cycle.  States are
+    ``0..len(adj)-1``, so ``index``, ``low`` and ``on_stack`` are lists
+    indexed by state (index -1: not visited yet)."""
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    counter = 0
     stack = []
-    on_stack = set()
     for root in members:
-        if root in index:
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
         work = [(root, iter(adj[root]))]
         while work:
             v, it = work[-1]
             for w in it:
                 if w not in members:
                     continue
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
                     stack.append(w)
-                    on_stack.add(w)
+                    on_stack[w] = True
                     work.append((w, iter(adj[w])))
                     break
-                if w in on_stack and index[w] < low[v]:
+                if on_stack[w] and index[w] < low[v]:
                     low[v] = index[w]
             else:
                 work.pop()
@@ -573,7 +601,7 @@ def _sccs(adj, members):
                     comp = set()
                     while True:
                         w = stack.pop()
-                        on_stack.discard(w)
+                        on_stack[w] = False
                         comp.add(w)
                         if w == v:
                             break

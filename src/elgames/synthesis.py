@@ -16,8 +16,8 @@ solve wraps handles as assertions only around that predecessor and on
 its final values.
 
 Controllers are read off one ranked solve of the explicit expansion of
-the symbolic winning region, on the symbolic solve's tree, which must
-win every node of it.  Its intermediate nodes (the system's output
+the symbolic winning region, on the symbolic solve's tree and equation
+system, which must win every node of it.  Its intermediate nodes (the system's output
 choice) are keyed by the next subset and the input rather than by the
 full node they follow, so each is built once.
 Controller states pair a reachable subset with the position in the
@@ -32,7 +32,8 @@ import re
 from functools import cached_property
 
 from . import el, fixpoint, ltl
-# Manager is unused here, but e2ebench/tracing.py patches synthesis.Manager.
+# Manager, build_equations and ZielonkaTree are unused here, but
+# e2ebench/tracing.py patches them in this module.
 from .dd import Assertion, Manager
 from .fixpoint import SetBackend, build_equations, solve, solve_game
 from .games import Arena, ELGame, EXISTENTIAL, UNIVERSAL
@@ -271,9 +272,9 @@ class SymbolicBackend(SetBackend):
 def solve_symbolic(game):
     """Symbolic winning region; each variable's iteration is bounded by
     the number of symbolic nodes plus one, as ``solve_game``'s is.  The
+    tree and equations come from ``fixpoint.compile_objective``.  The
     result's values are wrapped as assertions."""
-    tree = ZielonkaTree(game.el_formula, game.color_table)
-    system = build_equations(tree)
+    tree, system = fixpoint.compile_objective(game.el_formula, game.color_table)
     nodes = 2 ** (len(game.state_vars) + len(game.ap))
     result = solve(system, SymbolicBackend(game), max_stages=nodes + 1)
     m = game.manager
@@ -449,18 +450,20 @@ class MealyController:
 
 def extract_controller(game):
     """Winning controller read off the ranked solve of the winning
-    sub-arena of ``game.solution`` on its tree, bounded by every node;
-    the root's map must hold them all (the sub-arena check).
+    sub-arena of ``game.solution`` on its tree and equation system,
+    bounded by every node; the root's map must hold them all (the
+    sub-arena check).
 
     States are (reachable subset, anchor vertex, child slot): the anchor
     is where the last consumed letter attached in the objective tree and
     the slot remembers which child the memory sat under, seeding the
     round-robin over winning branches.
     """
-    win, tree, _ = game.solution
+    win, tree, result = game.solution
     exp = expand_explicit(game, win)
     arena = exp.elgame.arena
-    ex = _Extractor(exp.elgame, tree, fixpoint.ExplicitBackend(exp.elgame),
+    ex = _Extractor(exp.elgame, result.system,
+                    fixpoint.ExplicitBackend(exp.elgame),
                     dict.fromkeys(range(len(tree)), arena.full_mask))
     lost = arena.full_mask & ~ex.values[tree.root]
     if lost:

@@ -51,7 +51,7 @@ def extract_controller_full(game):
     """The controller and the expansion's tree."""
     exp = expand_explicit(game)
     ewin, etree, eresult = solve_game(exp.elgame)
-    ex = _Extractor(exp.elgame, etree, eresult.backend, eresult.values)
+    ex = _Extractor(exp.elgame, eresult.system, eresult.backend, eresult.values)
     root_map = ranked_maps(exp.elgame, etree, eresult.values)[etree.root]
 
     states = []

@@ -19,7 +19,8 @@ def ranked_maps(game, tree, values):
     verdict's node set of every vertex, as ``{vertex: {node:
     signature}}``: each node at its first ring, so at its lowest
     signature."""
-    rings = strategy.ranked_solve(ExplicitBackend(game), tree, values)
+    rings = strategy.ranked_solve(ExplicitBackend(game), build_equations(tree),
+                                  values)
     return {s: {v: sig for sig, mask in reversed(r) for v in iter_nodes(mask)}
             for s, r in rings.items()}
 

@@ -101,7 +101,7 @@ def test_counterexamples_replay_to_falsifying_color_sets():
         succs = [w for w in game.arena.succ[v] if w != strat.move[(v, m)]]
         if not succs:
             continue
-        ex = _Extractor(game, tree, result.backend, result.values)
+        ex = _Extractor(game, result.system, result.backend, result.values)
         bad = with_redirected_move(ex, strat, v, m,
                                    succs[rng.randrange(len(succs))])
         report = verify(game, bad, win)
@@ -133,7 +133,7 @@ def test_redirecting_outside_winning_region_is_always_rejected():
         if target is None:
             continue
         v, m, w = target
-        ex = _Extractor(game, tree, result.backend, result.values)
+        ex = _Extractor(game, result.system, result.backend, result.values)
         bad = with_redirected_move(ex, strat, v, m, w)
         assert not verify(game, bad, win).ok
         checked += 1
@@ -441,7 +441,7 @@ def test_extractor_signatures_equal_the_ranked_maps():
     games += [random_game(900 + i, 20, 4, formula_depth=4) for i in range(40)]
     for k, game in enumerate(games):
         _, tree, result = solved(game)
-        ex = _Extractor(game, tree, result.backend, result.values)
+        ex = _Extractor(game, result.system, result.backend, result.values)
         maps = ranked_maps(game, tree, result.values)
         for s in range(len(tree)):
             for v in range(game.arena.n):
@@ -592,7 +592,7 @@ def test_verify_agrees_with_per_color_set_reference():
         strat = extract(game, tree, result)
         assert verify(game, strat, win).ok, k
         assert verify_reference(game, strat, win) is None, k
-        ex = _Extractor(game, tree, result.backend, result.values)
+        ex = _Extractor(game, result.system, result.backend, result.values)
         rng = random.Random(k)
         pairs = sorted(strat.move)
         for v, m in rng.sample(pairs, min(4, len(pairs))):

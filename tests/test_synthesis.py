@@ -346,9 +346,9 @@ def test_expand_check_builds_and_solves_each_arena_once(monkeypatch):
         calls.append("symbolic")
         return symbolic(game)
 
-    def counting_ranked(sets, tree, values):
+    def counting_ranked(sets, system, values):
         calls.append("ranked")
-        return ranked(sets, tree, values)
+        return ranked(sets, system, values)
 
     monkeypatch.setattr(syn, "expand_explicit", counting_expand)
     monkeypatch.setattr(syn, "solve_game", counting_solve)

@@ -50,7 +50,7 @@ def pick_move_reference(ex, ranked, v, m):
 
 def extract_reference(game, tree, result):
     """Strategy with entries at every pair of ``values[m] & win``."""
-    ex = _Extractor(game, tree, result.backend, result.values)
+    ex = _Extractor(game, result.system, result.backend, result.values)
     ranked = ranked_maps(game, tree, result.values)
     arena = game.arena
     win = result.values[tree.root]
